@@ -44,11 +44,9 @@ print(f"  negative-side permutation: {res.negative_permutation} "
 
 # --- a deeper cascade: the Ising ground pair ---------------------------------
 rng = np.random.default_rng(3)
-fam_ising = family(
-    lambda t: ising(3) + t * transverse_perturbation(
-        3, rng.standard_normal(3), rng.standard_normal(3)),
-    2,
-)
+field = transverse_perturbation(3, rng.standard_normal(3),
+                                rng.standard_normal(3))
+fam_ising = family(lambda t: ising(3) + t * field, 2)
 res = cascade(fam_ising, t_probe=2.0 ** -5)
 print("Ising(3) ground pair under a transverse field:")
 print(f"  pair separation levels: {res.pair_levels} "

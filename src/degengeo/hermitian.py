@@ -24,20 +24,17 @@ __all__ = [
     "frobenius_norm",
     "operator_2_norm",
     "canonical_basis",
+    "coordinate_pairs",
     "coordinates",
     "from_coordinates",
     "traceless_basis",
     "traceless_coordinates",
     "traceless_from_coordinates",
     "conjugate",
-    "check_unitary",
 ]
 
 #: Relative asymmetry allowed in raw input before Hermitization refuses it.
 ASYMMETRY_RTOL = 1e-12
-
-#: Relative unitarity defect allowed by `check_unitary`.
-UNITARITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,24 @@ def canonical_basis(n):
     return [(idx, _basis_matrix(idx, n)) for idx in _basis_order(n)]
 
 
+def _canonical_slots(n):
+    """The canonical order as an index gather: np.tril_indices(n), read as
+    (m, a), lists the entries (a, m), a <= m, in that order. Each
+    off-diagonal entry owns two coordinates (real part, imaginary part), each
+    diagonal entry one; `slots` marks which of the two are used."""
+    m, a = np.tril_indices(n)
+    off = a != m
+    return a, m, off, np.stack([np.ones_like(off), off], axis=1)
+
+
+def coordinate_pairs(n):
+    """0-based entry (a, m), a <= m, read by each of the n^2 canonical
+    coordinates, in order."""
+    a, m, _, slots = _canonical_slots(n)
+    reads = slots.sum(axis=1)
+    return np.repeat(a, reads), np.repeat(m, reads)
+
+
 def coordinates(h):
     """Coordinates of H in the canonical basis, in the documented order.
 
@@ -170,17 +185,10 @@ def coordinates(h):
     diagonal elements contribute H_aa.
     """
     h = np.asarray(h)
-    n = h.shape[0]
-    out = np.empty(n * n)
-    pos = 0
-    for m in range(n):
-        for a in range(m):
-            out[pos] = np.sqrt(2.0) * h[a, m].real
-            out[pos + 1] = -np.sqrt(2.0) * h[a, m].imag
-            pos += 2
-        out[pos] = h[m, m].real
-        pos += 1
-    return out
+    a, m, off, slots = _canonical_slots(h.shape[0])
+    z = h[a, m]
+    re = np.where(off, np.sqrt(2.0) * z.real, z.real)
+    return np.stack([re, -np.sqrt(2.0) * z.imag], axis=1)[slots]
 
 
 def from_coordinates(v, n):
@@ -188,15 +196,14 @@ def from_coordinates(v, n):
     v = np.asarray(v, dtype=float)
     if v.shape != (n * n,):
         raise ValueError(f"expected {n * n} coordinates, got {v.shape}")
+    a, m, off, slots = _canonical_slots(n)
+    parts = np.zeros(slots.shape)
+    parts[slots] = v
+    z = np.where(off, (parts[:, 0] - 1j * parts[:, 1]) / np.sqrt(2.0),
+                 parts[:, 0])
     h = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for m in range(n):
-        for a in range(m):
-            h[a, m] = (v[pos] - 1j * v[pos + 1]) / np.sqrt(2.0)
-            h[m, a] = np.conj(h[a, m])
-            pos += 2
-        h[m, m] = v[pos]
-        pos += 1
+    h[m, a] = np.conj(z)
+    h[a, m] = z
     return _freeze(h)
 
 
@@ -250,13 +257,3 @@ def conjugate(h, u):
     _check_same_dimension(h, u)
     g = u @ h @ u.conj().T
     return _freeze((g + g.conj().T) / 2.0)
-
-
-def check_unitary(u, *, rtol=UNITARITY_RTOL):
-    """Raise unless ||U^dagger U - I||_F <= rtol * sqrt(n)."""
-    u = np.asarray(u)
-    n = u.shape[0]
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(n), "fro")
-    if defect > rtol * np.sqrt(n):
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    return u

@@ -108,7 +108,7 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return [_plain(v) for v in value.tolist()]
+            return np.stack((value.real, value.imag), axis=-1).tolist()
         return value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]

@@ -16,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundary, NotInSigmaK
-from .hermitian import frobenius_norm
-from .spectra import DEGENERACY_RTOL, eigh
+from .hermitian import conjugate, coordinate_pairs, coordinates, frobenius_norm
+from .spectra import (
+    DEGENERACY_RTOL,
+    coincidence_tolerance,
+    eigh,
+    unseparated_edge,
+    window_spread,
+)
 
 __all__ = [
     "ProjectionResult",
@@ -46,15 +52,6 @@ class ProjectionResult:
     offset: int = 0
 
 
-def _window_edges_separated(vals, k, offset, tol):
-    lo, hi = offset, offset + k
-    if lo > 0 and vals[lo] - vals[lo - 1] <= tol:
-        return False
-    if hi < len(vals) and vals[hi] - vals[hi - 1] <= tol:
-        return False
-    return True
-
-
 def collapse_projection(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
     """Project H to the k-fold degeneracy manifold by collapsing the window
     eigenvalues (offset+1 .. offset+k, ascending) to their mean.
@@ -64,27 +61,22 @@ def collapse_projection(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
     `unique=False`, while the distance value remains correct.
     """
     h = np.asarray(h)
-    n = h.shape[0]
-    if not (0 <= offset and 1 <= k and offset + k <= n):
-        raise ValueError(f"invalid window: n={n}, k={k}, offset={offset}")
     spec = eigh(h)
     vals = spec.eigenvalues
-    win = vals[offset : offset + k]
-    mean = float(np.mean(win))
-    std = float(np.sqrt(np.mean((win - mean) ** 2)))
+    mean, _, std = window_spread(vals, k, offset)
     collapsed = vals.copy()
     collapsed[offset : offset + k] = mean
     u = spec.vectors
     h_sigma = (u * collapsed) @ u.conj().T
     h_sigma = (h_sigma + h_sigma.conj().T) / 2.0
     h_sigma.setflags(write=False)
-    tol = rel_tol * max(1.0, spec.operator_2_norm())
+    tol = coincidence_tolerance(vals, rel_tol)
     return ProjectionResult(
         h_sigma=h_sigma,
         distance=frobenius_norm(h - h_sigma),
         std_dev=std,
         mean_lambda=mean,
-        unique=_window_edges_separated(vals, k, offset, tol),
+        unique=unseparated_edge(vals, k, offset, tol) is None,
         k=k,
         offset=offset,
     )
@@ -94,10 +86,8 @@ def distance_to_sigma(h, k, offset=0):
     """sqrt(k) times the standard deviation of the window eigenvalues; equal
     to the Frobenius distance from the k-fold degeneracy manifold, and to
     ||H_eff|| from any valid decomposition of H."""
-    h = np.asarray(h)
-    vals = np.linalg.eigvalsh(h)
-    win = vals[offset : offset + k]
-    return float(np.sqrt(np.sum((win - np.mean(win)) ** 2)))
+    _, dev, _ = window_spread(np.linalg.eigvalsh(np.asarray(h)), k, offset)
+    return float(np.sqrt(np.sum(dev ** 2)))
 
 
 def project_with_index_set(h, indices, gauge=None):
@@ -156,25 +146,16 @@ def orthogonality_check(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
     dn = frobenius_norm(diff)
     if dn <= 1e-12 * max(1.0, frobenius_norm(h)):
         return 0.0
-    spec = eigh(h)
-    u = spec.vectors
-    c = u.conj().T @ diff @ u
-    win = range(offset, offset + k)
+    # Overlaps with every canonical direction outside the window block, and
+    # with the window identity, in the eigenframe of H.
+    c = conjugate(diff, eigh(h).vectors.conj().T)
     in_win = np.zeros(n, dtype=bool)
-    in_win[list(win)] = True
-    worst = 0.0
-    for b in range(n):
-        for a in range(b):
-            if in_win[a] and in_win[b]:
-                continue
-            worst = max(worst, np.sqrt(2.0) * abs(c[a, b].real))
-            worst = max(worst, np.sqrt(2.0) * abs(c[a, b].imag))
-    for a in range(n):
-        if not in_win[a]:
-            worst = max(worst, abs(c[a, a].real))
-    scalar_dir = abs(np.sum(c.diagonal()[list(win)]).real) / np.sqrt(k)
-    worst = max(worst, scalar_dir)
-    return worst / dn
+    in_win[offset : offset + k] = True
+    a, m = coordinate_pairs(n)
+    worst = np.max(np.abs(coordinates(c)[~(in_win[a] & in_win[m])]),
+                   initial=0.0)
+    scalar_dir = abs(np.sum(c.diagonal()[in_win]).real) / np.sqrt(k)
+    return float(max(worst, scalar_dir)) / dn
 
 
 def sample_sigma_k(n, k, rng, gap=1e-3, spread=2.0):

@@ -90,6 +90,52 @@ def eigh(h):
     return Spectrum(eigenvalues=vals, vectors=vecs, residual=residual)
 
 
+def coincidence_tolerance(vals, rel_tol):
+    """rel_tol * max(1, max|vals|): the gap at or below which two adjacent
+    eigenvalues count as coincident."""
+    return rel_tol * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+
+
+def check_window(n, k, offset=0):
+    """Raise ValueError unless the window of eigenvalues offset+1 ..
+    offset+k (ascending) lies inside 1 .. n."""
+    if not (0 <= offset and 1 <= k and offset + k <= n):
+        raise ValueError(f"invalid window: n={n}, k={k}, offset={offset}")
+
+
+def _window(vals, k, offset):
+    check_window(len(vals), k, offset)
+    return np.asarray(vals)[offset : offset + k]
+
+
+def window_width(vals, k, offset=0):
+    """Largest minus smallest window eigenvalue; the window is degenerate
+    when this is within the coincidence tolerance."""
+    win = _window(vals, k, offset)
+    return float(np.max(win) - np.min(win))
+
+
+def window_spread(vals, k, offset=0):
+    """(mean, deviations, std): the mean of the window eigenvalues, their
+    deviations from it, and the population standard deviation."""
+    # sum / k is how np.mean reduces, without its per-call overhead.
+    win = _window(vals, k, offset)
+    mean = float(win.sum() / k)
+    dev = win - mean
+    return mean, dev, float(np.sqrt((dev ** 2).sum() / k))
+
+
+def unseparated_edge(vals, k, offset, tol):
+    """The i for which eigenvalues i and i+1 (1-based) straddle a window edge
+    with a gap of at most tol, lower edge first; None when the window is
+    strictly separated from its neighbours."""
+    check_window(len(vals), k, offset)
+    for i in (offset, offset + k):
+        if 0 < i < len(vals) and vals[i] - vals[i - 1] <= tol:
+            return i
+    return None
+
+
 def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
     """Group consecutive eigenvalues whose gap is at most
     rel_tol * max(1, ||H||_2); grouping is chained (transitive).
@@ -100,7 +146,7 @@ def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     vals = np.asarray(spec.eigenvalues)
-    tol = rel_tol * max(1.0, spec.operator_2_norm())
+    tol = coincidence_tolerance(vals, rel_tol)
     parts = []
     run = 1
     for gap in np.diff(vals):
@@ -144,7 +190,8 @@ def half_gap(h0, k):
     which the block decomposition is unique."""
     h0 = np.asarray(h0)
     n = h0.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    check_window(n, k)
+    if k == n:
+        raise ValueError(f"window covers the whole spectrum: n={n}, k={k}")
     vals = np.linalg.eigvalsh(h0)
     return float(vals[k] - vals[k - 1]) / 2.0

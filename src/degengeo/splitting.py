@@ -17,15 +17,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
-from .errors import InconclusiveFit
+from .errors import DegenError, InconclusiveFit
 from .hermitian import frobenius_norm
-from .spectra import DEGENERACY_RTOL, eigh
-from .swtransform import sw_decompose
+from .spectra import (
+    DEGENERACY_RTOL,
+    classify_stratum,
+    coincidence_tolerance,
+    eigh,
+    unseparated_edge,
+    window_spread,
+    window_width,
+)
+from .swtransform import Anchor
 
 __all__ = [
     "FamilyHandle",
@@ -80,22 +88,18 @@ def family(evaluator, k, offset=0, rel_tol=DEGENERACY_RTOL):
     tolerance and be strictly separated from their neighbours.
     """
     h0 = np.asarray(evaluator(0.0))
-    n = h0.shape[0]
-    spec = eigh(h0)
-    vals = spec.eigenvalues
-    tol = rel_tol * max(1.0, spec.operator_2_norm())
-    win = vals[offset : offset + k]
-    if np.max(win) - np.min(win) > tol:
+    vals = eigh(h0).eigenvalues
+    tol = coincidence_tolerance(vals, rel_tol)
+    width = window_width(vals, k, offset)
+    if width > tol:
         raise ValueError(
-            f"H(0) window eigenvalues spread {np.max(win) - np.min(win):.3e} "
+            f"H(0) window eigenvalues spread {width:.3e} "
             f"exceeds tolerance {tol:.3e}; the family must start degenerate"
         )
-    lo, hi = offset, offset + k
-    if (lo > 0 and vals[lo] - vals[lo - 1] <= tol) or (
-        hi < n and vals[hi] - vals[hi - 1] <= tol
-    ):
+    if unseparated_edge(vals, k, offset, tol) is not None:
         raise ValueError("H(0) window is not strictly separated")
-    return FamilyHandle(evaluator=evaluator, n=n, k=k, offset=offset)
+    return FamilyHandle(evaluator=evaluator, n=h0.shape[0], k=k,
+                        offset=offset)
 
 
 def linear_family(h0, h1, k, offset=0):
@@ -122,16 +126,6 @@ class SplittingSample:
     note: str | None = None
 
 
-def _collapsed_start(fam):
-    """Diagonal base point from H(0): its spectrum with the window collapsed
-    exactly, plus the diagonalizing gauge."""
-    spec = eigh(fam(0.0))
-    vals = spec.eigenvalues.copy()
-    a, k = fam.offset, fam.k
-    vals[a : a + k] = np.mean(vals[a : a + k])
-    return np.diag(vals).astype(complex), spec.vectors
-
-
 def splitting_samples(fam, ts, with_heff=True):
     """Evaluate all splitting measures of the family on the given nonzero,
     sorted parameter values."""
@@ -140,15 +134,14 @@ def splitting_samples(fam, ts, with_heff=True):
         raise ValueError("sample points must be nonzero")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample points must be strictly increasing")
-    base, u0 = _collapsed_start(fam) if with_heff else (None, None)
     a, k = fam.offset, fam.k
+    anchor = Anchor.at(fam(0.0), k, a) if with_heff else None
     out = []
     for t in ts:
         h = fam(t)
         vals = np.linalg.eigvalsh(h)
         win = vals[a : a + k]
-        mean = float(np.mean(win))
-        std = float(np.sqrt(np.mean((win - mean) ** 2)))
+        _, mean_dev, std = window_spread(vals, k, a)
         pairwise = {
             (i + 1, j + 1): float(win[i] - win[j])
             for i in range(k)
@@ -158,10 +151,7 @@ def splitting_samples(fam, ts, with_heff=True):
         note = None
         if with_heff:
             try:
-                hp = u0.conj().T @ h @ u0
-                dec = sw_decompose(
-                    (hp + hp.conj().T) / 2.0, base, k, offset=a
-                )
+                dec = anchor.decompose(h)
                 heff_norm = frobenius_norm(dec.h_eff)
                 if not dec.within_r0:
                     note = "outside the uniqueness ball of the start point"
@@ -172,7 +162,7 @@ def splitting_samples(fam, ts, with_heff=True):
                 t=float(t),
                 std_dev=std,
                 pairwise=pairwise,
-                mean_dev=win - mean,
+                mean_dev=mean_dev,
                 heff_norm=heff_norm,
                 note=note,
             )
@@ -335,12 +325,10 @@ def estimate_all_orders(fam, ladder=None):
 def signed_stddev(fam, r, ts):
     """sgn(t)^r times the standard deviation of the window eigenvalues: the
     analytic extension of the splitting function through t = 0."""
-    a, k = fam.offset, fam.k
     out = []
     for t in np.asarray(ts, dtype=float):
         vals = np.linalg.eigvalsh(fam(t))
-        win = vals[a : a + k]
-        std = float(np.sqrt(np.mean((win - np.mean(win)) ** 2)))
+        _, _, std = window_spread(vals, fam.k, fam.offset)
         out.append(float(np.sign(t)) ** r * std)
     return np.array(out)
 
@@ -371,8 +359,12 @@ class CascadeResult:
     at which the pair's eigenvalue branches separate; that level equals the
     order of vanishing of their difference. negative_permutation maps the
     branch through the i-th ascending window eigenvalue at t > 0 to the
-    position it occupies for t < 0. Pairs still unresolved at the depth cap
-    are listed in `capped` (their order exceeds the cap)."""
+    position it occupies for t < 0. The branches are analytic through t = 0
+    (Rellich), so two branches whose difference vanishes at odd order swap
+    there and an even-order pair keeps its order: branch i lands at
+    position 1 + #{j < i : level(i, j) even} + #{j > i : level(i, j) odd}.
+    Pairs still unresolved at the depth cap are listed in `capped` (their
+    order exceeds the cap) and count as not crossing."""
 
     pair_levels: dict
     negative_permutation: tuple
@@ -388,78 +380,30 @@ def _extrapolate_zero(f, t):
     return (4.0 * a2 - a1) / 3.0
 
 
-def _cluster(vals, rtol):
-    """Chained grouping of ascending values; returns [(start, stop), ...)."""
-    tol = rtol * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 0.0)
-    bounds = []
-    start = 0
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > tol:
-            bounds.append((start, i))
-            start = i
-    bounds.append((start, len(vals)))
-    return bounds
+def _scaled_heff(anchor, g):
+    """The next level's family: the effective block of g(t) against the
+    anchor, divided by t."""
+    return lambda t: anchor.heff_block(g(t)) / t
 
 
-def _window_heff_block(h, base_diag, k, offset):
-    """Dense k x k effective block of h against a diagonal base; when the
-    window covers the whole space this is just the traceless part."""
-    n = h.shape[0]
-    if k == n:
-        return h - (np.trace(h).real / n) * np.eye(n)
-    dec = sw_decompose(h, base_diag, k, offset=offset)
-    return dec.h_eff[offset : offset + k, offset : offset + k]
+def _negative_permutation(k, pair_levels):
+    """Positions of the window branches for t < 0, from the parity of the
+    pair levels (see CascadeResult); pairs without a level do not cross."""
 
+    def crosses(i, j):
+        return pair_levels.get((min(i, j), max(i, j)), 0) % 2 == 1
 
-def _next_level_family(g, g0, lo, hi):
-    """From a family g with extrapolated start g0 whose ascending eigenvalues
-    cluster on [lo, hi), build the deeper family: the effective block of g
-    against the collapsed start, divided by t."""
-    vals0, v0 = np.linalg.eigh(g0)
-    size = hi - lo
-    base = vals0.copy()
-    base[lo:hi] = np.mean(base[lo:hi])
-    base_diag = np.diag(base).astype(complex)
-
-    def deeper(t):
-        gp = v0.conj().T @ g(t) @ v0
-        gp = (gp + gp.conj().T) / 2.0
-        return _window_heff_block(gp, base_diag, size, lo) / t
-
-    return deeper
-
-
-def _negative_permutation(fam, t_probe, notes):
-    """Match ascending window eigenvalue branches across t = 0 by polynomial
-    extrapolation from the positive side and optimal assignment on the
-    negative side."""
-    a, k = fam.offset, fam.k
-    ts_pos = t_probe * 0.5 ** np.arange(7)
-
-    def window_vals(t):
-        return np.linalg.eigvalsh(fam(t))[a : a + k]
-
-    pos = np.array([window_vals(t) for t in ts_pos])
-    neg = np.array([window_vals(-t) for t in ts_pos])
-    degree = min(4, len(ts_pos) - 1)
-    cost = np.zeros((k, k))
-    for i in range(k):
-        coeffs = np.polynomial.polynomial.polyfit(ts_pos, pos[:, i], degree)
-        pred = np.polynomial.polynomial.polyval(-ts_pos, coeffs)
-        for j in range(k):
-            cost[i, j] = np.sum(np.abs(pred - neg[:, j]))
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    scale = max(1.0, float(np.max(np.abs(pos))))
-    worst = float(np.max(cost[rows, cols]))
-    if worst > 1e-3 * scale * len(ts_pos):
-        notes.append(
-            f"branch matching residual {worst:.2e} is large; the "
-            "permutation may be ambiguous"
+    perm = tuple(
+        1 + sum(not crosses(i, j) for j in range(1, i))
+        + sum(crosses(i, j) for j in range(i + 1, k + 1))
+        for i in range(1, k + 1)
+    )
+    if sorted(perm) != list(range(1, k + 1)):
+        raise DegenError(
+            f"pair levels {pair_levels} admit no ordering of the branches "
+            f"for t < 0 (positions {perm})"
         )
-    perm = [0] * k
-    for i, j in zip(rows, cols):
-        perm[int(i)] = int(j) + 1
-    return tuple(perm)
+    return perm
 
 
 def cascade(fam, t_probe=2.0 ** -6, depth_cap=8, cluster_rtol=1e-4):
@@ -469,33 +413,27 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8, cluster_rtol=1e-4):
     collapsed start point, divided by t; each level's start value is
     extrapolated to t = 0, its eigenvalues are clustered, pairs falling in
     distinct clusters separate at the current level, and every surviving
-    cluster spawns a deeper family the same way. Eigenvalue branches get
-    strictly less degenerate at each level, so the recursion terminates
-    unless branches coincide beyond the depth cap.
+    cluster spawns a deeper family the same way, against the anchor at the
+    extrapolated start with that cluster as its window. Eigenvalue branches
+    get strictly less degenerate at each level, so the recursion terminates
+    unless branches coincide beyond the depth cap. The negative-side
+    permutation follows from the parities of the levels.
 
     t_probe must be small enough that the decompositions along the cascade
     stay valid; errors from invalid probes propagate.
     """
-    a, k = fam.offset, fam.k
-    notes = []
-    base, u0 = _collapsed_start(fam)
-
-    def level_one(t):
-        hp = u0.conj().T @ fam(t) @ u0
-        hp = (hp + hp.conj().T) / 2.0
-        return _window_heff_block(hp, base, k, a) / t
-
+    k = fam.k
+    level_one = _scaled_heff(Anchor.at(fam(0.0), k, fam.offset), fam)
     pair_levels = {}
     capped = []
     queue = [(tuple(range(1, k + 1)), level_one, 1)]
-    deepest = 0
     while queue:
         idx, g, level = queue.pop()
-        deepest = max(deepest, level)
         g0 = _extrapolate_zero(g, t_probe)
-        g0 = (g0 + g0.conj().T) / 2.0
-        vals0 = np.linalg.eigvalsh(g0)
-        clusters = _cluster(vals0, cluster_rtol)
+        spec0 = eigh((g0 + g0.conj().T) / 2.0)
+        parts = classify_stratum(spec0, cluster_rtol).parts
+        clusters = [(stop - size, stop)
+                    for size, stop in zip(parts, accumulate(parts))]
         for ci, (lo, hi) in enumerate(clusters):
             for lo2, hi2 in clusters[ci + 1 :]:
                 for p in range(lo, hi):
@@ -513,16 +451,16 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8, cluster_rtol=1e-4):
                     for q in range(p + 1, hi - lo)
                 )
                 continue
-            queue.append((sub_idx, _next_level_family(g, g0, lo, hi),
-                          level + 1))
+            anchor = Anchor.from_spectrum(spec0, hi - lo, lo)
+            queue.append((sub_idx, _scaled_heff(anchor, g), level + 1))
+    notes = []
     if capped:
         notes.append(
             f"{len(capped)} pair(s) still degenerate at depth {depth_cap}"
         )
-    perm = _negative_permutation(fam, t_probe, notes)
     return CascadeResult(
         pair_levels=pair_levels,
-        negative_permutation=perm,
+        negative_permutation=_negative_permutation(k, pair_levels),
         capped=tuple(sorted(capped)),
         depth_cap=depth_cap,
         notes=tuple(notes),

@@ -23,6 +23,15 @@ upward (eigenvalues offset+1 .. offset+k in ascending order), which is how
 mid-spectrum degeneracies such as zero modes of bipartite hopping chains are
 handled; all block structure then refers to coordinate index sets instead of
 contiguous leading blocks.
+
+Every decomposition against a base that is not given diagonal goes through
+an `Anchor`: the eigendecomposition of a matrix G near the degeneracy
+manifold, and its spectrum with the window collapsed to the window mean. By
+the distance theorem the collapsed matrix is the closest point of the
+manifold to G; in the eigenbasis of G (the anchor's gauge) it is diagonal,
+so each H is taken into that gauge and decomposed against the diagonal base.
+The general-base decomposition, the heff splitting samples, every level of
+the cascade and the effective maps of the Weyl analysis all work this way.
 """
 
 from __future__ import annotations
@@ -33,8 +42,24 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
-from .hermitian import frobenius_norm, operator_2_norm, traceless_coordinates
-from .spectra import DEGENERACY_RTOL, Spectrum, eigh
+from .hermitian import (
+    conjugate,
+    coordinate_pairs,
+    coordinates,
+    frobenius_norm,
+    operator_2_norm,
+    traceless_coordinates,
+)
+from .spectra import (
+    DEGENERACY_RTOL,
+    Spectrum,
+    check_window,
+    coincidence_tolerance,
+    eigh,
+    unseparated_edge,
+    window_spread,
+    window_width,
+)
 
 __all__ = [
     "SWDecomposition",
@@ -60,8 +85,7 @@ def unitary_exp(s):
 
 
 def _window_members(n, k, offset):
-    if not (0 <= offset and 1 <= k and offset + k <= n):
-        raise ValueError(f"invalid window: n={n}, k={k}, offset={offset}")
+    check_window(n, k, offset)
     members = np.zeros(n, dtype=bool)
     members[offset : offset + k] = True
     return members
@@ -69,15 +93,11 @@ def _window_members(n, k, offset):
 
 def _check_window_gaps(vals, k, offset, rtol, exc):
     """Require strict separation of the window from its neighbours."""
-    tol = rtol * max(1.0, float(np.max(np.abs(vals)))) if len(vals) else 0.0
-    lo, hi = offset, offset + k
-    if lo > 0 and vals[lo] - vals[lo - 1] <= tol:
+    tol = coincidence_tolerance(vals, rtol)
+    i = unseparated_edge(vals, k, offset, tol)
+    if i is not None:
         raise exc(
-            f"eigenvalues {lo} and {lo + 1} coincide within tolerance {tol:.3e}"
-        )
-    if hi < len(vals) and vals[hi] - vals[hi - 1] <= tol:
-        raise exc(
-            f"eigenvalues {hi} and {hi + 1} coincide within tolerance {tol:.3e}"
+            f"eigenvalues {i} and {i + 1} coincide within tolerance {tol:.3e}"
         )
 
 
@@ -94,10 +114,7 @@ def projector_lowest_k(spec, k, rel_tol=DEGENERACY_RTOL):
     tolerance); on the boundary the projector is not unique and
     DegenerateBoundary is raised.
     """
-    if not 1 <= k <= spec.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
-    if k < spec.n:
-        _check_window_gaps(spec.eigenvalues, k, 0, rel_tol, DegenerateBoundary)
+    _check_window_gaps(spec.eigenvalues, k, 0, rel_tol, DegenerateBoundary)
     return _window_projector(spec, k, 0)
 
 
@@ -167,9 +184,7 @@ class SWDecomposition:
         """Projector P0 onto the base point's degenerate window."""
         members = _window_members(self.n, self.k, self.offset)
         p0 = np.diag(members.astype(complex))
-        if self.gauge is not None:
-            p0 = self.gauge @ p0 @ self.gauge.conj().T
-        return (p0 + p0.conj().T) / 2.0
+        return p0 if self.gauge is None else conjugate(p0, self.gauge)
 
     def t_matrix(self):
         """The scalar part T = c P0."""
@@ -185,19 +200,17 @@ class SWDecomposition:
 
     def reconstruct(self):
         """e^{iS} (H0 + B + T + H_eff) e^{-iS}."""
-        e = self.rotation()
-        h = e @ self.block_diagonal() @ e.conj().T
-        return (h + h.conj().T) / 2.0
+        return conjugate(self.block_diagonal(), self.rotation())
+
+    def _local(self, m):
+        """A part of the decomposition in the eigenbasis of the base."""
+        return m if self.gauge is None else conjugate(m, self.gauge.conj().T)
 
     def heff_block(self):
         """The effective Hamiltonian as a dense traceless k x k matrix, in
         the eigenbasis of the base point."""
-        h_eff = self.h_eff
-        if self.gauge is not None:
-            h_eff = self.gauge.conj().T @ h_eff @ self.gauge
-            h_eff = (h_eff + h_eff.conj().T) / 2.0
-        return h_eff[self.offset : self.offset + self.k,
-                     self.offset : self.offset + self.k]
+        w = slice(self.offset, self.offset + self.k)
+        return self._local(self.h_eff)[w, w]
 
     def s_2norm(self):
         return operator_2_norm(self.s)
@@ -206,7 +219,7 @@ class SWDecomposition:
 def _validate_canonical_base(h0, k, offset, rel_tol):
     h0 = np.asarray(h0)
     n = h0.shape[0]
-    _window_members(n, k, offset)
+    check_window(n, k, offset)
     if k == n:
         raise BasePointNotCanonical("window covers the whole spectrum")
     scale = max(1.0, float(np.max(np.abs(h0))))
@@ -215,8 +228,7 @@ def _validate_canonical_base(h0, k, offset, rel_tol):
         raise BasePointNotCanonical("base point must be diagonal")
     if np.any(np.diff(diag) < -CANONICAL_RTOL * scale):
         raise BasePointNotCanonical("base diagonal must be ascending")
-    win = diag[offset : offset + k]
-    if np.max(win) - np.min(win) > CANONICAL_RTOL * scale:
+    if window_width(diag, k, offset) > CANONICAL_RTOL * scale:
         raise BasePointNotCanonical(
             "base window eigenvalues must be exactly degenerate"
         )
@@ -268,8 +280,7 @@ def sw_decompose(h, h0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
     s_proj_residual = frobenius_norm(s_raw - s)
 
     e = unitary_exp(s)
-    bd = e.conj().T @ h @ e
-    bd = (bd + bd.conj().T) / 2.0
+    bd = conjugate(h, e.conj().T)
 
     win_block = bd[np.ix_(members, members)]
     mean = float(np.trace(win_block).real) / k
@@ -282,8 +293,7 @@ def sw_decompose(h, h0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
     )
 
     t = c * np.diag(members.astype(complex))
-    recon = e @ (h0 + b + t + h_eff) @ e.conj().T
-    residual = frobenius_norm((recon + recon.conj().T) / 2.0 - h)
+    residual = frobenius_norm(conjugate(h0 + b + t + h_eff, e) - h)
 
     return SWDecomposition(
         k=k,
@@ -317,33 +327,22 @@ def sw_decompose_general(h, g0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
     g0 = np.asarray(g0)
     if h.shape != g0.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {g0.shape}")
-    spec0 = eigh(g0)
-    vals0 = spec0.eigenvalues.copy()
-    win = vals0[offset : offset + k]
-    tol = rel_tol * max(1.0, spec0.operator_2_norm())
-    if np.max(win) - np.min(win) > tol:
+    anchor = Anchor.at(g0, k, offset)
+    vals0 = anchor.spectrum.eigenvalues
+    if window_width(vals0, k, offset) > coincidence_tolerance(vals0, rel_tol):
         raise BasePointNotCanonical(
             "base point's window is not degenerate within tolerance"
         )
     _check_window_gaps(vals0, k, offset, rel_tol, BasePointNotCanonical)
-    vals0[offset : offset + k] = np.mean(win)
-
-    u0 = spec0.vectors
-    h_prime = u0.conj().T @ h @ u0
-    h_prime = (h_prime + h_prime.conj().T) / 2.0
-    dec = sw_decompose(
-        h_prime, np.diag(vals0).astype(complex), k, offset=offset,
-        rel_tol=rel_tol,
-    )
+    dec = anchor.decompose(h, rel_tol=rel_tol)
 
     def back(m):
-        g = u0 @ m @ u0.conj().T
-        return (g + g.conj().T) / 2.0
+        return conjugate(m, anchor.gauge)
 
     return SWDecomposition(
         k=k,
         offset=offset,
-        h0=back(np.diag(vals0).astype(complex)),
+        h0=back(anchor.base),
         s=back(dec.s),
         b=back(dec.b),
         c=dec.c,
@@ -352,8 +351,67 @@ def sw_decompose_general(h, g0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
         within_r0=dec.within_r0,
         s_norm_ok=dec.s_norm_ok,
         s_projection_residual=dec.s_projection_residual,
-        gauge=u0,
+        gauge=anchor.gauge,
     )
+
+
+@dataclass(frozen=True)
+class Anchor:
+    """The chart origin of every decomposition against one base: the
+    spectrum of a matrix G near the degeneracy manifold, and `base`, its
+    eigenvalues with the window collapsed to their mean as a diagonal matrix.
+
+    `base` is the closest point of the manifold to G written in the gauge
+    (the eigenbasis of G), so a matrix H taken into that gauge decomposes
+    against a diagonal base point.
+    """
+
+    spectrum: Spectrum
+    base: np.ndarray
+    k: int
+    offset: int = 0
+
+    @classmethod
+    def at(cls, g, k, offset=0):
+        """The anchor at the matrix g, from one eigendecomposition."""
+        return cls.from_spectrum(eigh(g), k, offset)
+
+    @classmethod
+    def from_spectrum(cls, spectrum, k, offset=0):
+        """The anchor at a matrix whose spectrum is already known."""
+        vals = spectrum.eigenvalues.copy()
+        vals[offset : offset + k] = window_spread(vals, k, offset)[0]
+        return cls(spectrum, np.diag(vals).astype(complex), k, offset)
+
+    @property
+    def gauge(self):
+        return self.spectrum.vectors
+
+    def local(self, h):
+        """h in the anchor's eigenbasis."""
+        return conjugate(h, self.gauge.conj().T)
+
+    def window_block(self, h):
+        """The traceless window block of h in the anchor's eigenbasis, with
+        no rotation: the first-order effective Hamiltonian."""
+        w = slice(self.offset, self.offset + self.k)
+        block = self.local(h)[w, w]
+        return block - (np.trace(block).real / self.k) * np.eye(self.k)
+
+    def decompose(self, h, rel_tol=DEGENERACY_RTOL):
+        """The decomposition of h, in the anchor's eigenbasis, against the
+        collapsed base."""
+        return sw_decompose(self.local(h), self.base, self.k,
+                            offset=self.offset, rel_tol=rel_tol)
+
+    def heff_block(self, h):
+        """The effective Hamiltonian of h as a dense traceless k x k block;
+        when the window covers the whole space there is nothing to rotate
+        away and this is the traceless part of h."""
+        if self.k == self.spectrum.n:
+            return self.window_block(h)
+        w = slice(self.offset, self.offset + self.k)
+        return self.decompose(h).h_eff[w, w]
 
 
 @dataclass(frozen=True)
@@ -376,30 +434,14 @@ def chart_coordinates(dec):
     """Chart coordinates (x, y) of a decomposition, in the documented order."""
     n, k = dec.n, dec.k
     members = _window_members(n, k, dec.offset)
-    s = dec.s
-    b = dec.b
-    if dec.gauge is not None:
-        u0 = dec.gauge
-        s = u0.conj().T @ s @ u0
-        b = u0.conj().T @ b @ u0
-    x = []
-    # Canonical enumeration order, restricted to the off-block pairs.
-    for m in range(n):
-        for a in range(m):
-            if members[a] != members[m]:
-                x.append(np.sqrt(2.0) * s[a, m].real)
-                x.append(-np.sqrt(2.0) * s[a, m].imag)
-    # Complementary block of B, same enumeration, diagonals included.
-    for m in range(n):
-        if members[m]:
-            continue
-        for a in range(m):
-            if not members[a]:
-                x.append(np.sqrt(2.0) * b[a, m].real)
-                x.append(-np.sqrt(2.0) * b[a, m].imag)
-        x.append(b[m, m].real)
-    x.append(dec.c * np.sqrt(k))
+    # Canonical coordinates of S over the off-block pairs, then of B over the
+    # complementary block, diagonals included.
+    a, m = coordinate_pairs(n)
+    x = np.concatenate([
+        coordinates(dec._local(dec.s))[members[a] != members[m]],
+        coordinates(dec._local(dec.b))[~members[a] & ~members[m]],
+        [dec.c * np.sqrt(k)],
+    ])
     y = traceless_coordinates(dec.heff_block())
-    x = np.asarray(x)
     assert len(x) + len(y) == n * n
     return ChartCoordinates(x=x, y=y)

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import NewtonDiverged, StepTooSmall
 from .hermitian import traceless_coordinates
 from .projection import collapse_projection
-from .spectra import eigh
-from .swtransform import sw_decompose
+from .swtransform import Anchor
 
 __all__ = [
     "ParamFamily",
@@ -71,16 +70,6 @@ def param_family(evaluator, m, k=2, offset=0):
                        offset=offset)
 
 
-def _anchor(fam, p0):
-    """Gauge and base point at an anchor: the eigenbasis of H(p0) and its
-    spectrum with the window collapsed exactly."""
-    spec = eigh(fam(p0))
-    vals = spec.eigenvalues.copy()
-    a, k = fam.offset, fam.k
-    vals[a : a + k] = np.mean(vals[a : a + k])
-    return spec.vectors, np.diag(vals).astype(complex)
-
-
 def effective_map(fam, p0):
     """The exact effective map h at the anchor p0: coordinates of the
     decomposition's effective Hamiltonian of H(p) in the traceless window
@@ -89,17 +78,8 @@ def effective_map(fam, p0):
     h(p0) = 0 exactly when H(p0) is on the degeneracy manifold. Evaluations
     too far from the anchor propagate the decomposition's validity errors.
     """
-    p0 = np.asarray(p0, dtype=float)
-    u0, base = _anchor(fam, p0)
-    a, k = fam.offset, fam.k
-
-    def h(p):
-        hp = u0.conj().T @ fam(p) @ u0
-        hp = (hp + hp.conj().T) / 2.0
-        dec = sw_decompose(hp, base, k, offset=a)
-        return traceless_coordinates(dec.h_eff[a : a + k, a : a + k])
-
-    return h
+    anchor = Anchor.at(fam(p0), fam.k, fam.offset)
+    return lambda p: traceless_coordinates(anchor.heff_block(fam(p)))
 
 
 def first_order_effective_map(fam, p0):
@@ -107,18 +87,8 @@ def first_order_effective_map(fam, p0):
     block of H(p) in the anchor gauge, with no rotation applied. Its
     Jacobian rank at a degeneracy point equals that of the exact map, so it
     suffices for Weyl classification."""
-    p0 = np.asarray(p0, dtype=float)
-    u0, _ = _anchor(fam, p0)
-    a, k = fam.offset, fam.k
-
-    def h1(p):
-        hp = u0.conj().T @ fam(p) @ u0
-        block = hp[a : a + k, a : a + k]
-        block = (block + block.conj().T) / 2.0
-        block = block - (np.trace(block).real / k) * np.eye(k)
-        return traceless_coordinates(block)
-
-    return h1
+    anchor = Anchor.at(fam(p0), fam.k, fam.offset)
+    return lambda p: traceless_coordinates(anchor.window_block(fam(p)))
 
 
 def _central_difference(h, p, step):

@@ -6,6 +6,7 @@ import pytest
 from degengeo.hermitian import (
     canonical_basis,
     conjugate,
+    coordinate_pairs,
     coordinates,
     frobenius_inner,
     frobenius_norm,
@@ -134,6 +135,35 @@ def test_coordinate_round_trip():
     # Coordinates really are the canonical-basis expansion.
     for (_, mat), c in zip(canonical_basis(4), v):
         assert frobenius_inner(h, mat) == pytest.approx(c, abs=1e-12)
+
+
+def test_coordinates_match_entrywise_loop():
+    # The index gathers must reproduce the entrywise loops over the
+    # canonical order exactly.
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5):
+        h = random_hermitian(n, rng)
+        ref = []
+        for m in range(n):
+            for a in range(m):
+                ref += [np.sqrt(2.0) * h[a, m].real,
+                        -np.sqrt(2.0) * h[a, m].imag]
+            ref.append(h[m, m].real)
+        v = coordinates(h)
+        np.testing.assert_array_equal(v, ref)
+        back = np.zeros((n, n), dtype=complex)
+        pos = 0
+        for m in range(n):
+            for a in range(m):
+                back[a, m] = (v[pos] - 1j * v[pos + 1]) / np.sqrt(2.0)
+                back[m, a] = np.conj(back[a, m])
+                pos += 2
+            back[m, m] = v[pos]
+            pos += 1
+        np.testing.assert_array_equal(from_coordinates(v, n), back)
+        a, m = coordinate_pairs(n)
+        labels = [(idx.a - 1, idx.b - 1) for idx, _ in canonical_basis(n)]
+        assert list(zip(a.tolist(), m.tolist())) == labels
 
 
 def test_traceless_basis_paulis():

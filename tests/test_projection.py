@@ -102,6 +102,11 @@ def test_offset_window_projection():
         pr.h_sigma, np.diag([-3.0, 0.5, 0.5, 5.0]), atol=1e-14
     )
     assert pr.distance == pytest.approx(distance_to_sigma(h, 2, offset=1))
+    for offset in (-1, 3):
+        with pytest.raises(ValueError, match="invalid window"):
+            distance_to_sigma(h, 2, offset=offset)
+        with pytest.raises(ValueError, match="invalid window"):
+            collapse_projection(h, 2, offset=offset)
 
 
 def test_index_set_matches_collapse():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from degengeo.errors import InconclusiveFit
+from degengeo.errors import DegenError, InconclusiveFit
 from degengeo.hermitian import frobenius_norm, random_hermitian, random_unitary
 from degengeo.models import (
     example_pr,
@@ -14,6 +14,7 @@ from degengeo.models import (
 )
 from degengeo.splitting import (
     FIVE_METHODS,
+    _negative_permutation,
     cascade,
     default_ladder,
     estimate_all_orders,
@@ -248,6 +249,30 @@ def test_cascade_ising_ground_pair():
     fam = family(lambda t: h0 + t * h1, 2)
     res = cascade(fam, t_probe=2.0 ** -5)
     assert res.pair_levels == {(1, 2): 3}
+    assert res.negative_permutation == (2, 1)
+
+
+@pytest.mark.parametrize("model, size", [("ising", 3), ("ising", 5),
+                                         ("ssh", 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cascade_permutation_parity(model, size, seed):
+    """The degenerate pair of ising(q) and ssh(N) splits at order q (N);
+    the branches cross at t = 0 exactly when that order is odd."""
+    rng = np.random.default_rng(seed)
+    if model == "ising":
+        h0 = ising(size)
+        h1 = transverse_perturbation(size, rng.standard_normal(size),
+                                     rng.standard_normal(size))
+        offset = 0
+    else:
+        h0 = ssh(size, 0.0, 1.0)
+        amps = (rng.standard_normal(2 * size - 1)
+                + 1j * rng.standard_normal(2 * size - 1))
+        h1 = ssh_hopping_disorder(size, amps)
+        offset = size - 1
+    res = cascade(family(lambda t: h0 + t * h1, 2, offset=offset))
+    assert res.pair_levels == {(1, 2): size}
+    assert res.negative_permutation == ((2, 1) if size % 2 else (1, 2))
 
 
 def test_cascade_mixed_orders():
@@ -270,9 +295,17 @@ def test_cascade_mixed_orders():
     assert res.negative_permutation == (3, 2, 1)
 
 
+def test_cascade_permutation_rejects_inconsistent_levels():
+    # (1, 2) and (2, 3) cross while (1, 3) does not: no ordering does that
+    with pytest.raises(DegenError, match="pair levels"):
+        _negative_permutation(3, {(1, 2): 1, (2, 3): 1, (1, 3): 2})
+
+
 def test_cascade_depth_cap():
     h0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
     fam = family(lambda t: h0, 2)
     res = cascade(fam, depth_cap=3)
     assert res.pair_levels == {}
     assert res.capped == ((1, 2),)
+    # capped pairs count as not crossing
+    assert res.negative_permutation == (1, 2)

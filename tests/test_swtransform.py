@@ -319,6 +319,22 @@ def test_chart_counts_and_y_norm():
     assert np.linalg.norm(cc.y) == pytest.approx(
         frobenius_norm(dec.h_eff), abs=1e-12
     )
+    # x is the entrywise loop over the canonical order, restricted to the
+    # off-block pairs of S and the complementary block of B.
+    members = [True, True, False, False, False]
+    ref = []
+    for m in range(5):
+        for a in range(m):
+            if members[a] != members[m]:
+                ref += [np.sqrt(2.0) * dec.s[a, m].real,
+                        -np.sqrt(2.0) * dec.s[a, m].imag]
+    for m in range(2, 5):
+        for a in range(2, m):
+            ref += [np.sqrt(2.0) * dec.b[a, m].real,
+                    -np.sqrt(2.0) * dec.b[a, m].imag]
+        ref.append(dec.b[m, m].real)
+    ref.append(dec.c * np.sqrt(2.0))
+    np.testing.assert_array_equal(cc.x, ref)
 
 
 def test_chart_zero_locus_on_manifold():
