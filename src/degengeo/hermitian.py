@@ -213,10 +213,11 @@ def traceless_basis(k):
     The k^2 - 1 elements are the off-diagonal canonical elements followed by
     the Gram-Schmidt orthonormalization of diag differences
     sigma_aa - sigma_(a+1)(a+1) in index order. For k = 2 this is exactly the
-    normalized Pauli triple (sigma_x, sigma_y, sigma_z)/sqrt(2).
+    normalized Pauli triple (sigma_x, sigma_y, sigma_z)/sqrt(2). For k = 1
+    the basis is empty: every traceless 1 x 1 matrix is zero.
     """
-    if k < 2:
-        raise ValueError("traceless basis needs k >= 2")
+    if k < 1:
+        raise ValueError("traceless basis needs k >= 1")
     mats = []
     for m in range(1, k + 1):
         for a in range(1, m):
@@ -247,7 +248,8 @@ def traceless_from_coordinates(y, k):
     basis = traceless_basis(k)
     if y.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} coordinates, got {y.shape}")
-    return _freeze(sum(c * mat for c, mat in zip(y, basis)))
+    return _freeze(sum((c * mat for c, mat in zip(y, basis)),
+                       np.zeros((k, k), dtype=complex)))
 
 
 def conjugate(h, u):

@@ -6,6 +6,13 @@ significant digits, which round-trips IEEE doubles exactly. A ladder file
 bundles a window (k, offset), the sample parameters "ts", one matrix
 document per sample under "matrices", and the start matrix H(0) under
 "base".
+
+Run reports are written in exactly the layout of
+`json.dumps(plain, indent=2)`, where `plain` is the report with every
+array turned into nested lists ([re, im] for complex entries). Arrays are
+rendered straight to that text in one vectorized pass per array, since
+the standard encoder formats every float through Python generators when
+an indent is set.
 """
 
 from __future__ import annotations
@@ -62,12 +69,27 @@ def _matrix_from_document(doc):
         raise ValueError(
             f"'entries' must hold {n * n} [re, im] pairs, got {len(entries)}"
         )
-    flat = np.empty(n * n, dtype=complex)
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is not None and pairs.shape == (n * n, 2):
+        # The same arithmetic as the per-entry loop, signed zeros included.
+        flat = pairs[:, 0] + 1j * pairs[:, 1]
+    else:
+        flat = _entries_one_by_one(entries)
+    return hermitian(flat.reshape(n, n))
+
+
+def _entries_one_by_one(entries):
+    """Convert entries pair by pair: the path for documents that are not a
+    plain (n^2, 2) table of numbers, which names the first bad entry."""
+    flat = np.empty(len(entries), dtype=complex)
     for i, pair in enumerate(entries):
         if len(pair) != 2:
             raise ValueError(f"entry {i} is not an [re, im] pair")
         flat[i] = float(pair[0]) + 1j * float(pair[1])
-    return hermitian(flat.reshape(n, n))
+    return flat
 
 
 def parse_matrix(text):
@@ -117,12 +139,81 @@ def _plain(value):
     return value
 
 
+def _holds_array(value):
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, np.ndarray):
+            return True
+        if isinstance(v, dict):
+            pending.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            pending.extend(v)
+    return False
+
+
+def _encoded(value, pad):
+    return json.dumps(_plain(value), indent=2).replace("\n", "\n" + pad)
+
+
+def _dumps(value, pad=""):
+    """`json.dumps(_plain(value), indent=2)` with every line after the first
+    indented by `pad`. Subtrees without arrays go to the encoder whole."""
+    if isinstance(value, np.ndarray):
+        return _array_json(value, pad)
+    if not _holds_array(value):
+        return _encoded(value, pad)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = {str(k): v for k, v in value.items()}
+        body = ",".join(f"\n{inner}{json.dumps(k)}: {_dumps(v, inner)}"
+                        for k, v in items.items())
+        return "{" + body + "\n" + pad + "}"
+    body = ",".join(f"\n{inner}{_dumps(v, inner)}" for v in value)
+    return "[" + body + "\n" + pad + "]"
+
+
+def _array_json(a, pad):
+    """One array in the indent=2 layout: leaves formatted in one map, then
+    joined with the separator for the number of axes that wrap after each
+    leaf (closing and reopening that many brackets)."""
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), axis=-1)
+    if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "fiub":
+        return _encoded(a, pad)
+    # float.__repr__ is the encoder's own text for a finite float.
+    finite = a.dtype.kind == "f" and np.isfinite(a).all()
+    leaves = list(map(float.__repr__ if finite else json.dumps,
+                      a.ravel().tolist()))
+    m = a.ndim
+    ind = ["\n" + pad + "  " * j for j in range(m + 1)]
+
+    def closing(w):
+        return "".join(ind[m - 1 - j] + "]" for j in range(w))
+
+    seps = [closing(w) + "," + "".join(ind[m - w + j] + "[" for j in range(w))
+            + ind[m] for w in range(m)]
+    position = np.arange(1, len(leaves))
+    wraps = np.zeros(len(leaves) - 1, dtype=np.intp)
+    for stride in np.cumprod(a.shape[:0:-1]):
+        wraps += position % stride == 0
+    parts = [None] * (2 * len(leaves) - 1)
+    parts[::2] = leaves
+    parts[1::2] = np.array(seps, dtype=object)[wraps].tolist()
+    head = "".join("[" + ind[j + 1] for j in range(m))
+    return head + "".join(parts) + closing(m)
+
+
 @dataclass
 class RunReport:
     """Structured result of one CLI run: the command, an echo of its inputs,
     the outputs, and diagnostics (residuals, flags, seed). Identical inputs
     and seed produce byte-identical serializations; wall time is therefore
-    never part of the report."""
+    never part of the report.
+
+    `to_json` writes the bytes that `json.dumps(doc, indent=2)` writes for
+    the report with its arrays as nested lists, plus a final newline; the
+    arrays are rendered directly."""
 
     command: str
     inputs: dict = field(default_factory=dict)
@@ -135,11 +226,11 @@ class RunReport:
         doc = {
             "schema": self.SCHEMA,
             "command": self.command,
-            "inputs": _plain(self.inputs),
-            "outputs": _plain(self.outputs),
-            "diagnostics": _plain(self.diagnostics),
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "diagnostics": self.diagnostics,
         }
-        return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        return _dumps(doc) + "\n"
 
     def to_text(self):
         lines = [f"command: {self.command}"]
@@ -167,15 +258,18 @@ def _fmt_scalar(v):
 def _text_lines(key, value, indent):
     pad = " " * indent
     if isinstance(value, np.ndarray) and value.ndim == 2:
-        lines = [f"{pad}{key}:"]
-        is_complex = np.iscomplexobj(value)
-        for row in value:
-            cells = [
-                _fmt_scalar(complex(z)) if is_complex else _fmt_scalar(float(z))
-                for z in row
-            ]
-            lines.append(pad + "  " + "  ".join(f"{c:>22s}" for c in cells))
-        return lines
+        # The cells of _fmt_scalar, right-aligned to 22 characters.
+        if np.iscomplexobj(value):
+            cells = [f"{f'{re:.12g}{im:+.12g}i':>22}" for re, im in zip(
+                value.real.ravel().tolist(), value.imag.ravel().tolist())]
+        else:
+            cells = [f"{x:>22.12g}"
+                     for x in np.asarray(value, dtype=float).ravel().tolist()]
+        w = value.shape[1]
+        return [f"{pad}{key}:"] + [
+            pad + "  " + "  ".join(cells[i * w : (i + 1) * w])
+            for i in range(value.shape[0])
+        ]
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, dict):

@@ -155,7 +155,7 @@ def splitting_samples(fam, ts, with_heff=True):
                 heff_norm = frobenius_norm(dec.h_eff)
                 if not dec.within_r0:
                     note = "outside the uniqueness ball of the start point"
-            except Exception as exc:  # noqa: BLE001 - reported per sample
+            except (DegenError, np.linalg.LinAlgError) as exc:
                 note = f"decomposition failed: {exc}"
         out.append(
             SplittingSample(
@@ -186,11 +186,12 @@ class OrderEstimate:
 def _family_scale(fam, t1):
     """max(1, ||H(0)||, ||H'(0)||), the reference scale for the zero floor.
     Falls back to a one-sided difference for evaluators defined only on the
-    sampled side (tabulated families)."""
+    sampled side (tabulated families, which raise KeyError off their
+    ladder)."""
     h0 = fam(0.0)
     try:
         d = (fam(t1) - fam(-t1)) / (2.0 * t1)
-    except Exception:  # noqa: BLE001
+    except KeyError:
         d = (fam(t1) - h0) / t1
     return max(1.0, frobenius_norm(h0), frobenius_norm(d))
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NewtonDiverged, StepTooSmall
+from .errors import DegenError, NewtonDiverged, StepTooSmall
 from .hermitian import traceless_coordinates
 from .projection import collapse_projection
 from .swtransform import Anchor
@@ -215,7 +215,7 @@ def _newton_refine(fam, seed, max_iter=60):
             candidate = p + alpha * full_step
             try:
                 new_norm = float(np.linalg.norm(h(candidate)))
-            except Exception:
+            except (DegenError, np.linalg.LinAlgError):
                 new_norm = np.inf
             if new_norm < norm:
                 p = candidate

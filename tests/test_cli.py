@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from degengeo.cli import main
-from degengeo.hermitian import random_hermitian
+from degengeo.hermitian import hermitian, random_hermitian
 from degengeo.matrixio import (
+    RunReport,
     format_float,
     matrix_text,
     parse_matrix,
@@ -39,6 +43,26 @@ def test_parse_rejects_malformed():
         parse_matrix('{"entries": []}')
     with pytest.raises(json.JSONDecodeError):
         parse_matrix("not json")
+
+
+def test_parse_matches_entrywise_loop():
+    # Signed zeros in both parts and integer entries: the bytes of the
+    # per-entry float(re) + 1j * float(im) conversion.
+    n = 4
+    diagonal = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]
+    upper = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [1.5, -0.0],
+             [-0.0, 2.25], [-1, 3]]
+    pairs = [None] * (n * n)
+    for a in range(n):
+        pairs[a * n + a] = diagonal[a]
+    for (a, m), (re, im) in zip(zip(*np.triu_indices(n, 1)), upper):
+        pairs[a * n + m] = [re, im]
+        pairs[m * n + a] = [re, -im]
+    loop = np.array([float(re) + 1j * float(im) for re, im in pairs])
+    parsed = parse_matrix(json.dumps({"n": n, "entries": pairs}))
+    assert parsed.tobytes() == hermitian(loop.reshape(n, n)).tobytes()
+    with pytest.raises(ValueError, match="entry 1 is not an"):
+        parse_matrix('{"n": 2, "entries": [[1, 0], [0, 0, 0], [0, 0], [1, 0]]}')
 
 
 def test_parse_rejects_non_hermitian():
@@ -218,3 +242,111 @@ def test_cli_model_seeded_deterministic(capsys):
         assert code == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
+
+
+# ---------------------------------------------------------------------------
+# report serialization against the standard encoder
+# ---------------------------------------------------------------------------
+
+
+def _reference_plain(value):
+    """The report as nested lists, [re, im] for complex entries."""
+    if isinstance(value, dict):
+        return {str(k): _reference_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return np.stack((value.real, value.imag), axis=-1).tolist()
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    return value
+
+
+def _reference_json(report):
+    doc = {
+        "schema": report.SCHEMA,
+        "command": report.command,
+        "inputs": _reference_plain(report.inputs),
+        "outputs": _reference_plain(report.outputs),
+        "diagnostics": _reference_plain(report.diagnostics),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, 1e-7, 1e16, 0.1]),
+)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
+    hnp.arrays(np.float32, _SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.complex128, _SHAPES,
+               elements=st.builds(complex, _FLOATS, _FLOATS)),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.bool_, _SHAPES),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS,
+    st.builds(complex, _FLOATS, _FLOATS), st.text(max_size=6),
+    _FLOATS.map(np.float64), st.integers(-2**31, 2**31 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.floats(width=32).map(np.float32),
+    st.builds(complex, _FLOATS, _FLOATS).map(np.complex128),
+)
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n",
+                                                        "\u00e9", "\x00"]),
+                  st.integers(-3, 3))
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+_SECTIONS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_SECTIONS, outputs=_SECTIONS, diagnostics=_SECTIONS)
+def test_report_json_matches_standard_encoder(inputs, outputs, diagnostics):
+    report = RunReport("decompose", inputs, outputs, diagnostics)
+    assert report.to_json() == _reference_json(report)
+
+
+def _reference_cell(z, is_complex):
+    if is_complex:
+        z = complex(z)
+        return f"{z.real:.12g}{z.imag:+.12g}i"
+    return f"{float(z):.12g}"
+
+
+_MATRICES = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                            min_side=0, max_side=5),
+               elements=_FLOATS),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2,
+                                               min_side=0, max_side=5),
+               elements=st.builds(complex, _FLOATS, _FLOATS)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=_MATRICES)
+def test_report_text_matrix_cells(matrix):
+    is_complex = np.iscomplexobj(matrix)
+    expected = ["command: decompose", "outputs:", "  S:"] + [
+        "    " + "  ".join(f"{_reference_cell(z, is_complex):>22s}"
+                          for z in row)
+        for row in matrix
+    ]
+    report = RunReport("decompose", outputs={"S": matrix})
+    assert report.to_text() == "\n".join(expected) + "\n"

@@ -97,6 +97,43 @@ def test_samples_reject_zero_and_unsorted():
         splitting_samples(fam, np.array([0.2, 0.1]))
 
 
+def test_heff_samples_note_decomposition_errors_only():
+    # At t = 1 the window touches the third level: a DegenError, reported
+    # as the sample's note. A matrix of the wrong size is an evaluator bug
+    # and propagates.
+    fam = family(lambda t: np.diag([0.0, t, 1.0]).astype(complex), 2)
+    near, touching = splitting_samples(fam, [0.25, 1.0], with_heff=True)
+    assert near.note is None and near.heff_norm is not None
+    assert touching.heff_norm is None
+    assert touching.note.startswith("decomposition failed:")
+
+    def wrong_size(t):
+        return np.diag([0.0, t, 1.0, 2.0][: 3 if t == 0.0 else 4]).astype(complex)
+
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        splitting_samples(family(wrong_size, 2), [0.5], with_heff=True)
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_estimate_one_sided_evaluator(error):
+    # A tabulated family raises KeyError off its ladder, here for t < 0, and
+    # the scale falls back to a one-sided difference; other errors propagate.
+    h0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    h1 = np.diag([1.0, -1.0, 0.0]).astype(complex)
+
+    def evaluator(t):
+        if t < 0.0:
+            raise error(t)
+        return h0 + t * h1
+
+    fam = family(evaluator, 2)
+    if error is KeyError:
+        assert estimate_order(fam).r == 1
+    else:
+        with pytest.raises(error):
+            estimate_order(fam)
+
+
 def test_estimate_linear_not_tangent_is_order_one():
     rng = np.random.default_rng(1)
     h0 = random_base(4, 2, rng)

@@ -18,6 +18,7 @@ from degengeo.hermitian import (
     traceless_from_coordinates,
 )
 from degengeo.models import example_pr, example_pr_reference
+from degengeo.projection import collapse_projection
 from degengeo.spectra import eigh, half_gap
 from degengeo.swtransform import (
     chart_coordinates,
@@ -335,6 +336,18 @@ def test_chart_counts_and_y_norm():
         ref.append(dec.b[m, m].real)
     ref.append(dec.c * np.sqrt(2.0))
     np.testing.assert_array_equal(cc.x, ref)
+
+
+def test_chart_one_dimensional_window():
+    # A k = 1 window has k^2 - 1 = 0 transverse coordinates: all n^2 chart
+    # coordinates lie along the manifold.
+    h = random_hermitian(6, np.random.default_rng(15))
+    dec = sw_decompose_general(h, collapse_projection(h, 1).h_sigma, 1)
+    cc = chart_coordinates(dec)
+    assert cc.x.shape == (36,)
+    assert cc.y.shape == (0,)
+    np.testing.assert_array_equal(traceless_from_coordinates(cc.y, 1),
+                                  np.zeros((1, 1)))
 
 
 def test_chart_zero_locus_on_manifold():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from degengeo.errors import StepTooSmall
+from degengeo import weyl
+from degengeo.errors import StepTooSmall, SubspacesTooFar
 from degengeo.hermitian import random_hermitian
 from degengeo.models import example_pr, weyl_example
 from degengeo.splitting import estimate_order, family
 from degengeo.weyl import (
+    _newton_refine,
     classify_point,
     effective_map,
     first_order_effective_map,
@@ -141,6 +143,28 @@ def test_classify_first_order_matches_exact():
         first = classify_point(fam, ORIGIN, use_first_order=True)
         assert exact.classification == first.classification
         assert exact.charge == first.charge
+
+
+@pytest.mark.parametrize("error", [SubspacesTooFar, TypeError])
+def test_newton_backtracks_on_decomposition_errors_only(monkeypatch, error):
+    # Like the exact effective map, this map is defined only near its
+    # anchor; beyond 0.6 it raises. A DegenError there halves the step, any
+    # other error propagates.
+    def local_map(fam, p0):
+        def h(p):
+            if abs(p[0] - p0[0]) > 0.6:
+                raise error("evaluated too far from the anchor")
+            return p - 1.0
+        return h
+
+    monkeypatch.setattr(weyl, "effective_map", local_map)
+    if error is SubspacesTooFar:
+        root, anchors = _newton_refine(None, np.zeros(1))
+        np.testing.assert_allclose(root, [1.0], atol=1e-10)
+        assert anchors >= 3
+    else:
+        with pytest.raises(error):
+            _newton_refine(None, np.zeros(1))
 
 
 def test_scan_finds_single_weyl_point():
