@@ -38,13 +38,7 @@ from .models import (
     weyl_example,
 )
 from .projection import collapse_projection, distance_to_sigma
-from .splitting import (
-    FIVE_METHODS,
-    default_ladder,
-    estimate_order,
-    family,
-    splitting_samples,
-)
+from .splitting import default_ladder, estimate_all_orders, family
 from .swtransform import sw_decompose, sw_decompose_general
 from .weyl import param_family, scan_grid
 
@@ -104,7 +98,6 @@ def _cmd_decompose(args):
         },
         diagnostics={
             "residual": dec.residual,
-            "s_projection_residual": dec.s_projection_residual,
             "S_2norm": dec.s_2norm(),
             "within_r0": dec.within_r0,
             "s_norm_ok": dec.s_norm_ok,
@@ -215,23 +208,22 @@ def _order_family(args):
 def _cmd_order(args):
     fam, ladder, meta = _order_family(args)
     ladder = np.sort(np.asarray(ladder))
-    samples = splitting_samples(fam, ladder, with_heff=False)
-    estimates = {}
-    for method in FIVE_METHODS:
-        est = estimate_order(fam, method=method, samples=samples)
-        estimates[method] = {
+    fits, agreement = estimate_all_orders(fam, ladder)
+    estimates = {
+        method: {
             "r": "inf" if est.r == float("inf") else int(est.r),
             "slope": est.slope,
             "slope_dev": est.slope_dev,
         }
-    orders = {e["r"] for e in estimates.values()}
+        for method, est in fits.items()
+    }
     report = RunReport(
         command="order",
         inputs={**meta, "seed": args.seed,
                 "ladder": [format_float(t) for t in ladder]},
         outputs={"estimates": estimates,
-                 "agreement": len(orders) == 1,
-                 "order": next(iter(orders)) if len(orders) == 1 else None},
+                 "agreement": agreement,
+                 "order": estimates["stddev"]["r"] if agreement else None},
         diagnostics={"k": fam.k, "offset": fam.offset},
     )
     _emit(report, args.json)

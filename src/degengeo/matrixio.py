@@ -1,11 +1,11 @@
 """Matrix interchange format, family ladder files, and run reports.
 
 A matrix document is JSON text with two fields: "n" (the dimension) and
-"entries", the row-major list of n^2 [re, im] pairs. Writers emit 17
-significant digits, which round-trips IEEE doubles exactly. A ladder file
-bundles a window (k, offset), the sample parameters "ts", one matrix
-document per sample under "matrices", and the start matrix H(0) under
-"base".
+"entries", the row-major list of n^2 [re, im] pairs of JSON numbers.
+Writers emit 17 significant digits, which round-trips IEEE doubles
+exactly. A ladder file bundles a window (k, offset), the sample parameters
+"ts", one matrix document per sample under "matrices", and the start matrix
+H(0) under "base".
 
 Run reports are written in exactly the layout of
 `json.dumps(plain, indent=2)`, where `plain` is the report with every
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -58,38 +59,39 @@ def write_matrix(path, h):
         fh.write(matrix_text(h))
 
 
+#: JSON numbers as the standard decoder returns them (bool is excluded).
+_NUMBER_TYPES = {int, float}
+
+
 def _matrix_from_document(doc):
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ValueError("matrix document needs fields 'n' and 'entries'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     entries = doc["entries"]
-    if len(entries) != n * n:
+    if not isinstance(entries, list) or len(entries) != n * n:
+        got = len(entries) if isinstance(entries, list) else type(entries)
         raise ValueError(
-            f"'entries' must hold {n * n} [re, im] pairs, got {len(entries)}"
+            f"'entries' must hold {n * n} [re, im] pairs, got {got}"
         )
     try:
-        pairs = np.asarray(entries, dtype=float)
+        # One scan over the types of all leaves admits JSON numbers only.
+        numeric = set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES
+        pairs = np.asarray(entries, dtype=float) if numeric else None
     except (TypeError, ValueError, OverflowError):
         pairs = None
-    if pairs is not None and pairs.shape == (n * n, 2):
-        # The same arithmetic as the per-entry loop, signed zeros included.
-        flat = pairs[:, 0] + 1j * pairs[:, 1]
-    else:
-        flat = _entries_one_by_one(entries)
-    return hermitian(flat.reshape(n, n))
-
-
-def _entries_one_by_one(entries):
-    """Convert entries pair by pair: the path for documents that are not a
-    plain (n^2, 2) table of numbers, which names the first bad entry."""
-    flat = np.empty(len(entries), dtype=complex)
-    for i, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise ValueError(f"entry {i} is not an [re, im] pair")
-        flat[i] = float(pair[0]) + 1j * float(pair[1])
-    return flat
+    if pairs is None or pairs.shape != (n * n, 2):
+        for i, pair in enumerate(entries):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and set(map(type, pair)) <= _NUMBER_TYPES):
+                raise ValueError(
+                    f"entry {i} is not an [re, im] pair of numbers"
+                )
+        raise ValueError("an entry exceeds the floating-point range")
+    # The same arithmetic as a per-entry float(re) + 1j * float(im), signed
+    # zeros included.
+    return hermitian((pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n))
 
 
 def parse_matrix(text):

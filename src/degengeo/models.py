@@ -228,14 +228,12 @@ def example_pr_reference(p, r):
     dec = SWDecomposition(
         k=2, offset=0, h0=h0, s=_freeze(s), b=_freeze(b), c=float(c),
         h_eff=_freeze(h_eff), residual=0.0, within_r0=True, s_norm_ok=True,
-        s_projection_residual=0.0,
     )
     # The closed form is exact; report its numerical reconstruction error.
     residual = float(np.linalg.norm(dec.reconstruct() - h, "fro"))
     return SWDecomposition(
         k=2, offset=0, h0=h0, s=dec.s, b=dec.b, c=dec.c, h_eff=dec.h_eff,
         residual=residual, within_r0=dec.within_r0, s_norm_ok=dec.s_norm_ok,
-        s_projection_residual=0.0,
     )
 
 

@@ -19,6 +19,7 @@ from .errors import DegenerateBoundary, NotInSigmaK
 from .hermitian import conjugate, coordinate_pairs, coordinates, frobenius_norm
 from .spectra import (
     DEGENERACY_RTOL,
+    Spectrum,
     coincidence_tolerance,
     eigh,
     unseparated_edge,
@@ -41,13 +42,15 @@ class ProjectionResult:
     data: distance = sqrt(k) * std_dev, std_dev the population standard
     deviation of the window eigenvalues, mean_lambda their mean. `unique` is
     False when the window is not strictly separated (the projection then
-    depends on the eigenbasis choice, but the distance does not)."""
+    depends on the eigenbasis choice, but the distance does not).
+    `spectrum` is the eigendecomposition of H that was collapsed."""
 
     h_sigma: np.ndarray
     distance: float
     std_dev: float
     mean_lambda: float
     unique: bool
+    spectrum: Spectrum
     k: int
     offset: int = 0
 
@@ -77,6 +80,7 @@ def collapse_projection(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
         std_dev=std,
         mean_lambda=mean,
         unique=unseparated_edge(vals, k, offset, tol) is None,
+        spectrum=spec,
         k=k,
         offset=offset,
     )
@@ -148,7 +152,7 @@ def orthogonality_check(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
         return 0.0
     # Overlaps with every canonical direction outside the window block, and
     # with the window identity, in the eigenframe of H.
-    c = conjugate(diff, eigh(h).vectors.conj().T)
+    c = conjugate(diff, pr.spectrum.vectors.conj().T)
     in_win = np.zeros(n, dtype=bool)
     in_win[offset : offset + k] = True
     a, m = coordinate_pairs(n)

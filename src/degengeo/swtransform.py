@@ -9,14 +9,18 @@ uniquely as
 
 with S off-block (zero inside both diagonal blocks), B supported on the
 complementary block, T a scalar shift c on the degenerate block, and H_eff a
-traceless matrix on the degenerate block. The exponent satisfies
-e^{iS} = sqrt((I - 2P)(I - 2P0)) where P and P0 are the eigenprojectors of H
-and H0 for the window: the square root whose eigenvalues are closest to 1.
+traceless matrix on the degenerate block. e^{iS} is the direct rotation from
+the window of H0 onto the matching eigenspace of H, read off the principal
+angles between the two (Davis & Kahan 1970): with V the window eigenvectors
+of H, window rows V_w = X cos(Theta) Y^dagger and other rows V_c Y =
+Z sin(Theta), S[c, w] = -i Z Theta X^dagger, so ||S||_2 = max(Theta). One
+eigendecomposition of H and a k x k SVD give the whole decomposition.
 
 Uniqueness with ||S||_2 < pi/2 is guaranteed inside the operator-2-norm ball
 of radius r0 = half the spectral gap of H0; outside it the decomposition is
-still attempted whenever the projectors satisfy ||P - P0||_2 < 1, and the
-flags on the result tell the caller which regime they are in.
+still attempted whenever ||P - P0||_2 = max sin(Theta) < 1 for the window
+eigenprojectors P and P0, and the flags on the result tell the caller which
+regime they are in.
 
 The default window is the lowest k eigenvalues. An `offset` shifts the window
 upward (eigenvalues offset+1 .. offset+k in ascending order), which is how
@@ -39,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
@@ -101,12 +104,6 @@ def _check_window_gaps(vals, k, offset, rtol, exc):
         )
 
 
-def _window_projector(spec, k, offset):
-    v = spec.vectors[:, offset : offset + k]
-    p = v @ v.conj().T
-    return (p + p.conj().T) / 2.0
-
-
 def projector_lowest_k(spec, k, rel_tol=DEGENERACY_RTOL):
     """Rank-k orthogonal projector onto the span of the lowest k eigenvectors.
 
@@ -115,41 +112,66 @@ def projector_lowest_k(spec, k, rel_tol=DEGENERACY_RTOL):
     DegenerateBoundary is raised.
     """
     _check_window_gaps(spec.eigenvalues, k, 0, rel_tol, DegenerateBoundary)
-    return _window_projector(spec, k, 0)
+    v = spec.vectors[:, :k]
+    p = v @ v.conj().T
+    return (p + p.conj().T) / 2.0
 
 
-def _rotation_and_log(p, p0):
-    """Direct rotation W between ran(P0) and ran(P) plus its principal
-    logarithm S = -i Log W, from one Schur decomposition of the unitary
-    (I - 2P)(I - 2P0); eigenphases are halved inside (-pi, pi)."""
+def _too_far(sep):
+    return SubspacesTooFar(
+        f"||P - P0||_2 = {sep:.12f} >= 1; no direct rotation exists"
+    )
+
+
+def direct_rotation(p, p0):
+    """The direct rotation W from ran(P0) to ran(P): the unitary with
+    W P0 W^dagger = P that turns each principal vector of ran(P0) by its
+    principal angle towards ran(P) and fixes what is orthogonal to both.
+    It equals Kato's (P P0 + (I - P)(I - P0)) (I - (P - P0)^2)^{-1/2} and
+    the square root of (I - 2P)(I - 2P0) with eigenvalues closest to 1, and
+    is built as in `sw_decompose`, from the principal angles in an
+    eigenbasis of P0, which stays accurate up to the limit on the angles.
+    Requires ||P - P0||_2 < 1 (projectors of equal rank)."""
     p = np.asarray(p)
     p0 = np.asarray(p0)
     if p.shape != p0.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {p0.shape}")
-    n = p.shape[0]
-    sep = float(np.max(np.abs(np.linalg.eigvalsh(p - p0)))) if n else 0.0
+    vals0, frame = np.linalg.eigh(p0)
+    vals, vecs = np.linalg.eigh(p)
+    members = vals0 > 0.5
+    if np.count_nonzero(members) != np.count_nonzero(vals > 0.5):
+        raise _too_far(1.0)
+    _, e, _ = _window_rotation(frame.conj().T @ vecs[:, vals > 0.5], members)
+    return frame @ e @ frame.conj().T
+
+
+def _window_rotation(v, members):
+    """S, e^{iS} and the principal angles of the direct rotation from the
+    coordinate window `members` onto the span of the orthonormal columns v.
+
+    With v_w = X cos(Theta) Y^dagger and v_c Y = Z sin(Theta), the rotation
+    sends the window columns to v U^dagger (U = X Y^dagger, the polar factor
+    of v_w), the complement columns' window rows to -U v_c^dagger, and acts
+    on the complement block as I - Z (I - cos Theta) Z^dagger, written without
+    dividing by sin(Theta)."""
+    v_w, v_c = v[members], v[~members]
+    x, cos, yh = np.linalg.svd(v_w)
+    sep = float(np.sqrt(max(0.0, 1.0 - np.min(cos, initial=1.0) ** 2)))
     if sep >= 1.0 - 1e-12:
-        raise SubspacesTooFar(
-            f"||P - P0||_2 = {sep:.12f} >= 1; no direct rotation exists"
-        )
-    m = (np.eye(n) - 2.0 * p) @ (np.eye(n) - 2.0 * p0)
-    t, z = scipy.linalg.schur(m, output="complex")
-    phases = np.angle(np.diag(t))
-    if np.any(np.abs(phases) >= np.pi * (1.0 - 1e-9)):
-        raise SubspacesTooFar(
-            "reflection product has an eigenphase at -pi; the branch of the "
-            "square root is undefined there"
-        )
-    w = (z * np.exp(0.5j * phases)) @ z.conj().T
-    s = (z * (0.5 * phases)) @ z.conj().T
-    return w, (s + s.conj().T) / 2.0
-
-
-def direct_rotation(p, p0):
-    """Unitary W = sqrt((I - 2P)(I - 2P0)), principal branch, satisfying
-    W P0 W^dagger = P. Requires ||P - P0||_2 < 1."""
-    w, _ = _rotation_and_log(p, p0)
-    return w
+        raise _too_far(sep)
+    theta = np.arccos(np.minimum(cos, 1.0))
+    z_sin = v_c @ yh.conj().T
+    u = x @ yh
+    n = len(members)
+    off, comp = np.ix_(~members, members), np.ix_(~members, ~members)
+    s = np.zeros((n, n), dtype=complex)
+    s[off] = -1j * (z_sin / np.sinc(theta / np.pi)) @ x.conj().T
+    s[np.ix_(members, ~members)] = s[off].conj().T
+    e = np.zeros((n, n), dtype=complex)
+    e[:, members] = v @ u.conj().T
+    e[np.ix_(members, ~members)] = -u @ v_c.conj().T
+    e[comp] = np.eye(n - len(cos)) - (z_sin / (1.0 + cos)) @ z_sin.conj().T
+    return s, e, theta
 
 
 @dataclass(frozen=True)
@@ -173,7 +195,6 @@ class SWDecomposition:
     residual: float
     within_r0: bool
     s_norm_ok: bool
-    s_projection_residual: float
     gauge: np.ndarray | None = None
 
     @property
@@ -269,17 +290,8 @@ def sw_decompose(h, h0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
 
     spec = eigh(h)
     _check_window_gaps(spec.eigenvalues, k, offset, rel_tol, DegenerateBoundary)
-    p = _window_projector(spec, k, offset)
-    p0 = np.diag(members.astype(complex))
-
-    _, s_raw = _rotation_and_log(p, p0)
-    s = s_raw.copy()
-    s[np.ix_(members, members)] = 0.0
-    s[np.ix_(~members, ~members)] = 0.0
-    s = (s + s.conj().T) / 2.0
-    s_proj_residual = frobenius_norm(s_raw - s)
-
-    e = unitary_exp(s)
+    s, e, theta = _window_rotation(spec.vectors[:, offset : offset + k],
+                                   members)
     bd = conjugate(h, e.conj().T)
 
     win_block = bd[np.ix_(members, members)]
@@ -307,8 +319,7 @@ def sw_decompose(h, h0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
         within_r0=bool(
             operator_2_norm(h - h0) < _window_half_gap(diag0, k, offset)
         ),
-        s_norm_ok=bool(operator_2_norm(s) < np.pi / 2.0),
-        s_projection_residual=s_proj_residual,
+        s_norm_ok=bool(np.max(theta) < np.pi / 2.0),
     )
 
 
@@ -350,7 +361,6 @@ def sw_decompose_general(h, g0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
         residual=dec.residual,
         within_r0=dec.within_r0,
         s_norm_ok=dec.s_norm_ok,
-        s_projection_residual=dec.s_projection_residual,
         gauge=anchor.gauge,
     )
 

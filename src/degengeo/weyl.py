@@ -166,8 +166,7 @@ def classify_point(fam, p0, point_tol=None, step=None, use_first_order=False):
     h_of_p = fam(p0)
     pr = collapse_projection(h_of_p, fam.k, offset=fam.offset)
     if point_tol is None:
-        vals = np.linalg.eigvalsh(h_of_p)
-        point_tol = 1e-8 * float(np.max(np.abs(vals))) if len(vals) else 0.0
+        point_tol = 1e-8 * pr.spectrum.operator_2_norm()
     maker = first_order_effective_map if use_first_order else effective_map
     h = maker(fam, p0)
     jac, noise = jacobian_with_check(h, p0, step)
@@ -233,24 +232,17 @@ def _grid_axes(box, resolution):
 
 
 def _local_minima(values):
-    """Indices of 2m-neighbourhood local minima of a gridded scalar field."""
-    shape = values.shape
-    minima = []
-    for idx in np.ndindex(shape):
-        v = values[idx]
-        best = True
-        for axis in range(len(shape)):
-            for delta in (-1, 1):
-                nb = list(idx)
-                nb[axis] += delta
-                if 0 <= nb[axis] < shape[axis] and values[tuple(nb)] < v:
-                    best = False
-                    break
-            if not best:
-                break
-        if best:
-            minima.append(idx)
-    return minima
+    """Indices, in C order, of the 2m-neighbourhood local minima of a gridded
+    scalar field: the points with no axis neighbour strictly below them."""
+    values = np.asarray(values, dtype=float)
+    padded = np.pad(values, 1, constant_values=np.inf)
+    best = np.ones(values.shape, dtype=bool)
+    for axis, size in enumerate(values.shape):
+        for delta in (-1, 1):
+            shifted = [slice(1, -1)] * values.ndim
+            shifted[axis] = slice(1 + delta, size + 1 + delta)
+            best &= ~(padded[tuple(shifted)] < values)
+    return [tuple(map(int, idx)) for idx in np.argwhere(best)]
 
 
 def scan_grid(fam, box, resolution, refine=True, seed_threshold=None,

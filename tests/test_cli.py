@@ -65,6 +65,19 @@ def test_parse_matches_entrywise_loop():
         parse_matrix('{"n": 2, "entries": [[1, 0], [0, 0, 0], [0, 0], [1, 0]]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 1, "entries": ["10"]}', "entry 0 is not an"),
+    ('{"n": 1, "entries": [[true, false]]}', "entry 0 is not an"),
+    ('{"n": true, "entries": [[1, 0]]}', "'n' must be a positive integer"),
+    ('{"n": 1, "entries": [["1.5", true]]}', "entry 0 is not an"),
+])
+def test_parse_accepts_json_numbers_only(text, message):
+    # Strings and booleans are not numbers, not even where float() or
+    # numpy would convert them.
+    with pytest.raises(ValueError, match=message):
+        parse_matrix(text)
+
+
 def test_parse_rejects_non_hermitian():
     doc = {"n": 2, "entries": [[0, 0], [1, 0], [2, 0], [0, 0]]}
     with pytest.raises(ValueError, match="not Hermitian"):

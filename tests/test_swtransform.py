@@ -1,6 +1,13 @@
 """Exact block decomposition: projectors, direct rotation, uniqueness,
-closed-form oracle, and the induced chart."""
+closed-form oracle, principal-angle properties at high precision, and the
+induced chart."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -107,6 +114,39 @@ def test_direct_rotation_subspaces_too_far():
     p0 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(SubspacesTooFar):
         direct_rotation(p, p0)
+
+
+def test_direct_rotation_is_the_decomposition_rotation():
+    # The rotation of a decomposition, e^{iS} through the eigendecomposition
+    # of S, is the direct rotation from P0 to the P it produces, and so is
+    # Kato's (P P0 + (I - P)(I - P0)) (I - (P - P0)^2)^{-1/2}; offset window
+    # with k > n - k.
+    h0 = np.diag([-1.0, 0.5, 0.5, 0.5, 2.0]).astype(complex)
+    v = random_hermitian(5, np.random.default_rng(16))
+    dec = sw_decompose(h0 + v * (0.6 / operator_2_norm(v)), h0, 3, offset=1)
+    p0 = dec.window_projector()
+    p = conjugate(p0, dec.rotation())
+    w = direct_rotation(p, p0)
+    assert np.max(np.abs(w - dec.rotation())) <= 1e-13
+    sin2, vecs = np.linalg.eigh((p - p0) @ (p - p0))
+    eye = np.eye(5)
+    kato = ((p @ p0 + (eye - p) @ (eye - p0))
+            @ (vecs / np.sqrt(1.0 - sin2)) @ vecs.conj().T)
+    assert np.max(np.abs(w - kato)) <= 1e-13
+
+
+def test_direct_rotation_unitary_near_right_angle():
+    # An angle 1e-5 short of pi/2, about the largest the threshold on
+    # ||P - P0||_2 admits: W stays unitary and still maps P0 to P.
+    th = np.pi / 2 - 1e-5
+    u = np.eye(4, dtype=complex)
+    u[np.ix_([0, 2], [0, 2])] = [[np.cos(th), -np.sin(th)],
+                                 [np.sin(th), np.cos(th)]]
+    p0 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    p = conjugate(p0, u)
+    w = direct_rotation(p, p0)
+    assert np.max(np.abs(w @ w.conj().T - np.eye(4))) <= 1e-14
+    assert np.max(np.abs(conjugate(p0, w) - p)) <= 1e-14
 
 
 def test_unitary_exp_is_unitary():
@@ -226,6 +266,126 @@ def test_first_order_agreement():
         block = block - (np.trace(block).real / 2) * np.eye(2)
         dev = frobenius_norm(dec.h_eff[:2, :2] - block)
         assert dev <= 50.0 * eps ** 2
+
+
+# ---------------------------------------------------------------------------
+# the principal-angle closed form
+# ---------------------------------------------------------------------------
+
+
+def rotated_pair(n, k, offset, angles, seed):
+    """(H, H0): a diagonal base degenerate on the window, and H with that
+    window turned by the given principal angles. The window block gets a
+    traceless part and the complement block a random Hermitian part, both
+    small; window column j is rotated towards complement column j by
+    angles[j], so the angles are exactly the principal ones."""
+    rng = np.random.default_rng(seed)
+    members = np.zeros(n, dtype=bool)
+    members[offset : offset + k] = True
+    diag = np.zeros(n)
+    diag[:offset] = -2.0 - np.arange(offset)[::-1]
+    diag[offset + k:] = 2.0 + np.arange(n - offset - k)
+    h0 = np.diag(diag).astype(complex)
+    local = h0.copy()
+    win, comp = np.ix_(members, members), np.ix_(~members, ~members)
+    block = random_hermitian(k, rng) * 0.1
+    local[win] += block - np.trace(block).real / k * np.eye(k)
+    local[comp] += random_hermitian(n - k, rng) * 0.1
+    rot = np.eye(n, dtype=complex)
+    for a, c, th in zip(np.flatnonzero(members), np.flatnonzero(~members),
+                        angles):
+        rot[np.ix_([a, c], [a, c])] = [[np.cos(th), -np.sin(th)],
+                                       [np.sin(th), np.cos(th)]]
+    return conjugate(local, rot), h0
+
+
+ANGLES = (1e-8, 0.3, 1.5, np.pi / 2 - 1e-5)
+SHAPES = ((6, 2, 0), (5, 1, 2), (3, 2, 1))  # (n, k, offset); n - k < k last
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+@pytest.mark.parametrize("n, k, offset", SHAPES)
+def test_closed_form_properties_at_50_digits(theta, n, k, offset):
+    # The double-precision parts, checked at 50 digits: e^{iS} is unitary,
+    # carries the window projector P0 onto the window eigenprojector P of H
+    # and rebuilds H; S is off-block and ||S||_2 is the largest principal
+    # angle between ran(P0) and ran(P).
+    angles = (theta, 0.2)[:min(k, n - k)]
+    h, h0 = rotated_pair(n, k, offset, angles, seed=n + k)
+    dec = sw_decompose(h, h0, k, offset=offset)
+    members = np.zeros(n, dtype=bool)
+    members[offset : offset + k] = True
+    assert np.all(dec.s[np.ix_(members, members)] == 0.0)
+    assert np.all(dec.s[np.ix_(~members, ~members)] == 0.0)
+    assert dec.within_r0 == (operator_2_norm(h - h0) < 1.0)
+    assert dec.s_norm_ok
+
+    with mp.workdps(50):
+        e = mp.expm(1j * mp.matrix(dec.s))
+        eye = mp.eye(n)
+        assert mp.mnorm(e * e.H - eye, 1) <= mp.mpf(10) ** -45
+        vals, vecs = mp.eighe(mp.matrix(h))
+        order = sorted(range(n), key=lambda j: vals[j])
+        window = [order[j] for j in range(offset, offset + k)]
+        v = mp.matrix(n, k)
+        for col, j in enumerate(window):
+            for i in range(n):
+                v[i, col] = vecs[i, j]
+        p = v * v.H
+        p0 = mp.matrix(dec.window_projector())
+        assert mp.mnorm(e * p0 * e.H - p, 1) <= 1e-13
+        blocks = mp.matrix(dec.block_diagonal())
+        scale = max(1.0, frobenius_norm(h))
+        assert mp.mnorm(e * blocks * e.H - mp.matrix(h), 1) <= 1e-13 * scale
+        cosines = mp.svd_c(v[offset : offset + k, 0:k], compute_uv=False)
+        largest = mp.acos(min(cosines[j] for j in range(k)))
+        s_vals = mp.eighe(mp.matrix(dec.s), eigvals_only=True)
+        s_norm = max(abs(s_vals[j]) for j in range(n))
+        assert abs(s_norm - largest) <= 1e-13
+        assert abs(largest - max(angles)) <= 1e-13
+
+
+@pytest.mark.parametrize("short, refused", [(1e-5, False), (1e-6, True)])
+def test_refusal_threshold_near_right_angle(short, refused):
+    # ||P - P0||_2 = sin(theta) >= 1 - 1e-12 is refused: pi/2 - 1e-5 is
+    # inside, pi/2 - 1e-6 outside.
+    h, h0 = rotated_pair(4, 2, 0, (np.pi / 2 - short, 0.1), seed=3)
+    if refused:
+        with pytest.raises(SubspacesTooFar, match="no direct rotation"):
+            sw_decompose(h, h0, 2)
+    else:
+        dec = sw_decompose(h, h0, 2)
+        assert dec.s_norm_ok
+        assert dec.s_2norm() == pytest.approx(np.pi / 2 - short, abs=1e-12)
+
+
+def test_one_factorization_per_decomposition(monkeypatch):
+    # One eigh of H, one eigvalsh of H - H0 (the uniqueness-ball flag), and
+    # one k x k SVD of the window rows of the window eigenvectors.
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(17)
+    h0 = random_base(9, 3, rng)
+    h = perturbed(h0, 3, rng)
+    calls.clear()
+    sw_decompose(h, h0, 3)
+    assert sorted(calls) == [("eigh", (9, 9)), ("eigvalsh", (9, 9)),
+                             ("svd", (3, 3))]
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, degengeo, degengeo.cli; "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,34 @@ def test_newton_backtracks_on_decomposition_errors_only(monkeypatch, error):
             _newton_refine(None, np.zeros(1))
 
 
+def _local_minima_loop(values):
+    """Reference: visit the grid in C order and keep the points that no axis
+    neighbour lies strictly below."""
+    minima = []
+    for idx in np.ndindex(values.shape):
+        best = True
+        for axis in range(values.ndim):
+            for delta in (-1, 1):
+                nb = list(idx)
+                nb[axis] += delta
+                if (0 <= nb[axis] < values.shape[axis]
+                        and values[tuple(nb)] < values[idx]):
+                    best = False
+        if best:
+            minima.append(idx)
+    return minima
+
+
+def test_local_minima_match_neighbour_loop():
+    # Small-integer fields are full of ties, which count as minima on every
+    # side; grids of one to three axes, sizes 1 to 6.
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 7, size=rng.integers(1, 4)))
+        values = rng.integers(0, 3, size=shape)
+        assert weyl._local_minima(values) == _local_minima_loop(values)
+
+
 def test_scan_finds_single_weyl_point():
     reports = scan_grid(weyl_family(), [(-0.5, 0.5)] * 3, 11)
     assert len(reports) == 1
