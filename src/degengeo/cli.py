@@ -37,9 +37,10 @@ from .models import (
     transverse_perturbation,
     weyl_example,
 )
-from .projection import collapse_projection, distance_to_sigma
+from .projection import collapse_projection
+from .spectra import window_distance
 from .splitting import default_ladder, estimate_all_orders, family
-from .swtransform import sw_decompose, sw_decompose_general
+from .swtransform import Anchor, sw_decompose, sw_decompose_general
 from .weyl import param_family, scan_grid
 
 EXIT_OK = 0
@@ -128,16 +129,18 @@ def _cmd_project(args):
 def _cmd_distance(args):
     h = _matrix_or_fail(args.matrix)
     pr = collapse_projection(h, args.k, offset=args.offset)
-    d = distance_to_sigma(h, args.k, offset=args.offset)
     outputs = {
-        "distance": d,
+        "distance": window_distance(pr.spectrum.eigenvalues, args.k,
+                                    args.offset),
         "sqrt_k_times_std_dev": np.sqrt(args.k) * pr.std_dev,
         "unique": pr.unique,
     }
     diagnostics = {}
     if pr.unique:
-        # Cross-check through the decomposition against the collapsed base.
-        dec = sw_decompose_general(h, pr.h_sigma, args.k, offset=args.offset)
+        # Cross-check through the decomposition against the collapsed base,
+        # in the eigenbasis of H that the projection already took.
+        anchor = Anchor.from_spectrum(pr.spectrum, args.k, args.offset)
+        dec = anchor.decompose(h)
         outputs["heff_norm"] = frobenius_norm(dec.h_eff)
         diagnostics["heff_residual"] = dec.residual
     report = RunReport(

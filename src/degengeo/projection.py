@@ -23,6 +23,7 @@ from .spectra import (
     coincidence_tolerance,
     eigh,
     unseparated_edge,
+    window_distance,
     window_spread,
 )
 
@@ -89,9 +90,9 @@ def collapse_projection(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
 def distance_to_sigma(h, k, offset=0):
     """sqrt(k) times the standard deviation of the window eigenvalues; equal
     to the Frobenius distance from the k-fold degeneracy manifold, and to
-    ||H_eff|| from any valid decomposition of H."""
-    _, dev, _ = window_spread(np.linalg.eigvalsh(np.asarray(h)), k, offset)
-    return float(np.sqrt(np.sum(dev ** 2)))
+    ||H_eff|| from any valid decomposition of H. A stack of shape
+    (..., n, n) gives the distances as an array of shape (...)."""
+    return window_distance(np.linalg.eigvalsh(np.asarray(h)), k, offset)
 
 
 def project_with_index_set(h, indices, gauge=None):

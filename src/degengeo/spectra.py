@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import frobenius_norm
-
 __all__ = [
     "Spectrum",
     "StratumPartition",
@@ -31,22 +29,28 @@ RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition H = U diag(eigenvalues) U^dagger.
+    """Eigendecomposition H = U diag(eigenvalues) U^dagger of one matrix or
+    of a stack of them.
 
-    eigenvalues are ascending; column a of vectors is the eigenvector of
-    eigenvalue a; residual is ||H U - U diag(eigenvalues)||_F.
+    For H of shape (..., n, n), eigenvalues has shape (..., n), ascending
+    along the last axis; vectors has shape (..., n, n), column a of each
+    matrix the eigenvector of its eigenvalue a; residual is
+    ||H U - U diag(eigenvalues)||_F per matrix, a float for one matrix and
+    an array of shape (...) for a stack.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
     @property
     def n(self):
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     def operator_2_norm(self):
-        return float(np.max(np.abs(self.eigenvalues))) if self.n else 0.0
+        """max |eigenvalue| per matrix; 0 for the empty matrix."""
+        norms = np.max(np.abs(self.eigenvalues), axis=-1, initial=0.0)
+        return float(norms) if norms.ndim == 0 else norms
 
 
 @dataclass(frozen=True)
@@ -63,30 +67,37 @@ class StratumPartition:
 
 
 def eigh(h):
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, or of a stack of them
+    of shape (..., n, n) in one LAPACK call.
 
     Eigenvalues come out ascending. Each eigenvector's phase is fixed by
     making its largest-modulus component real and positive, purely so that
     repeated runs print identically; no algorithm downstream depends on the
-    phase. The reconstruction residual is checked against
-    RESIDUAL_RTOL * max(1, ||H||_F).
+    phase. Each matrix's reconstruction residual is checked against its own
+    bound RESIDUAL_RTOL * max(1, ||H_i||_F), and LinAlgError names the first
+    matrix that fails it.
     """
     h = np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        pivot = vecs[i, j]
-        if abs(pivot) > 0.0:
-            vecs[:, j] *= np.conj(pivot) / abs(pivot)
-    residual = float(np.linalg.norm(h @ vecs - vecs * vals, "fro"))
-    bound = RESIDUAL_RTOL * max(1.0, frobenius_norm(h))
-    if residual > bound:
+    # hypot, not np.abs: on complex arrays np.abs can differ from the modulus
+    # a scalar abs() returns in the last bit.
+    pivots = np.take_along_axis(
+        vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
+    vecs = vecs * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
+    residual = np.linalg.norm(h @ vecs - vecs * vals[..., None, :],
+                              axis=(-2, -1))
+    bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+    bad = np.argwhere(residual > bound)
+    if len(bad):
+        where = tuple(map(int, bad[0]))
+        name = f" of matrix {where}" if where else ""
         raise np.linalg.LinAlgError(
-            f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}"
+            f"eigendecomposition residual{name} {residual[where]:.3e} "
+            f"exceeds {bound[where]:.3e}"
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)
+    residual = float(residual) if residual.ndim == 0 else residual
     return Spectrum(eigenvalues=vals, vectors=vecs, residual=residual)
 
 
@@ -104,8 +115,9 @@ def check_window(n, k, offset=0):
 
 
 def _window(vals, k, offset):
-    check_window(len(vals), k, offset)
-    return np.asarray(vals)[offset : offset + k]
+    vals = np.asarray(vals)
+    check_window(vals.shape[-1], k, offset)
+    return vals[..., offset : offset + k]
 
 
 def window_width(vals, k, offset=0):
@@ -116,13 +128,28 @@ def window_width(vals, k, offset=0):
 
 
 def window_spread(vals, k, offset=0):
-    """(mean, deviations, std): the mean of the window eigenvalues, their
-    deviations from it, and the population standard deviation."""
+    """(mean, deviations, std) of the window eigenvalues along the last axis:
+    their mean, their deviations from it, and the population standard
+    deviation. For 1-D vals the mean and std are floats; for vals of shape
+    (..., n) they are arrays of shape (...) and the deviations (..., k)."""
     # sum / k is how np.mean reduces, without its per-call overhead.
     win = _window(vals, k, offset)
-    mean = float(win.sum() / k)
-    dev = win - mean
-    return mean, dev, float(np.sqrt((dev ** 2).sum() / k))
+    mean = win.sum(axis=-1) / k
+    dev = win - mean[..., None]
+    std = np.sqrt((dev ** 2).sum(axis=-1) / k)
+    if win.ndim == 1:
+        return float(mean), dev, float(std)
+    return mean, dev, std
+
+
+def window_distance(vals, k, offset=0):
+    """sqrt(sum of squared window deviations) = sqrt(k) * std along the last
+    axis: by the distance theorem, the Frobenius distance of the matrix with
+    these eigenvalues from the k-fold degeneracy manifold. A float for 1-D
+    vals, an array of shape (...) for vals of shape (..., n)."""
+    dev = window_spread(vals, k, offset)[1]
+    dist = np.sqrt((dev ** 2).sum(axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def unseparated_edge(vals, k, offset, tol):

@@ -9,6 +9,11 @@ effective-Hamiltonian coordinates relative to a fixed gauge) has full-rank
 Jacobian there; its topological charge is the sign of the determinant. The
 first-order effective map (traceless window block, no rotation) has the same
 Jacobian rank at the degeneracy, so either map decides the classification.
+
+Grid scans seed Newton from the minima of the distance field. By the
+distance theorem that field needs only the window eigenvalues of H(p), so it
+is read off one stacked eigendecomposition per grid line, never from a
+closest-point projection per grid point.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .errors import DegenError, NewtonDiverged, StepTooSmall
 from .hermitian import traceless_coordinates
 from .projection import collapse_projection
+from .spectra import eigh, window_distance
 from .swtransform import Anchor
 
 __all__ = [
@@ -231,6 +237,20 @@ def _grid_axes(box, resolution):
     return [np.linspace(lo, hi, resolution) for lo, hi in box]
 
 
+def _distance_field(fam, axes):
+    """Distance of H(p) from the degeneracy manifold at every point of the
+    grid spanned by `axes`: sqrt(sum of squared window deviations), from one
+    eigendecomposition of the stacked matrices of each grid line along the
+    last axis, so memory stays O(len(axes[-1]) n^2)."""
+    dist = np.empty(tuple(len(a) for a in axes))
+    for i, x in enumerate(axes[0]):
+        for j, y in enumerate(axes[1]):
+            line = np.stack([fam(np.array([x, y, z])) for z in axes[2]])
+            dist[i, j] = window_distance(eigh(line).eigenvalues, fam.k,
+                                         fam.offset)
+    return dist
+
+
 def _local_minima(values):
     """Indices, in C order, of the 2m-neighbourhood local minima of a gridded
     scalar field: the points with no axis neighbour strictly below them."""
@@ -250,7 +270,9 @@ def scan_grid(fam, box, resolution, refine=True, seed_threshold=None,
     """Locate and classify degeneracy points of a 3-parameter family.
 
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
-    on a box grid; local minima (below `seed_threshold`, when given) seed a
+    on a box grid by the distance theorem, as sqrt(k) times the standard
+    deviation of the window eigenvalues, with one stacked eigendecomposition
+    per grid line; local minima (below `seed_threshold`, when given) seed a
     damped Newton refinement of the effective map's zero. Converged roots
     inside the box are deduplicated and classified; diverged seeds are
     skipped and reported. Reports come back sorted lexicographically by
@@ -262,14 +284,7 @@ def scan_grid(fam, box, resolution, refine=True, seed_threshold=None,
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     axes = _grid_axes(box, resolution)
-    dist = np.empty((resolution,) * 3)
-    for i, x in enumerate(axes[0]):
-        for j, y in enumerate(axes[1]):
-            for l, z in enumerate(axes[2]):
-                pr = collapse_projection(
-                    fam(np.array([x, y, z])), fam.k, offset=fam.offset
-                )
-                dist[i, j, l] = pr.distance
+    dist = _distance_field(fam, axes)
 
     seeds = []
     for idx in _local_minima(dist):

@@ -19,6 +19,8 @@ from degengeo.matrixio import (
     write_matrix,
 )
 from degengeo.models import example_pr
+from degengeo.projection import collapse_projection, distance_to_sigma
+from degengeo.swtransform import sw_decompose_general
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -139,6 +141,30 @@ def test_cli_distance_value(tmp_path, capsys):
     assert doc["outputs"]["heff_norm"] == pytest.approx(
         doc["outputs"]["distance"], rel=1e-9
     )
+
+
+def test_cli_distance_takes_one_spectrum_of_h(tmp_path, capsys,
+                                             linalg_calls):
+    # The eigh of H in the projection, then the decomposition's eigh of H in
+    # that eigenbasis, its eigvalsh of H - H0 and its k x k SVD; the values
+    # agree with a separate eigvalsh and a decomposition against H_sigma.
+    n, k, offset = 64, 3, 5
+    h = random_hermitian(n, np.random.default_rng(12))
+    mfile = _write(tmp_path, "h.json", h)
+    linalg_calls.clear()
+    code = main(["distance", mfile, "--k", str(k), "--offset", str(offset),
+                 "--json"])
+    assert code == 0
+    assert sorted(linalg_calls) == [("eigh", (n, n)), ("eigh", (n, n)),
+                                    ("eigvalsh", (n, n)), ("svd", (k, k))]
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    tol = 1e-13 * np.linalg.norm(h)
+    pr = collapse_projection(h, k, offset=offset)
+    dec = sw_decompose_general(h, pr.h_sigma, k, offset=offset)
+    assert out["distance"] == pytest.approx(
+        distance_to_sigma(h, k, offset), rel=0.0, abs=tol)
+    assert out["heff_norm"] == pytest.approx(
+        np.linalg.norm(dec.h_eff), rel=0.0, abs=tol)
 
 
 def test_cli_project_on_manifold(tmp_path, capsys):

@@ -159,21 +159,15 @@ def test_orthogonality_random():
         assert orthogonality_check(h, k) <= 1e-9
 
 
-def test_orthogonality_one_eigendecomposition(monkeypatch):
+def test_orthogonality_one_eigendecomposition(linalg_calls):
     # The eigenframe comes from the spectrum that collapse_projection took.
     h = random_hermitian(6, np.random.default_rng(9))
     assert collapse_projection(h, 2).spectrum.vectors.tobytes() == (
         eigh(h).vectors.tobytes())
-    real = np.linalg.eigh
-    calls = []
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    linalg_calls.clear()
     assert orthogonality_check(h, 2) <= 1e-9
-    assert calls == [(6, 6)]
+    assert [shape for name, shape in linalg_calls if name == "eigh"] == [
+        (6, 6)]
 
 
 def test_orthogonality_on_manifold_is_zero():

@@ -11,6 +11,8 @@ from degengeo.spectra import (
     is_in_sigma_k,
     is_on_boundary,
     stratum_codimension,
+    window_distance,
+    window_spread,
 )
 
 
@@ -44,6 +46,86 @@ def test_eigh_phase_convention_deterministic():
         i = int(np.argmax(np.abs(u1[:, j])))
         assert u1[i, j].imag == pytest.approx(0.0, abs=1e-15)
         assert u1[i, j].real > 0
+
+
+def _eigh_loop(h):
+    """Reference: the per-column phase loop, with the scalar abs()."""
+    vals, vecs = np.linalg.eigh(h)
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        i = int(np.argmax(np.abs(vecs[:, j])))
+        pivot = vecs[i, j]
+        if abs(pivot) > 0.0:
+            vecs[:, j] *= np.conj(pivot) / abs(pivot)
+    return vals, vecs
+
+
+def _hermitian_stack(rng, shape, n, dtype):
+    a = rng.standard_normal((*shape, n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((*shape, n, n))
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_eigh_stack_matches_per_matrix_and_loop_bytes(n, dtype):
+    rng = np.random.default_rng(n)
+    stack = _hermitian_stack(rng, (2, 3), n, dtype)
+    diagonal = np.diag(rng.standard_normal(n)).astype(dtype)
+    for h in (*stack.reshape(-1, n, n), diagonal):
+        vals, vecs = _eigh_loop(h)
+        spec = eigh(h)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.vectors.tobytes() == vecs.tobytes()
+        assert isinstance(spec.residual, float)
+    spec = eigh(stack)
+    assert spec.eigenvalues.shape == (2, 3, n)
+    assert spec.vectors.shape == (2, 3, n, n)
+    assert spec.residual.shape == (2, 3) and spec.n == n
+    for idx in np.ndindex(2, 3):
+        one = eigh(stack[idx])
+        assert spec.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
+        assert spec.vectors[idx].tobytes() == one.vectors.tobytes()
+        assert spec.operator_2_norm()[idx] == one.operator_2_norm()
+
+
+def test_eigh_refuses_one_bad_matrix_of_a_stack(monkeypatch):
+    rng = np.random.default_rng(3)
+    stack = _hermitian_stack(rng, (4,), 5, complex)
+    real = np.linalg.eigh
+
+    def corrupted(a):
+        vals, vecs = real(a)
+        if vals.ndim == 2:
+            vals = vals.copy()
+            vals[2, 0] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(np.linalg.LinAlgError, match=r"matrix \(2,\)"):
+        eigh(stack)
+    for h in stack:
+        eigh(h)
+
+
+def test_window_spread_rows_and_floats():
+    rng = np.random.default_rng(5)
+    vals = np.sort(rng.standard_normal((7, 6)), axis=-1)
+    for k, offset in ((1, 0), (2, 0), (3, 2), (6, 0)):
+        mean, dev, std = window_spread(vals, k, offset)
+        dist = window_distance(vals, k, offset)
+        assert mean.shape == std.shape == dist.shape == (7,)
+        assert dev.shape == (7, k)
+        for i, row in enumerate(vals):
+            m1, d1, s1 = window_spread(row, k, offset)
+            assert type(m1) is float and type(s1) is float
+            assert type(window_distance(row, k, offset)) is float
+            assert (m1, s1) == (mean[i], std[i])
+            assert d1.tobytes() == dev[i].tobytes()
+            assert window_distance(row, k, offset) == dist[i]
+    with pytest.raises(ValueError):
+        window_spread(vals, 3, 4)
 
 
 def _spec_of(vals):

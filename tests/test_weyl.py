@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degengeo import weyl
-from degengeo.errors import StepTooSmall, SubspacesTooFar
+from degengeo.errors import DegenError, StepTooSmall, SubspacesTooFar
 from degengeo.hermitian import random_hermitian
 from degengeo.models import example_pr, weyl_example
+from degengeo.projection import collapse_projection
 from degengeo.splitting import estimate_order, family
 from degengeo.weyl import (
     _newton_refine,
@@ -193,6 +196,80 @@ def test_local_minima_match_neighbour_loop():
         shape = tuple(rng.integers(1, 7, size=rng.integers(1, 4)))
         values = rng.integers(0, 3, size=shape)
         assert weyl._local_minima(values) == _local_minima_loop(values)
+
+
+def _distance_field_loop(fam, axes):
+    """Reference: one closest-point projection per grid point."""
+    dist = np.empty(tuple(len(a) for a in axes))
+    for i, x in enumerate(axes[0]):
+        for j, y in enumerate(axes[1]):
+            for l, z in enumerate(axes[2]):
+                pr = collapse_projection(
+                    fam(np.array([x, y, z])), fam.k, offset=fam.offset
+                )
+                dist[i, j, l] = pr.distance
+    return dist
+
+
+def random_family(seed):
+    """A linear 5 x 5 family with a twofold window at offset 1, degenerate
+    at the origin."""
+    rng = np.random.default_rng(seed)
+    h0 = np.diag([-1.5, 0.0, 0.0, 1.0, 2.0]).astype(complex)
+    dirs = [0.4 * random_hermitian(5, rng) for _ in range(3)]
+
+    def evaluator(p):
+        return h0 + p[0] * dirs[0] + p[1] * dirs[1] + p[2] * dirs[2]
+
+    return param_family(evaluator, 3, offset=1)
+
+
+def _scan_outcome(fam, box, res):
+    """The reports of a scan as comparable tuples, or the error it raised."""
+    try:
+        reports = scan_grid(fam, box, res)
+    except (DegenError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return [(r.p.tobytes(), r.distance, r.jacobian.tobytes(), r.rank,
+             r.charge, r.classification, r.diagnostics) for r in reports]
+
+
+def _check_scan_matches_point_loop(monkeypatch, fam, centre, res):
+    box = [(c - 0.5, c + 0.5) for c in centre]
+    axes = weyl._grid_axes(box, res)
+    field = weyl._distance_field(fam, axes)
+    reference = _distance_field_loop(fam, axes)
+    np.testing.assert_allclose(field, reference, rtol=0.0, atol=1e-13)
+    assert weyl._local_minima(field) == weyl._local_minima(reference)
+    outcome = _scan_outcome(fam, box, res)
+    monkeypatch.setattr(weyl, "_distance_field", _distance_field_loop)
+    assert outcome == _scan_outcome(fam, box, res)
+
+
+_centres = st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(centre=_centres, res=st.integers(3, 9))
+def test_scan_field_matches_point_loop_builtin(centre, res):
+    with pytest.MonkeyPatch.context() as mp:
+        _check_scan_matches_point_loop(mp, weyl_family(), centre, res)
+
+
+@settings(max_examples=8, deadline=None)
+@given(centre=_centres, res=st.integers(3, 9), seed=st.integers(0, 2**16))
+def test_scan_field_matches_point_loop_offset_window(centre, res, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        _check_scan_matches_point_loop(mp, random_family(seed), centre, res)
+
+
+@pytest.mark.parametrize("fam, res", [(weyl_family(), 4),
+                                      (random_family(0), 6)])
+def test_scan_field_one_eigh_per_grid_line(linalg_calls, fam, res):
+    # A threshold below every distance seeds nothing, so every call left is
+    # the field's: one stacked eigh per line of the last axis.
+    assert scan_grid(fam, [(-0.5, 0.5)] * 3, res, seed_threshold=-1.0) == []
+    assert linalg_calls == [("eigh", (res, fam.n, fam.n))] * res ** 2
 
 
 def test_scan_finds_single_weyl_point():
