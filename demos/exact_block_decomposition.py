@@ -36,7 +36,7 @@ print(f"  c (window mean shift)  = {dec.c:.6f}")
 print(f"  H_eff (window block)   =\n{np.round(dec.heff_block(), 6)}")
 print(f"  reconstruction residual  {dec.residual:.2e}")
 print(f"  within uniqueness ball:  {dec.within_r0}, "
-      f"||S||_2 = {dec.s_2norm():.4f} < pi/2: {dec.s_norm_ok}\n")
+      f"||S||_2 = {dec.s_2norm():.4f} < pi/2: {dec.s_2norm() < np.pi / 2}\n")
 
 ref = example_pr_reference(p, r)
 dev = max(

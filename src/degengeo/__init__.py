@@ -19,7 +19,6 @@ from .errors import (
     BasePointNotCanonical,
     DegenError,
     DegenerateBoundary,
-    DepthCapReached,
     InconclusiveFit,
     NewtonDiverged,
     NotInSigmaK,
@@ -84,7 +83,6 @@ from .swtransform import (
     projector_lowest_k,
     sw_decompose,
     sw_decompose_general,
-    unitary_exp,
 )
 from .weyl import (
     ParamFamily,

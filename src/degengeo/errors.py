@@ -34,11 +34,6 @@ class InconclusiveFit(DegenError):
         self.estimate = estimate
 
 
-class DepthCapReached(DegenError):
-    """The eigenvalue-splitting cascade hit its depth cap before every pair
-    separated; the surviving pairs split at order >= cap."""
-
-
 class NewtonDiverged(DegenError):
     """A Newton refinement of a degeneracy-point seed failed to converge."""
 

@@ -191,49 +191,45 @@ def example_pr_reference(p, r):
     """Closed-form decomposition of `example_pr(p, r)` relative to
     diag(0, 0, 1), valid in a neighbourhood of the origin.
 
-    With q2 = p^2 + r^2 and root = sqrt(1 + 4 q2):
+    With q2 = p^2 + r^2, root = sqrt(1 + 4 q2) and A the real antisymmetric
+    [[0, 0, p], [0, 0, r], [-p, -r, 0]]:
 
-        S     = -i * arctan((root - 1) / (2 sqrt(q2))) / sqrt(q2)
-                   * [[0, 0, p], [0, 0, r], [-p, -r, 0]]
+        S     = -i phi A,  phi = arctan((root - 1) / (2 sqrt(q2))) / sqrt(q2)
         B     = (root - 1)/2 on the third level
         c     = (1 - root)/4
         H_eff = (1 - root) / (4 q2) * [[p^2 - r^2, 2 p r], [2 p r, r^2 - p^2]]
 
-    At the origin every part vanishes.
+    and, since A^3 = -q2 A, Rodrigues' formula gives the rotation
+    e^{iS} = e^{phi A} = I + sin(phi sqrt(q2))/sqrt(q2) A
+    + (1 - cos(phi sqrt(q2)))/q2 A^2. At the origin every part vanishes.
     """
     q2 = p * p + r * r
+    q = np.sqrt(q2)
     root = np.sqrt(1.0 + 4.0 * q2)
+    anti = np.array([[0, 0, p], [0, 0, r], [-p, -r, 0]], dtype=complex)
     if q2 == 0.0:
         s = np.zeros((3, 3), dtype=complex)
         h_eff = np.zeros((3, 3), dtype=complex)
+        e = np.eye(3, dtype=complex)
     else:
-        phi = np.arctan((root - 1.0) / (2.0 * np.sqrt(q2))) / np.sqrt(q2)
-        anti = np.array(
-            [[0.0, 0.0, p], [0.0, 0.0, r], [-p, -r, 0.0]], dtype=complex
-        )
-        s = -1j * phi * anti
+        angle = np.arctan((root - 1.0) / (2.0 * q))
+        s = -1j * (angle / q) * anti
+        e = (np.eye(3) + np.sin(angle) / q * anti
+             + (1.0 - np.cos(angle)) / q2 * (anti @ anti))
         h_eff = (1.0 - root) / (4.0 * q2) * np.array(
-            [
-                [p * p - r * r, 2.0 * p * r, 0.0],
-                [2.0 * p * r, r * r - p * p, 0.0],
-                [0.0, 0.0, 0.0],
-            ],
-            dtype=complex,
-        )
+            [[p * p - r * r, 2.0 * p * r, 0.0],
+             [2.0 * p * r, r * r - p * p, 0.0],
+             [0.0, 0.0, 0.0]], dtype=complex)
     b = np.zeros((3, 3), dtype=complex)
     b[2, 2] = (root - 1.0) / 2.0
     c = (1.0 - root) / 4.0
     h0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    h = example_pr(p, r)
-    dec = SWDecomposition(
-        k=2, offset=0, h0=h0, s=_freeze(s), b=_freeze(b), c=float(c),
-        h_eff=_freeze(h_eff), residual=0.0, within_r0=True, s_norm_ok=True,
-    )
     # The closed form is exact; report its numerical reconstruction error.
-    residual = float(np.linalg.norm(dec.reconstruct() - h, "fro"))
+    bd = h0 + b + c * np.diag([1.0, 1.0, 0.0]) + h_eff
+    residual = float(np.linalg.norm(e @ bd @ e.conj().T - example_pr(p, r)))
     return SWDecomposition(
-        k=2, offset=0, h0=h0, s=dec.s, b=dec.b, c=dec.c, h_eff=dec.h_eff,
-        residual=residual, within_r0=dec.within_r0, s_norm_ok=dec.s_norm_ok,
+        k=2, offset=0, h0=h0, s=_freeze(s), b=_freeze(b), c=float(c),
+        h_eff=_freeze(h_eff), e=_freeze(e), residual=residual, within_r0=True,
     )
 
 

@@ -56,7 +56,7 @@ class ProjectionResult:
     offset: int = 0
 
 
-def collapse_projection(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
+def collapse_projection(h, k, offset=0):
     """Project H to the k-fold degeneracy manifold by collapsing the window
     eigenvalues (offset+1 .. offset+k, ascending) to their mean.
 
@@ -74,7 +74,7 @@ def collapse_projection(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
     h_sigma = (u * collapsed) @ u.conj().T
     h_sigma = (h_sigma + h_sigma.conj().T) / 2.0
     h_sigma.setflags(write=False)
-    tol = coincidence_tolerance(vals, rel_tol)
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
     return ProjectionResult(
         h_sigma=h_sigma,
         distance=frobenius_norm(h - h_sigma),
@@ -131,7 +131,7 @@ def project_with_index_set(h, indices, gauge=None):
     return g
 
 
-def orthogonality_check(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
+def orthogonality_check(h, k, offset=0):
     """Largest normalized overlap of H - H_Sigma with the tangent space of
     the degeneracy manifold at H_Sigma.
 
@@ -142,7 +142,7 @@ def orthogonality_check(h, k, offset=0, rel_tol=DEGENERACY_RTOL):
     """
     h = np.asarray(h)
     n = h.shape[0]
-    pr = collapse_projection(h, k, offset=offset, rel_tol=rel_tol)
+    pr = collapse_projection(h, k, offset=offset)
     if not pr.unique:
         raise DegenerateBoundary(
             "window is not strictly separated; tangent space is ambiguous"

@@ -61,6 +61,10 @@ ZERO_FLOOR_RTOL = 1e-12
 #: Accepted deviation of a fitted log-log slope from the nearest integer.
 SLOPE_TOL = 0.2
 
+#: Relative gap at or below which the cascade groups the extrapolated
+#: eigenvalues of one level into a cluster that stays degenerate.
+CLUSTER_RTOL = 1e-4
+
 
 def default_ladder(start=3, stop=16):
     """Geometric ladder t = 2^-start .. 2^-stop."""
@@ -81,7 +85,7 @@ class FamilyHandle:
         return np.asarray(self.evaluator(float(t)))
 
 
-def family(evaluator, k, offset=0, rel_tol=DEGENERACY_RTOL):
+def family(evaluator, k, offset=0):
     """Wrap an evaluator after checking that H(0) is degenerate on the window.
 
     The window eigenvalues of H(0) must coincide within the grouping
@@ -89,7 +93,7 @@ def family(evaluator, k, offset=0, rel_tol=DEGENERACY_RTOL):
     """
     h0 = np.asarray(evaluator(0.0))
     vals = eigh(h0).eigenvalues
-    tol = coincidence_tolerance(vals, rel_tol)
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
     width = window_width(vals, k, offset)
     if width > tol:
         raise ValueError(
@@ -407,7 +411,7 @@ def _negative_permutation(k, pair_levels):
     return perm
 
 
-def cascade(fam, t_probe=2.0 ** -6, depth_cap=8, cluster_rtol=1e-4):
+def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     """Resolve the window's eigenvalue branches level by level.
 
     The first-level family is the effective block of H(t) against the
@@ -432,7 +436,7 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8, cluster_rtol=1e-4):
         idx, g, level = queue.pop()
         g0 = _extrapolate_zero(g, t_probe)
         spec0 = eigh((g0 + g0.conj().T) / 2.0)
-        parts = classify_stratum(spec0, cluster_rtol).parts
+        parts = classify_stratum(spec0, CLUSTER_RTOL).parts
         clusters = [(stop - size, stop)
                     for size, stop in zip(parts, accumulate(parts))]
         for ci, (lo, hi) in enumerate(clusters):

@@ -14,13 +14,15 @@ the window of H0 onto the matching eigenspace of H, read off the principal
 angles between the two (Davis & Kahan 1970): with V the window eigenvectors
 of H, window rows V_w = X cos(Theta) Y^dagger and other rows V_c Y =
 Z sin(Theta), S[c, w] = -i Z Theta X^dagger, so ||S||_2 = max(Theta). One
-eigendecomposition of H and a k x k SVD give the whole decomposition.
+eigendecomposition of H and a k x k SVD give the whole decomposition, and
+the result keeps that e^{iS}.
 
 Uniqueness with ||S||_2 < pi/2 is guaranteed inside the operator-2-norm ball
 of radius r0 = half the spectral gap of H0; outside it the decomposition is
 still attempted whenever ||P - P0||_2 = max sin(Theta) < 1 for the window
-eigenprojectors P and P0, and the flags on the result tell the caller which
-regime they are in.
+eigenprojectors P and P0, so every result has ||S||_2 < pi/2 (the
+`decompose` report still derives its `s_norm_ok` key from that), and its
+`within_r0` flag tells the caller which regime it is in.
 
 The default window is the lowest k eigenvalues. An `offset` shifts the window
 upward (eigenvalues offset+1 .. offset+k in ascending order), which is how
@@ -33,7 +35,8 @@ an `Anchor`: the eigendecomposition of a matrix G near the degeneracy
 manifold, and its spectrum with the window collapsed to the window mean. By
 the distance theorem the collapsed matrix is the closest point of the
 manifold to G; in the eigenbasis of G (the anchor's gauge) it is diagonal,
-so each H is taken into that gauge and decomposed against the diagonal base.
+so each H is taken into that gauge and decomposed against the diagonal base,
+which the anchor validated once, when it was made.
 The general-base decomposition, the heff splitting samples, every level of
 the cascade and the effective maps of the Weyl analysis all work this way.
 """
@@ -69,7 +72,6 @@ __all__ = [
     "ChartCoordinates",
     "projector_lowest_k",
     "direct_rotation",
-    "unitary_exp",
     "sw_decompose",
     "sw_decompose_general",
     "chart_coordinates",
@@ -79,14 +81,6 @@ __all__ = [
 CANONICAL_RTOL = 1e-12
 
 
-def unitary_exp(s):
-    """e^{iS} for Hermitian S, through the eigendecomposition of S, so the
-    result is unitary to machine precision."""
-    s = np.asarray(s)
-    vals, vecs = np.linalg.eigh(s)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
-
-
 def _window_members(n, k, offset):
     check_window(n, k, offset)
     members = np.zeros(n, dtype=bool)
@@ -94,9 +88,9 @@ def _window_members(n, k, offset):
     return members
 
 
-def _check_window_gaps(vals, k, offset, rtol, exc):
+def _check_window_gaps(vals, k, offset, exc):
     """Require strict separation of the window from its neighbours."""
-    tol = coincidence_tolerance(vals, rtol)
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
     i = unseparated_edge(vals, k, offset, tol)
     if i is not None:
         raise exc(
@@ -104,14 +98,14 @@ def _check_window_gaps(vals, k, offset, rtol, exc):
         )
 
 
-def projector_lowest_k(spec, k, rel_tol=DEGENERACY_RTOL):
+def projector_lowest_k(spec, k):
     """Rank-k orthogonal projector onto the span of the lowest k eigenvectors.
 
     Requires lambda_k < lambda_{k+1} strictly (beyond the grouping
     tolerance); on the boundary the projector is not unique and
     DegenerateBoundary is raised.
     """
-    _check_window_gaps(spec.eigenvalues, k, 0, rel_tol, DegenerateBoundary)
+    _check_window_gaps(spec.eigenvalues, k, 0, DegenerateBoundary)
     v = spec.vectors[:, :k]
     p = v @ v.conj().T
     return (p + p.conj().T) / 2.0
@@ -141,13 +135,13 @@ def direct_rotation(p, p0):
     members = vals0 > 0.5
     if np.count_nonzero(members) != np.count_nonzero(vals > 0.5):
         raise _too_far(1.0)
-    _, e, _ = _window_rotation(frame.conj().T @ vecs[:, vals > 0.5], members)
+    _, e = _window_rotation(frame.conj().T @ vecs[:, vals > 0.5], members)
     return frame @ e @ frame.conj().T
 
 
 def _window_rotation(v, members):
-    """S, e^{iS} and the principal angles of the direct rotation from the
-    coordinate window `members` onto the span of the orthonormal columns v.
+    """S and e^{iS} of the direct rotation from the coordinate window
+    `members` onto the span of the orthonormal columns v.
 
     With v_w = X cos(Theta) Y^dagger and v_c Y = Z sin(Theta), the rotation
     sends the window columns to v U^dagger (U = X Y^dagger, the polar factor
@@ -171,18 +165,20 @@ def _window_rotation(v, members):
     e[:, members] = v @ u.conj().T
     e[np.ix_(members, ~members)] = -u @ v_c.conj().T
     e[comp] = np.eye(n - len(cos)) - (z_sin / (1.0 + cos)) @ z_sin.conj().T
-    return s, e, theta
+    return s, e
 
 
 @dataclass(frozen=True)
 class SWDecomposition:
     """The tuple (S, B, T = c on the window, H_eff) of the exact block
-    decomposition, plus validity flags and residuals.
+    decomposition, plus the rotation, a validity flag and the residual.
 
-    All matrix parts live in the frame the input was given in. For a
-    non-diagonal base point, `gauge` holds the unitary whose columns
-    diagonalize the base with ascending eigenvalues, and `h0` is the base
-    point with its window collapsed exactly.
+    All matrix parts live in the frame the input was given in, except `e`,
+    the e^{iS} the principal angles gave, kept in the eigenbasis of the base
+    and read by `rotation` and `reconstruct`. For a non-diagonal base point,
+    `gauge` holds the unitary whose columns diagonalize the base with
+    ascending eigenvalues, and `h0` is the base point with its window
+    collapsed exactly.
     """
 
     k: int
@@ -192,9 +188,9 @@ class SWDecomposition:
     b: np.ndarray
     c: float
     h_eff: np.ndarray
+    e: np.ndarray
     residual: float
     within_r0: bool
-    s_norm_ok: bool
     gauge: np.ndarray | None = None
 
     @property
@@ -216,8 +212,10 @@ class SWDecomposition:
         return self.h0 + self.b + self.t_matrix() + self.h_eff
 
     def rotation(self):
-        """e^{iS}."""
-        return unitary_exp(self.s)
+        """e^{iS} in the input frame (unitary, so not re-symmetrized)."""
+        if self.gauge is None:
+            return self.e
+        return self.gauge @ self.e @ self.gauge.conj().T
 
     def reconstruct(self):
         """e^{iS} (H0 + B + T + H_eff) e^{-iS}."""
@@ -237,14 +235,13 @@ class SWDecomposition:
         return operator_2_norm(self.s)
 
 
-def _validate_canonical_base(h0, k, offset, rel_tol):
-    h0 = np.asarray(h0)
+def _validate_canonical_base(h0, k, offset):
     n = h0.shape[0]
     check_window(n, k, offset)
     if k == n:
         raise BasePointNotCanonical("window covers the whole spectrum")
     scale = max(1.0, float(np.max(np.abs(h0))))
-    diag = np.diag(h0).real.copy()
+    diag = np.diag(h0).real
     if np.max(np.abs(h0 - np.diag(diag))) > CANONICAL_RTOL * scale:
         raise BasePointNotCanonical("base point must be diagonal")
     if np.any(np.diff(diag) < -CANONICAL_RTOL * scale):
@@ -253,8 +250,7 @@ def _validate_canonical_base(h0, k, offset, rel_tol):
         raise BasePointNotCanonical(
             "base window eigenvalues must be exactly degenerate"
         )
-    _check_window_gaps(diag, k, offset, rel_tol, BasePointNotCanonical)
-    return diag
+    _check_window_gaps(diag, k, offset, BasePointNotCanonical)
 
 
 def _window_half_gap(diag, k, offset):
@@ -266,32 +262,16 @@ def _window_half_gap(diag, k, offset):
     return min(gaps) / 2.0 if gaps else np.inf
 
 
-def sw_decompose(h, h0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
-    """Decompose H relative to a diagonal degenerate base point H0.
-
-    The window is the k eigenvalues starting after `offset` in ascending
-    order (offset 0: ground-state window). H must have that window strictly
-    separated; H0 must be diagonal, ascending, exactly degenerate on the
-    window. Raises DegenerateBoundary, SubspacesTooFar, or
-    BasePointNotCanonical accordingly.
-
-    The result's flags report the theory's regimes: `within_r0` marks
-    ||H - H0||_2 < r0 where the decomposition with ||S||_2 < pi/2 is provably
-    unique, `s_norm_ok` marks ||S||_2 < pi/2 itself. Outside the ball the
-    decomposition is still returned whenever the direct rotation exists.
-    """
-    h = np.asarray(h)
-    h0 = np.asarray(h0)
-    if h.shape != h0.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {h0.shape}")
+def _decompose(h, h0, k, offset):
+    """The decomposition of H against a diagonal base H0 known to be
+    canonical."""
     n = h.shape[0]
-    diag0 = _validate_canonical_base(h0, k, offset, rel_tol)
+    diag0 = np.diag(h0).real
     members = _window_members(n, k, offset)
 
     spec = eigh(h)
-    _check_window_gaps(spec.eigenvalues, k, offset, rel_tol, DegenerateBoundary)
-    s, e, theta = _window_rotation(spec.vectors[:, offset : offset + k],
-                                   members)
+    _check_window_gaps(spec.eigenvalues, k, offset, DegenerateBoundary)
+    s, e = _window_rotation(spec.vectors[:, offset : offset + k], members)
     bd = conjugate(h, e.conj().T)
 
     win_block = bd[np.ix_(members, members)]
@@ -315,15 +295,37 @@ def sw_decompose(h, h0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
         b=b,
         c=c,
         h_eff=h_eff,
+        e=e,
         residual=residual,
         within_r0=bool(
             operator_2_norm(h - h0) < _window_half_gap(diag0, k, offset)
         ),
-        s_norm_ok=bool(np.max(theta) < np.pi / 2.0),
     )
 
 
-def sw_decompose_general(h, g0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
+def sw_decompose(h, h0, k, *, offset=0):
+    """Decompose H relative to a diagonal degenerate base point H0.
+
+    The window is the k eigenvalues starting after `offset` in ascending
+    order (offset 0: ground-state window). H must have that window strictly
+    separated; H0 must be diagonal, ascending, exactly degenerate on the
+    window, and is checked for that on every call. Raises
+    DegenerateBoundary, SubspacesTooFar, or BasePointNotCanonical
+    accordingly.
+
+    `within_r0` marks ||H - H0||_2 < r0, where the decomposition with
+    ||S||_2 < pi/2 is provably unique. Outside the ball it is still returned
+    whenever the direct rotation exists, and ||S||_2 < pi/2 holds there too.
+    """
+    h = np.asarray(h)
+    h0 = np.asarray(h0)
+    if h.shape != h0.shape:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {h0.shape}")
+    _validate_canonical_base(h0, k, offset)
+    return _decompose(h, h0, k, offset)
+
+
+def sw_decompose_general(h, g0, k, *, offset=0):
     """Decompose H relative to an arbitrary (non-diagonal) degenerate base.
 
     The base is diagonalized with ascending eigenvalues, the window is
@@ -340,12 +342,12 @@ def sw_decompose_general(h, g0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
         raise ValueError(f"dimension mismatch: {h.shape} vs {g0.shape}")
     anchor = Anchor.at(g0, k, offset)
     vals0 = anchor.spectrum.eigenvalues
-    if window_width(vals0, k, offset) > coincidence_tolerance(vals0, rel_tol):
+    if window_width(vals0, k, offset) > coincidence_tolerance(
+            vals0, DEGENERACY_RTOL):
         raise BasePointNotCanonical(
             "base point's window is not degenerate within tolerance"
         )
-    _check_window_gaps(vals0, k, offset, rel_tol, BasePointNotCanonical)
-    dec = anchor.decompose(h, rel_tol=rel_tol)
+    dec = anchor.decompose(h)
 
     def back(m):
         return conjugate(m, anchor.gauge)
@@ -358,9 +360,9 @@ def sw_decompose_general(h, g0, k, *, offset=0, rel_tol=DEGENERACY_RTOL):
         b=back(dec.b),
         c=dec.c,
         h_eff=back(dec.h_eff),
+        e=dec.e,
         residual=dec.residual,
         within_r0=dec.within_r0,
-        s_norm_ok=dec.s_norm_ok,
         gauge=anchor.gauge,
     )
 
@@ -373,7 +375,9 @@ class Anchor:
 
     `base` is the closest point of the manifold to G written in the gauge
     (the eigenbasis of G), so a matrix H taken into that gauge decomposes
-    against a diagonal base point.
+    against a diagonal base point. That base is canonical by construction
+    once its window gaps are checked, which happens once, when the anchor is
+    made; `decompose` does not check it again.
     """
 
     spectrum: Spectrum
@@ -388,9 +392,11 @@ class Anchor:
 
     @classmethod
     def from_spectrum(cls, spectrum, k, offset=0):
-        """The anchor at a matrix whose spectrum is already known."""
+        """The anchor at a matrix whose spectrum is already known; raises
+        BasePointNotCanonical unless the collapsed window is separated."""
         vals = spectrum.eigenvalues.copy()
         vals[offset : offset + k] = window_spread(vals, k, offset)[0]
+        _check_window_gaps(vals, k, offset, BasePointNotCanonical)
         return cls(spectrum, np.diag(vals).astype(complex), k, offset)
 
     @property
@@ -408,11 +414,12 @@ class Anchor:
         block = self.local(h)[w, w]
         return block - (np.trace(block).real / self.k) * np.eye(self.k)
 
-    def decompose(self, h, rel_tol=DEGENERACY_RTOL):
+    def decompose(self, h):
         """The decomposition of h, in the anchor's eigenbasis, against the
         collapsed base."""
-        return sw_decompose(self.local(h), self.base, self.k,
-                            offset=self.offset, rel_tol=rel_tol)
+        if self.k == self.spectrum.n:
+            raise BasePointNotCanonical("window covers the whole spectrum")
+        return _decompose(self.local(h), self.base, self.k, self.offset)
 
     def heff_block(self, h):
         """The effective Hamiltonian of h as a dense traceless k x k block;

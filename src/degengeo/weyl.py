@@ -121,13 +121,12 @@ def jacobian(h, p, step=None):
     return _central_difference(h, p, step)
 
 
-def jacobian_with_check(h, p, step=None):
+def jacobian_with_check(h, p):
     """Jacobian plus a step-halving (Richardson) noise estimate: the largest
-    relative entry change when the step is halved. Values above 1e-5 flag a
-    noisy derivative."""
+    relative entry change when the default step is halved. Values above 1e-5
+    flag a noisy derivative."""
     p = np.asarray(p, dtype=float)
-    if step is None:
-        step = default_step(p)
+    step = default_step(p)
     j1 = jacobian(h, p, step)
     j2 = jacobian(h, p, step / 2.0)
     scale = max(float(np.max(np.abs(j1))), 1e-300)
@@ -157,7 +156,7 @@ class WeylReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify_point(fam, p0, point_tol=None, step=None, use_first_order=False):
+def classify_point(fam, p0, point_tol=None, use_first_order=False):
     """Classify a parameter point as `weyl`, `non-generic-degeneracy`, or
     `no-degeneracy`.
 
@@ -169,13 +168,14 @@ def classify_point(fam, p0, point_tol=None, step=None, use_first_order=False):
     the degenerate verdict stays `non-generic-degeneracy` (no Weyl
     semantics). `use_first_order` classifies through the first-order map."""
     p0 = np.asarray(p0, dtype=float)
-    h_of_p = fam(p0)
-    pr = collapse_projection(h_of_p, fam.k, offset=fam.offset)
+    pr = collapse_projection(fam(p0), fam.k, offset=fam.offset)
     if point_tol is None:
         point_tol = 1e-8 * pr.spectrum.operator_2_norm()
-    maker = first_order_effective_map if use_first_order else effective_map
-    h = maker(fam, p0)
-    jac, noise = jacobian_with_check(h, p0, step)
+    # The map is anchored at H(p0), through the projection's spectrum.
+    anchor = Anchor.from_spectrum(pr.spectrum, fam.k, fam.offset)
+    block = anchor.window_block if use_first_order else anchor.heff_block
+    h = lambda p: traceless_coordinates(block(fam(p)))  # noqa: E731
+    jac, noise = jacobian_with_check(h, p0)
     rank = _rank(jac)
     diagnostics = {"jacobian_noise": noise, "h_norm": float(
         np.linalg.norm(h(p0)))}
@@ -265,8 +265,7 @@ def _local_minima(values):
     return [tuple(map(int, idx)) for idx in np.argwhere(best)]
 
 
-def scan_grid(fam, box, resolution, refine=True, seed_threshold=None,
-              point_tol=None):
+def scan_grid(fam, box, resolution, seed_threshold=None, point_tol=None):
     """Locate and classify degeneracy points of a 3-parameter family.
 
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
@@ -296,9 +295,6 @@ def scan_grid(fam, box, resolution, refine=True, seed_threshold=None,
     skipped = []
     margin = 1e-9 + DEDUP_TOL
     for seed in seeds:
-        if not refine:
-            roots.append((seed, 0))
-            continue
         try:
             root, anchors = _newton_refine(fam, seed)
         except NewtonDiverged as exc:

@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from degengeo import swtransform
 from degengeo.errors import (
     BasePointNotCanonical,
     DegenerateBoundary,
@@ -28,13 +29,21 @@ from degengeo.models import example_pr, example_pr_reference
 from degengeo.projection import collapse_projection
 from degengeo.spectra import eigh, half_gap
 from degengeo.swtransform import (
+    Anchor,
     chart_coordinates,
     direct_rotation,
     projector_lowest_k,
     sw_decompose,
     sw_decompose_general,
-    unitary_exp,
 )
+
+
+def exp_i(s):
+    """Reference e^{iS} for Hermitian S, through the eigendecomposition of
+    S, so the result is unitary to machine precision."""
+    s = np.asarray(s)
+    vals, vecs = np.linalg.eigh(s)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
 def random_base(n, k, rng, gap=1.0):
@@ -117,8 +126,8 @@ def test_direct_rotation_subspaces_too_far():
 
 
 def test_direct_rotation_is_the_decomposition_rotation():
-    # The rotation of a decomposition, e^{iS} through the eigendecomposition
-    # of S, is the direct rotation from P0 to the P it produces, and so is
+    # The rotation of a decomposition, the e^{iS} its principal angles gave,
+    # is the direct rotation from P0 to the P it produces, and so is
     # Kato's (P P0 + (I - P)(I - P0)) (I - (P - P0)^2)^{-1/2}; offset window
     # with k > n - k.
     h0 = np.diag([-1.0, 0.5, 0.5, 0.5, 2.0]).astype(complex)
@@ -147,13 +156,6 @@ def test_direct_rotation_unitary_near_right_angle():
     w = direct_rotation(p, p0)
     assert np.max(np.abs(w @ w.conj().T - np.eye(4))) <= 1e-14
     assert np.max(np.abs(conjugate(p0, w) - p)) <= 1e-14
-
-
-def test_unitary_exp_is_unitary():
-    rng = np.random.default_rng(3)
-    s = random_hermitian(5, rng)
-    e = unitary_exp(s)
-    assert frobenius_norm(e @ e.conj().T - np.eye(5)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_round_trip_and_structure():
         h0 = random_base(n, k, rng)
         h = perturbed(h0, k, rng, fraction=0.8)
         dec = sw_decompose(h, h0, k)
-        assert dec.within_r0 and dec.s_norm_ok
+        assert dec.within_r0 and dec.s_2norm() < np.pi / 2
         assert dec.residual <= 1e-9 * max(1.0, frobenius_norm(h))
         # structural exactness
         assert abs(np.trace(dec.h_eff)) <= 1e-11 * max(
@@ -318,7 +320,7 @@ def test_closed_form_properties_at_50_digits(theta, n, k, offset):
     assert np.all(dec.s[np.ix_(members, members)] == 0.0)
     assert np.all(dec.s[np.ix_(~members, ~members)] == 0.0)
     assert dec.within_r0 == (operator_2_norm(h - h0) < 1.0)
-    assert dec.s_norm_ok
+    assert dec.s_2norm() < np.pi / 2
 
     with mp.workdps(50):
         e = mp.expm(1j * mp.matrix(dec.s))
@@ -355,7 +357,7 @@ def test_refusal_threshold_near_right_angle(short, refused):
             sw_decompose(h, h0, 2)
     else:
         dec = sw_decompose(h, h0, 2)
-        assert dec.s_norm_ok
+        assert dec.s_2norm() < np.pi / 2
         assert dec.s_2norm() == pytest.approx(np.pi / 2 - short, abs=1e-12)
 
 
@@ -369,6 +371,45 @@ def test_one_factorization_per_decomposition(linalg_calls):
     sw_decompose(h, h0, 3)
     assert sorted(linalg_calls) == [("eigh", (9, 9)), ("eigvalsh", (9, 9)),
                                     ("svd", (3, 3))]
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_rotation_is_the_exponential_of_s(general):
+    # The rotation a decomposition keeps is exp(iS) of its own S, for
+    # diagonal and general bases and random windows, up to angles near the
+    # pi/2 cut.
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    for case in range(45):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(1, n))
+        offset = int(rng.integers(0, n - k + 1))
+        top = (0.3, 1.5, np.pi / 2 - 1e-5)[case % 3]
+        angles = rng.uniform(0.0, top, size=min(k, n - k))
+        angles[0] = top
+        h, h0 = rotated_pair(n, k, offset, angles, seed=case)
+        if general:
+            u = random_unitary(n, rng)
+            dec = sw_decompose_general(conjugate(h, u), conjugate(h0, u), k,
+                                       offset=offset)
+        else:
+            dec = sw_decompose(h, h0, k, offset=offset)
+        worst = max(worst, np.max(np.abs(dec.rotation() - exp_i(dec.s))))
+    assert worst <= 1e-13
+
+
+def test_reconstruct_runs_no_eigendecomposition(linalg_calls):
+    rng = np.random.default_rng(19)
+    h0 = random_base(6, 2, rng)
+    h = perturbed(h0, 2, rng)
+    u = random_unitary(6, rng)
+    decs = (sw_decompose(h, h0, 2),
+            sw_decompose_general(conjugate(h, u), conjugate(h0, u), 2))
+    linalg_calls.clear()
+    rebuilt = [dec.reconstruct() for dec in decs]
+    assert linalg_calls == []
+    assert frobenius_norm(rebuilt[0] - h) <= 1e-9
+    assert frobenius_norm(rebuilt[1] - conjugate(h, u)) <= 1e-9
 
 
 def test_package_imports_without_scipy():
@@ -427,7 +468,7 @@ def test_heff_spectrum_base_point_independent():
     # A second base point with a different eigenbasis, still close enough:
     # rotate a slightly different diagonal base by a small unitary.
     s_small = random_hermitian(5, rng) * 0.02
-    u = unitary_exp(s_small)
+    u = exp_i(s_small)
     g0 = conjugate(random_base(5, 2, rng, gap=1.2), u)
     dec2 = sw_decompose_general(h, g0, 2)
     np.testing.assert_allclose(
@@ -453,6 +494,64 @@ def test_gauge_freedom_of_degenerate_block():
         np.linalg.eigvalsh(dec2.heff_block()),
         atol=1e-10,
     )
+
+
+# ---------------------------------------------------------------------------
+# anchors
+# ---------------------------------------------------------------------------
+
+
+def test_anchor_refuses_unseparated_window_when_made():
+    with pytest.raises(BasePointNotCanonical,
+                       match="eigenvalues 1 and 2 coincide"):
+        Anchor.at(np.diag([0.0, 0.0, 1.0]).astype(complex), 1)
+    with pytest.raises(BasePointNotCanonical,
+                       match="eigenvalues 2 and 3 coincide"):
+        Anchor.at(np.diag([-1.0, 0.0, 0.0, 1.0]).astype(complex), 1, 2)
+    # The check is on the collapsed base: the mean 0.5 of the window
+    # (0, 1) is separated from the 1 above it.
+    anchor = Anchor.at(np.diag([0.0, 1.0, 1.0]).astype(complex), 2)
+    np.testing.assert_array_equal(np.diag(anchor.base).real, [0.5, 0.5, 1.0])
+
+
+def test_anchor_decompositions_skip_base_validation(monkeypatch):
+    calls = []
+    real = swtransform._validate_canonical_base
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(swtransform, "_validate_canonical_base", counted)
+    rng = np.random.default_rng(20)
+    h0 = random_base(5, 2, rng)
+    u = random_unitary(5, rng)
+    h = perturbed(h0, 2, rng)
+    anchor = Anchor.at(conjugate(h0, u), 2)
+    anchor.decompose(conjugate(h, u))
+    anchor.heff_block(conjugate(h, u))
+    sw_decompose_general(conjugate(h, u), conjugate(h0, u), 2)
+    assert calls == []
+    sw_decompose(h, h0, 2)
+    assert len(calls) == 1
+
+
+def test_whole_spectrum_anchor():
+    # The cascade anchors a level whose eigenvalues all cluster together
+    # with k = n: its effective block is the traceless part of h, and there
+    # is nothing to decompose.
+    rng = np.random.default_rng(21)
+    anchor = Anchor.at(random_hermitian(3, rng), 3)
+    h = random_hermitian(3, rng)
+    local = anchor.local(h)
+    np.testing.assert_allclose(
+        anchor.heff_block(h),
+        local - np.trace(local).real / 3.0 * np.eye(3),
+        atol=1e-15,
+    )
+    with pytest.raises(BasePointNotCanonical,
+                       match="window covers the whole spectrum"):
+        anchor.decompose(h)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +605,7 @@ def test_chart_zero_locus_on_manifold():
     h0 = random_base(5, 2, rng)
     # move along the manifold: conjugate a degenerate matrix near H0
     s = random_hermitian(5, rng) * 0.05
-    g = conjugate(h0 + 0.1 * np.diag([0, 0, 1.0, 2.0, 0.5]), unitary_exp(s))
+    g = conjugate(h0 + 0.1 * np.diag([0, 0, 1.0, 2.0, 0.5]), exp_i(s))
     dec = sw_decompose(g, h0, 2)
     cc = chart_coordinates(dec)
     assert np.linalg.norm(cc.y) <= 1e-10

@@ -148,6 +148,25 @@ def test_classify_first_order_matches_exact():
         assert exact.charge == first.charge
 
 
+def test_classify_point_takes_h_at_p0_once(linalg_calls):
+    # The projection's eigendecomposition of H(p0) also anchors the map, so
+    # each 3 x 3 eigh and family evaluation is one of: the projection, the
+    # 12 points of the two Jacobians, and h(p0).
+    evals = []
+
+    def evaluator(p):
+        evals.append(p)
+        return weyl_example(*p)
+
+    fam = param_family(evaluator, 3)
+    evals.clear()
+    linalg_calls.clear()
+    classify_point(fam, ORIGIN)
+    eighs = [shape for name, shape in linalg_calls if name == "eigh"]
+    assert eighs == [(3, 3)] * 14
+    assert len(evals) == 14
+
+
 @pytest.mark.parametrize("error", [SubspacesTooFar, TypeError])
 def test_newton_backtracks_on_decomposition_errors_only(monkeypatch, error):
     # Like the exact effective map, this map is defined only near its
