@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 import time
 
@@ -39,7 +38,8 @@ from .models import (
 )
 from .projection import collapse_projection
 from .spectra import window_distance
-from .splitting import default_ladder, estimate_all_orders, family
+from .splitting import (default_ladder, estimate_all_orders, family,
+                        linear_family)
 from .swtransform import Anchor, sw_decompose, sw_decompose_general
 from .weyl import param_family, scan_grid
 
@@ -54,13 +54,14 @@ def _emit(report, as_json):
     sys.stdout.write(report.to_json() if as_json else report.to_text())
 
 
-def _matrix_or_fail(path):
+def _read_or_fail(path, read=read_matrix, kind="matrix"):
+    """read(path), with unreadable and malformed files as parse errors."""
     try:
-        return read_matrix(path)
+        return read(path)
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise _CliError(EXIT_PARSE, f"bad matrix file {path}: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise _CliError(EXIT_PARSE, f"bad {kind} file {path}: {exc}") from exc
 
 
 class _CliError(Exception):
@@ -75,12 +76,12 @@ class _CliError(Exception):
 
 
 def _cmd_decompose(args):
-    h = _matrix_or_fail(args.matrix)
+    h = _read_or_fail(args.matrix)
     if args.base == "auto":
         base = collapse_projection(h, args.k, offset=args.offset).h_sigma
         dec = sw_decompose_general(h, base, args.k, offset=args.offset)
     else:
-        base = _matrix_or_fail(args.base)
+        base = _read_or_fail(args.base)
         offdiag = np.max(np.abs(base - np.diag(np.diag(base))))
         if offdiag <= 1e-12 * max(1.0, float(np.max(np.abs(base)))):
             dec = sw_decompose(h, base, args.k, offset=args.offset)
@@ -111,7 +112,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_project(args):
-    h = _matrix_or_fail(args.matrix)
+    h = _read_or_fail(args.matrix)
     pr = collapse_projection(h, args.k, offset=args.offset)
     report = RunReport(
         command="project",
@@ -129,7 +130,7 @@ def _cmd_project(args):
 
 
 def _cmd_distance(args):
-    h = _matrix_or_fail(args.matrix)
+    h = _read_or_fail(args.matrix)
     pr = collapse_projection(h, args.k, offset=args.offset)
     outputs = {
         "distance": window_distance(pr.spectrum.eigenvalues, args.k,
@@ -161,35 +162,32 @@ def _cmd_distance(args):
 
 
 def _order_family(args):
-    rng = np.random.default_rng(args.seed)
     if args.family == "file":
         if not args.ladder_file:
             raise _CliError(EXIT_PARSE, "--ladder-file is required with "
                                         "'order file'")
-        k, offset, ts, mats, base = read_ladder(args.ladder_file)
-        table = dict(zip(ts, mats))
+        k, offset, ts, mats, base = _read_or_fail(args.ladder_file,
+                                                  read_ladder, "ladder")
+        table = {0.0: base, **dict(zip(ts, mats))}
 
         def evaluator(t):
-            if t == 0.0:
-                return base
-            if t in table:
-                return table[t]
-            raise KeyError(f"t={t} is not on the declared ladder")
+            if t not in table:
+                raise KeyError(f"t={t} is not on the declared ladder")
+            return table[t]
 
         fam = family(evaluator, k, offset=offset)
         ladder = np.sort([t for t in ts if t > 0.0])
         if len(ladder) < 4:
-            raise _CliError(
-                EXIT_PRECONDITION, "ladder file needs at least 4 positive ts"
-            )
+            raise _CliError(EXIT_PRECONDITION,
+                            "ladder file needs at least 4 positive ts")
         return fam, ladder, {"ladder_file": args.ladder_file}
-    ladder = default_ladder(args.ladder_start, args.ladder_stop)
+    rng = np.random.default_rng(args.seed)
+    offset = 0
     if args.family == "ising":
         h0 = ising(args.qubits)
         xs = rng.standard_normal(args.qubits)
         ys = rng.standard_normal(args.qubits)
         direction = transverse_perturbation(args.qubits, xs, ys)
-        fam = family(lambda t: h0 + t * direction, 2)
         meta = {"model": "ising", "qubits": args.qubits}
     elif args.family == "ssh":
         h0 = ssh(args.cells, args.v, args.w)
@@ -197,17 +195,14 @@ def _order_family(args):
                 + 1j * rng.standard_normal(2 * args.cells - 1))
         direction = ssh_hopping_disorder(args.cells, amps)
         offset = args.cells - 1 if args.window == "middle" else 0
-        fam = family(lambda t: h0 + t * direction, 2, offset=offset)
         meta = {"model": "ssh", "cells": args.cells, "v": args.v,
                 "w": args.w, "window": args.window}
-    elif args.family == "five-qubit":
+    else:
         h0 = five_qubit_code()
         direction = one_local(5, rng.standard_normal(15))
-        fam = family(lambda t: h0 + t * direction, 2)
         meta = {"model": "five-qubit"}
-    else:
-        raise _CliError(EXIT_PARSE, f"unknown family {args.family!r}")
-    return fam, ladder, meta
+    fam = linear_family(h0, direction, 2, offset=offset)
+    return fam, default_ladder(args.ladder_start, args.ladder_stop), meta
 
 
 def _cmd_order(args):
@@ -249,7 +244,11 @@ def _load_plugin(spec):
     if module_spec is None or module_spec.loader is None:
         raise _CliError(EXIT_PARSE, f"cannot load plugin module {path}")
     module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
+    try:
+        module_spec.loader.exec_module(module)
+    except OSError as exc:
+        raise _CliError(EXIT_PARSE, f"cannot load plugin module {path}: "
+                                    f"{exc}") from exc
     try:
         return getattr(module, attr)
     except AttributeError as exc:
@@ -322,10 +321,8 @@ def _cmd_model(args):
                         args.p, args.q, args.r, args.s, args.w3)
     elif name == "example-pr":
         h = example_pr(args.p, args.r)
-    elif name == "weyl-example":
+    else:  # "weyl-example"
         h = weyl_example(args.x, args.y, args.z)
-    else:
-        raise _CliError(EXIT_PARSE, f"unknown model {name!r}")
     text = matrix_text(h)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -3,9 +3,10 @@
 A matrix document is JSON text with two fields: "n" (the dimension) and
 "entries", the row-major list of n^2 [re, im] pairs of JSON numbers.
 Writers emit 17 significant digits, which round-trips IEEE doubles
-exactly. A ladder file bundles a window (k, offset), the sample parameters
-"ts", one matrix document per sample under "matrices", and the start matrix
-H(0) under "base".
+exactly. A ladder file is a JSON object that bundles a window (k, offset;
+JSON integers), the sample parameters "ts" (finite JSON numbers), one
+matrix document per sample under "matrices", and the start matrix H(0)
+under "base".
 
 Run reports are written in exactly the layout of
 `json.dumps(plain, indent=2)`, where `plain` is the report with every
@@ -18,6 +19,7 @@ an indent is set.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -108,12 +110,22 @@ def read_ladder(path):
     """Read a family ladder file; returns (k, offset, ts, matrices, base)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("ladder file must hold a JSON object")
     for key in ("k", "ts", "matrices", "base"):
         if key not in doc:
             raise ValueError(f"ladder file is missing field {key!r}")
-    k = int(doc["k"])
-    offset = int(doc.get("offset", 0))
-    ts = [float(t) for t in doc["ts"]]
+    k, offset = doc["k"], doc.get("offset", 0)
+    for key, value in (("k", k), ("offset", offset)):
+        if type(value) is not int:
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    ts = doc["ts"]
+    if not (isinstance(ts, list) and set(map(type, ts)) <= _NUMBER_TYPES
+            and all(abs(t) <= sys.float_info.max for t in ts)):
+        raise ValueError("'ts' must be a list of finite numbers")
+    if not isinstance(doc["matrices"], list):
+        raise ValueError("'matrices' must be a list of matrix documents")
+    ts = [float(t) for t in ts]
     if len(ts) != len(doc["matrices"]):
         raise ValueError("'ts' and 'matrices' must have equal length")
     if any(t == 0.0 for t in ts):

@@ -10,14 +10,15 @@ which also equals the order of the distance from the degeneracy manifold and
 of the effective-Hamiltonian norm. The estimators here recover that integer
 from log-log slopes; the cascade recovers it per eigenvalue pair together
 with the index permutation that makes the eigenvalue branches analytic
-through t = 0.
+through t = 0. A ladder's eigenvalues come from one stacked eigvalsh, and
+a cascade level is held as its values at the four probe points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from typing import Callable
 
 import numpy as np
@@ -130,6 +131,15 @@ class SplittingSample:
     note: str | None = None
 
 
+def _stacked_ladder(fam, ts):
+    """The family's matrices at ts, stacked, and their eigenvalues from one
+    eigvalsh over the stack."""
+    hs = np.empty((0, fam.n, fam.n))
+    if len(ts):
+        hs = np.stack([fam(t) for t in ts])
+    return hs, np.linalg.eigvalsh(hs)
+
+
 def splitting_samples(fam, ts, with_heff=True):
     """Evaluate all splitting measures of the family on the given nonzero,
     sorted parameter values."""
@@ -141,16 +151,11 @@ def splitting_samples(fam, ts, with_heff=True):
     a, k = fam.offset, fam.k
     anchor = Anchor.at(fam(0.0), k, a) if with_heff else None
     out = []
-    for t in ts:
-        h = fam(t)
-        vals = np.linalg.eigvalsh(h)
+    for t, h, vals in zip(ts, *_stacked_ladder(fam, ts)):
         win = vals[a : a + k]
         _, mean_dev, std = window_spread(vals, k, a)
-        pairwise = {
-            (i + 1, j + 1): float(win[i] - win[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        }
+        pairwise = {(i + 1, j + 1): float(win[i] - win[j])
+                    for i, j in combinations(range(k), 2)}
         heff_norm = None
         note = None
         if with_heff:
@@ -276,9 +281,7 @@ def estimate_order(fam, method="stddev", ladder=None, samples=None,
     if method == "pairwise":
         series = {
             f"pairwise{key}": [s.pairwise[key] for s in samples]
-            for key in (
-                (i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)
-            )
+            for key in combinations(range(1, k + 1), 2)
         }
     elif method == "neighbor":
         series = {
@@ -330,12 +333,11 @@ def estimate_all_orders(fam, ladder=None):
 def signed_stddev(fam, r, ts):
     """sgn(t)^r times the standard deviation of the window eigenvalues: the
     analytic extension of the splitting function through t = 0."""
-    out = []
-    for t in np.asarray(ts, dtype=float):
-        vals = np.linalg.eigvalsh(fam(t))
-        _, _, std = window_spread(vals, fam.k, fam.offset)
-        out.append(float(np.sign(t)) ** r * std)
-    return np.array(out)
+    ts = np.asarray(ts, dtype=float)
+    return np.array([
+        float(np.sign(t)) ** r * window_spread(vals, fam.k, fam.offset)[2]
+        for t, vals in zip(ts, _stacked_ladder(fam, ts)[1])
+    ])
 
 
 def signed_stddev_fit_residual(fam, r, ts, degree=None):
@@ -378,17 +380,12 @@ class CascadeResult:
     notes: tuple = field(default_factory=tuple)
 
 
-def _extrapolate_zero(f, t):
-    """Even-part Richardson extrapolation of f to 0, O(t^4) accurate."""
-    a1 = (f(t) + f(-t)) / 2.0
-    a2 = (f(t / 2.0) + f(-t / 2.0)) / 2.0
+def _extrapolate_zero(g):
+    """Even-part Richardson extrapolation to 0, O(t^4) accurate, from the
+    samples g at t, -t, t/2 and -t/2, in that order."""
+    a1 = (g[0] + g[1]) / 2.0
+    a2 = (g[2] + g[3]) / 2.0
     return (4.0 * a2 - a1) / 3.0
-
-
-def _scaled_heff(anchor, g):
-    """The next level's family: the effective block of g(t) against the
-    anchor, divided by t."""
-    return lambda t: anchor.heff_block(g(t)) / t
 
 
 def _negative_permutation(k, pair_levels):
@@ -424,40 +421,40 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     unless branches coincide beyond the depth cap. The negative-side
     permutation follows from the parities of the levels.
 
+    A level is held as its values at the probe points t_probe, -t_probe,
+    t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
+    level is made from them: each probe matrix is decomposed once per level.
+
     t_probe must be small enough that the decompositions along the cascade
     stay valid; errors from invalid probes propagate.
     """
     k = fam.k
-    level_one = _scaled_heff(Anchor.at(fam(0.0), k, fam.offset), fam)
+    ts = (t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0)
+    start = Anchor.at(fam(0.0), k, fam.offset)
+    queue = [(tuple(range(1, k + 1)), [fam(t) for t in ts], start, 1)]
     pair_levels = {}
     capped = []
-    queue = [(tuple(range(1, k + 1)), level_one, 1)]
     while queue:
-        idx, g, level = queue.pop()
-        g0 = _extrapolate_zero(g, t_probe)
+        idx, above, anchor, level = queue.pop()
+        g = [anchor.heff_block(h) / t for h, t in zip(above, ts)]
+        g0 = _extrapolate_zero(g)
         spec0 = eigh((g0 + g0.conj().T) / 2.0)
         parts = classify_stratum(spec0, CLUSTER_RTOL).parts
         clusters = [(stop - size, stop)
                     for size, stop in zip(parts, accumulate(parts))]
         for ci, (lo, hi) in enumerate(clusters):
             for lo2, hi2 in clusters[ci + 1 :]:
-                for p in range(lo, hi):
-                    for q in range(lo2, hi2):
-                        i, j = sorted((idx[p], idx[q]))
-                        pair_levels[(i, j)] = level
+                for pair in product(idx[lo:hi], idx[lo2:hi2]):
+                    pair_levels[tuple(sorted(pair))] = level
         for lo, hi in clusters:
             if hi - lo < 2:
                 continue
             sub_idx = idx[lo:hi]
             if level >= depth_cap:
-                capped.extend(
-                    (sub_idx[p], sub_idx[q])
-                    for p in range(hi - lo)
-                    for q in range(p + 1, hi - lo)
-                )
+                capped.extend(combinations(sub_idx, 2))
                 continue
-            anchor = Anchor.from_spectrum(spec0, hi - lo, lo)
-            queue.append((sub_idx, _scaled_heff(anchor, g), level + 1))
+            sub = Anchor.from_spectrum(spec0, hi - lo, lo)
+            queue.append((sub_idx, g, sub, level + 1))
     notes = []
     if capped:
         notes.append(

@@ -22,6 +22,8 @@ from degengeo.models import example_pr
 from degengeo.projection import collapse_projection, distance_to_sigma
 from degengeo.swtransform import sw_decompose_general
 
+from test_swtransform import exp_i
+
 
 def test_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(0)
@@ -223,6 +225,50 @@ def test_cli_order_ladder_file(tmp_path, capsys):
     assert out["outputs"]["order"] == 2
 
 
+def _ladder_doc():
+    ts = [2.0 ** -e for e in range(3, 11)]
+    return {
+        "k": 2,
+        "offset": 0,
+        "ts": ts,
+        "matrices": [json.loads(matrix_text(example_pr(t, 0.0))) for t in ts],
+        "base": json.loads(matrix_text(example_pr(0.0, 0.0))),
+    }
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"),
+    ("{broken", "bad ladder file"),
+    ("5", "must hold a JSON object"),
+    ("[1, 2]", "must hold a JSON object"),
+    ({"ts": 5}, "'ts' must be a list of finite numbers"),
+    ({"ts": ["0.125"] * 8}, "'ts' must be a list of finite numbers"),
+    ({"ts": [True] * 8}, "'ts' must be a list of finite numbers"),
+    ('{"k": 2, "ts": [NaN], "matrices": [], "base": 0}', "finite numbers"),
+    ('{"k": 2, "ts": [Infinity], "matrices": [], "base": 0}',
+     "finite numbers"),
+    ('{"k": 2, "ts": [1%s], "matrices": [], "base": 0}' % ("0" * 400),
+     "finite numbers"),
+    ({"k": 2.7}, "'k' must be an integer"),
+    ({"k": "2"}, "'k' must be an integer"),
+    ({"offset": 0.9}, "'offset' must be an integer"),
+    ({"matrices": {}}, "'matrices' must be a list"),
+    ({"matrices": [{"n": 3}] * 8}, "bad ladder file"),
+])
+def test_cli_ladder_file_input_errors_exit2(tmp_path, capsys, text, message):
+    # Ladder files go through the same checks as matrix files: unreadable
+    # or malformed ones are parse errors, and no field is coerced.
+    path = tmp_path / "ladder.json"
+    if isinstance(text, dict):
+        text = json.dumps({**_ladder_doc(), **text})
+    if text is not None:
+        path.write_text(text)
+    code = main(["order", "file", "--ladder-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_order_inconclusive_exit5(tmp_path, capsys):
     # |t|^2.5 splitting cannot round to an integer slope
     ts = [2.0 ** -e for e in range(3, 11)]
@@ -243,6 +289,117 @@ def test_cli_order_inconclusive_exit5(tmp_path, capsys):
     code = main(["order", "file", "--ladder-file", str(path)])
     capsys.readouterr()
     assert code == 5
+
+
+def _report_matrix(doc, key):
+    return np.array(doc["outputs"][key]) @ np.array([1.0, 1j])
+
+
+def test_cli_decompose_default_auto_base(tmp_path, capsys):
+    # Without --base the input is decomposed against its own collapse: S
+    # vanishes, ||H_eff|| = sqrt(k) std of the window eigenvalues, and the
+    # parts rebuild H around the collapsed matrix.
+    n, k, offset = 7, 3, 2
+    h = random_hermitian(n, np.random.default_rng(21))
+    mfile = _write(tmp_path, "h.json", h)
+    code = main(["decompose", mfile, "--k", str(k), "--offset", str(offset),
+                 "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inputs"]["base"] == "auto"
+    vals, vecs = np.linalg.eigh(h)
+    win = vals[offset : offset + k]
+    collapsed = vals.copy()
+    collapsed[offset : offset + k] = win.mean()
+    h_sigma = (vecs * collapsed) @ vecs.conj().T
+    s, b, h_eff = (_report_matrix(doc, key) for key in ("S", "B", "H_eff"))
+    p0 = vecs[:, offset : offset + k] @ vecs[:, offset : offset + k].conj().T
+    c = doc["outputs"]["c"]
+    tol = 1e-12 * np.linalg.norm(h)
+    assert np.linalg.norm(s) <= tol
+    assert np.linalg.norm(h_eff) == pytest.approx(
+        np.sqrt(k) * np.std(win), rel=1e-12)
+    rebuilt = exp_i(s) @ (h_sigma + b + c * p0 + h_eff) @ exp_i(-s)
+    assert np.linalg.norm(rebuilt - h) <= tol
+
+
+def test_cli_decompose_rotated_base(tmp_path, capsys):
+    # A non-diagonal base U D U^dagger: the parts rebuild H, and the window
+    # eigenvalues of H are the base level plus c plus those of H_eff.
+    rng = np.random.default_rng(22)
+    n, k, offset = 6, 2, 1
+    d = np.diag([-1.0, 0.0, 0.0, 1.0, 2.0, 3.0]).astype(complex)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    base = hermitian(q @ d @ q.conj().T)
+    h = hermitian(base + 0.05 * random_hermitian(n, rng))
+    mfile = _write(tmp_path, "h.json", h)
+    bfile = _write(tmp_path, "g.json", base)
+    code = main(["decompose", mfile, "--base", bfile, "--k", str(k),
+                 "--offset", str(offset), "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    s, b, h_eff = (_report_matrix(doc, key) for key in ("S", "B", "H_eff"))
+    c = doc["outputs"]["c"]
+    p0 = q[:, offset : offset + k] @ q[:, offset : offset + k].conj().T
+    rebuilt = exp_i(s) @ (q @ d @ q.conj().T + b + c * p0 + h_eff) \
+        @ exp_i(-s)
+    assert np.linalg.norm(rebuilt - h) <= 1e-12 * np.linalg.norm(h)
+    block = _report_matrix(doc, "H_eff_window_block")
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(block) + c,
+        np.linalg.eigvalsh(h)[offset : offset + k], rtol=0.0, atol=1e-12)
+    assert doc["diagnostics"]["within_r0"] is True
+
+
+_PLUGIN = """
+import numpy as np
+
+
+def weyl(p):
+    x, y, z = p
+    return np.array([[z, x - 1j * y, 0.0], [x + 1j * y, -z, 0.0],
+                     [0.0, 0.0, 1.0]])
+
+
+def mirrored(p):
+    x, y, z = p
+    return weyl((x, y, -z))
+"""
+
+
+@pytest.mark.parametrize("function, mirror", [("weyl", (1, 1, 1)),
+                                               ("mirrored", (1, 1, -1))])
+def test_cli_weyl_scan_plugin(tmp_path, capsys, function, mirror):
+    # The plugin's window block is x sigma_x + y sigma_y + z sigma_z on the
+    # mirrored axes, so the charge at the origin is the sign of det(mirror).
+    plugin = tmp_path / "plugin.py"
+    plugin.write_text(_PLUGIN)
+    code = main(["weyl-scan", "--model", f"plugin:{plugin}:{function}",
+                 "--box", "0.5", "--res", "9", "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outputs"]["count"] == 1
+    point = doc["outputs"]["points"][0]
+    assert point["classification"] == "weyl"
+    assert point["charge"] == round(np.linalg.det(np.diag(mirror)))
+    assert np.abs(np.array(point["p"], dtype=float)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("model, message", [
+    ("plugin:{dir}/plugin.py", "plugin must be given as path.py:function"),
+    ("plugin:{dir}/plugin.txt:weyl", "cannot load plugin module"),
+    ("plugin:{dir}/absent.py:weyl", "cannot load plugin module"),
+    ("plugin:{dir}/plugin.py:absent", "has no absent"),
+    ("weyl-sample", "unknown model 'weyl-sample'"),
+])
+def test_cli_weyl_scan_model_errors_exit2(tmp_path, capsys, model, message):
+    (tmp_path / "plugin.py").write_text(_PLUGIN)
+    (tmp_path / "plugin.txt").write_text(_PLUGIN)
+    code = main(["weyl-scan", "--model", model.format(dir=tmp_path),
+                 "--box", "0.5", "--res", "5"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_weyl_scan_finds_point(capsys):
@@ -389,3 +546,44 @@ def test_report_text_matrix_cells(matrix):
     ]
     report = RunReport("decompose", outputs={"S": matrix})
     assert report.to_text() == "\n".join(expected) + "\n"
+
+
+def test_report_text_scalars_lists_and_nested_dicts():
+    # Every non-matrix line of a text report: floats and numpy floats to 12
+    # significant digits, complex as re+imi, booleans lower-case, other
+    # scalars by str, lists, tuples and vectors on one line, dicts nested.
+    x, z = 1.0 / 3.0, complex(0.25, -1e-20)
+    report = RunReport(
+        "order",
+        inputs={"seed": 7, "name": "ising", "none": None},
+        outputs={
+            "ratio": x,
+            "np_ratio": np.float64(2.0 / 3.0),
+            "z": z,
+            "flag": True,
+            "ladder": [0.5, 0.25, "inf"],
+            "pair": (1, 2),
+            "vector": np.array([x, 2.0]),
+            "estimates": {"stddev": {"r": 3, "ok": False}, "extreme": 1e-300},
+        },
+    )
+    assert report.to_text().splitlines() == [
+        "command: order",
+        "inputs:",
+        "  seed: 7",
+        "  name: ising",
+        "  none: None",
+        "outputs:",
+        "  ratio: 0.333333333333",
+        "  np_ratio: 0.666666666667",
+        "  z: 0.25-1e-20i",
+        "  flag: true",
+        "  ladder: [0.5, 0.25, inf]",
+        "  pair: [1, 2]",
+        "  vector: [0.333333333333, 2]",
+        "  estimates:",
+        "    stddev:",
+        "      r: 3",
+        "      ok: false",
+        "    extreme: 1e-300",
+    ]

@@ -1,5 +1,7 @@
 """Splitting functions, order estimation, signed splitting, and the cascade."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,18 @@ from degengeo.errors import DegenError, InconclusiveFit
 from degengeo.hermitian import frobenius_norm, random_hermitian, random_unitary
 from degengeo.models import (
     example_pr,
+    five_qubit_code,
     ising,
+    one_local,
     ssh,
     ssh_hopping_disorder,
     transverse_perturbation,
 )
+from degengeo.spectra import classify_stratum, eigh, window_spread
 from degengeo.splitting import (
+    CLUSTER_RTOL,
     FIVE_METHODS,
+    CascadeResult,
     _negative_permutation,
     cascade,
     default_ladder,
@@ -25,6 +32,7 @@ from degengeo.splitting import (
     signed_stddev_fit_residual,
     splitting_samples,
 )
+from degengeo.swtransform import Anchor
 
 from test_swtransform import random_base
 
@@ -346,3 +354,200 @@ def test_cascade_depth_cap():
     assert res.capped == ((1, 2),)
     # capped pairs count as not crossing
     assert res.negative_permutation == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The cascade's levels as probe samples, against the closure tower
+# ---------------------------------------------------------------------------
+
+
+def closure_tower_cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
+    """Reference cascade in which each level is the function
+    t -> anchor.heff_block(g(t)) / t over the level above, so every probe of
+    a level re-evaluates all the levels above it."""
+
+    def extrapolate_zero(f, t):
+        a1 = (f(t) + f(-t)) / 2.0
+        a2 = (f(t / 2.0) + f(-t / 2.0)) / 2.0
+        return (4.0 * a2 - a1) / 3.0
+
+    def scaled_heff(anchor, g):
+        return lambda t: anchor.heff_block(g(t)) / t
+
+    k = fam.k
+    level_one = scaled_heff(Anchor.at(fam(0.0), k, fam.offset), fam)
+    pair_levels = {}
+    capped = []
+    queue = [(tuple(range(1, k + 1)), level_one, 1)]
+    while queue:
+        idx, g, level = queue.pop()
+        g0 = extrapolate_zero(g, t_probe)
+        spec0 = eigh((g0 + g0.conj().T) / 2.0)
+        parts = classify_stratum(spec0, CLUSTER_RTOL).parts
+        clusters = [(stop - size, stop)
+                    for size, stop in zip(parts, accumulate(parts))]
+        for ci, (lo, hi) in enumerate(clusters):
+            for lo2, hi2 in clusters[ci + 1 :]:
+                for p in range(lo, hi):
+                    for q in range(lo2, hi2):
+                        i, j = sorted((idx[p], idx[q]))
+                        pair_levels[(i, j)] = level
+        for lo, hi in clusters:
+            if hi - lo < 2:
+                continue
+            sub_idx = idx[lo:hi]
+            if level >= depth_cap:
+                capped.extend(
+                    (sub_idx[p], sub_idx[q])
+                    for p in range(hi - lo)
+                    for q in range(p + 1, hi - lo)
+                )
+                continue
+            anchor = Anchor.from_spectrum(spec0, hi - lo, lo)
+            queue.append((sub_idx, scaled_heff(anchor, g), level + 1))
+    notes = []
+    if capped:
+        notes.append(
+            f"{len(capped)} pair(s) still degenerate at depth {depth_cap}"
+        )
+    return CascadeResult(
+        pair_levels=pair_levels,
+        negative_permutation=_negative_permutation(k, pair_levels),
+        capped=tuple(sorted(capped)),
+        depth_cap=depth_cap,
+        notes=tuple(notes),
+    )
+
+
+def model_family(model, size, seed, evaluations=None):
+    """The seeded family t -> H0 + t V of `degengeo order` for the model;
+    appends each evaluated t to `evaluations` when one is given."""
+    rng = np.random.default_rng(seed)
+    offset = 0
+    if model == "ising":
+        h0 = ising(size)
+        h1 = transverse_perturbation(size, rng.standard_normal(size),
+                                     rng.standard_normal(size))
+    elif model == "ssh":
+        h0 = ssh(size, 0.0, 1.0)
+        h1 = ssh_hopping_disorder(size, rng.standard_normal(2 * size - 1)
+                                  + 1j * rng.standard_normal(2 * size - 1))
+        offset = size - 1
+    else:
+        h0 = five_qubit_code()
+        h1 = one_local(5, rng.standard_normal(15))
+
+    def evaluator(t):
+        if evaluations is not None:
+            evaluations.append(t)
+        return h0 + t * h1
+
+    return family(evaluator, 2, offset=offset)
+
+
+def mixed_order_family():
+    v = random_unitary(5, np.random.default_rng(9))
+
+    def evaluator(t):
+        lam = np.array([t, -t, 2.0 * t ** 2, 2.0, 3.0 + t])
+        return (v * lam) @ v.conj().T
+
+    return family(evaluator, 3)
+
+
+def assert_same_cascade(res, ref):
+    assert res.pair_levels == ref.pair_levels
+    assert list(res.pair_levels) == list(ref.pair_levels)
+    assert res.negative_permutation == ref.negative_permutation
+    assert res.capped == ref.capped
+    assert res.notes == ref.notes
+
+
+@pytest.mark.parametrize("model, size", [("ising", 3), ("ising", 4),
+                                         ("ising", 5), ("ssh", 3),
+                                         ("ssh", 4), ("ssh", 5),
+                                         ("five-qubit", 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cascade_matches_closure_tower(model, size, seed):
+    fam = model_family(model, size, seed)
+    assert_same_cascade(cascade(fam), closure_tower_cascade(fam))
+
+
+@pytest.mark.parametrize("make, kwargs", [
+    (mixed_order_family, {}),
+    (lambda: family(lambda t: np.diag([0.0, 0.0, 1.0]).astype(complex), 2),
+     {"depth_cap": 3}),
+    (lambda: family(lambda t: example_pr(t, 0.0), 2), {"t_probe": 2.0 ** -5}),
+])
+def test_cascade_matches_closure_tower_special_families(make, kwargs):
+    fam = make()
+    assert_same_cascade(cascade(fam, **kwargs),
+                        closure_tower_cascade(fam, **kwargs))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
+    # The pair of ising(r) splits at order r: r levels of four probes each,
+    # and H(t) at t = 0 and the four probes only.
+    evaluations = []
+    fam = model_family("ising", order, 0, evaluations)
+    calls = []
+    real = Anchor.heff_block
+
+    def counted(self, h):
+        calls.append(h.shape)
+        return real(self, h)
+
+    monkeypatch.setattr(Anchor, "heff_block", counted)
+    evaluations.clear()
+    res = cascade(fam)
+    assert res.pair_levels == {(1, 2): order}
+    assert len(calls) == 4 * order
+    assert len(evaluations) == 5
+    t = 2.0 ** -6
+    assert sorted(evaluations) == sorted([0.0, t, -t, t / 2.0, -t / 2.0])
+
+
+@pytest.mark.parametrize("with_heff", [False, True])
+def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
+    fam = model_family("ssh", 4, 1)
+    ts = np.sort(default_ladder(3, 12))
+    linalg_calls.clear()
+    samples = splitting_samples(fam, ts, with_heff=with_heff)
+    stacked = [call for call in linalg_calls if len(call[1]) == 3]
+    assert stacked == [("eigvalsh", (len(ts), fam.n, fam.n))]
+    if not with_heff:
+        assert linalg_calls == stacked
+    for s, t in zip(samples, ts):
+        vals = np.linalg.eigvalsh(fam(t))
+        _, mean_dev, std = window_spread(vals, fam.k, fam.offset)
+        win = vals[fam.offset : fam.offset + fam.k]
+        assert s.t == t
+        assert s.std_dev == std
+        assert np.array_equal(s.mean_dev, mean_dev)
+        assert s.pairwise == {(1, 2): float(win[0] - win[1])}
+        if with_heff:
+            dec = Anchor.at(fam(0.0), fam.k, fam.offset).decompose(fam(t))
+            assert s.heff_norm == frobenius_norm(dec.h_eff)
+
+
+def test_signed_stddev_takes_one_stacked_eigvalsh(linalg_calls):
+    fam = model_family("ising", 3, 2)
+    ts = np.linspace(-0.15, 0.15, 30)
+    linalg_calls.clear()
+    vals = signed_stddev(fam, 3, ts)
+    assert linalg_calls == [("eigvalsh", (len(ts), fam.n, fam.n))]
+    reference = [
+        float(np.sign(t)) ** 3
+        * window_spread(np.linalg.eigvalsh(fam(t)), fam.k, fam.offset)[2]
+        for t in ts
+    ]
+    assert vals.tolist() == reference
+
+
+def test_empty_ladders():
+    fam = sz_block_family()
+    assert splitting_samples(fam, []) == []
+    assert splitting_samples(fam, [], with_heff=False) == []
+    empty = signed_stddev(fam, 1, [])
+    assert empty.shape == (0,) and empty.dtype == np.float64

@@ -1,0 +1,27 @@
+"""The byte-identity digest tool."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cli_digests_runs_every_call_and_repeats():
+    # Two runs on this checkout print the same lines: a SHA-256 of stdout,
+    # the exit code and the argv of each call. The list holds parse,
+    # precondition and inconclusive-fit failures next to the successes.
+    runs = [
+        subprocess.run([sys.executable, str(ROOT / "tools" / "cli_digests.py")],
+                       capture_output=True, text=True, check=True,
+                       cwd=ROOT).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    assert len(lines) > 100
+    line = re.compile(r"[0-9a-f]{64} (\d) (decompose|distance|project|order"
+                      r"|weyl-scan|model) .* \| .*")
+    codes = [int(line.fullmatch(text).group(1)) for text in lines]
+    assert sorted(set(codes)) == [0, 2, 3, 5]
