@@ -4,7 +4,10 @@ Subcommands: decompose, project, distance, order, weyl-scan, model. Reports
 go to stdout, line-oriented by default or as versioned JSON with --json;
 wall time goes to stderr so that reports stay byte-identical for identical
 inputs and seed. Exit codes: 0 success, 2 parse error, 3 precondition
-violation, 4 numerical failure, 5 inconclusive order fit.
+violation, 4 numerical failure, 5 inconclusive order fit. `model` and `order`
+build models from one table: `order F --seed S` moves along the matrix that
+`model D --seed S` prints, where (F, D) is (ising, transverse), (ssh,
+ssh-disorder) or (five-qubit, one-local --qubits 5).
 """
 
 from __future__ import annotations
@@ -17,25 +20,18 @@ import time
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit, NewtonDiverged
-from .hermitian import frobenius_norm, operator_2_norm
+from .hermitian import frobenius_norm
 from .matrixio import (
     RunReport,
     format_float,
     matrix_text,
     read_ladder,
     read_matrix,
+    write_matrix,
 )
-from .models import (
-    example_3x3,
-    example_pr,
-    five_qubit_code,
-    ising,
-    one_local,
-    ssh,
-    ssh_hopping_disorder,
-    transverse_perturbation,
-    weyl_example,
-)
+from .models import (example_3x3, example_pr, five_qubit_code, ising,
+                     one_local, ssh, ssh_hopping_disorder,
+                     transverse_perturbation, weyl_example)
 from .projection import collapse_projection
 from .spectra import window_distance
 from .splitting import (default_ladder, estimate_all_orders, family,
@@ -161,6 +157,19 @@ def _cmd_distance(args):
 # ---------------------------------------------------------------------------
 
 
+#: `order` families: the H(0) and direction models, the flags the report
+#: echoes, the flags the family fixes, and the window (k, offset) of H(0).
+_ORDER_FAMILIES = {
+    "ising": ("ising", "transverse", ("qubits",), {}, lambda a: (2, 0)),
+    "ssh": ("ssh", "ssh-disorder", ("cells", "v", "w", "window"), {},
+            # ssh(N, 0, w): (N-1)-fold lowest level, twofold zero level above
+            lambda a: ((a.cells - 1, 0) if a.window == "ground"
+                       else (2, a.cells - 1))),
+    "five-qubit": ("five-qubit", "one-local", (), {"qubits": 5},
+                   lambda a: (2, 0)),
+}
+
+
 def _order_family(args):
     if args.family == "file":
         if not args.ladder_file:
@@ -181,27 +190,14 @@ def _order_family(args):
             raise _CliError(EXIT_PRECONDITION,
                             "ladder file needs at least 4 positive ts")
         return fam, ladder, {"ladder_file": args.ladder_file}
+    base, direction, echoed, fixed, window = _ORDER_FAMILIES[args.family]
+    flags = argparse.Namespace(**{**vars(args), **fixed})
     rng = np.random.default_rng(args.seed)
-    offset = 0
-    if args.family == "ising":
-        h0 = ising(args.qubits)
-        xs = rng.standard_normal(args.qubits)
-        ys = rng.standard_normal(args.qubits)
-        direction = transverse_perturbation(args.qubits, xs, ys)
-        meta = {"model": "ising", "qubits": args.qubits}
-    elif args.family == "ssh":
-        h0 = ssh(args.cells, args.v, args.w)
-        amps = (rng.standard_normal(2 * args.cells - 1)
-                + 1j * rng.standard_normal(2 * args.cells - 1))
-        direction = ssh_hopping_disorder(args.cells, amps)
-        offset = args.cells - 1 if args.window == "middle" else 0
-        meta = {"model": "ssh", "cells": args.cells, "v": args.v,
-                "w": args.w, "window": args.window}
-    else:
-        h0 = five_qubit_code()
-        direction = one_local(5, rng.standard_normal(15))
-        meta = {"model": "five-qubit"}
-    fam = linear_family(h0, direction, 2, offset=offset)
+    # H(0) is built first, so the direction takes the same draws as `model`.
+    h0, h1 = (_MODELS[name](flags, rng) for name in (base, direction))
+    k, offset = window(flags)
+    meta = {"model": args.family, **{f: getattr(args, f) for f in echoed}}
+    fam = linear_family(h0, h1, k, offset=offset)
     return fam, default_ladder(args.ladder_start, args.ladder_stop), meta
 
 
@@ -297,38 +293,33 @@ def _cmd_weyl_scan(args):
 # ---------------------------------------------------------------------------
 
 
+#: `model` names, in the order `model --help` lists them, and their
+#: builders: each takes the parsed flags and the generator seeded by --seed.
+_MODELS = {
+    "ssh": lambda a, rng: ssh(a.cells, a.v, a.w),
+    "ssh-disorder": lambda a, rng: ssh_hopping_disorder(
+        a.cells, rng.standard_normal(2 * a.cells - 1)
+        + 1j * rng.standard_normal(2 * a.cells - 1)),
+    "ising": lambda a, rng: ising(a.qubits),
+    "transverse": lambda a, rng: transverse_perturbation(
+        a.qubits, rng.standard_normal(a.qubits),
+        rng.standard_normal(a.qubits)),
+    "five-qubit": lambda a, rng: five_qubit_code(),
+    "one-local": lambda a, rng: one_local(a.qubits,
+                                          rng.standard_normal(3 * a.qubits)),
+    "example-3x3": lambda a, rng: example_3x3(a.v3, a.x, a.y, a.z, a.p, a.q,
+                                              a.r, a.s, a.w3),
+    "example-pr": lambda a, rng: example_pr(a.p, a.r),
+    "weyl-example": lambda a, rng: weyl_example(a.x, a.y, a.z),
+}
+
+
 def _cmd_model(args):
-    rng = np.random.default_rng(args.seed)
-    name = args.name
-    if name == "ssh":
-        h = ssh(args.cells, args.v, args.w)
-    elif name == "ssh-disorder":
-        amps = (rng.standard_normal(2 * args.cells - 1)
-                + 1j * rng.standard_normal(2 * args.cells - 1))
-        h = ssh_hopping_disorder(args.cells, amps)
-    elif name == "ising":
-        h = ising(args.qubits)
-    elif name == "transverse":
-        h = transverse_perturbation(args.qubits,
-                                    rng.standard_normal(args.qubits),
-                                    rng.standard_normal(args.qubits))
-    elif name == "five-qubit":
-        h = five_qubit_code()
-    elif name == "one-local":
-        h = one_local(args.qubits, rng.standard_normal(3 * args.qubits))
-    elif name == "example-3x3":
-        h = example_3x3(args.v3, args.x, args.y, args.z,
-                        args.p, args.q, args.r, args.s, args.w3)
-    elif name == "example-pr":
-        h = example_pr(args.p, args.r)
-    else:  # "weyl-example"
-        h = weyl_example(args.x, args.y, args.z)
-    text = matrix_text(h)
+    h = _MODELS[args.name](args, np.random.default_rng(args.seed))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_matrix(args.output, h)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(matrix_text(h))
     return EXIT_OK
 
 
@@ -369,9 +360,11 @@ def build_parser():
         _add_common(p)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("order", help="estimate the order of energy splitting "
-                                     "along a seeded model direction")
-    p.add_argument("family", choices=["ising", "ssh", "five-qubit", "file"])
+    p = sub.add_parser("order", help="estimate the splitting order of ising, "
+                                     "ssh or five-qubit along 'model "
+                                     "transverse', 'ssh-disorder' or "
+                                     "'one-local --qubits 5' (same --seed)")
+    p.add_argument("family", choices=[*_ORDER_FAMILIES, "file"])
     p.add_argument("--qubits", type=int, default=3)
     p.add_argument("--cells", type=int, default=4)
     p.add_argument("--v", type=float, default=0.0)
@@ -402,22 +395,14 @@ def build_parser():
 
     p = sub.add_parser("model", help="emit a model matrix in the "
                                      "interchange format")
-    p.add_argument("name", choices=["ssh", "ssh-disorder", "ising",
-                                    "transverse", "five-qubit", "one-local",
-                                    "example-3x3", "example-pr",
-                                    "weyl-example"])
+    p.add_argument("name", choices=list(_MODELS))
     p.add_argument("--cells", type=int, default=4)
     p.add_argument("--v", type=float, default=0.0)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--qubits", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--z", type=float, default=0.0)
+    for flag in ("--p", "--q", "--r", "--s", "--x", "--y", "--z"):
+        p.add_argument(flag, type=float, default=0.0)
     p.add_argument("--v3", type=float, default=0.0,
                    help="window shift of example-3x3")
     p.add_argument("--w3", type=float, default=0.0,

@@ -1,7 +1,9 @@
 """Constructors for the example Hamiltonians used as verification oracles:
 bipartite hopping chains (SSH), the transverse-field-perturbed Ising chain,
 the five-qubit stabilizer-code Hamiltonian, and small closed-form matrices
-with known exact decompositions and a Weyl point.
+with known exact decompositions and a Weyl point. The spin models (Ising,
+its transverse and one-local directions, the code) are Pauli sums, all
+built by one private helper.
 """
 
 from __future__ import annotations
@@ -74,6 +76,22 @@ def _check_qubits(n_qubits):
         )
 
 
+def _site_words(n_qubits, blocks):
+    """Pauli words with each block at each site where it fits, site by site:
+    _site_words(2, "XY") is XI, YI, IX, IY; _site_words(3, ["ZZ"]) ZZI, IZZ."""
+    return ["I" * i + b + "I" * (n_qubits - i - len(b))
+            for i in range(n_qubits) for b in blocks if i + len(b) <= n_qubits]
+
+
+def _pauli_sum(n_qubits, terms):
+    """sum_j c_j P_j over the (c_j, word_j) terms, added in order to zero."""
+    dim = 2 ** n_qubits
+    h = np.zeros((dim, dim), dtype=complex)
+    for c, word in terms:
+        h += c * pauli_matrix(word)
+    return _freeze(h)
+
+
 def ssh(n_cells, v, w):
     """Open hopping chain with alternating amplitudes on 2*n_cells sites:
     v inside each cell, w between cells. ssh(N, 0, 1) has a twofold zero
@@ -109,13 +127,8 @@ def ising(n_qubits):
     _check_qubits(n_qubits)
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
-    dim = 2 ** n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_qubits - 1):
-        letters = ["I"] * n_qubits
-        letters[i] = letters[i + 1] = "Z"
-        h -= pauli_matrix("".join(letters))
-    return _freeze(h)
+    return _pauli_sum(n_qubits,
+                      [(-1.0, w) for w in _site_words(n_qubits, ["ZZ"])])
 
 
 def transverse_perturbation(n_qubits, xs, ys):
@@ -125,15 +138,8 @@ def transverse_perturbation(n_qubits, xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.shape != (n_qubits,) or ys.shape != (n_qubits,):
         raise ValueError(f"need {n_qubits} x and y field values")
-    dim = 2 ** n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_qubits):
-        letters = ["I"] * n_qubits
-        letters[i] = "X"
-        h += xs[i] * pauli_matrix("".join(letters))
-        letters[i] = "Y"
-        h += ys[i] * pauli_matrix("".join(letters))
-    return _freeze(h)
+    return _pauli_sum(n_qubits, zip(np.column_stack([xs, ys]).ravel(),
+                                    _site_words(n_qubits, "XY")))
 
 
 _FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -142,10 +148,7 @@ _FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 def five_qubit_code():
     """Sum of the four stabilizer generators of the [[5,1,3]] code, a 32 x 32
     Hamiltonian whose lowest eigenvalue is twofold degenerate."""
-    h = np.zeros((32, 32), dtype=complex)
-    for letters in _FIVE_QUBIT_GENERATORS:
-        h += pauli_matrix(letters)
-    return _freeze(h)
+    return _pauli_sum(5, [(1.0, word) for word in _FIVE_QUBIT_GENERATORS])
 
 
 def one_local(n_qubits, coeffs):
@@ -155,14 +158,7 @@ def one_local(n_qubits, coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (3 * n_qubits,):
         raise ValueError(f"need {3 * n_qubits} coefficients")
-    dim = 2 ** n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_qubits):
-        for j, letter in enumerate("XYZ"):
-            letters = ["I"] * n_qubits
-            letters[i] = letter
-            h += coeffs[3 * i + j] * pauli_matrix("".join(letters))
-    return _freeze(h)
+    return _pauli_sum(n_qubits, zip(coeffs, _site_words(n_qubits, "XYZ")))
 
 
 def example_3x3(v, x, y, z, p, q, r, s, w=0.0):

@@ -89,9 +89,13 @@ class FamilyHandle:
 def family(evaluator, k, offset=0):
     """Wrap an evaluator after checking that H(0) is degenerate on the window.
 
-    The window eigenvalues of H(0) must coincide within the grouping
-    tolerance and be strictly separated from their neighbours.
+    The window must hold at least two levels, and the window eigenvalues of
+    H(0) must coincide within the grouping tolerance and be strictly
+    separated from their neighbours.
     """
+    if k < 2:
+        raise ValueError(f"a family needs a window of k >= 2 levels to "
+                         f"split, got k = {k}")
     h0 = np.asarray(evaluator(0.0))
     vals = eigh(h0).eigenvalues
     tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
@@ -142,12 +146,12 @@ def _stacked_ladder(fam, ts):
 
 def splitting_samples(fam, ts, with_heff=True):
     """Evaluate all splitting measures of the family on the given nonzero,
-    sorted parameter values."""
-    ts = np.asarray(ts, dtype=float)
+    distinct parameter values, in ascending order of t."""
+    ts = np.sort(np.asarray(ts, dtype=float))
     if np.any(ts == 0.0):
         raise ValueError("sample points must be nonzero")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("sample points must be strictly increasing")
+    if np.any(np.diff(ts) == 0.0):
+        raise ValueError("sample points must be distinct")
     a, k = fam.offset, fam.k
     anchor = Anchor.at(fam(0.0), k, a) if with_heff else None
     out = []
@@ -192,17 +196,18 @@ class OrderEstimate:
     method: str
 
 
-def _family_scale(fam, t1):
-    """max(1, ||H(0)||, ||H'(0)||), the reference scale for the zero floor.
-    Falls back to a one-sided difference for evaluators defined only on the
-    sampled side (tabulated families, which raise KeyError off their
-    ladder)."""
+def _zero_floor(fam, samples):
+    """ZERO_FLOOR_RTOL * max(1, ||H(0)||, ||H'(0)||), with H'(0) differenced
+    at the sample closest to 0: central, or one-sided for evaluators defined
+    only on the sampled side (tabulated families raise KeyError off their
+    ladder). Three evaluations; every measure of a sample set shares it."""
+    t1 = min(abs(s.t) for s in samples)
     h0 = fam(0.0)
     try:
         d = (fam(t1) - fam(-t1)) / (2.0 * t1)
     except KeyError:
         d = (fam(t1) - h0) / t1
-    return max(1.0, frobenius_norm(h0), frobenius_norm(d))
+    return ZERO_FLOOR_RTOL * max(1.0, frobenius_norm(h0), frobenius_norm(d))
 
 
 def _fit_order(ts, vals, floor, method):
@@ -255,11 +260,14 @@ def estimate_order(fam, method="stddev", ladder=None, samples=None,
     if ladder is None:
         ladder = default_ladder()
     if samples is None:
-        samples = splitting_samples(fam, np.sort(ladder),
-                                    with_heff=(method == "heff"))
+        samples = splitting_samples(fam, ladder, with_heff=(method == "heff"))
+    return _estimate(samples, _zero_floor(fam, samples), fam.k, method,
+                     pair, index)
+
+
+def _estimate(samples, floor, k, method, pair=None, index=None):
+    """estimate_order on precomputed samples and zero floor."""
     ts = [s.t for s in samples]
-    floor = ZERO_FLOOR_RTOL * _family_scale(fam, min(abs(t) for t in ts))
-    k = fam.k
 
     def single(vals, label):
         return _fit_order(ts, vals, floor, label)
@@ -321,11 +329,9 @@ def estimate_all_orders(fam, ladder=None):
     """All five splitting-measure orders, as a dict, plus their agreement."""
     if ladder is None:
         ladder = default_ladder()
-    samples = splitting_samples(fam, np.sort(ladder), with_heff=False)
-    estimates = {
-        m: estimate_order(fam, method=m, samples=samples)
-        for m in FIVE_METHODS
-    }
+    samples = splitting_samples(fam, ladder, with_heff=False)
+    floor = _zero_floor(fam, samples)
+    estimates = {m: _estimate(samples, floor, fam.k, m) for m in FIVE_METHODS}
     orders = {e.r for e in estimates.values()}
     return estimates, len(orders) == 1
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from degengeo.cli import main
+from degengeo.cli import _order_family, build_parser, main
 from degengeo.hermitian import hermitian, random_hermitian
 from degengeo.matrixio import (
     RunReport,
@@ -204,6 +204,64 @@ def test_cli_order_ssh_middle_window(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["outputs"]["order"] == 4
+
+
+@pytest.mark.parametrize("order_argv, base_argv, direction_argv", [
+    (["ising", "--qubits", "4"], ["ising", "--qubits", "4"],
+     ["transverse", "--qubits", "4"]),
+    (["ssh", "--cells", "5", "--w", "1.5"],
+     ["ssh", "--cells", "5", "--w", "1.5"], ["ssh-disorder", "--cells", "5"]),
+    (["ssh", "--cells", "4", "--window", "ground"], ["ssh", "--cells", "4"],
+     ["ssh-disorder", "--cells", "4"]),
+    (["five-qubit", "--qubits", "3"], ["five-qubit"],
+     ["one-local", "--qubits", "5"]),
+], ids=["ising", "ssh-middle", "ssh-ground", "five-qubit"])
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_cli_order_moves_along_the_model_direction(capsys, order_argv,
+                                                   base_argv, direction_argv,
+                                                   seed):
+    # `order F --seed S` perturbs H(0) = `model <base>` along exactly the
+    # matrix `model <direction> --seed S` prints.
+    mats = []
+    for argv in (base_argv, direction_argv):
+        assert main(["model", *argv, "--seed", seed]) == 0
+        mats.append(parse_matrix(capsys.readouterr().out))
+    h0, h1 = mats
+    args = build_parser().parse_args(["order", *order_argv, "--seed", seed])
+    fam, _, _ = _order_family(args)
+    for t in (0.0, 0.5, -0.25, 2.0 ** -10, -(2.0 ** -16)):
+        assert fam(t).tobytes() == (h0 + t * h1).tobytes()
+
+
+@pytest.mark.parametrize("cells", [4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_order_ssh_ground_window(capsys, cells, seed):
+    # The lowest level of ssh(N, 0, 1) is (N - 1)-fold; every measure
+    # splits it at first order.
+    code = main(["order", "ssh", "--cells", str(cells), "--window", "ground",
+                 "--seed", str(seed), "--json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outputs"]["agreement"] is True
+    assert doc["outputs"]["order"] == 1
+    assert doc["diagnostics"] == {"k": cells - 1, "offset": 0}
+
+
+def test_cli_order_single_level_window_exit3(tmp_path, capsys):
+    # Two cells leave ssh a simple lowest level, and a ladder file may
+    # declare k = 1: nothing to split, so no empty pairwise fit (exit 5).
+    code = main(["order", "ssh", "--cells", "2", "--window", "ground"])
+    assert code == 3
+    assert "k >= 2 levels to split, got k = 1" in capsys.readouterr().err
+    def level(t):  # a simple lowest level t^2
+        return json.loads(matrix_text(np.diag([t * t, 1.0, 2.0]) + 0j))
+
+    ts = [2.0 ** -e for e in range(3, 11)]
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({"k": 1, "ts": ts, "base": level(0.0),
+                                "matrices": [level(t) for t in ts]}))
+    assert main(["order", "file", "--ladder-file", str(path)]) == 3
+    assert "got k = 1" in capsys.readouterr().err
 
 
 def test_cli_order_ladder_file(tmp_path, capsys):

@@ -169,3 +169,59 @@ def test_weyl_example_first_order_block():
     h = weyl_example(x, y, z)
     block = np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
     np.testing.assert_allclose(h[:2, :2], block, atol=1e-15)
+
+
+# Today's site loops, kept as references for the one Pauli-sum builder.
+
+
+def _word(n, sites):
+    letters = ["I"] * n
+    for i, letter in sites:
+        letters[i] = letter
+    return "".join(letters)
+
+
+def _ising_loop(n):
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i in range(n - 1):
+        h -= pauli_matrix(_word(n, [(i, "Z"), (i + 1, "Z")]))
+    return h
+
+
+def _transverse_loop(n, xs, ys):
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i in range(n):
+        h += xs[i] * pauli_matrix(_word(n, [(i, "X")]))
+        h += ys[i] * pauli_matrix(_word(n, [(i, "Y")]))
+    return h
+
+
+def _one_local_loop(n, coeffs):
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i in range(n):
+        for j, letter in enumerate("XYZ"):
+            h += coeffs[3 * i + j] * pauli_matrix(_word(n, [(i, letter)]))
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pauli_sums_match_site_loops_bitwise(n):
+    # Same bytes, signed zeros included; the coefficients include +-0 and
+    # the seeded draws.
+    rng = np.random.default_rng(100 + n)
+    assert ising(n).tobytes() == _ising_loop(n).tobytes()
+    for _ in range(3):
+        xs, ys = rng.standard_normal(n), rng.standard_normal(n)
+        coeffs = rng.standard_normal(3 * n)
+        xs[0], ys[-1], coeffs[1], coeffs[-1] = -0.0, 0.0, -0.0, 0.0
+        assert (transverse_perturbation(n, xs, ys).tobytes()
+                == _transverse_loop(n, xs, ys).tobytes())
+        assert (one_local(n, coeffs).tobytes()
+                == _one_local_loop(n, coeffs).tobytes())
+
+
+def test_five_qubit_code_matches_generator_loop_bitwise():
+    h = np.zeros((32, 32), dtype=complex)
+    for letters in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
+        h += pauli_matrix(letters)
+    assert five_qubit_code().tobytes() == h.tobytes()

@@ -70,6 +70,13 @@ def test_family_rejects_nondegenerate_start():
                       np.eye(3, dtype=complex), 2)
 
 
+def test_family_rejects_a_single_level_window():
+    # One level cannot split: every pairwise measure would be empty.
+    h0 = np.diag([0.0, 0.5, 1.0]).astype(complex)
+    with pytest.raises(ValueError, match="k >= 2 levels"):
+        linear_family(h0, np.eye(3, dtype=complex), 1)
+
+
 def test_samples_linear_family_explicit():
     fam = sz_block_family()
     ts = np.array([0.01, 0.1, 0.25])
@@ -97,12 +104,28 @@ def test_degenerate_start_has_zero_splitting():
     assert vals[1] - vals[0] <= 1e-14
 
 
-def test_samples_reject_zero_and_unsorted():
+def test_samples_reject_zero_and_repeated():
     fam = sz_block_family()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         splitting_samples(fam, np.array([0.0, 0.1]))
-    with pytest.raises(ValueError):
-        splitting_samples(fam, np.array([0.2, 0.1]))
+    with pytest.raises(ValueError, match="distinct"):
+        splitting_samples(fam, np.array([0.2, 0.1, 0.2]))
+
+
+def test_samples_sort_a_descending_ladder():
+    # default_ladder() runs from 2^-3 down to 2^-16; the samples come back
+    # in ascending t, field by field as for the sorted ladder.
+    fam = sz_block_family()
+    ladder = default_ladder()
+    for with_heff in (False, True):
+        got = splitting_samples(fam, ladder, with_heff=with_heff)
+        want = splitting_samples(fam, np.sort(ladder), with_heff=with_heff)
+        assert [s.t for s in got] == sorted(ladder.tolist())
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.t, a.std_dev, a.pairwise, a.heff_norm, a.note) == (
+                b.t, b.std_dev, b.pairwise, b.heff_norm, b.note)
+            assert a.mean_dev.tobytes() == b.mean_dev.tobytes()
 
 
 def test_heff_samples_note_decomposition_errors_only():
@@ -551,3 +574,28 @@ def test_empty_ladders():
     assert splitting_samples(fam, [], with_heff=False) == []
     empty = signed_stddev(fam, 1, [])
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+@pytest.mark.parametrize("ladder", [default_ladder(), default_ladder(3, 8),
+                                    [0.5, 0.25, 0.125, 2.0 ** -6]])
+def test_all_orders_evaluate_the_family_ladder_plus_three_times(ladder):
+    # L samples, then H(0), H(t1) and H(-t1) once for the zero floor that
+    # all five measures share.
+    evaluations = []
+    fam = model_family("ising", 3, 0, evaluations)
+    evaluations.clear()
+    estimates, agree = estimate_all_orders(fam, ladder)
+    assert agree and estimates["stddev"].r == 3
+    assert len(evaluations) == len(ladder) + 3
+    assert sorted(evaluations[-3:]) == [-min(ladder), 0.0, min(ladder)]
+
+
+def test_all_orders_share_one_floor_with_estimate_order():
+    # The shared floor is the one estimate_order takes per measure.
+    fam = model_family("ssh", 4, 1)
+    ladder = default_ladder()
+    samples = splitting_samples(fam, ladder, with_heff=False)
+    estimates, _ = estimate_all_orders(fam, ladder)
+    for method in FIVE_METHODS:
+        alone = estimate_order(fam, method=method, samples=samples)
+        assert repr(alone) == repr(estimates[method])

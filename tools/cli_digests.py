@@ -4,8 +4,10 @@
 
 Imports `degengeo` from CHECKOUT/src (default: the checkout this file is
 in), writes seeded input files to a temporary directory, and runs each CLI
-call in-process from there. One line per call: the SHA-256 of stdout, the
-exit code, the argv, and the first stderr line that is not the wall time.
+call in-process from there: every subcommand's --help, every model, and the
+analysis commands on seeded inputs. One line per call: the SHA-256 of
+stdout, the exit code, the argv, and the first stderr line that is not the
+wall time.
 Two checkouts give the same CLI bytes on these calls when
 
     diff <(python3 tools/cli_digests.py OLD) <(python3 tools/cli_digests.py NEW)
@@ -28,6 +30,8 @@ from pathlib import Path
 # the work is split between threads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# argparse wraps --help text at the terminal width; pin it.
+os.environ["COLUMNS"] = "80"
 
 import numpy as np  # noqa: E402
 
@@ -97,7 +101,9 @@ def _write_inputs(rng):
 
 
 def _calls(cases):
-    calls = []
+    calls = [[command, "--help"] for command in
+             ("decompose", "project", "distance", "order", "weyl-scan",
+              "model")]
     for mfile, base, ubase, k, offset in cases:
         window = ["--k", str(k), "--offset", str(offset)]
         for fmt in ([], ["--json"]):
@@ -116,7 +122,8 @@ def _calls(cases):
                    seed, "--json"]
                   for c in ("3", "4") for w in ("ground", "middle")]
         calls.append(["order", "five-qubit", "--seed", seed, "--json"])
-    calls += [["order", "ising", "--qubits", "3", "--seed", "5"],
+    calls += [["order", "ssh", "--cells", "5", "--window", "ground", "--json"],
+              ["order", "ising", "--qubits", "3", "--seed", "5"],
               ["order", "file", "--ladder-file", "ladder.json"],
               ["order", "file", "--ladder-file", "ladder.json", "--json"],
               ["order", "ising", "--qubits", "6", "--seed", "0"]]
@@ -125,7 +132,8 @@ def _calls(cases):
                   ["weyl-scan", "--box", "0.3", "--center", "0.1", "-0.05",
                    "0.02", "--res", res, "--json"]]
     calls.append(["weyl-scan", "--box", "0.5", "--res", "11"])
-    calls += [["model", "ising", "--qubits", "3"],
+    calls += [["model", "ssh", "--cells", "3", "--v", "0.25", "--w", "1.5"],
+              ["model", "ising", "--qubits", "3"],
               ["model", "transverse", "--qubits", "3", "--seed", "4"],
               ["model", "ssh-disorder", "--cells", "3", "--seed", "4"],
               ["model", "one-local", "--qubits", "2", "--seed", "4"],
@@ -140,7 +148,10 @@ def _calls(cases):
 def _run(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse after --help
+            code = exc.code
     lines = [line for line in err.getvalue().splitlines()
              if not line.startswith("wall time:")]
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
