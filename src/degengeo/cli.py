@@ -185,10 +185,7 @@ def _order_family(args):
             return table[t]
 
         fam = family(evaluator, k, offset=offset)
-        ladder = np.sort([t for t in ts if t > 0.0])
-        if len(ladder) < 4:
-            raise _CliError(EXIT_PRECONDITION,
-                            "ladder file needs at least 4 positive ts")
+        ladder = [t for t in ts if t > 0.0]
         return fam, ladder, {"ladder_file": args.ladder_file}
     base, direction, echoed, fixed, window = _ORDER_FAMILIES[args.family]
     flags = argparse.Namespace(**{**vars(args), **fixed})
@@ -204,6 +201,9 @@ def _order_family(args):
 def _cmd_order(args):
     fam, ladder, meta = _order_family(args)
     ladder = np.sort(np.asarray(ladder))
+    if len(ladder) < 4:
+        raise _CliError(EXIT_PRECONDITION, f"the ladder needs at least 4 "
+                        f"positive ts, got {len(ladder)}")
     fits, agreement = estimate_all_orders(fam, ladder)
     estimates = {
         method: {
@@ -252,6 +252,12 @@ def _load_plugin(spec):
 
 
 def _cmd_weyl_scan(args):
+    if not 0.0 < args.box < np.inf:
+        raise _CliError(EXIT_PARSE, f"--box must be positive and finite, "
+                                    f"got {args.box}")
+    if not np.all(np.isfinite(args.center)):
+        raise _CliError(EXIT_PARSE, f"--center must be finite, got "
+                                    f"{args.center}")
     if args.model == "weyl-example":
         evaluator = lambda p: weyl_example(*p)  # noqa: E731
     elif args.model.startswith("plugin:"):
@@ -430,12 +436,12 @@ def main(argv=None):
                 f"(deviation {exc.estimate.slope_dev:.4f})\n"
             )
         return EXIT_INCONCLUSIVE
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
     except (DegenError, ValueError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
-    except np.linalg.LinAlgError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
     finally:
         sys.stderr.write(
             f"wall time: {time.monotonic() - start:.3f} s\n"

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundary, NotInSigmaK
-from .hermitian import conjugate, coordinate_pairs, coordinates, frobenius_norm
+from .hermitian import (_freeze, conjugate, coordinate_pairs, coordinates,
+                        frobenius_norm, random_unitary)
 from .spectra import (
-    DEGENERACY_RTOL,
     Spectrum,
-    coincidence_tolerance,
     eigh,
     unseparated_edge,
     window_distance,
+    window_members,
     window_spread,
 )
 
@@ -35,6 +35,12 @@ __all__ = [
     "orthogonality_check",
     "sample_sigma_k",
 ]
+
+
+def _rebuild(u, vals):
+    """U diag(vals) U^dagger, exactly symmetrized and read-only."""
+    g = (u * vals) @ u.conj().T
+    return _freeze((g + g.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -70,17 +76,13 @@ def collapse_projection(h, k, offset=0):
     mean, _, std = window_spread(vals, k, offset)
     collapsed = vals.copy()
     collapsed[offset : offset + k] = mean
-    u = spec.vectors
-    h_sigma = (u * collapsed) @ u.conj().T
-    h_sigma = (h_sigma + h_sigma.conj().T) / 2.0
-    h_sigma.setflags(write=False)
-    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+    h_sigma = _rebuild(spec.vectors, collapsed)
     return ProjectionResult(
         h_sigma=h_sigma,
         distance=frobenius_norm(h - h_sigma),
         std_dev=std,
         mean_lambda=mean,
-        unique=unseparated_edge(vals, k, offset, tol) is None,
+        unique=unseparated_edge(vals, k, offset) is None,
         spectrum=spec,
         k=k,
         offset=offset,
@@ -124,11 +126,7 @@ def project_with_index_set(h, indices, gauge=None):
             f"lowest omitted eigenvalue {lowest_omitted:.6g}"
         )
     vals[sel] = mean
-    u = spec.vectors
-    g = (u * vals) @ u.conj().T
-    g = (g + g.conj().T) / 2.0
-    g.setflags(write=False)
-    return g
+    return _rebuild(spec.vectors, vals)
 
 
 def orthogonality_check(h, k, offset=0):
@@ -154,8 +152,7 @@ def orthogonality_check(h, k, offset=0):
     # Overlaps with every canonical direction outside the window block, and
     # with the window identity, in the eigenframe of H.
     c = conjugate(diff, pr.spectrum.vectors.conj().T)
-    in_win = np.zeros(n, dtype=bool)
-    in_win[offset : offset + k] = True
+    in_win = window_members(n, k, offset)
     a, m = coordinate_pairs(n)
     worst = np.max(np.abs(coordinates(c)[~(in_win[a] & in_win[m])]),
                    initial=0.0)
@@ -168,11 +165,7 @@ def sample_sigma_k(n, k, rng, gap=1e-3, spread=2.0):
     a Haar-like eigenbasis (QR of a complex Gaussian matrix) applied to a
     spectrum whose lowest k values coincide and sit at least `gap` below the
     rest. Used as a brute-force sampling oracle for the minimization claim."""
-    from .hermitian import random_unitary
-
     deg = float(rng.standard_normal())
     rest = deg + gap + np.sort(rng.uniform(0.0, spread, size=n - k))
     vals = np.concatenate([np.full(k, deg), rest])
-    u = random_unitary(n, rng)
-    g = (u * vals) @ u.conj().T
-    return (g + g.conj().T) / 2.0
+    return _rebuild(random_unitary(n, rng), vals)

@@ -1,5 +1,8 @@
 """Hermitian eigendecomposition with ascending ordering, classification of
-eigenvalue-coincidence patterns into strata, and spectral-gap quantities."""
+eigenvalue-coincidence patterns into strata, and spectral-gap quantities.
+It owns the window rules (membership, degeneracy, strict separation and the
+half gap to the neighbours); no other module reads the coincidence
+tolerance."""
 
 from __future__ import annotations
 
@@ -152,15 +155,50 @@ def window_distance(vals, k, offset=0):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def unseparated_edge(vals, k, offset, tol):
+def window_members(n, k, offset):
+    """Boolean mask of length n that is True on the window indices."""
+    check_window(n, k, offset)
+    members = np.zeros(n, dtype=bool)
+    members[offset : offset + k] = True
+    return members
+
+
+def unseparated_edge(vals, k, offset):
     """The i for which eigenvalues i and i+1 (1-based) straddle a window edge
-    with a gap of at most tol, lower edge first; None when the window is
-    strictly separated from its neighbours."""
+    with a gap within the coincidence tolerance, lower edge first; None when
+    the window is strictly separated from its neighbours."""
     check_window(len(vals), k, offset)
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
     for i in (offset, offset + k):
         if 0 < i < len(vals) and vals[i] - vals[i - 1] <= tol:
             return i
     return None
+
+
+def check_separated(vals, k, offset, exc):
+    """Raise exc unless the window is strictly separated."""
+    i = unseparated_edge(vals, k, offset)
+    if i is not None:
+        tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+        raise exc(f"eigenvalues {i} and {i + 1} coincide within tolerance "
+                  f"{tol:.3e}")
+
+
+def check_degenerate(vals, k, offset, exc):
+    """Raise exc unless the window eigenvalues coincide within tolerance."""
+    width = window_width(vals, k, offset)
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+    if width > tol:
+        raise exc(f"window eigenvalues spread {width:.3e} exceeds tolerance "
+                  f"{tol:.3e}; the window is not degenerate")
+
+
+def window_half_gap(vals, k, offset):
+    """Half the smaller gap from the window to a neighbouring eigenvalue,
+    the radius r0 of the uniqueness ball; inf without neighbours."""
+    gaps = [vals[i] - vals[i - 1] for i in (offset, offset + k)
+            if 0 < i < len(vals)]
+    return min(gaps, default=np.inf) / 2.0
 
 
 def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
@@ -220,5 +258,4 @@ def half_gap(h0, k):
     check_window(n, k)
     if k == n:
         raise ValueError(f"window covers the whole spectrum: n={n}, k={k}")
-    vals = np.linalg.eigvalsh(h0)
-    return float(vals[k] - vals[k - 1]) / 2.0
+    return float(window_half_gap(np.linalg.eigvalsh(h0), k, 0))

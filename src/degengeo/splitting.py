@@ -26,13 +26,11 @@ import numpy as np
 from .errors import DegenError, InconclusiveFit
 from .hermitian import frobenius_norm
 from .spectra import (
-    DEGENERACY_RTOL,
+    check_degenerate,
+    check_separated,
     classify_stratum,
-    coincidence_tolerance,
     eigh,
-    unseparated_edge,
     window_spread,
-    window_width,
 )
 from .swtransform import Anchor
 
@@ -98,15 +96,8 @@ def family(evaluator, k, offset=0):
                          f"split, got k = {k}")
     h0 = np.asarray(evaluator(0.0))
     vals = eigh(h0).eigenvalues
-    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
-    width = window_width(vals, k, offset)
-    if width > tol:
-        raise ValueError(
-            f"H(0) window eigenvalues spread {width:.3e} "
-            f"exceeds tolerance {tol:.3e}; the family must start degenerate"
-        )
-    if unseparated_edge(vals, k, offset, tol) is not None:
-        raise ValueError("H(0) window is not strictly separated")
+    check_degenerate(vals, k, offset, ValueError)
+    check_separated(vals, k, offset, ValueError)
     return FamilyHandle(evaluator=evaluator, n=h0.shape[0], k=k,
                         offset=offset)
 

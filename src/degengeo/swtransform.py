@@ -57,12 +57,13 @@ from .hermitian import (
     traceless_coordinates,
 )
 from .spectra import (
-    DEGENERACY_RTOL,
     Spectrum,
+    check_degenerate,
+    check_separated,
     check_window,
-    coincidence_tolerance,
     eigh,
-    unseparated_edge,
+    window_half_gap,
+    window_members,
     window_spread,
     window_width,
 )
@@ -81,23 +82,6 @@ __all__ = [
 CANONICAL_RTOL = 1e-12
 
 
-def _window_members(n, k, offset):
-    check_window(n, k, offset)
-    members = np.zeros(n, dtype=bool)
-    members[offset : offset + k] = True
-    return members
-
-
-def _check_window_gaps(vals, k, offset, exc):
-    """Require strict separation of the window from its neighbours."""
-    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
-    i = unseparated_edge(vals, k, offset, tol)
-    if i is not None:
-        raise exc(
-            f"eigenvalues {i} and {i + 1} coincide within tolerance {tol:.3e}"
-        )
-
-
 def projector_lowest_k(spec, k):
     """Rank-k orthogonal projector onto the span of the lowest k eigenvectors.
 
@@ -105,7 +89,7 @@ def projector_lowest_k(spec, k):
     tolerance); on the boundary the projector is not unique and
     DegenerateBoundary is raised.
     """
-    _check_window_gaps(spec.eigenvalues, k, 0, DegenerateBoundary)
+    check_separated(spec.eigenvalues, k, 0, DegenerateBoundary)
     v = spec.vectors[:, :k]
     p = v @ v.conj().T
     return (p + p.conj().T) / 2.0
@@ -199,7 +183,7 @@ class SWDecomposition:
 
     def window_projector(self):
         """Projector P0 onto the base point's degenerate window."""
-        members = _window_members(self.n, self.k, self.offset)
+        members = window_members(self.n, self.k, self.offset)
         p0 = np.diag(members.astype(complex))
         return p0 if self.gauge is None else conjugate(p0, self.gauge)
 
@@ -250,16 +234,7 @@ def _validate_canonical_base(h0, k, offset):
         raise BasePointNotCanonical(
             "base window eigenvalues must be exactly degenerate"
         )
-    _check_window_gaps(diag, k, offset, BasePointNotCanonical)
-
-
-def _window_half_gap(diag, k, offset):
-    gaps = []
-    if offset > 0:
-        gaps.append(diag[offset] - diag[offset - 1])
-    if offset + k < len(diag):
-        gaps.append(diag[offset + k] - diag[offset + k - 1])
-    return min(gaps) / 2.0 if gaps else np.inf
+    check_separated(diag, k, offset, BasePointNotCanonical)
 
 
 def _decompose(h, h0, k, offset):
@@ -267,10 +242,10 @@ def _decompose(h, h0, k, offset):
     canonical."""
     n = h.shape[0]
     diag0 = np.diag(h0).real
-    members = _window_members(n, k, offset)
+    members = window_members(n, k, offset)
 
     spec = eigh(h)
-    _check_window_gaps(spec.eigenvalues, k, offset, DegenerateBoundary)
+    check_separated(spec.eigenvalues, k, offset, DegenerateBoundary)
     s, e = _window_rotation(spec.vectors[:, offset : offset + k], members)
     bd = conjugate(h, e.conj().T)
 
@@ -298,7 +273,7 @@ def _decompose(h, h0, k, offset):
         e=e,
         residual=residual,
         within_r0=bool(
-            operator_2_norm(h - h0) < _window_half_gap(diag0, k, offset)
+            operator_2_norm(h - h0) < window_half_gap(diag0, k, offset)
         ),
     )
 
@@ -341,12 +316,8 @@ def sw_decompose_general(h, g0, k, *, offset=0):
     if h.shape != g0.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {g0.shape}")
     anchor = Anchor.at(g0, k, offset)
-    vals0 = anchor.spectrum.eigenvalues
-    if window_width(vals0, k, offset) > coincidence_tolerance(
-            vals0, DEGENERACY_RTOL):
-        raise BasePointNotCanonical(
-            "base point's window is not degenerate within tolerance"
-        )
+    check_degenerate(anchor.spectrum.eigenvalues, k, offset,
+                     BasePointNotCanonical)
     dec = anchor.decompose(h)
 
     def back(m):
@@ -396,7 +367,7 @@ class Anchor:
         BasePointNotCanonical unless the collapsed window is separated."""
         vals = spectrum.eigenvalues.copy()
         vals[offset : offset + k] = window_spread(vals, k, offset)[0]
-        _check_window_gaps(vals, k, offset, BasePointNotCanonical)
+        check_separated(vals, k, offset, BasePointNotCanonical)
         return cls(spectrum, np.diag(vals).astype(complex), k, offset)
 
     @property
@@ -450,7 +421,7 @@ class ChartCoordinates:
 def chart_coordinates(dec):
     """Chart coordinates (x, y) of a decomposition, in the documented order."""
     n, k = dec.n, dec.k
-    members = _window_members(n, k, dec.offset)
+    members = window_members(n, k, dec.offset)
     # Canonical coordinates of S over the off-block pairs, then of B over the
     # complementary block, diagonals included.
     a, m = coordinate_pairs(n)

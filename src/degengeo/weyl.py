@@ -50,6 +50,9 @@ RANK_RTOL = 1e-7
 #: Converged roots closer than this are considered the same point.
 DEDUP_TOL = 1e-6
 
+#: Newton steps before a seed counts as diverged.
+NEWTON_MAX_ITER = 60
+
 
 @dataclass(frozen=True)
 class ParamFamily:
@@ -133,11 +136,11 @@ def jacobian_with_check(h, p):
     return j2, float(np.max(np.abs(j2 - j1))) / scale
 
 
-def _rank(jac, rtol=RANK_RTOL):
+def _rank(jac):
     sv = np.linalg.svd(jac, compute_uv=False)
     if len(sv) == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ class WeylReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify_point(fam, p0, point_tol=None, use_first_order=False):
+def classify_point(fam, p0, point_tol=None):
     """Classify a parameter point as `weyl`, `non-generic-degeneracy`, or
     `no-degeneracy`.
 
@@ -166,15 +169,15 @@ def classify_point(fam, p0, point_tol=None, use_first_order=False):
     twofold, and the effective map's Jacobian has rank 3; the charge is then
     the sign of its determinant. For other (m, k) the rank is reported and
     the degenerate verdict stays `non-generic-degeneracy` (no Weyl
-    semantics). `use_first_order` classifies through the first-order map."""
+    semantics)."""
     p0 = np.asarray(p0, dtype=float)
     pr = collapse_projection(fam(p0), fam.k, offset=fam.offset)
     if point_tol is None:
         point_tol = 1e-8 * pr.spectrum.operator_2_norm()
     # The map is anchored at H(p0), through the projection's spectrum.
     anchor = Anchor.from_spectrum(pr.spectrum, fam.k, fam.offset)
-    block = anchor.window_block if use_first_order else anchor.heff_block
-    h = lambda p: traceless_coordinates(block(fam(p)))  # noqa: E731
+    h = lambda p: traceless_coordinates(  # noqa: E731
+        anchor.heff_block(fam(p)))
     jac, noise = jacobian_with_check(h, p0)
     rank = _rank(jac)
     diagnostics = {"jacobian_noise": noise, "h_norm": float(
@@ -197,13 +200,13 @@ def classify_point(fam, p0, point_tol=None, use_first_order=False):
     )
 
 
-def _newton_refine(fam, seed, max_iter=60):
+def _newton_refine(fam, seed):
     """Damped Newton iteration on the effective map, re-anchoring the gauge
     at the current iterate each step (the map is only defined near its
     anchor). Returns the root and the number of re-anchorings."""
     p = np.asarray(seed, dtype=float)
     anchors = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         h = effective_map(fam, p)
         anchors += 1
         val = h(p)
@@ -230,7 +233,7 @@ def _newton_refine(fam, seed, max_iter=60):
             raise NewtonDiverged(
                 f"no descent step found at {p} (|h| = {norm:.3e})"
             )
-    raise NewtonDiverged(f"no convergence after {max_iter} iterations")
+    raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations")
 
 
 def _grid_axes(box, resolution):

@@ -327,6 +327,23 @@ def test_cli_ladder_file_input_errors_exit2(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["ising", "--ladder-start", "10", "--ladder-stop", "3"], 0),
+    (["ising", "--ladder-start", "3", "--ladder-stop", "5"], 3),
+    (["file", "--ladder-file", "{dir}/ladder.json"], 3),
+])
+def test_cli_order_short_ladder_exit3(tmp_path, capsys, argv, count):
+    # Every family needs the 4 samples a log-log fit takes; an empty ladder
+    # is refused as such, not by an empty min() or an inconclusive fit.
+    doc = _ladder_doc()
+    (tmp_path / "ladder.json").write_text(json.dumps(
+        {**doc, "ts": doc["ts"][:3], "matrices": doc["matrices"][:3]}))
+    code = main(["order", *(a.format(dir=tmp_path) for a in argv)])
+    assert code == 3
+    assert (f"error: the ladder needs at least 4 positive ts, got {count}"
+            in capsys.readouterr().err)
+
+
 def test_cli_order_inconclusive_exit5(tmp_path, capsys):
     # |t|^2.5 splitting cannot round to an integer slope
     ts = [2.0 ** -e for e in range(3, 11)]
@@ -423,6 +440,14 @@ def weyl(p):
 def mirrored(p):
     x, y, z = p
     return weyl((x, y, -z))
+
+
+def not_finite(p):
+    return np.full((3, 3), np.nan)
+
+
+def not_hermitian(p):
+    return weyl(p) + np.triu(np.ones((3, 3)), 1)
 """
 
 
@@ -458,6 +483,38 @@ def test_cli_weyl_scan_model_errors_exit2(tmp_path, capsys, model, message):
                  "--box", "0.5", "--res", "5"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("function", ["not_finite", "not_hermitian"])
+def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function):
+    # LinAlgError subclasses ValueError and still gets its own exit code:
+    # eigh fails to converge on NaN, and its residual check fails on a
+    # non-Hermitian matrix.
+    (tmp_path / "plugin.py").write_text(_PLUGIN)
+    code = main(["weyl-scan", "--model",
+                 f"plugin:{tmp_path}/plugin.py:{function}",
+                 "--box", "0.5", "--res", "5"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--box", "0"], "--box must be positive and finite, got 0.0"),
+    (["--box", "-0.5"], "--box must be positive and finite, got -0.5"),
+    (["--box", "nan"], "--box must be positive and finite, got nan"),
+    (["--box", "inf"], "--box must be positive and finite, got inf"),
+    (["--box", "0.5", "--center", "nan", "0", "0"],
+     "--center must be finite, got [nan, 0.0, 0.0]"),
+    (["--box", "0.5", "--center", "0", "0", "inf"],
+     "--center must be finite, got [0.0, 0.0, inf]"),
+])
+def test_cli_weyl_scan_box_errors_exit2(capsys, flags, message):
+    # A box without interior scans every grid point as a seed (or rejects
+    # every root); a non-finite one reaches LAPACK. Both are refused first.
+    code = main(["weyl-scan", *flags, "--res", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}\n")
 
 
 def test_cli_weyl_scan_finds_point(capsys):

@@ -216,3 +216,34 @@ def test_sampler_members_are_on_manifold():
         vals = np.linalg.eigvalsh(g)
         assert vals[2] - vals[0] <= 1e-10
         assert vals[3] - vals[2] >= 1e-3 - 1e-12
+
+
+def _rebuilt_inline(u, vals):
+    # The spectral rebuild as each constructor wrote it out before sharing
+    # one helper.
+    g = (u * vals) @ u.conj().T
+    return (g + g.conj().T) / 2.0
+
+
+def test_constructors_rebuild_bit_for_bit_and_read_only():
+    rng = np.random.default_rng(12)
+    h = random_hermitian(6, rng)
+    pr = collapse_projection(h, 3, offset=1)
+    vals = pr.spectrum.eigenvalues.copy()
+    vals[1:4] = pr.mean_lambda
+    assert pr.h_sigma.tobytes() == _rebuilt_inline(pr.spectrum.vectors,
+                                                   vals).tobytes()
+    g = project_with_index_set(h, [1, 2], gauge=pr.spectrum)
+    vals = pr.spectrum.eigenvalues.copy()
+    vals[:2] = np.mean(vals[:2])
+    assert g.tobytes() == _rebuilt_inline(pr.spectrum.vectors,
+                                          vals).tobytes()
+    sampled = sample_sigma_k(5, 2, np.random.default_rng(13))
+    copy_rng = np.random.default_rng(13)
+    deg = float(copy_rng.standard_normal())
+    rest = deg + 1e-3 + np.sort(copy_rng.uniform(0.0, 2.0, size=3))
+    u = random_unitary(5, copy_rng)
+    assert sampled.tobytes() == _rebuilt_inline(
+        u, np.concatenate([np.full(2, deg), rest])).tobytes()
+    for m in (pr.h_sigma, g, sampled):
+        assert not m.flags.writeable

@@ -3,16 +3,32 @@
 import numpy as np
 import pytest
 
+from degengeo.errors import BasePointNotCanonical, DegenerateBoundary
 from degengeo.hermitian import conjugate, random_hermitian, random_unitary
 from degengeo.spectra import (
+    DEGENERACY_RTOL,
+    check_degenerate,
+    check_separated,
     classify_stratum,
+    coincidence_tolerance,
     eigh,
     half_gap,
     is_in_sigma_k,
     is_on_boundary,
     stratum_codimension,
+    unseparated_edge,
     window_distance,
+    window_half_gap,
+    window_members,
     window_spread,
+    window_width,
+)
+from degengeo.splitting import family
+from degengeo.swtransform import (
+    Anchor,
+    projector_lowest_k,
+    sw_decompose,
+    sw_decompose_general,
 )
 
 
@@ -200,3 +216,141 @@ def test_half_gap():
     assert half_gap(np.diag([0.0, 1.0, 1.0]), 2) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         half_gap(np.diag([0.0, 1.0]), 2)
+
+
+# ---------------------------------------------------------------------------
+# window rules
+# ---------------------------------------------------------------------------
+#
+# References: the window rules as they were written out in swtransform
+# (_check_window_gaps, _window_half_gap) and in splitting.family, each with
+# its own coincidence tolerance, before spectra held them.
+
+
+def _ref_check_window_gaps(vals, k, offset, exc):
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+    for i in (offset, offset + k):
+        if 0 < i < len(vals) and vals[i] - vals[i - 1] <= tol:
+            raise exc(f"eigenvalues {i} and {i + 1} coincide within "
+                      f"tolerance {tol:.3e}")
+
+
+def _ref_family_checks(vals, k, offset):
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+    width = window_width(vals, k, offset)
+    if width > tol:
+        return "spread"
+    for i in (offset, offset + k):
+        if 0 < i < len(vals) and vals[i] - vals[i - 1] <= tol:
+            return "separation"
+    return None
+
+
+def _ref_window_half_gap(diag, k, offset):
+    gaps = []
+    if offset > 0:
+        gaps.append(diag[offset] - diag[offset - 1])
+    if offset + k < len(diag):
+        gaps.append(diag[offset + k] - diag[offset + k - 1])
+    return min(gaps) / 2.0 if gaps else np.inf
+
+
+def _message(check, vals, k, offset, exc):
+    """The message of the exc that check raises, or None."""
+    try:
+        check(vals, k, offset, exc)
+    except exc as err:
+        assert type(err) is exc
+        return str(err)
+    return None
+
+
+def _window_cases():
+    """Random spectra, some with coincident runs, then gaps exactly at,
+    one ulp above and one ulp below the coincidence tolerance."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        vals = np.sort(rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3))
+        if n > 1 and rng.random() < 0.5:
+            lo = int(rng.integers(0, n - 1))
+            hi = int(rng.integers(lo + 1, n))
+            vals[lo : hi + 1] = vals[lo]
+        k = int(rng.integers(1, n + 1))
+        cases.append((vals, k, int(rng.integers(0, n - k + 1))))
+    tol = DEGENERACY_RTOL * 2.0
+    for gap in (tol, np.nextafter(tol, np.inf), np.nextafter(tol, 0.0)):
+        cases += [(np.array([-2.0, 0.0, 0.0, gap]), 2, 1),
+                  (np.array([-2.0, -gap, 0.0, 0.0]), 2, 2),
+                  (np.array([-2.0, 0.0, gap, 1.0]), 2, 1),
+                  (np.array([0.0, gap, 2.0]), 1, 0)]
+    return cases
+
+
+def test_window_rules_match_the_references():
+    verdicts = set()
+    for vals, k, offset in _window_cases():
+        for exc in (ValueError, DegenerateBoundary, BasePointNotCanonical):
+            expected = _message(_ref_check_window_gaps, vals, k, offset, exc)
+            assert _message(check_separated, vals, k, offset, exc) == expected
+        assert (unseparated_edge(vals, k, offset) is None) == (
+            expected is None)
+        verdict = ("spread" if _message(check_degenerate, vals, k, offset,
+                                        ValueError)
+                   else "separation" if _message(check_separated, vals, k,
+                                                 offset, ValueError)
+                   else None)
+        assert verdict == _ref_family_checks(vals, k, offset)
+        verdicts.add(verdict)
+        half = window_half_gap(vals, k, offset)
+        assert half == _ref_window_half_gap(vals, k, offset)
+        assert type(half) is type(_ref_window_half_gap(vals, k, offset))
+        index = np.arange(len(vals))
+        np.testing.assert_array_equal(window_members(len(vals), k, offset),
+                                      (offset <= index) & (index < offset + k))
+    assert verdicts == {None, "spread", "separation"}
+
+
+def test_window_rules_at_the_tolerance():
+    # The gap or spread equal to the tolerance counts as coincident; one
+    # ulp more does not.
+    tol = DEGENERACY_RTOL * 2.0
+    assert unseparated_edge(np.array([-2.0, 0.0, 0.0, tol]), 2, 1) == 3
+    assert unseparated_edge(
+        np.array([-2.0, 0.0, 0.0, np.nextafter(tol, np.inf)]), 2, 1) is None
+    check_degenerate(np.array([-2.0, 0.0, tol, 1.0]), 2, 1, ValueError)
+    with pytest.raises(ValueError, match="spread 2.000e-08 exceeds "
+                                         "tolerance 2.000e-08"):
+        check_degenerate(np.array([-2.0, 0.0, np.nextafter(tol, np.inf),
+                                   1.0]), 2, 1, ValueError)
+
+
+_UNSEPARATED = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+_SPREAD = np.diag([0.0, 0.1, 1.0, 2.0]).astype(complex)
+
+
+def _rotated(d):
+    return conjugate(d, random_unitary(len(d), np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: family(lambda t: _UNSEPARATED, 2), ValueError,
+     "eigenvalues 2 and 3 coincide within tolerance 1.000e-08"),
+    (lambda: family(lambda t: _SPREAD, 2), ValueError,
+     "window eigenvalues spread 1.000e-01 exceeds tolerance 2.000e-08"),
+    (lambda: sw_decompose_general(_SPREAD, _rotated(_UNSEPARATED), 2),
+     BasePointNotCanonical, "eigenvalues 2 and 3 coincide"),
+    (lambda: sw_decompose_general(_SPREAD, _rotated(_SPREAD), 2),
+     BasePointNotCanonical, "window eigenvalues spread 1.000e-01"),
+    (lambda: Anchor.at(_rotated(_UNSEPARATED), 2), BasePointNotCanonical,
+     "eigenvalues 2 and 3 coincide"),
+    (lambda: sw_decompose(_UNSEPARATED, np.diag([0.0, 0.0, 1.0, 2.0]), 2),
+     DegenerateBoundary, "eigenvalues 2 and 3 coincide"),
+    (lambda: projector_lowest_k(eigh(_UNSEPARATED), 2), DegenerateBoundary,
+     "eigenvalues 2 and 3 coincide"),
+])
+def test_window_rule_callers_keep_their_exception_types(call, exc, message):
+    with pytest.raises(exc, match=message) as info:
+        call()
+    assert type(info.value) is exc

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_cli_digests_runs_every_call_and_repeats():
     # Two runs on this checkout print the same lines: a SHA-256 of stdout,
     # the exit code and the argv of each call. The list holds parse,
-    # precondition and inconclusive-fit failures next to the successes.
+    # precondition, numerical and inconclusive-fit failures next to the
+    # successes.
     runs = [
         subprocess.run([sys.executable, str(ROOT / "tools" / "cli_digests.py")],
                        capture_output=True, text=True, check=True,
@@ -24,4 +25,4 @@ def test_cli_digests_runs_every_call_and_repeats():
     line = re.compile(r"[0-9a-f]{64} (\d) (decompose|distance|project|order"
                       r"|weyl-scan|model) .* \| .*")
     codes = [int(line.fullmatch(text).group(1)) for text in lines]
-    assert sorted(set(codes)) == [0, 2, 3, 5]
+    assert sorted(set(codes)) == [0, 2, 3, 4, 5]

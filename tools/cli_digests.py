@@ -97,6 +97,10 @@ def _write_inputs(rng):
         f'{{"k": 2, "offset": 0, "ts": [{", ".join(map(repr, ts))}], '
         f'"matrices": [{", ".join(_document(at(t)) for t in ts)}], '
         f'"base": {_document(at(0.0))}}}\n', encoding="utf-8")
+    # A weyl-scan plugin whose matrices the eigensolver cannot diagonalize.
+    Path("nan_plugin.py").write_text(
+        "import numpy as np\n\n\ndef nan_model(p):\n"
+        "    return np.full((3, 3), np.nan)\n", encoding="utf-8")
     return cases
 
 
@@ -126,12 +130,20 @@ def _calls(cases):
               ["order", "ising", "--qubits", "3", "--seed", "5"],
               ["order", "file", "--ladder-file", "ladder.json"],
               ["order", "file", "--ladder-file", "ladder.json", "--json"],
-              ["order", "ising", "--qubits", "6", "--seed", "0"]]
+              ["order", "ising", "--qubits", "6", "--seed", "0"],
+              ["order", "ising", "--ladder-start", "10", "--ladder-stop", "3"],
+              ["order", "ising", "--ladder-start", "3", "--ladder-stop", "5"]]
     for res in ("9", "11", "21"):
         calls += [["weyl-scan", "--box", "0.5", "--res", res, "--json"],
                   ["weyl-scan", "--box", "0.3", "--center", "0.1", "-0.05",
                    "0.02", "--res", res, "--json"]]
-    calls.append(["weyl-scan", "--box", "0.5", "--res", "11"])
+    calls += [["weyl-scan", "--box", "0.5", "--res", "11"],
+              ["weyl-scan", "--box", "0", "--res", "5"],
+              ["weyl-scan", "--box", "-0.5", "--res", "5"],
+              ["weyl-scan", "--box", "0.5", "--center", "nan", "0", "0",
+               "--res", "5"],
+              ["weyl-scan", "--model", "plugin:nan_plugin.py:nan_model",
+               "--box", "0.5", "--res", "5"]]
     calls += [["model", "ssh", "--cells", "3", "--v", "0.25", "--w", "1.5"],
               ["model", "ising", "--qubits", "3"],
               ["model", "transverse", "--qubits", "3", "--seed", "4"],
