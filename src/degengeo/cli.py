@@ -258,6 +258,9 @@ def _cmd_weyl_scan(args):
     if not np.all(np.isfinite(args.center)):
         raise _CliError(EXIT_PARSE, f"--center must be finite, got "
                                     f"{args.center}")
+    if args.res < 2:
+        raise _CliError(EXIT_PARSE, f"--res must be at least 2, got "
+                                    f"{args.res}")
     if args.model == "weyl-example":
         evaluator = lambda p: weyl_example(*p)  # noqa: E731
     elif args.model.startswith("plugin:"):
@@ -268,9 +271,7 @@ def _cmd_weyl_scan(args):
     fam = param_family(evaluator, 3)
     box = [(c - args.box, c + args.box) for c in args.center]
     try:
-        reports = scan_grid(fam, box, args.res,
-                            seed_threshold=args.seed_threshold,
-                            point_tol=args.point_tol)
+        reports = scan_grid(fam, box, args.res)
     except NewtonDiverged as exc:
         raise _CliError(EXIT_NUMERICAL, str(exc)) from exc
     rows = [
@@ -286,8 +287,7 @@ def _cmd_weyl_scan(args):
     report = RunReport(
         command="weyl-scan",
         inputs={"model": args.model, "box": args.box,
-                "center": list(args.center), "res": args.res,
-                "seed": args.seed},
+                "center": list(args.center), "res": args.res},
         outputs={"count": len(rows), "points": rows},
     )
     _emit(report, args.json)
@@ -393,9 +393,6 @@ def build_parser():
                    help="half-width of the cubic scan box")
     p.add_argument("--center", type=float, nargs=3, default=[0.0, 0.0, 0.0])
     p.add_argument("--res", type=int, default=11)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-threshold", type=float, default=None)
-    p.add_argument("--point-tol", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_weyl_scan)
 

@@ -6,14 +6,15 @@ with Newton refinement.
 A smooth map p -> H(p) meeting the twofold-degeneracy manifold at an
 isolated point is a Weyl point exactly when the induced map h (the
 effective-Hamiltonian coordinates relative to a fixed gauge) has full-rank
-Jacobian there; its topological charge is the sign of the determinant. The
-first-order effective map (traceless window block, no rotation) has the same
-Jacobian rank at the degeneracy, so either map decides the classification.
+Jacobian there; its topological charge is the sign of the determinant.
 
-Grid scans seed Newton from the minima of the distance field. By the
-distance theorem that field needs only the window eigenvalues of H(p), so it
-is read off one stacked eigendecomposition per grid line, never from a
-closest-point projection per grid point.
+Scans never decompose. At its own anchor the exact map shares value and
+Jacobian with the window map (traceless window block in the anchor gauge, no
+rotation): every higher Schrieffer-Wolff term carries two off-block factors
+of H(p) - H(p0). By the distance theorem ||h(p)|| is the window distance of
+H(p)'s eigenvalues. So Newton and the classifier read one spectrum and the
+window block at each anchor, the line search and the grid field only
+eigenvalues; `effective_map` stays as the oracle for these shortcuts.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenError, NewtonDiverged, StepTooSmall
+from .errors import NewtonDiverged, StepTooSmall
 from .hermitian import traceless_coordinates
-from .projection import collapse_projection
-from .spectra import eigh, window_distance
+from .spectra import eigh, unseparated_edge, window_distance
 from .swtransform import Anchor
 
 __all__ = [
@@ -52,6 +52,10 @@ DEDUP_TOL = 1e-6
 
 #: Newton steps before a seed counts as diverged.
 NEWTON_MAX_ITER = 60
+
+#: A point is degenerate when its distance from the manifold is at most this
+#: times ||H(p)||_2.
+POINT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,23 +95,18 @@ def effective_map(fam, p0):
     return lambda p: traceless_coordinates(anchor.heff_block(fam(p)))
 
 
-def first_order_effective_map(fam, p0):
-    """The first-order effective map: coordinates of the traceless window
-    block of H(p) in the anchor gauge, with no rotation applied. Its
-    Jacobian rank at a degeneracy point equals that of the exact map, so it
-    suffices for Weyl classification."""
-    anchor = Anchor.at(fam(p0), fam.k, fam.offset)
+def _window_map(anchor, fam):
+    """p -> coordinates of the traceless window block of H(p) in the anchor's
+    eigenbasis."""
     return lambda p: traceless_coordinates(anchor.window_block(fam(p)))
 
 
-def _central_difference(h, p, step):
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for i in range(len(p)):
-        e = np.zeros_like(p)
-        e[i] = step
-        cols.append((h(p + e) - h(p - e)) / (2.0 * step))
-    return np.column_stack(cols)
+def first_order_effective_map(fam, p0):
+    """The first-order effective map: coordinates of the traceless window
+    block of H(p) in the anchor gauge, with no rotation applied. At p0 it
+    has `effective_map`'s value and Jacobian (module docstring), so the scan
+    and `classify_point` differentiate it instead."""
+    return _window_map(Anchor.at(fam(p0), fam.k, fam.offset), fam)
 
 
 def default_step(p):
@@ -121,7 +120,8 @@ def jacobian(h, p, step=None):
         step = default_step(p)
     if step <= 0.0:
         raise StepTooSmall(f"step must be positive, got {step}")
-    return _central_difference(h, p, step)
+    return np.column_stack([(h(p + e) - h(p - e)) / (2.0 * step)
+                            for e in step * np.eye(len(p))])
 
 
 def jacobian_with_check(h, p):
@@ -159,61 +159,65 @@ class WeylReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def classify_point(fam, p0, point_tol=None):
+def classify_point(fam, p0):
     """Classify a parameter point as `weyl`, `non-generic-degeneracy`, or
     `no-degeneracy`.
 
-    A point is degenerate when the distance of H(p0) from the manifold is at
-    most point_tol (default 1e-8 times ||H(p0)||_2). A degenerate point is a
-    Weyl point when the parameter space is 3-dimensional, the window is
-    twofold, and the effective map's Jacobian has rank 3; the charge is then
-    the sign of its determinant. For other (m, k) the rank is reported and
-    the degenerate verdict stays `non-generic-degeneracy` (no Weyl
-    semantics)."""
+    One eigendecomposition of H(p0) gives the distance from the manifold
+    (from the window eigenvalues), the degeneracy threshold POINT_RTOL *
+    ||H(p0)||_2 and the anchor; the Jacobian is the window map's at that
+    anchor, which is the exact map's (module docstring). A degenerate point
+    is a Weyl point when the parameter space is 3-dimensional, the window is
+    twofold, and the Jacobian has rank 3; the charge is then the sign of its
+    determinant. For other (m, k) the rank is reported and the degenerate
+    verdict stays `non-generic-degeneracy` (no Weyl semantics)."""
     p0 = np.asarray(p0, dtype=float)
-    pr = collapse_projection(fam(p0), fam.k, offset=fam.offset)
-    if point_tol is None:
-        point_tol = 1e-8 * pr.spectrum.operator_2_norm()
-    # The map is anchored at H(p0), through the projection's spectrum.
-    anchor = Anchor.from_spectrum(pr.spectrum, fam.k, fam.offset)
-    h = lambda p: traceless_coordinates(  # noqa: E731
-        anchor.heff_block(fam(p)))
-    jac, noise = jacobian_with_check(h, p0)
+    spectrum = eigh(fam(p0))
+    distance = window_distance(spectrum.eigenvalues, fam.k, fam.offset)
+    anchor = Anchor.from_spectrum(spectrum, fam.k, fam.offset)
+    jac, noise = jacobian_with_check(_window_map(anchor, fam), p0)
     rank = _rank(jac)
-    diagnostics = {"jacobian_noise": noise, "h_norm": float(
-        np.linalg.norm(h(p0)))}
-    if pr.distance > point_tol:
+    if distance > POINT_RTOL * spectrum.operator_2_norm():
         verdict, charge = "no-degeneracy", 0
     elif fam.m == 3 and fam.k == 2 and rank == 3:
         verdict = "weyl"
         charge = int(np.sign(np.linalg.det(jac)))
     else:
         verdict, charge = "non-generic-degeneracy", 0
-    return WeylReport(
-        p=p0,
-        distance=pr.distance,
-        jacobian=jac,
-        rank=rank,
-        charge=charge,
-        classification=verdict,
-        diagnostics=diagnostics,
-    )
+    return WeylReport(p=p0, distance=distance, jacobian=jac, rank=rank,
+                      charge=charge, classification=verdict,
+                      diagnostics={"jacobian_noise": noise})
+
+
+def _window_distance_at(fam, p):
+    """The line search's merit: the distance of H(p) from the manifold, from
+    its eigenvalues; inf when the window is not separated from its
+    neighbours or the eigensolver fails."""
+    try:
+        vals = np.linalg.eigvalsh(fam(p))
+    except np.linalg.LinAlgError:
+        return np.inf
+    if unseparated_edge(vals, fam.k, fam.offset) is not None:
+        return np.inf
+    return window_distance(vals, fam.k, fam.offset)
 
 
 def _newton_refine(fam, seed):
     """Damped Newton iteration on the effective map, re-anchoring the gauge
-    at the current iterate each step (the map is only defined near its
-    anchor). Returns the root and the number of re-anchorings."""
+    at the current iterate each step. Each iterate takes one spectrum and
+    the window map at its anchor, and each line-search candidate only its
+    window distance (module docstring); a candidate whose window is
+    unseparated, or whose eigensolver fails, halves the step. Returns the
+    root and the number of re-anchorings."""
     p = np.asarray(seed, dtype=float)
-    anchors = 0
-    for _ in range(NEWTON_MAX_ITER):
-        h = effective_map(fam, p)
-        anchors += 1
-        val = h(p)
-        norm = float(np.linalg.norm(val))
+    for anchors in range(1, NEWTON_MAX_ITER + 1):
+        hp = fam(p)
+        anchor = Anchor.at(hp, fam.k, fam.offset)
+        norm = window_distance(anchor.spectrum.eigenvalues, fam.k, fam.offset)
         if norm <= ROOT_TOL:
             return p, anchors
-        jac = jacobian(h, p)
+        val = traceless_coordinates(anchor.window_block(hp))
+        jac = jacobian(_window_map(anchor, fam), p)
         try:
             full_step = np.linalg.lstsq(jac, -val, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
@@ -221,18 +225,13 @@ def _newton_refine(fam, seed):
         alpha = 1.0
         while alpha >= 1.0 / 64.0:
             candidate = p + alpha * full_step
-            try:
-                new_norm = float(np.linalg.norm(h(candidate)))
-            except (DegenError, np.linalg.LinAlgError):
-                new_norm = np.inf
-            if new_norm < norm:
+            if _window_distance_at(fam, candidate) < norm:
                 p = candidate
                 break
             alpha /= 2.0
         else:
-            raise NewtonDiverged(
-                f"no descent step found at {p} (|h| = {norm:.3e})"
-            )
+            raise NewtonDiverged(f"no descent step found at {p} "
+                                 f"(|h| = {norm:.3e})")
     raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations")
 
 
@@ -268,17 +267,18 @@ def _local_minima(values):
     return [tuple(map(int, idx)) for idx in np.argwhere(best)]
 
 
-def scan_grid(fam, box, resolution, seed_threshold=None, point_tol=None):
+def scan_grid(fam, box, resolution):
     """Locate and classify degeneracy points of a 3-parameter family.
 
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
     on a box grid by the distance theorem, as sqrt(k) times the standard
     deviation of the window eigenvalues, with one stacked eigendecomposition
-    per grid line; local minima (below `seed_threshold`, when given) seed a
-    damped Newton refinement of the effective map's zero. Converged roots
-    inside the box are deduplicated and classified; diverged seeds are
-    skipped and reported. Reports come back sorted lexicographically by
-    position.
+    per grid line; its local minima seed a damped Newton refinement of the
+    effective map's zero. Newton and the classifier use the window map at
+    each anchor, which has the exact map's value and Jacobian there, so no
+    decomposition runs. Converged roots inside the box are deduplicated and
+    classified; diverged seeds are skipped and counted. Reports come back
+    sorted lexicographically by position.
     """
     if fam.m != 3:
         raise ValueError("grid scanning expects a 3-parameter family")
@@ -288,26 +288,18 @@ def scan_grid(fam, box, resolution, seed_threshold=None, point_tol=None):
     axes = _grid_axes(box, resolution)
     dist = _distance_field(fam, axes)
 
-    seeds = []
-    for idx in _local_minima(dist):
-        if seed_threshold is not None and dist[idx] > seed_threshold:
-            continue
-        seeds.append(np.array([axes[a][idx[a]] for a in range(3)]))
-
     roots = []
-    skipped = []
+    skipped = 0
     margin = 1e-9 + DEDUP_TOL
-    for seed in seeds:
+    for idx in _local_minima(dist):
+        seed = np.array([axes[a][idx[a]] for a in range(3)])
         try:
             root, anchors = _newton_refine(fam, seed)
-        except NewtonDiverged as exc:
-            skipped.append((seed, str(exc)))
+        except NewtonDiverged:
+            skipped += 1
             continue
-        inside = all(
-            lo - margin <= root[a] <= hi + margin
-            for a, (lo, hi) in enumerate(box)
-        )
-        if not inside:
+        if not all(lo - margin <= x <= hi + margin
+                   for x, (lo, hi) in zip(root, box)):
             continue
         if any(np.linalg.norm(root - r) <= DEDUP_TOL for r, _ in roots):
             continue
@@ -315,9 +307,9 @@ def scan_grid(fam, box, resolution, seed_threshold=None, point_tol=None):
 
     reports = []
     for root, anchors in sorted(roots, key=lambda ra: tuple(ra[0])):
-        report = classify_point(fam, root, point_tol=point_tol)
+        report = classify_point(fam, root)
         report.diagnostics["newton_anchors"] = anchors
         if skipped:
-            report.diagnostics["skipped_seeds"] = len(skipped)
+            report.diagnostics["skipped_seeds"] = skipped
         reports.append(report)
     return reports

@@ -507,11 +507,16 @@ def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function):
      "--center must be finite, got [nan, 0.0, 0.0]"),
     (["--box", "0.5", "--center", "0", "0", "inf"],
      "--center must be finite, got [0.0, 0.0, inf]"),
+    (["--box", "0.5", "--res", "1"], "--res must be at least 2, got 1"),
+    (["--box", "0.5", "--res", "0"], "--res must be at least 2, got 0"),
+    (["--box", "0.5", "--res", "-3"], "--res must be at least 2, got -3"),
 ])
 def test_cli_weyl_scan_box_errors_exit2(capsys, flags, message):
     # A box without interior scans every grid point as a seed (or rejects
-    # every root); a non-finite one reaches LAPACK. Both are refused first.
-    code = main(["weyl-scan", *flags, "--res", "5"])
+    # every root); a non-finite one reaches LAPACK; a grid needs two points
+    # per axis. All are refused first. The flags come last, so their --res
+    # overrides the default one.
+    code = main(["weyl-scan", "--res", "5", *flags])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {message}\n")

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degengeo import weyl
-from degengeo.errors import DegenError, StepTooSmall, SubspacesTooFar
+from degengeo import swtransform, weyl
+from degengeo.errors import DegenError, StepTooSmall
 from degengeo.hermitian import random_hermitian
 from degengeo.models import example_pr, weyl_example
-from degengeo.projection import collapse_projection
+from degengeo.projection import collapse_projection, distance_to_sigma
 from degengeo.splitting import estimate_order, family
+from degengeo.swtransform import Anchor
 from degengeo.weyl import (
     _newton_refine,
     classify_point,
@@ -141,19 +142,20 @@ def test_classify_away_from_degeneracy():
 
 
 def test_classify_first_order_matches_exact():
-    # The first-order map decides the classification: at the degeneracy its
-    # Jacobian has the exact map's rank, and its determinant the same sign.
+    # classify_point differentiates the window map at p0; the exact
+    # effective map's Jacobian there must have the rank it reports, and a
+    # determinant of the sign of its charge.
     for fam in (weyl_family(), pr_family()):
-        exact = classify_point(fam, ORIGIN)
-        jac = jacobian(first_order_effective_map(fam, ORIGIN), ORIGIN)
-        assert weyl._rank(jac) == exact.rank
-        assert int(np.sign(np.linalg.det(jac))) == exact.charge
+        rep = classify_point(fam, ORIGIN)
+        jac = jacobian(effective_map(fam, ORIGIN), ORIGIN)
+        assert weyl._rank(jac) == rep.rank
+        assert int(np.sign(np.linalg.det(jac))) == rep.charge
 
 
 def test_classify_point_takes_h_at_p0_once(linalg_calls):
-    # The projection's eigendecomposition of H(p0) also anchors the map, so
-    # each 3 x 3 eigh and family evaluation is one of: the projection, the
-    # 12 points of the two Jacobians, and h(p0).
+    # One eigendecomposition of H(p0) gives the distance, the threshold and
+    # the anchor; the other 12 family evaluations are the points of the two
+    # Jacobians, which need no factorization.
     evals = []
 
     def evaluator(p):
@@ -165,30 +167,38 @@ def test_classify_point_takes_h_at_p0_once(linalg_calls):
     linalg_calls.clear()
     classify_point(fam, ORIGIN)
     eighs = [shape for name, shape in linalg_calls if name == "eigh"]
-    assert eighs == [(3, 3)] * 14
-    assert len(evals) == 14
+    assert eighs == [(3, 3)]
+    assert len(evals) == 13
 
 
-@pytest.mark.parametrize("error", [SubspacesTooFar, TypeError])
-def test_newton_backtracks_on_decomposition_errors_only(monkeypatch, error):
-    # Like the exact effective map, this map is defined only near its
-    # anchor; beyond 0.6 it raises. A DegenError there halves the step, any
-    # other error propagates.
-    def local_map(fam, p0):
-        def h(p):
-            if abs(p[0] - p0[0]) > 0.6:
-                raise error("evaluated too far from the anchor")
-            return p - 1.0
-        return h
+@pytest.mark.parametrize("bad", ["unseparated", "LinAlgError", "TypeError"])
+def test_newton_halves_step_on_bad_candidates_only(bad):
+    # Window levels -+d(x) with d = e^x - e, root at x = 1, and a fixed
+    # third level at 5. From 0 the full Newton step lands near 1.7, where
+    # the family is bad: it returns a matrix of window distance 0 whose
+    # window touches the third level, or raises. The first two halve the
+    # step, and Newton still converges to 1; any other error propagates.
+    visited = []
 
-    monkeypatch.setattr(weyl, "effective_map", local_map)
-    if error is SubspacesTooFar:
-        root, anchors = _newton_refine(None, np.zeros(1))
-        np.testing.assert_allclose(root, [1.0], atol=1e-10)
-        assert anchors >= 3
-    else:
-        with pytest.raises(error):
-            _newton_refine(None, np.zeros(1))
+    def evaluator(p):
+        x = p[0]
+        if x > 1.05:
+            visited.append(x)
+            if bad == "unseparated":
+                return np.zeros((3, 3))
+            raise {"LinAlgError": np.linalg.LinAlgError,
+                   "TypeError": TypeError}[bad]("bad candidate")
+        d = np.exp(x) - np.e
+        return np.diag([-d, d, 5.0])
+
+    fam = weyl.ParamFamily(evaluator, m=1, n=3)
+    if bad == "TypeError":
+        with pytest.raises(TypeError):
+            _newton_refine(fam, np.zeros(1))
+        return
+    root, anchors = _newton_refine(fam, np.zeros(1))
+    np.testing.assert_allclose(root, [1.0], atol=1e-10)
+    assert visited and anchors >= 3
 
 
 def _local_minima_loop(values):
@@ -232,12 +242,13 @@ def _distance_field_loop(fam, axes):
     return dist
 
 
-def random_family(seed):
-    """A linear 5 x 5 family with a twofold window at offset 1, degenerate
+def random_family(seed, n=5):
+    """A linear n x n family with a twofold window at offset 1, degenerate
     at the origin."""
     rng = np.random.default_rng(seed)
-    h0 = np.diag([-1.5, 0.0, 0.0, 1.0, 2.0]).astype(complex)
-    dirs = [0.4 * random_hermitian(5, rng) for _ in range(3)]
+    h0 = np.diag([-1.5, 0.0, 0.0, *np.arange(1.0, n - 2)]).astype(complex)
+    dirs = [0.4 * np.sqrt(5.0 / n) * random_hermitian(n, rng)
+            for _ in range(3)]
 
     def evaluator(p):
         return h0 + p[0] * dirs[0] + p[1] * dirs[1] + p[2] * dirs[2]
@@ -287,10 +298,76 @@ def test_scan_field_matches_point_loop_offset_window(centre, res, seed):
 @pytest.mark.parametrize("fam, res", [(weyl_family(), 4),
                                       (random_family(0), 6)])
 def test_scan_field_one_eigh_per_grid_line(linalg_calls, fam, res):
-    # A threshold below every distance seeds nothing, so every call left is
-    # the field's: one stacked eigh per line of the last axis.
-    assert scan_grid(fam, [(-0.5, 0.5)] * 3, res, seed_threshold=-1.0) == []
+    # One stacked eigh per line of the last axis.
+    weyl._distance_field(fam, weyl._grid_axes([(-0.5, 0.5)] * 3, res))
     assert linalg_calls == [("eigh", (res, fam.n, fam.n))] * res ** 2
+
+
+@pytest.mark.parametrize("fam", [weyl_family(), random_family(3, n=16)])
+def test_scan_runs_no_decomposition(monkeypatch, linalg_calls, fam):
+    # Outside the field, each Newton iterate takes one eigh (its anchor),
+    # each line-search candidate one eigvalsh, and each classified point
+    # one eigh; the Schrieffer-Wolff decomposition never runs.
+    counts = dict.fromkeys(["_decompose", "_window_distance_at",
+                            "classify_point", "at"], 0)
+
+    def count(owner, name, wrap=lambda f: f):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counted))
+
+    count(swtransform, "_decompose")
+    count(weyl, "_window_distance_at")
+    count(weyl, "classify_point")
+    count(Anchor, "at", lambda f: classmethod(lambda cls, *a: f(*a)))
+    box = [(c - 0.3, c + 0.3) for c in (0.031, -0.017, 0.012)]
+    reports = scan_grid(fam, box, 7)
+    assert [r.classification for r in reports] == ["weyl"]
+    square = [name for name, shape in linalg_calls if shape == (fam.n,) * 2]
+    assert counts["_decompose"] == 0
+    assert counts["at"] > counts["classify_point"] == 1
+    assert square.count("eigh") == counts["at"] + counts["classify_point"]
+    assert square.count("eigvalsh") == counts["_window_distance_at"] > 0
+
+
+def test_window_map_matches_exact_map_at_its_anchor():
+    # At random anchors of random linear families (n = 3-16, k = 2-4,
+    # random offsets) the exact and window maps share value and Jacobian,
+    # and |h(q)| of the exact map is the distance of H(q) from the manifold
+    # wherever its decomposition exists: the line search's merit.
+    rng = np.random.default_rng(11)
+    merits = 0
+    for _ in range(30):
+        n = int(rng.integers(3, 17))
+        k = int(rng.integers(2, min(4, n - 1) + 1))
+        offset = int(rng.integers(0, n - k + 1))
+        mats = [random_hermitian(n, rng) for _ in range(4)]
+
+        def evaluator(p, mats=mats):
+            return mats[0] + p[0] * mats[1] + p[1] * mats[2] + p[2] * mats[3]
+
+        fam = param_family(evaluator, 3, k=k, offset=offset)
+        p0 = rng.uniform(-1.0, 1.0, size=3)
+        scale = max(np.linalg.norm(m) for m in (fam(p0), *mats[1:]))
+        exact = effective_map(fam, p0)
+        first = first_order_effective_map(fam, p0)
+        assert np.linalg.norm(exact(p0) - first(p0)) <= 1e-12 * scale
+        assert (np.max(np.abs(jacobian(exact, p0) - jacobian(first, p0)))
+                <= 1e-6 * scale)
+        for _ in range(3):
+            q = p0 + rng.uniform(-1e-2, 1e-2, size=3)
+            try:
+                norm = np.linalg.norm(exact(q))
+            except DegenError:
+                continue
+            assert abs(norm - distance_to_sigma(fam(q), k, offset)) <= (
+                1e-12 * scale)
+            merits += 1
+    assert merits >= 45
 
 
 def test_scan_finds_single_weyl_point():

@@ -101,6 +101,27 @@ def _write_inputs(rng):
     Path("nan_plugin.py").write_text(
         "import numpy as np\n\n\ndef nan_model(p):\n"
         "    return np.full((3, 3), np.nan)\n", encoding="utf-8")
+    # A 16 x 16 one: window d . sigma, d = (x, y, z^2 - 1/16), next to 14
+    # fixed levels, in a basis that turns with x + z. Its Weyl points are
+    # (0, 0, -1/4) and (0, 0, 1/4).
+    w = _random_unitary(16, rng)
+    levels = 1.0 + np.sort(rng.uniform(0.0, 2.0, size=14))
+    Path("two_point_plugin.py").write_text(f"""import numpy as np
+
+W0 = np.array({w.real.tolist()!r}) + 1j * np.array({w.imag.tolist()!r})
+LEVELS = {levels.tolist()!r}
+
+
+def two_points(p):
+    x, y, z = p
+    d = np.diag([z * z - 0.0625, 0.0625 - z * z, *LEVELS]).astype(complex)
+    d[0, 1], d[1, 0] = x - 1j * y, x + 1j * y
+    c, s = np.cos(0.3 * (x + z)), np.sin(0.3 * (x + z))
+    w = W0.copy()
+    w[:, [0, 2]] = w[:, [0, 2]] @ np.array([[c, -s], [s, c]])
+    h = w @ d @ w.conj().T
+    return (h + h.conj().T) / 2.0
+""", encoding="utf-8")
     return cases
 
 
@@ -142,8 +163,11 @@ def _calls(cases):
               ["weyl-scan", "--box", "-0.5", "--res", "5"],
               ["weyl-scan", "--box", "0.5", "--center", "nan", "0", "0",
                "--res", "5"],
+              ["weyl-scan", "--box", "0.5", "--res", "1"],
               ["weyl-scan", "--model", "plugin:nan_plugin.py:nan_model",
-               "--box", "0.5", "--res", "5"]]
+               "--box", "0.5", "--res", "5"],
+              ["weyl-scan", "--model", "plugin:two_point_plugin.py:two_points",
+               "--box", "0.4", "--res", "11", "--json"]]
     calls += [["model", "ssh", "--cells", "3", "--v", "0.25", "--w", "1.5"],
               ["model", "ising", "--qubits", "3"],
               ["model", "transverse", "--qubits", "3", "--seed", "4"],
