@@ -15,11 +15,14 @@ from degengeo import (
     first_order_effective_map,
     jacobian,
     param_family,
+    polynomial_family,
     scan_grid,
 )
-from degengeo.models import example_pr, weyl_example
+from degengeo.models import WEYL_EXAMPLE_TERMS, example_pr
 
-fam = param_family(lambda p: weyl_example(*p), 3)
+# The model as polynomial coefficients {(a, b, c): C}, H = sum x^a y^b z^c C,
+# so the scan builds each chunk of grid matrices in one broadcast.
+fam = polynomial_family(WEYL_EXAMPLE_TERMS)
 
 print("model with H(0) = diag(0, 0, 1) and window block "
       "x sx + y sy + z sz:\n")
@@ -38,7 +41,8 @@ print("\nperturb the family by a constant 0.05 * sx on the window: the")
 print("point must survive and move, keeping its charge.")
 k_mat = np.zeros((3, 3), dtype=complex)
 k_mat[0, 1] = k_mat[1, 0] = 0.05
-fam_pert = param_family(lambda p: weyl_example(*p) + k_mat, 3)
+fam_pert = polynomial_family({
+    **WEYL_EXAMPLE_TERMS, (0, 0, 0): WEYL_EXAMPLE_TERMS[(0, 0, 0)] + k_mat})
 for rep in scan_grid(fam_pert, [(-0.5, 0.5)] * 3, 11):
     print(f"  found {rep.classification} at {np.round(rep.p, 6)}, "
           f"charge {rep.charge:+d}")

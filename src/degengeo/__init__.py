@@ -93,6 +93,7 @@ from .weyl import (
     jacobian,
     jacobian_with_check,
     param_family,
+    polynomial_family,
     scan_grid,
 )
 

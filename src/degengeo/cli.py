@@ -29,15 +29,16 @@ from .matrixio import (
     read_matrix,
     write_matrix,
 )
-from .models import (example_3x3, example_pr, five_qubit_code, ising,
-                     one_local, ssh, ssh_hopping_disorder,
-                     transverse_perturbation, weyl_example)
+from .models import (WEYL_EXAMPLE_TERMS, example_3x3, example_pr,
+                     five_qubit_code, ising, one_local, ssh,
+                     ssh_hopping_disorder, transverse_perturbation,
+                     weyl_example)
 from .projection import collapse_projection
 from .spectra import window_distance
 from .splitting import (default_ladder, estimate_all_orders, family,
                         linear_family)
 from .swtransform import Anchor, sw_decompose, sw_decompose_general
-from .weyl import param_family, scan_grid
+from .weyl import param_family, polynomial_family, scan_grid
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -262,13 +263,12 @@ def _cmd_weyl_scan(args):
         raise _CliError(EXIT_PARSE, f"--res must be at least 2, got "
                                     f"{args.res}")
     if args.model == "weyl-example":
-        evaluator = lambda p: weyl_example(*p)  # noqa: E731
+        fam = polynomial_family(WEYL_EXAMPLE_TERMS)
     elif args.model.startswith("plugin:"):
         fn = _load_plugin(args.model[len("plugin:"):])
-        evaluator = lambda p: np.asarray(fn(p))  # noqa: E731
+        fam = param_family(lambda p: np.asarray(fn(p)), 3)
     else:
         raise _CliError(EXIT_PARSE, f"unknown model {args.model!r}")
-    fam = param_family(evaluator, 3)
     box = [(c - args.box, c + args.box) for c in args.center]
     try:
         reports = scan_grid(fam, box, args.res)

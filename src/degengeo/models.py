@@ -14,6 +14,7 @@ import numpy as np
 
 from .hermitian import _freeze
 from .swtransform import SWDecomposition
+from .weyl import polynomial_value
 
 __all__ = [
     "PauliString",
@@ -27,6 +28,7 @@ __all__ = [
     "example_3x3",
     "example_pr",
     "example_pr_reference",
+    "WEYL_EXAMPLE_TERMS",
     "weyl_example",
 ]
 
@@ -229,15 +231,33 @@ def example_pr_reference(p, r):
     )
 
 
+def _terms(terms):
+    return {alpha: _freeze(np.array(coeff, dtype=complex))
+            for alpha, coeff in terms.items()}
+
+
+#: The coefficients {(a, b, c): C} of `weyl_example`, the sum of
+#: x^a y^b z^c C: multilinear, with the seven monomials 1, x, y, z, xz, yz
+#: and xyz.
+WEYL_EXAMPLE_TERMS = _terms({
+    (0, 0, 0): np.diag([0, 0, 1]),
+    (1, 0, 0): [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+    (0, 1, 0): [[0, -1j, 1], [1j, 0, 0], [1, 0, 0]],
+    (0, 0, 1): np.diag([1, -1, 0]),
+    (1, 0, 1): [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+    (0, 1, 1): [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+    (1, 1, 1): np.diag([0, 0, 1]),
+})
+
+
 def weyl_example(x, y, z):
     """Three-parameter 3 x 3 family with an isolated twofold ground
     degeneracy at the origin whose first-order effective Hamiltonian is
-    x sigma_x + y sigma_y + z sigma_z: a charge +1 Weyl point."""
-    return _freeze(np.array(
-        [
-            [z, x - 1j * y, y - 1j * x * z],
-            [x + 1j * y, -z, x - 1j * y * z],
-            [y + 1j * x * z, x + 1j * y * z, 1.0 + x * y * z],
-        ],
-        dtype=complex,
-    ))
+    x sigma_x + y sigma_y + z sigma_z: a charge +1 Weyl point. It is
+
+        [[z,            x - i y,      y - i x z  ],
+         [x + i y,      -z,           x - i y z  ],
+         [y + i x z,    x + i y z,    1 + x y z  ]],
+
+    evaluated from WEYL_EXAMPLE_TERMS."""
+    return _freeze(polynomial_value(WEYL_EXAMPLE_TERMS, [x, y, z]))

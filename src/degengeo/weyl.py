@@ -15,11 +15,19 @@ of H(p) - H(p0). By the distance theorem ||h(p)|| is the window distance of
 H(p)'s eigenvalues. So Newton and the classifier read one spectrum and the
 window block at each anchor, the line search and the grid field only
 eigenvalues; `effective_map` stays as the oracle for these shortcuts.
+
+A family is an evaluator p -> H(p), or polynomial coefficients
+{alpha: C_alpha} with H(p) = sum_alpha p^alpha C_alpha. The grid field takes
+as many whole grid lines as fit in FIELD_CHUNK_ENTRIES matrix entries (at
+least one) through one checked eigendecomposition; a polynomial family
+builds each chunk in one broadcast instead of one evaluator call per point.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +40,8 @@ from .swtransform import Anchor
 __all__ = [
     "ParamFamily",
     "param_family",
+    "polynomial_family",
+    "polynomial_value",
     "WeylReport",
     "effective_map",
     "first_order_effective_map",
@@ -57,17 +67,42 @@ NEWTON_MAX_ITER = 60
 #: times ||H(p)||_2.
 POINT_RTOL = 1e-8
 
+#: The grid field stacks whole grid lines up to this many matrix entries
+#: (matrices times n^2) per eigendecomposition, and always at least one line.
+FIELD_CHUNK_ENTRIES = 4096
+
+
+def polynomial_value(terms, points):
+    """sum_alpha p^alpha C_alpha at each point p of `points`, shape (..., m),
+    for terms {exponent tuple alpha: n x n matrix C_alpha}: shape
+    (..., n, n). Powers are repeated products (`**` calls pow, about twenty
+    times slower on a stack), and the terms are added in dict order,
+    elementwise, so a point gives the same bits alone as inside a stack."""
+    points = np.asarray(points, dtype=float)
+    exponents = np.array(list(terms))
+    degree, m = int(exponents.max()), points.shape[-1]
+    powers = np.ones(points.shape[:-1] + (degree + 1, m))
+    for d in range(1, degree + 1):
+        powers[..., d, :] = powers[..., d - 1, :] * points
+    monomials = np.prod(powers[..., exponents, np.arange(m)], axis=-1)
+    return sum(monomials[..., i, None, None] * coeff
+               for i, coeff in enumerate(terms.values()))
+
 
 @dataclass(frozen=True)
 class ParamFamily:
     """Pure map from an m-dimensional parameter space to Hermitian matrices,
-    analyzed around windows of k eigenvalues (ground window by default)."""
+    analyzed around windows of k eigenvalues (ground window by default).
+    `terms`, when set, are the polynomial coefficients the evaluator
+    evaluates (`polynomial_family`)."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     m: int
     n: int
     k: int = 2
     offset: int = 0
+    # compare=False: == on dicts of arrays is ambiguous.
+    terms: dict | None = field(default=None, compare=False)
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
@@ -75,12 +110,45 @@ class ParamFamily:
             raise ValueError(f"expected a parameter point of shape ({self.m},)")
         return np.asarray(self.evaluator(p))
 
+    def stack(self, points):
+        """H(p) for every point of `points`, shape (..., m): shape
+        (..., n, n). One broadcast of the terms when the family has them,
+        else one evaluator call per point."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (self.m,):
+            raise ValueError(f"expected parameter points of shape (..., "
+                             f"{self.m})")
+        if self.terms is not None:
+            return polynomial_value(self.terms, points)
+        flat = points.reshape(-1, self.m).tolist()
+        mats = np.stack([self(p) for p in flat])
+        return mats.reshape(points.shape[:-1] + mats.shape[1:])
+
 
 def param_family(evaluator, m, k=2, offset=0):
     """Wrap an evaluator, inferring the matrix dimension at the origin."""
     h = np.asarray(evaluator(np.zeros(m)))
     return ParamFamily(evaluator=evaluator, m=m, n=h.shape[0], k=k,
                        offset=offset)
+
+
+def polynomial_family(terms, k=2, offset=0):
+    """The family H(p) = sum_alpha p^alpha C_alpha of the terms
+    {exponent tuple alpha: n x n matrix C_alpha}; m is the length of the
+    exponent tuples. ValueError unless there is a term, every alpha has m
+    nonnegative integer entries, and every C_alpha is n x n."""
+    terms = {tuple(map(operator.index, alpha)): np.asarray(coeff)
+             for alpha, coeff in terms.items()}
+    if not terms:
+        raise ValueError("a polynomial family needs at least one term")
+    m = len(next(iter(terms)))
+    n = len(next(iter(terms.values())))
+    if any(len(alpha) != m or min(alpha, default=0) < 0 for alpha in terms):
+        raise ValueError(f"exponent tuples must have {m} nonnegative entries")
+    if any(coeff.shape != (n, n) for coeff in terms.values()):
+        raise ValueError(f"coefficients must be {n} x {n} matrices")
+    return ParamFamily(evaluator=partial(polynomial_value, terms), m=m, n=n,
+                       k=k, offset=offset, terms=terms)
 
 
 def effective_map(fam, p0):
@@ -241,16 +309,24 @@ def _grid_axes(box, resolution):
 
 def _distance_field(fam, axes):
     """Distance of H(p) from the degeneracy manifold at every point of the
-    grid spanned by `axes`: sqrt(sum of squared window deviations), from one
-    eigendecomposition of the stacked matrices of each grid line along the
-    last axis, so memory stays O(len(axes[-1]) n^2)."""
-    dist = np.empty(tuple(len(a) for a in axes))
-    for i, x in enumerate(axes[0]):
-        for j, y in enumerate(axes[1]):
-            line = np.stack([fam(np.array([x, y, z])) for z in axes[2]])
-            dist[i, j] = window_distance(eigh(line).eigenvalues, fam.k,
-                                         fam.offset)
-    return dist
+    grid spanned by `axes`: sqrt(sum of squared window deviations).
+
+    The grid lines along the last axis are taken in C order, in chunks of as
+    many whole lines as fit in FIELD_CHUNK_ENTRIES matrix entries and at
+    least one; each chunk's matrices come from one `fam.stack` and go
+    through one checked eigendecomposition. So the stacked matrices never
+    hold more than max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries."""
+    shape = tuple(len(a) for a in axes)
+    lines = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
+        -1, shape[-1], len(axes))
+    per_chunk = max(1, FIELD_CHUNK_ENTRIES // (shape[-1] * fam.n ** 2))
+    dist = np.empty(lines.shape[:2])
+    for start in range(0, len(lines), per_chunk):
+        chunk = fam.stack(lines[start : start + per_chunk])
+        vals = eigh(chunk.reshape(-1, fam.n, fam.n)).eigenvalues
+        dist[start : start + per_chunk] = window_distance(
+            vals, fam.k, fam.offset).reshape(chunk.shape[:2])
+    return dist.reshape(shape)
 
 
 def _local_minima(values):
@@ -273,12 +349,14 @@ def scan_grid(fam, box, resolution):
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
     on a box grid by the distance theorem, as sqrt(k) times the standard
     deviation of the window eigenvalues, with one stacked eigendecomposition
-    per grid line; its local minima seed a damped Newton refinement of the
-    effective map's zero. Newton and the classifier use the window map at
-    each anchor, which has the exact map's value and Jacobian there, so no
-    decomposition runs. Converged roots inside the box are deduplicated and
-    classified; diverged seeds are skipped and counted. Reports come back
-    sorted lexicographically by position.
+    per chunk of whole grid lines (`_distance_field`: at most
+    max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time); its
+    local minima seed a damped Newton refinement of the effective map's
+    zero. Newton and the classifier use the window map at each anchor, which
+    has the exact map's value and Jacobian there, so no decomposition runs.
+    Converged roots inside the box are deduplicated and classified; diverged
+    seeds are skipped and counted. Reports come back sorted
+    lexicographically by position.
     """
     if fam.m != 3:
         raise ValueError("grid scanning expects a 3-parameter family")

@@ -1,10 +1,13 @@
 """Model constructors: spectra, symmetries, and the closed-form references."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from degengeo.hermitian import frobenius_norm
 from degengeo.models import (
+    WEYL_EXAMPLE_TERMS,
     PauliString,
     example_3x3,
     example_pr,
@@ -169,6 +172,32 @@ def test_weyl_example_first_order_block():
     h = weyl_example(x, y, z)
     block = np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
     np.testing.assert_allclose(h[:2, :2], block, atol=1e-15)
+
+
+def _weyl_example_literal(x, y, z):
+    """Reference: the model written out entry by entry."""
+    return np.array(
+        [
+            [z, x - 1j * y, y - 1j * x * z],
+            [x + 1j * y, -z, x - 1j * y * z],
+            [y + 1j * x * z, x + 1j * y * z, 1.0 + x * y * z],
+        ],
+        dtype=complex,
+    )
+
+
+def test_weyl_example_terms_equal_the_literal():
+    # Equal in value (a zero's sign may differ) at random points and at
+    # every sign pattern of zero, with and without nonzero coordinates.
+    rng = np.random.default_rng(12)
+    points = [*rng.uniform(-2.0, 2.0, size=(1000, 3)),
+              *itertools.product([0.0, -0.0, 0.3, -0.7], repeat=3)]
+    for x, y, z in points:
+        assert np.array_equal(weyl_example(x, y, z),
+                              _weyl_example_literal(x, y, z))
+    assert list(WEYL_EXAMPLE_TERMS) == [(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                        (0, 0, 1), (1, 0, 1), (0, 1, 1),
+                                        (1, 1, 1)]
 
 
 # Today's site loops, kept as references for the one Pauli-sum builder.

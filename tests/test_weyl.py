@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from degengeo import swtransform, weyl
 from degengeo.errors import DegenError, StepTooSmall
 from degengeo.hermitian import random_hermitian
-from degengeo.models import example_pr, weyl_example
+from degengeo.models import WEYL_EXAMPLE_TERMS, example_pr, weyl_example
 from degengeo.projection import collapse_projection, distance_to_sigma
 from degengeo.splitting import estimate_order, family
 from degengeo.swtransform import Anchor
@@ -20,6 +20,7 @@ from degengeo.weyl import (
     jacobian,
     jacobian_with_check,
     param_family,
+    polynomial_family,
     scan_grid,
 )
 
@@ -28,6 +29,10 @@ ORIGIN = np.zeros(3)
 
 def weyl_family():
     return param_family(lambda p: weyl_example(*p), 3)
+
+
+def polynomial_weyl_family():
+    return polynomial_family(WEYL_EXAMPLE_TERMS)
 
 
 def pr_family():
@@ -242,13 +247,20 @@ def _distance_field_loop(fam, axes):
     return dist
 
 
-def random_family(seed, n=5):
-    """A linear n x n family with a twofold window at offset 1, degenerate
-    at the origin."""
+def random_terms(seed, n=5):
+    """Terms of a linear n x n family with a twofold window at offset 1,
+    degenerate at the origin."""
     rng = np.random.default_rng(seed)
     h0 = np.diag([-1.5, 0.0, 0.0, *np.arange(1.0, n - 2)]).astype(complex)
     dirs = [0.4 * np.sqrt(5.0 / n) * random_hermitian(n, rng)
             for _ in range(3)]
+    return {(0, 0, 0): h0, (1, 0, 0): dirs[0], (0, 1, 0): dirs[1],
+            (0, 0, 1): dirs[2]}
+
+
+def random_family(seed, n=5):
+    """The family of `random_terms` as an evaluator."""
+    h0, *dirs = random_terms(seed, n).values()
 
     def evaluator(p):
         return h0 + p[0] * dirs[0] + p[1] * dirs[1] + p[2] * dirs[2]
@@ -284,8 +296,10 @@ _centres = st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3)
 @settings(max_examples=10, deadline=None)
 @given(centre=_centres, res=st.integers(3, 9))
 def test_scan_field_matches_point_loop_builtin(centre, res):
-    with pytest.MonkeyPatch.context() as mp:
-        _check_scan_matches_point_loop(mp, weyl_family(), centre, res)
+    # The model wrapped as an evaluator and given as its terms.
+    for fam in (weyl_family(), polynomial_weyl_family()):
+        with pytest.MonkeyPatch.context() as mp:
+            _check_scan_matches_point_loop(mp, fam, centre, res)
 
 
 @settings(max_examples=8, deadline=None)
@@ -295,12 +309,80 @@ def test_scan_field_matches_point_loop_offset_window(centre, res, seed):
         _check_scan_matches_point_loop(mp, random_family(seed), centre, res)
 
 
-@pytest.mark.parametrize("fam, res", [(weyl_family(), 4),
-                                      (random_family(0), 6)])
-def test_scan_field_one_eigh_per_grid_line(linalg_calls, fam, res):
-    # One stacked eigh per line of the last axis.
+def test_stack_of_terms_matches_each_point():
+    # A linear family given as terms: the broadcast over a grid has the bits
+    # of evaluating each point, and of the evaluator family's sum.
+    rng = np.random.default_rng(8)
+    for seed in range(3):
+        fam = polynomial_family(random_terms(seed, n=6), offset=1)
+        evaluated = random_family(seed, n=6)
+        axes = weyl._grid_axes([(c - 0.5, c + 0.5)
+                                for c in rng.uniform(-0.3, 0.3, size=3)], 5)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        stacked = fam.stack(grid)
+        assert stacked.shape == (5, 5, 5, 6, 6)
+        points = grid.reshape(-1, 3)
+        assert np.array_equal(stacked.reshape(-1, 6, 6),
+                              np.stack([fam(p) for p in points]))
+        assert np.array_equal(stacked.reshape(-1, 6, 6),
+                              np.stack([evaluated(p) for p in points]))
+
+
+def test_polynomial_family_checks_its_terms():
+    fam = polynomial_family({(0, np.int64(1)): np.eye(2),
+                             (2, 0): np.ones((2, 2))})
+    assert (fam.m, fam.n, list(fam.terms)) == (2, 2, [(0, 1), (2, 0)])
+    np.testing.assert_array_equal(fam([3.0, 5.0]), [[14, 9], [9, 14]])
+    eye = np.eye(2)
+    for terms in [{}, {(0, 1): eye, (1,): eye}, {(0, -1): eye},
+                  {(0, 1): eye, (1, 0): np.eye(3)}, {(0, 1): np.ones((2, 3))}]:
+        with pytest.raises(ValueError):
+            polynomial_family(terms)
+    with pytest.raises(TypeError):
+        polynomial_family({(0.5, 1): eye})
+
+
+def test_polynomial_field_calls_no_evaluator(monkeypatch):
+    def per_point(self, p):
+        raise AssertionError("the polynomial field evaluated a point")
+
+    fam = polynomial_weyl_family()
+    monkeypatch.setattr(weyl.ParamFamily, "__call__", per_point)
+    field = weyl._distance_field(fam, weyl._grid_axes([(-0.5, 0.5)] * 3, 11))
+    assert field.shape == (11, 11, 11)
+
+
+@pytest.mark.parametrize("res", [11, 21])
+def test_polynomial_field_equals_evaluator_field(res):
+    # The built-in model as terms and wrapped as an evaluator: the same
+    # field bits, on a centred grid and on random off-grid centres.
+    rng = np.random.default_rng(res)
+    for centre in [np.zeros(3), *rng.uniform(-0.045, 0.045, size=(2, 3))]:
+        axes = weyl._grid_axes([(c - 0.5, c + 0.5) for c in centre], res)
+        assert np.array_equal(
+            weyl._distance_field(polynomial_weyl_family(), axes),
+            weyl._distance_field(weyl_family(), axes))
+
+
+@pytest.mark.parametrize("fam, res, calls", [
+    # n = 3, res 4: all 16 lines (576 entries) in one call.
+    pytest.param(weyl_family(), 4, [(64, 3, 3)], id="fam0-4"),
+    # n = 5, res 6: 4096 // 150 = 27 lines a call, then the other 9.
+    pytest.param(random_family(0), 6, [(162, 5, 5), (54, 5, 5)],
+                 id="fam1-6"),
+    # n = 3, res 21: a plane of 21 lines (3969 entries) a call.
+    pytest.param(polynomial_weyl_family(), 21, [(441, 3, 3)] * 21,
+                 id="fam2-21"),
+    # n = 16, res 15: one line (3840 entries) a call.
+    pytest.param(random_family(3, n=16), 15, [(15, 16, 16)] * 225,
+                 id="fam3-15"),
+])
+def test_scan_field_one_eigh_per_chunk_of_grid_lines(linalg_calls, fam, res,
+                                                      calls):
+    # One stacked eigh per chunk of whole lines along the last axis: as many
+    # lines as fit in FIELD_CHUNK_ENTRIES matrix entries, at least one.
     weyl._distance_field(fam, weyl._grid_axes([(-0.5, 0.5)] * 3, res))
-    assert linalg_calls == [("eigh", (res, fam.n, fam.n))] * res ** 2
+    assert linalg_calls == [("eigh", shape) for shape in calls]
 
 
 @pytest.mark.parametrize("fam", [weyl_family(), random_family(3, n=16)])
