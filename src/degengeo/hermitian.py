@@ -11,6 +11,7 @@ arrays are marked read-only so they can be shared freely.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +217,13 @@ def traceless_basis(k):
     normalized Pauli triple (sigma_x, sigma_y, sigma_z)/sqrt(2). For k = 1
     the basis is empty: every traceless 1 x 1 matrix is zero.
     """
+    return list(_traceless_basis(k))
+
+
+@functools.cache
+def _traceless_basis(k):
+    """`traceless_basis(k)` as a tuple of read-only matrices, built once per
+    k: the coordinate maps run at every Newton iterate and classifier step."""
     if k < 1:
         raise ValueError("traceless basis needs k >= 1")
     mats = []
@@ -232,20 +240,20 @@ def traceless_basis(k):
         d = d / np.linalg.norm(d)
         diag_members.append(d)
     mats.extend(_freeze(np.diag(d).astype(complex)) for d in diag_members)
-    return mats
+    return tuple(mats)
 
 
 def traceless_coordinates(block):
     """Coordinates of a traceless Hermitian k x k matrix in `traceless_basis`."""
     block = np.asarray(block)
-    k = block.shape[0]
-    return np.array([frobenius_inner(block, c) for c in traceless_basis(k)])
+    return np.array([frobenius_inner(block, c)
+                     for c in _traceless_basis(block.shape[0])])
 
 
 def traceless_from_coordinates(y, k):
     """Rebuild a traceless k x k matrix from `traceless_basis` coordinates."""
     y = np.asarray(y, dtype=float)
-    basis = traceless_basis(k)
+    basis = _traceless_basis(k)
     if y.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} coordinates, got {y.shape}")
     return _freeze(sum((c * mat for c, mat in zip(y, basis)),
@@ -253,9 +261,11 @@ def traceless_from_coordinates(y, k):
 
 
 def conjugate(h, u):
-    """Unitary conjugation U H U^dagger, re-symmetrized exactly."""
+    """Unitary conjugation U H U^dagger, re-symmetrized exactly, of one n x n
+    H or of each matrix of a stack of shape (..., n, n)."""
     h = np.asarray(h)
     u = np.asarray(u)
-    _check_same_dimension(h, u)
+    if h.shape[-2:] != u.shape:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {u.shape}")
     g = u @ h @ u.conj().T
-    return _freeze((g + g.conj().T) / 2.0)
+    return _freeze((g + np.swapaxes(g.conj(), -1, -2)) / 2.0)

@@ -24,12 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit
-from .hermitian import frobenius_norm
+from .hermitian import frobenius_norm, operator_2_norm
 from .spectra import (
     check_degenerate,
     check_separated,
     classify_stratum,
     eigh,
+    window_half_gap,
     window_spread,
 )
 from .swtransform import Anchor
@@ -115,8 +116,10 @@ class SplittingSample:
 
     pairwise maps 1-based window index pairs (i, j), i < j, to
     lambda_i - lambda_j; mean_dev holds lambda_i minus the window mean;
-    heff_norm is ||H_eff(t)|| from the decomposition against the collapsed
-    start point (None with a note when the decomposition fails there)."""
+    heff_norm is ||H_eff(t)||_F from the effective block against the
+    collapsed start point (None with a note when the decomposition fails
+    there), and the note also marks a sample with ||H(t) - H_0||_2 >= r0,
+    outside the start point's uniqueness ball."""
 
     t: float
     std_dev: float
@@ -144,7 +147,9 @@ def splitting_samples(fam, ts, with_heff=True):
     if np.any(np.diff(ts) == 0.0):
         raise ValueError("sample points must be distinct")
     a, k = fam.offset, fam.k
-    anchor = Anchor.at(fam(0.0), k, a) if with_heff else None
+    if with_heff:
+        anchor = Anchor.at(fam(0.0), k, a)
+        r0 = window_half_gap(np.diag(anchor.base).real, k, a)
     out = []
     for t, h, vals in zip(ts, *_stacked_ladder(fam, ts)):
         win = vals[a : a + k]
@@ -155,9 +160,8 @@ def splitting_samples(fam, ts, with_heff=True):
         note = None
         if with_heff:
             try:
-                dec = anchor.decompose(h)
-                heff_norm = frobenius_norm(dec.h_eff)
-                if not dec.within_r0:
+                heff_norm = frobenius_norm(anchor.heff_block(h))
+                if not operator_2_norm(anchor.local(h) - anchor.base) < r0:
                     note = "outside the uniqueness ball of the start point"
             except (DegenError, np.linalg.LinAlgError) as exc:
                 note = f"decomposition failed: {exc}"
@@ -420,20 +424,22 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
 
     A level is held as its values at the probe points t_probe, -t_probe,
     t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
-    level is made from them: each probe matrix is decomposed once per level.
+    level is made from them: each level takes its four probe matrices, as
+    one (4, n, n) stack, through one `Anchor.heff_block` call.
 
     t_probe must be small enough that the decompositions along the cascade
     stay valid; errors from invalid probes propagate.
     """
     k = fam.k
-    ts = (t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0)
+    ts = np.array([t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0])
     start = Anchor.at(fam(0.0), k, fam.offset)
-    queue = [(tuple(range(1, k + 1)), [fam(t) for t in ts], start, 1)]
+    probes = np.stack([fam(t) for t in ts])
+    queue = [(tuple(range(1, k + 1)), probes, start, 1)]
     pair_levels = {}
     capped = []
     while queue:
         idx, above, anchor, level = queue.pop()
-        g = [anchor.heff_block(h) / t for h, t in zip(above, ts)]
+        g = anchor.heff_block(above) / ts[:, None, None]
         g0 = _extrapolate_zero(g)
         spec0 = eigh((g0 + g0.conj().T) / 2.0)
         parts = classify_stratum(spec0, CLUSTER_RTOL).parts

@@ -37,8 +37,12 @@ the distance theorem the collapsed matrix is the closest point of the
 manifold to G; in the eigenbasis of G (the anchor's gauge) it is diagonal,
 so each H is taken into that gauge and decomposed against the diagonal base,
 which the anchor validated once, when it was made.
-The general-base decomposition, the heff splitting samples, every level of
-the cascade and the effective maps of the Weyl analysis all work this way.
+The general-base decomposition works this way. The heff splitting samples,
+every level of the cascade and the exact effective map of the Weyl analysis
+need only the window block of H_eff: `Anchor.heff_block` reads it off one
+eigendecomposition and the polar factor of a k x k SVD, as U Lambda_w
+U^dagger, without building S or e^{iS}, and takes a stack of matrices (a
+cascade level's four probes) in one call.
 """
 
 from __future__ import annotations
@@ -123,6 +127,20 @@ def direct_rotation(p, p0):
     return frame @ e @ frame.conj().T
 
 
+def _principal_angles(v_w):
+    """The SVD X cos(Theta) Y^dagger of the window rows v_w of orthonormal
+    window eigenvectors, for one k x k block or a stack (..., k, k). Raises
+    SubspacesTooFar, with the first such block's separation, when some
+    ||P - P0||_2 = max sin(Theta) reaches 1: no direct rotation exists."""
+    x, cos, yh = np.linalg.svd(v_w)
+    min_cos = np.min(cos, axis=-1, initial=1.0)
+    sep = np.sqrt(np.maximum(0.0, 1.0 - min_cos ** 2))
+    far = np.argwhere(sep >= 1.0 - 1e-12)
+    if len(far):
+        raise _too_far(float(sep[tuple(far[0])]))
+    return x, cos, yh
+
+
 def _window_rotation(v, members):
     """S and e^{iS} of the direct rotation from the coordinate window
     `members` onto the span of the orthonormal columns v.
@@ -133,10 +151,7 @@ def _window_rotation(v, members):
     on the complement block as I - Z (I - cos Theta) Z^dagger, written without
     dividing by sin(Theta)."""
     v_w, v_c = v[members], v[~members]
-    x, cos, yh = np.linalg.svd(v_w)
-    sep = float(np.sqrt(max(0.0, 1.0 - np.min(cos, initial=1.0) ** 2)))
-    if sep >= 1.0 - 1e-12:
-        raise _too_far(sep)
+    x, cos, yh = _principal_angles(v_w)
     theta = np.arccos(np.minimum(cos, 1.0))
     z_sin = v_c @ yh.conj().T
     u = x @ yh
@@ -375,15 +390,16 @@ class Anchor:
         return self.spectrum.vectors
 
     def local(self, h):
-        """h in the anchor's eigenbasis."""
+        """h, or each matrix of a stack (..., n, n), in the anchor's
+        eigenbasis."""
         return conjugate(h, self.gauge.conj().T)
 
     def window_block(self, h):
         """The traceless window block of h in the anchor's eigenbasis, with
-        no rotation: the first-order effective Hamiltonian."""
+        no rotation: the first-order effective Hamiltonian. For a stack
+        (..., n, n) the blocks come back as (..., k, k)."""
         w = slice(self.offset, self.offset + self.k)
-        block = self.local(h)[w, w]
-        return block - (np.trace(block).real / self.k) * np.eye(self.k)
+        return _traceless(self.local(h)[..., w, w])
 
     def decompose(self, h):
         """The decomposition of h, in the anchor's eigenbasis, against the
@@ -393,13 +409,38 @@ class Anchor:
         return _decompose(self.local(h), self.base, self.k, self.offset)
 
     def heff_block(self, h):
-        """The effective Hamiltonian of h as a dense traceless k x k block;
-        when the window covers the whole space there is nothing to rotate
-        away and this is the traceless part of h."""
+        """The effective Hamiltonian of h as a dense traceless k x k block in
+        the anchor's eigenbasis, equal to `decompose(h)`'s window block; for
+        a stack (..., n, n) the blocks come back as (..., k, k).
+
+        With V the window eigenvectors of h in the gauge and U = X Y^dagger
+        the polar factor of their window rows, the direct rotation sends the
+        window columns to V U^dagger, so the block is U Lambda_w U^dagger
+        (Lambda_w the window eigenvalues) minus its mean: one
+        eigendecomposition and one k x k SVD per matrix, and no n x n
+        rotation. Each matrix gets `decompose`'s checks: the eigensolver
+        residual, DegenerateBoundary for an unseparated window, and
+        SubspacesTooFar. When the window covers the whole space there is
+        nothing to rotate away and this is the traceless part of h."""
         if self.k == self.spectrum.n:
             return self.window_block(h)
+        spec = eigh(self.local(h))
+        for vals in spec.eigenvalues.reshape(-1, self.spectrum.n):
+            check_separated(vals, self.k, self.offset, DegenerateBoundary)
         w = slice(self.offset, self.offset + self.k)
-        return self.decompose(h).h_eff[w, w]
+        x, _, yh = _principal_angles(spec.vectors[..., w, w])
+        u = x @ yh
+        block = (u * spec.eigenvalues[..., None, w]) @ np.swapaxes(
+            u.conj(), -1, -2)
+        return _traceless((block + np.swapaxes(block.conj(), -1, -2)) / 2.0)
+
+
+def _traceless(block):
+    """A k x k block, or each of a stack (..., k, k), minus its mean
+    diagonal entry times the identity."""
+    k = block.shape[-1]
+    mean = np.trace(block, axis1=-2, axis2=-1).real / k
+    return block - mean[..., None, None] * np.eye(k)
 
 
 @dataclass(frozen=True)

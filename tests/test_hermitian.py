@@ -1,5 +1,7 @@
 """Inner products, norms, bases, and construction invariants."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from degengeo.hermitian import (
     traceless_coordinates,
     traceless_from_coordinates,
 )
+
+# The package exports the function `hermitian`, which shadows the module.
+hermitian_module = importlib.import_module("degengeo.hermitian")
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -195,6 +200,39 @@ def test_traceless_coordinates_round_trip():
     y = traceless_coordinates(block)
     back = traceless_from_coordinates(y, 3)
     assert frobenius_norm(back - block) <= 1e-13
+
+
+def test_traceless_basis_built_once_per_k():
+    # The cached basis gives the coordinates of the uncached build to the
+    # last bit; callers get a fresh list of read-only matrices.
+    rng = np.random.default_rng(6)
+    for k in range(1, 7):
+        block = random_hermitian(k, rng)
+        block = block - (np.trace(block).real / k) * np.eye(k)
+        uncached = hermitian_module._traceless_basis.__wrapped__(k)
+        want = np.array([frobenius_inner(block, c) for c in uncached])
+        assert traceless_coordinates(block).tobytes() == want.tobytes()
+        first, second = traceless_basis(k), traceless_basis(k)
+        assert first is not second and len(first) == k * k - 1
+        first.clear()
+        assert len(traceless_basis(k)) == k * k - 1
+        for mat, ref in zip(second, uncached):
+            assert not mat.flags.writeable
+            assert mat.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="k >= 1"):
+        traceless_basis(0)
+
+
+def test_conjugate_stack_matches_each_matrix():
+    rng = np.random.default_rng(7)
+    u = random_unitary(4, rng)
+    hs = np.stack([random_hermitian(4, rng) for _ in range(3)])
+    stacked = conjugate(hs, u)
+    assert stacked.shape == (3, 4, 4) and not stacked.flags.writeable
+    for g, h in zip(stacked, hs):
+        assert g.tobytes() == conjugate(h, u).tobytes()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        conjugate(hs, random_unitary(3, rng))
 
 
 def test_conjugate_identity_and_invariances():

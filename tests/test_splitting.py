@@ -16,7 +16,12 @@ from degengeo.models import (
     ssh_hopping_disorder,
     transverse_perturbation,
 )
-from degengeo.spectra import classify_stratum, eigh, window_spread
+from degengeo.spectra import (
+    classify_stratum,
+    eigh,
+    window_distance,
+    window_spread,
+)
 from degengeo.splitting import (
     CLUSTER_RTOL,
     FIVE_METHODS,
@@ -511,7 +516,8 @@ def test_cascade_matches_closure_tower_special_families(make, kwargs):
 @pytest.mark.parametrize("order", [3, 4, 5])
 def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
     # The pair of ising(r) splits at order r: r levels of four probes each,
-    # and H(t) at t = 0 and the four probes only.
+    # one stacked heff_block call per level, and H(t) at t = 0 and the four
+    # probes only.
     evaluations = []
     fam = model_family("ising", order, 0, evaluations)
     calls = []
@@ -525,10 +531,25 @@ def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
     evaluations.clear()
     res = cascade(fam)
     assert res.pair_levels == {(1, 2): order}
-    assert len(calls) == 4 * order
+    assert calls == [(4, fam.n, fam.n)] + [(4, 2, 2)] * (order - 1)
+    assert sum(shape[0] for shape in calls) == 4 * order
     assert len(evaluations) == 5
     t = 2.0 ** -6
     assert sorted(evaluations) == sorted([0.0, t, -t, t / 2.0, -t / 2.0])
+
+
+def test_cascade_factorization_count(linalg_calls):
+    # ising(4): the start anchor's eigh, one stacked eigh of the four level-1
+    # probes and one stacked k x k SVD of their window rows; no eigvalsh.
+    # Each of the four levels diagonalizes its 2 x 2 start value, and the
+    # deeper levels anchor whole 2 x 2 windows, which need no factorization.
+    fam = model_family("ising", 4, 0)
+    n = fam.n
+    linalg_calls.clear()
+    res = cascade(fam)
+    assert res.pair_levels == {(1, 2): 4}
+    assert linalg_calls == [("eigh", (n, n)), ("eigh", (4, n, n)),
+                            ("svd", (4, 2, 2))] + [("eigh", (2, 2))] * 4
 
 
 @pytest.mark.parametrize("with_heff", [False, True])
@@ -550,8 +571,13 @@ def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
         assert np.array_equal(s.mean_dev, mean_dev)
         assert s.pairwise == {(1, 2): float(win[0] - win[1])}
         if with_heff:
+            # The short path and the full decomposition round differently;
+            # both agree with the distance theorem at rounding level.
+            bound = 1e-13 * max(1.0, frobenius_norm(fam(t)))
             dec = Anchor.at(fam(0.0), fam.k, fam.offset).decompose(fam(t))
-            assert s.heff_norm == frobenius_norm(dec.h_eff)
+            assert abs(s.heff_norm - frobenius_norm(dec.h_eff)) <= bound
+            distance = window_distance(vals, fam.k, fam.offset)
+            assert abs(s.heff_norm - distance) <= bound
 
 
 def test_signed_stddev_takes_one_stacked_eigvalsh(linalg_calls):

@@ -27,7 +27,7 @@ from degengeo.hermitian import (
 )
 from degengeo.models import example_pr, example_pr_reference
 from degengeo.projection import collapse_projection
-from degengeo.spectra import eigh, half_gap
+from degengeo.spectra import eigh, half_gap, window_distance, window_half_gap
 from degengeo.swtransform import (
     Anchor,
     chart_coordinates,
@@ -534,6 +534,80 @@ def test_anchor_decompositions_skip_base_validation(monkeypatch):
     assert calls == []
     sw_decompose(h, h0, 2)
     assert len(calls) == 1
+
+
+def windowed_anchor_pair(n, k, offset, rng):
+    """An anchor at a random conjugate G of a diagonal base that is exactly
+    degenerate on the window, and H = G + V with ||V||_2 = r0 / 2."""
+    deg = float(rng.standard_normal())
+    below = deg - 1.0 - np.sort(rng.uniform(0.0, 2.0, size=offset))[::-1]
+    above = deg + 1.0 + np.sort(rng.uniform(0.0, 2.0, size=n - k - offset))
+    diag = np.concatenate([below, np.full(k, deg), above])
+    g = conjugate(np.diag(diag).astype(complex), random_unitary(n, rng))
+    v = random_hermitian(n, rng)
+    r0 = window_half_gap(diag, k, offset)
+    return Anchor.at(g, k, offset), g + v * (0.5 * r0 / operator_2_norm(v))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 32])
+def test_heff_block_is_the_decomposition_window_block(n):
+    # U Lambda_w U^dagger from the polar factor agrees with the window block
+    # of the full rotation, and its norm is the distance theorem's window
+    # distance, for every window size, ground and middle windows.
+    rng = np.random.default_rng(100 + n)
+    for k in range(1, n):
+        for offset in sorted({0, (n - k) // 2}):
+            anchor, h = windowed_anchor_pair(n, k, offset, rng)
+            bound = 1e-13 * max(1.0, frobenius_norm(h))
+            block = anchor.heff_block(h)
+            w = slice(offset, offset + k)
+            want = anchor.decompose(h).h_eff[w, w]
+            assert block.shape == (k, k)
+            assert np.array_equal(block, block.conj().T)
+            assert np.max(np.abs(block - want)) <= bound
+            distance = window_distance(np.linalg.eigvalsh(h), k, offset)
+            assert abs(frobenius_norm(block) - distance) <= bound
+
+
+@pytest.mark.parametrize("n, k, offset", [(5, 2, 0), (8, 3, 2), (16, 2, 7),
+                                          (4, 4, 0)])
+def test_heff_block_stack_matches_each_matrix(n, k, offset):
+    # A stack goes through one call and gives each matrix's block to the
+    # last bit; k = n takes the window-block branch, stacks included.
+    rng = np.random.default_rng(30 + n)
+    if k == n:
+        anchor = Anchor.at(random_hermitian(n, rng), k, offset)
+        hs = np.stack([random_hermitian(n, rng) for _ in range(4)])
+    else:
+        anchor, h = windowed_anchor_pair(n, k, offset, rng)
+        hs = np.stack([h + 1e-3 * j * random_hermitian(n, rng)
+                       for j in range(4)])
+    blocks = anchor.heff_block(hs)
+    assert blocks.shape == (4, k, k)
+    for block, h in zip(blocks, hs):
+        assert block.tobytes() == anchor.heff_block(h).tobytes()
+    nested = anchor.heff_block(hs.reshape(2, 2, n, n))
+    assert nested.tobytes() == blocks.tobytes()
+
+
+def test_heff_block_raises_as_decompose():
+    anchor = Anchor.at(np.diag([0.0, 0.0, 2.0, 3.0]).astype(complex), 2)
+    good = np.diag([0.0, 0.1, 2.0, 3.0]).astype(complex)
+    # Eigenvalues 2 and 3 of H coincide: the window is not separated.
+    touching = np.diag([0.0, 1.0, 1.0, 3.0]).astype(complex)
+    # The window eigenvectors of H span the anchor's complement.
+    orthogonal = np.diag([2.0, 3.0, 0.0, 0.5]).astype(complex)
+    for bad, error, match in [(touching, DegenerateBoundary, "coincide"),
+                              (orthogonal, SubspacesTooFar,
+                               "no direct rotation")]:
+        with pytest.raises(error, match=match):
+            anchor.decompose(bad)
+        with pytest.raises(error, match=match):
+            anchor.heff_block(bad)
+        with pytest.raises(error, match=match):
+            anchor.heff_block(np.stack([good, good, bad, good]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        anchor.heff_block(np.eye(3))
 
 
 def test_whole_spectrum_anchor():
