@@ -13,6 +13,7 @@ ssh-disorder) or (five-qubit, one-local --qubits 5).
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import sys
 import time
@@ -45,6 +46,11 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 EXIT_INCONCLUSIVE = 5
+
+#: Largest `weyl-scan --res`: the field's grid holds res^3 points (three
+#: doubles each) before it is chunked, and a res-101 built-in scan takes
+#: seconds, while res 1000 would ask for 24 GB.
+MAX_SCAN_RES = 101
 
 
 def _emit(report, as_json):
@@ -262,6 +268,9 @@ def _cmd_weyl_scan(args):
     if args.res < 2:
         raise _CliError(EXIT_PARSE, f"--res must be at least 2, got "
                                     f"{args.res}")
+    if args.res > MAX_SCAN_RES:
+        raise _CliError(EXIT_PARSE, f"--res must be at most {MAX_SCAN_RES}, "
+                                    f"got {args.res}")
     if args.model == "weyl-example":
         fam = polynomial_family(WEYL_EXAMPLE_TERMS)
     elif args.model.startswith("plugin:"):
@@ -391,7 +400,8 @@ def build_parser():
                    help="'weyl-example' or 'plugin:path.py:function'")
     p.add_argument("--box", type=float, required=True,
                    help="half-width of the cubic scan box")
-    p.add_argument("--center", type=float, nargs=3, default=[0.0, 0.0, 0.0])
+    # An immutable default, since one parser serves every `main` call.
+    p.add_argument("--center", type=float, nargs=3, default=(0.0, 0.0, 0.0))
     p.add_argument("--res", type=int, default=11)
     _add_common(p)
     p.set_defaults(func=_cmd_weyl_scan)
@@ -416,9 +426,16 @@ def build_parser():
     return parser
 
 
+#: The parser `main` uses, built on first use. parse_args leaves a parser
+#: as it found it (each call fills a new Namespace), and the help formatter
+#: reads COLUMNS when the help is printed, so one parser serves every call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code. The parser is built once
+    per process and shared by every later call."""
+    args = _shared_parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

@@ -113,11 +113,10 @@ def frobenius_norm(h):
 
 
 def operator_2_norm(h):
-    """Operator 2-norm max|lambda_i|, from the eigenvalues of H."""
-    h = np.asarray(h)
-    if h.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    """Operator 2-norm max|lambda_i|, from the eigenvalues of H: a float for
+    one n x n H, an array of shape (...) for a stack (..., n, n)."""
+    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1, initial=0.0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _basis_order(n):

@@ -4,6 +4,14 @@ the five-qubit stabilizer-code Hamiltonian, and small closed-form matrices
 with known exact decompositions and a Weyl point. The spin models (Ising,
 its transverse and one-local directions, the code) are Pauli sums, all
 built by one private helper.
+
+Pauli words are written in closed form, with no tensor products. Read the
+letters as bits, the first letter the most significant: xmask marks the X
+and Y letters, zmask the Z and Y letters. A word then has exactly one
+nonzero per row r, at column r XOR xmask, and since Y = iXZ its value there
+is i^{#Y} (-1)^{popcount(column & zmask)}. A Pauli sum adds c_j times these
+2^q values to a zero matrix, term by term; every nonzero is an exact +-c_j
+or +-i c_j, so the sum has the bytes of the sum of the tensor products.
 """
 
 from __future__ import annotations
@@ -36,12 +44,8 @@ __all__ = [
 #: would silently turn every eigendecomposition into a wait.
 MAX_QUBITS = 6
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: Pauli letter -> (flips the bit, reads the bit's sign); Y = iXZ does both.
+_PAULI = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,26 @@ class PauliString:
             raise ValueError(f"unknown Pauli letter in {self.letters!r}")
 
     def matrix(self):
-        out = np.array([[self.coefficient]], dtype=complex)
-        for ch in self.letters:
-            out = np.kron(out, _PAULI[ch])
+        cols, phases = _pauli_entries(self.letters)
+        out = np.zeros((cols.size, cols.size), dtype=complex)
+        out[np.arange(cols.size), cols] = self.coefficient * phases
         return _freeze(out)
+
+
+def _pauli_entries(letters):
+    """The word's nonzeros: row r holds phases[r] at column cols[r]."""
+    xmask = zmask = 0
+    for ch in letters:
+        flip, sign = _PAULI[ch]
+        xmask = 2 * xmask + flip
+        zmask = 2 * zmask + sign
+    cols = np.arange(2 ** len(letters)) ^ xmask
+    parity = np.zeros_like(cols)
+    for bit in range(len(letters)):  # popcount(cols & zmask) mod 2
+        if zmask >> bit & 1:
+            parity ^= cols >> bit & 1
+    phase = (1, 1j, -1, -1j)[letters.count("Y") % 4]
+    return cols, np.where(parity, -phase, phase).astype(complex)
 
 
 def pauli_matrix(letters, coefficient=1.0):
@@ -86,11 +106,14 @@ def _site_words(n_qubits, blocks):
 
 
 def _pauli_sum(n_qubits, terms):
-    """sum_j c_j P_j over the (c_j, word_j) terms, added in order to zero."""
+    """sum_j c_j P_j over the (c_j, word_j) terms, added in order to zero;
+    each term touches only its 2^n_qubits nonzeros."""
     dim = 2 ** n_qubits
     h = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
     for c, word in terms:
-        h += c * pauli_matrix(word)
+        cols, phases = _pauli_entries(word)
+        h[rows, cols] += c * phases
     return _freeze(h)
 
 

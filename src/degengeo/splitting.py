@@ -131,10 +131,15 @@ class SplittingSample:
 
 def _stacked_ladder(fam, ts):
     """The family's matrices at ts, stacked, and their eigenvalues from one
-    eigvalsh over the stack."""
+    eigvalsh over the stack. A matrix with a non-finite entry raises
+    LinAlgError, as eigvalsh does on NaN (on inf it may return NaN)."""
     hs = np.empty((0, fam.n, fam.n))
     if len(ts):
         hs = np.stack([fam(t) for t in ts])
+    finite = np.isfinite(hs).all(axis=(-2, -1))
+    if not finite.all():
+        raise np.linalg.LinAlgError(f"the family is not finite at "
+                                    f"t = {float(ts[np.argmin(finite)])!r}")
     return hs, np.linalg.eigvalsh(hs)
 
 
@@ -150,8 +155,13 @@ def splitting_samples(fam, ts, with_heff=True):
     if with_heff:
         anchor = Anchor.at(fam(0.0), k, a)
         r0 = window_half_gap(np.diag(anchor.base).real, k, a)
+    hs, ladder_vals = _stacked_ladder(fam, ts)
+    if with_heff:
+        # ||H(t) - G||_2 < r0 in the anchor gauge, for the whole ladder from
+        # one stacked eigvalsh of finite matrices.
+        inside = operator_2_norm(anchor.local(hs) - anchor.base) < r0
     out = []
-    for t, h, vals in zip(ts, *_stacked_ladder(fam, ts)):
+    for sample, (t, h, vals) in enumerate(zip(ts, hs, ladder_vals)):
         win = vals[a : a + k]
         _, mean_dev, std = window_spread(vals, k, a)
         pairwise = {(i + 1, j + 1): float(win[i] - win[j])
@@ -161,10 +171,11 @@ def splitting_samples(fam, ts, with_heff=True):
         if with_heff:
             try:
                 heff_norm = frobenius_norm(anchor.heff_block(h))
-                if not operator_2_norm(anchor.local(h) - anchor.base) < r0:
-                    note = "outside the uniqueness ball of the start point"
             except (DegenError, np.linalg.LinAlgError) as exc:
                 note = f"decomposition failed: {exc}"
+            else:
+                if not inside[sample]:
+                    note = "outside the uniqueness ball of the start point"
         out.append(
             SplittingSample(
                 t=float(t),

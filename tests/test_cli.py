@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from degengeo import cli
 from degengeo.cli import _order_family, build_parser, main
 from degengeo.hermitian import hermitian, random_hermitian
 from degengeo.matrixio import (
@@ -510,12 +511,16 @@ def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function):
     (["--box", "0.5", "--res", "1"], "--res must be at least 2, got 1"),
     (["--box", "0.5", "--res", "0"], "--res must be at least 2, got 0"),
     (["--box", "0.5", "--res", "-3"], "--res must be at least 2, got -3"),
+    (["--box", "0.5", "--res", "102"], "--res must be at most 101, got 102"),
+    (["--box", "0.5", "--res", "1000"],
+     "--res must be at most 101, got 1000"),
 ])
 def test_cli_weyl_scan_box_errors_exit2(capsys, flags, message):
     # A box without interior scans every grid point as a seed (or rejects
     # every root); a non-finite one reaches LAPACK; a grid needs two points
-    # per axis. All are refused first. The flags come last, so their --res
-    # overrides the default one.
+    # per axis, and a grid above res 101 holds more points than the field
+    # builds at once (res 1000 would be 24 GB). All are refused first. The
+    # flags come last, so their --res overrides the default one.
     code = main(["weyl-scan", "--res", "5", *flags])
     err = capsys.readouterr().err
     assert code == 2
@@ -707,3 +712,30 @@ def test_report_text_scalars_lists_and_nested_dicts():
         "      ok: false",
         "    extreme: 1e-300",
     ]
+
+
+def test_cli_main_builds_its_parser_once(capsys):
+    # One process, one parser: an order run, an argparse error, a --help, a
+    # command-level parse error, a scan and the same order run again all
+    # share it, and the two order reports are the same bytes.
+    order = ["order", "ising", "--qubits", "3", "--seed", "7", "--json"]
+    cli._shared_parser.cache_clear()
+    assert main(order) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "no-such-family"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "--help"])
+    assert exc.value.code == 0
+    assert "usage: degengeo order" in capsys.readouterr().out
+    assert main(["weyl-scan", "--box", "0.5", "--res", "102"]) == 2
+    assert main(["weyl-scan", "--box", "0.5", "--res", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "weyl-scan"
+    assert main(order) == 0
+    assert capsys.readouterr().out == first
+    info = cli._shared_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    # The public builder still hands out a new parser on each call.
+    assert build_parser() is not build_parser()
+    assert build_parser() is not cli._shared_parser()

@@ -254,3 +254,59 @@ def test_five_qubit_code_matches_generator_loop_bitwise():
     for letters in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
         h += pauli_matrix(letters)
     assert five_qubit_code().tobytes() == h.tobytes()
+
+
+# An oracle independent of the closed form: Pauli words as tensor products.
+
+_PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _kron_word(letters, coefficient=1.0):
+    out = np.array([[coefficient]], dtype=complex)
+    for ch in letters:
+        out = np.kron(out, _PAULI_2X2[ch])
+    return out
+
+
+def _kron_sum(n, terms):
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for c, letters in terms:
+        h += c * _kron_word(letters)
+    return h
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_pauli_matrix_equals_tensor_products(q):
+    # Every word at q <= 3, equal in value (a zero's sign may differ), with
+    # and without a coefficient.
+    for letters in map("".join, itertools.product("IXYZ", repeat=q)):
+        assert np.array_equal(pauli_matrix(letters), _kron_word(letters))
+        assert np.array_equal(pauli_matrix(letters, -0.75),
+                              _kron_word(letters, -0.75))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_pauli_sums_match_tensor_products_bitwise(n):
+    rng = np.random.default_rng(200 + n)
+    xs, ys = rng.standard_normal(n), rng.standard_normal(n)
+    coeffs = rng.standard_normal(3 * n)
+    xs[0], coeffs[1] = -0.0, 0.0
+    assert (ising(n).tobytes() == _kron_sum(
+        n, [(-1.0, _word(n, [(i, "Z"), (i + 1, "Z")]))
+            for i in range(n - 1)]).tobytes())
+    assert (transverse_perturbation(n, xs, ys).tobytes() == _kron_sum(
+        n, [(f[i], _word(n, [(i, letter)]))
+            for i in range(n) for f, letter in ((xs, "X"), (ys, "Y"))]
+    ).tobytes())
+    assert (one_local(n, coeffs).tobytes() == _kron_sum(
+        n, [(coeffs[3 * i + j], _word(n, [(i, letter)]))
+            for i in range(n) for j, letter in enumerate("XYZ")]).tobytes())
+    if n == 5:
+        assert five_qubit_code().tobytes() == _kron_sum(
+            5, [(1.0, w) for w in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
+        ).tobytes()

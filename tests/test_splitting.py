@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from degengeo.errors import DegenError, InconclusiveFit
-from degengeo.hermitian import frobenius_norm, random_hermitian, random_unitary
+from degengeo.hermitian import (
+    frobenius_norm,
+    operator_2_norm,
+    random_hermitian,
+    random_unitary,
+)
 from degengeo.models import (
     example_pr,
     five_qubit_code,
@@ -148,6 +153,52 @@ def test_heff_samples_note_decomposition_errors_only():
 
     with pytest.raises(ValueError, match="dimension mismatch"):
         splitting_samples(family(wrong_size, 2), [0.5], with_heff=True)
+
+
+def test_uniqueness_ball_takes_one_stacked_eigvalsh(linalg_calls):
+    # ||H(t) - G||_2 for a 14-point ladder comes from one (14, n, n)
+    # eigvalsh, with no per-sample one, and the notes follow the per-sample
+    # rule. Window levels (0, t) below 1, 2, 3, 4 in a fixed random basis:
+    # the ball has radius 1/2, and at t = 1 the window touches the next
+    # level, so all three kinds of note occur.
+    v = random_unitary(6, np.random.default_rng(14))
+    fam = family(lambda t: (v * [0.0, t, 1.0, 2.0, 3.0, 4.0]) @ v.conj().T, 2)
+    ts = np.linspace(0.07, 1.0, 14)
+    anchor = Anchor.at(fam(0.0), fam.k, fam.offset)
+    linalg_calls.clear()
+    samples = splitting_samples(fam, ts, with_heff=True)
+    assert [c for c in linalg_calls if c[0] == "eigvalsh"] == [
+        ("eigvalsh", (14, 6, 6))] * 2
+    notes = []
+    for t in ts:
+        try:
+            anchor.heff_block(fam(t))
+        except DegenError as exc:
+            notes.append(f"decomposition failed: {exc}")
+            continue
+        inside = operator_2_norm(anchor.local(fam(t)) - anchor.base) < 0.5
+        notes.append(None if inside else
+                     "outside the uniqueness ball of the start point")
+    assert [s.note for s in samples] == notes
+    assert notes[:7] == [None] * 7
+    assert notes[7] == "outside the uniqueness ball of the start point"
+    assert notes[-1].startswith("decomposition failed:")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("with_heff", [False, True])
+def test_samples_refuse_a_non_finite_family(bad, with_heff):
+    # eigvalsh raises on NaN but may return NaN eigenvalues on inf; both
+    # are refused before any spectrum is taken.
+    def evaluator(t):
+        h = np.diag([0.0, t, 1.0]).astype(complex)
+        if t == 0.5:
+            h[2, 2] = bad
+        return h
+
+    with pytest.raises(np.linalg.LinAlgError, match="not finite at t = 0.5"):
+        splitting_samples(family(evaluator, 2), [0.25, 0.5],
+                          with_heff=with_heff)
 
 
 @pytest.mark.parametrize("error", [KeyError, TypeError])
@@ -559,7 +610,9 @@ def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
     linalg_calls.clear()
     samples = splitting_samples(fam, ts, with_heff=with_heff)
     stacked = [call for call in linalg_calls if len(call[1]) == 3]
-    assert stacked == [("eigvalsh", (len(ts), fam.n, fam.n))]
+    # The ladder's spectra; with heff also its uniqueness-ball norms.
+    assert stacked == [("eigvalsh", (len(ts), fam.n, fam.n))] * (
+        2 if with_heff else 1)
     if not with_heff:
         assert linalg_calls == stacked
     for s, t in zip(samples, ts):

@@ -164,6 +164,9 @@ def _calls(cases):
               ["weyl-scan", "--box", "0.5", "--center", "nan", "0", "0",
                "--res", "5"],
               ["weyl-scan", "--box", "0.5", "--res", "1"],
+              # Refused since the cap on --res; a checkout without the cap
+              # scans the res-102 grid instead, so this line moves there.
+              ["weyl-scan", "--box", "0.5", "--res", "102"],
               ["weyl-scan", "--model", "plugin:nan_plugin.py:nan_model",
                "--box", "0.5", "--res", "5"],
               ["weyl-scan", "--model", "plugin:two_point_plugin.py:two_points",
@@ -174,6 +177,11 @@ def _calls(cases):
               ["model", "ssh-disorder", "--cells", "3", "--seed", "4"],
               ["model", "one-local", "--qubits", "2", "--seed", "4"],
               ["model", "five-qubit"],
+              ["model", "one-local", "--qubits", "5", "--seed", "4"],
+              # The Pauli sums at the qubit cap.
+              ["model", "ising", "--qubits", "6"],
+              ["model", "transverse", "--qubits", "6", "--seed", "4"],
+              ["model", "one-local", "--qubits", "6", "--seed", "4"],
               ["model", "example-3x3", "--v3", "0.1", "--x", "0.2", "--w3",
                "0.3"],
               ["model", "example-pr", "--p", "0.3", "--r", "0.1"],
