@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .errors import DegenError, InconclusiveFit, NewtonDiverged
+from .errors import DegenError, InconclusiveFit
 from .hermitian import frobenius_norm
 from .matrixio import (
     RunReport,
@@ -38,7 +38,8 @@ from .projection import collapse_projection
 from .spectra import window_distance
 from .splitting import (default_ladder, estimate_all_orders, family,
                         linear_family)
-from .swtransform import Anchor, sw_decompose, sw_decompose_general
+from .swtransform import (Anchor, is_diagonal_base, sw_decompose,
+                          sw_decompose_general)
 from .weyl import param_family, polynomial_family, scan_grid
 
 EXIT_OK = 0
@@ -82,14 +83,12 @@ def _cmd_decompose(args):
     h = _read_or_fail(args.matrix)
     if args.base == "auto":
         base = collapse_projection(h, args.k, offset=args.offset).h_sigma
-        dec = sw_decompose_general(h, base, args.k, offset=args.offset)
+        decompose = sw_decompose_general
     else:
         base = _read_or_fail(args.base)
-        offdiag = np.max(np.abs(base - np.diag(np.diag(base))))
-        if offdiag <= 1e-12 * max(1.0, float(np.max(np.abs(base)))):
-            dec = sw_decompose(h, base, args.k, offset=args.offset)
-        else:
-            dec = sw_decompose_general(h, base, args.k, offset=args.offset)
+        decompose = (sw_decompose if is_diagonal_base(base)
+                     else sw_decompose_general)
+    dec = decompose(h, base, args.k, offset=args.offset)
     s_norm = dec.s_2norm()
     report = RunReport(
         command="decompose",
@@ -279,10 +278,6 @@ def _cmd_weyl_scan(args):
     else:
         raise _CliError(EXIT_PARSE, f"unknown model {args.model!r}")
     box = [(c - args.box, c + args.box) for c in args.center]
-    try:
-        reports = scan_grid(fam, box, args.res)
-    except NewtonDiverged as exc:
-        raise _CliError(EXIT_NUMERICAL, str(exc)) from exc
     rows = [
         {
             "p": [format_float(x) for x in rep.p],
@@ -291,7 +286,7 @@ def _cmd_weyl_scan(args):
             "charge": rep.charge,
             "classification": rep.classification,
         }
-        for rep in reports
+        for rep in scan_grid(fam, box, args.res)
     ]
     report = RunReport(
         command="weyl-scan",

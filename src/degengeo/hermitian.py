@@ -5,8 +5,9 @@ unitary conjugation.
 
 Matrices are plain complex ndarrays. `hermitian` is the single entry point
 that validates and exactly symmetrizes raw input; every constructor in the
-package returns arrays that satisfy H == H.conj().T to the last bit. Returned
-arrays are marked read-only so they can be shared freely.
+package returns arrays that satisfy H == H.conj().T to the last bit, through
+the one helper `_hermitian_part`, (A + A^dagger)/2 of a matrix or a stack.
+Returned arrays are marked read-only so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -57,12 +58,19 @@ def _freeze(a):
     return a
 
 
-def hermitian(entries, *, rtol=ASYMMETRY_RTOL):
+def _hermitian_part(a):
+    """(A + A^dagger)/2 of one matrix, or of each matrix of a stack
+    (..., n, n). Exactly Hermitian: entries (a, b) and (b, a) add the same
+    two numbers."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
+
+
+def hermitian(entries):
     """Validate and exactly symmetrize a square complex array.
 
     Returns (A + A^dagger)/2 as a read-only complex array. Input whose
-    asymmetry max|A - A^dagger| exceeds ``rtol`` times the largest entry
-    magnitude is rejected, as is any non-finite entry.
+    asymmetry max|A - A^dagger| exceeds ASYMMETRY_RTOL times the largest
+    entry magnitude is rejected, as is any non-finite entry.
     """
     a = np.array(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -71,18 +79,19 @@ def hermitian(entries, *, rtol=ASYMMETRY_RTOL):
         raise ValueError("matrix entries must be finite")
     scale = np.max(np.abs(a)) if a.size else 0.0
     asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if asym > rtol * max(scale, 1e-300):
+    if asym > ASYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(
             f"input is not Hermitian: asymmetry {asym:.3e} exceeds "
-            f"{rtol:.1e} * max|entry| = {rtol * scale:.3e}"
+            f"{ASYMMETRY_RTOL:.1e} * max|entry| = "
+            f"{ASYMMETRY_RTOL * scale:.3e}"
         )
-    return _freeze((a + a.conj().T) / 2.0)
+    return _freeze(_hermitian_part(a))
 
 
 def random_hermitian(n, rng, scale=1.0):
     """Random Hermitian matrix with independent Gaussian entries (GUE-like)."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return _freeze(scale * (a + a.conj().T) / 2.0)
+    return _freeze(scale * _hermitian_part(a))
 
 
 def random_unitary(n, rng):
@@ -120,16 +129,13 @@ def operator_2_norm(h):
 
 
 def _basis_order(n):
-    """Index labels in the canonical order: the basis of the upper-left
-    m x m block is completed before index m+1 appears, so the first k^2
-    elements always span the embedded k x k matrices."""
-    order = []
-    for m in range(1, n + 1):
-        for a in range(1, m):
-            order.append(BasisIndex("real-offdiag", a, m))
-            order.append(BasisIndex("imag-offdiag", a, m))
-        order.append(BasisIndex("diag", m, m))
-    return order
+    """Index labels in the canonical order of `_canonical_slots`: the basis
+    of the upper-left m x m block is completed before index m+1 appears, so
+    the first k^2 elements always span the embedded k x k matrices."""
+    a, m, off, _ = _canonical_slots(n)
+    return [BasisIndex(kind, int(i) + 1, int(j) + 1)
+            for i, j, o in zip(a, m, off)
+            for kind in (("real-offdiag", "imag-offdiag") if o else ("diag",))]
 
 
 def _basis_matrix(idx, n):
@@ -140,10 +146,8 @@ def _basis_matrix(idx, n):
     elif idx.kind == "imag-offdiag":
         mat[a, b] = -1j / np.sqrt(2.0)
         mat[b, a] = 1j / np.sqrt(2.0)
-    elif idx.kind == "diag":
-        mat[a, a] = 1.0
     else:
-        raise ValueError(f"unknown basis kind {idx.kind!r}")
+        mat[a, a] = 1.0
     return _freeze(mat)
 
 
@@ -225,11 +229,8 @@ def _traceless_basis(k):
     k: the coordinate maps run at every Newton iterate and classifier step."""
     if k < 1:
         raise ValueError("traceless basis needs k >= 1")
-    mats = []
-    for m in range(1, k + 1):
-        for a in range(1, m):
-            mats.append(_basis_matrix(BasisIndex("real-offdiag", a, m), k))
-            mats.append(_basis_matrix(BasisIndex("imag-offdiag", a, m), k))
+    mats = [_basis_matrix(idx, k) for idx in _basis_order(k)
+            if idx.kind != "diag"]
     diag_members = []
     for a in range(k - 1):
         d = np.zeros(k)
@@ -266,5 +267,4 @@ def conjugate(h, u):
     u = np.asarray(u)
     if h.shape[-2:] != u.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {u.shape}")
-    g = u @ h @ u.conj().T
-    return _freeze((g + np.swapaxes(g.conj(), -1, -2)) / 2.0)
+    return _freeze(_hermitian_part(u @ h @ u.conj().T))

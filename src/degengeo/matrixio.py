@@ -142,9 +142,7 @@ def _plain(value):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return np.stack((value.real, value.imag), axis=-1).tolist()
+    if isinstance(value, np.ndarray):  # real: `_array_json` splits complex
         return value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]

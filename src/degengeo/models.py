@@ -125,8 +125,8 @@ def ssh(n_cells, v, w):
         raise ValueError("need at least 2 cells")
     n = 2 * n_cells
     h = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        h[i, i + 1] = h[i + 1, i] = v if i % 2 == 0 else w
+    i = np.arange(n - 1)
+    h[i, i + 1] = h[i + 1, i] = np.where(i % 2 == 0, v, w)
     return _freeze(h)
 
 
@@ -139,9 +139,9 @@ def ssh_hopping_disorder(n_cells, amplitudes):
     if amplitudes.shape != (n - 1,):
         raise ValueError(f"need {n - 1} bond amplitudes")
     h = np.zeros((n, n), dtype=complex)
-    for i, amp in enumerate(amplitudes):
-        h[i, i + 1] = amp
-        h[i + 1, i] = np.conj(amp)
+    i = np.arange(n - 1)
+    h[i, i + 1] = amplitudes
+    h[i + 1, i] = amplitudes.conj()
     return _freeze(h)
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundary, NotInSigmaK
-from .hermitian import (_freeze, conjugate, coordinate_pairs, coordinates,
-                        frobenius_norm, random_unitary)
+from .hermitian import (_freeze, _hermitian_part, conjugate,
+                        coordinate_pairs, coordinates, frobenius_norm,
+                        random_unitary)
 from .spectra import (
     Spectrum,
     eigh,
@@ -39,8 +40,7 @@ __all__ = [
 
 def _rebuild(u, vals):
     """U diag(vals) U^dagger, exactly symmetrized and read-only."""
-    g = (u * vals) @ u.conj().T
-    return _freeze((g + g.conj().T) / 2.0)
+    return _freeze(_hermitian_part((u * vals) @ u.conj().T))
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,13 @@ def orthogonality_check(h, k, offset=0):
     return float(max(worst, scalar_dir)) / dn
 
 
-def sample_sigma_k(n, k, rng, gap=1e-3, spread=2.0):
+def sample_sigma_k(n, k, rng):
     """Draw a random member of the k-fold ground-degeneracy manifold:
     a Haar-like eigenbasis (QR of a complex Gaussian matrix) applied to a
-    spectrum whose lowest k values coincide and sit at least `gap` below the
-    rest. Used as a brute-force sampling oracle for the minimization claim."""
+    spectrum whose lowest k values coincide and sit at least 1e-3 below the
+    rest, which spreads over a width of 2. Used as a brute-force sampling
+    oracle for the minimization claim."""
     deg = float(rng.standard_normal())
-    rest = deg + gap + np.sort(rng.uniform(0.0, spread, size=n - k))
+    rest = deg + 1e-3 + np.sort(rng.uniform(0.0, 2.0, size=n - k))
     vals = np.concatenate([np.full(k, deg), rest])
     return _rebuild(random_unitary(n, rng), vals)

@@ -212,16 +212,11 @@ def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
         raise ValueError("rel_tol must be positive")
     vals = np.asarray(spec.eigenvalues)
     tol = coincidence_tolerance(vals, rel_tol)
-    parts = []
-    run = 1
-    for gap in np.diff(vals):
-        if gap <= tol:
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return StratumPartition(parts=tuple(parts), tolerance=tol)
+    # A part ends after every gap that is not within tol (NaN included).
+    cuts = (~(vals[1:] - vals[:-1] <= tol)).nonzero()[0] + 1
+    bounds = np.concatenate(([0], cuts, [max(len(vals), 1)]))
+    parts = bounds[1:] - bounds[:-1]
+    return StratumPartition(parts=tuple(parts.tolist()), tolerance=tol)
 
 
 def is_in_sigma_k(partition, k):
@@ -234,14 +229,9 @@ def is_in_sigma_k(partition, k):
 def is_on_boundary(partition, k):
     """True when eigenvalues k and k+1 fall into one part (lambda_k equals
     lambda_{k+1}), where the projection onto the k-fold manifold loses
-    uniqueness."""
-    upper = 0
-    for p in partition.parts:
-        lower = upper + 1
-        upper += p
-        if lower <= k and k + 1 <= upper:
-            return True
-    return False
+    uniqueness: 0 < k < n and no part ends at k."""
+    return bool(0 < k < partition.n
+                and k not in np.cumsum(partition.parts))
 
 
 def stratum_codimension(partition):

@@ -17,14 +17,14 @@ a cascade level is held as its values at the four probe points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, product
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit
-from .hermitian import frobenius_norm, operator_2_norm
+from .hermitian import _hermitian_part, frobenius_norm, operator_2_norm
 from .spectra import (
     check_degenerate,
     check_separated,
@@ -325,10 +325,7 @@ def _estimate(samples, floor, k, method, pair=None, index=None):
             f"({'; '.join(str(f) for f in failures)})"
         )
     best = min(comps, key=lambda e: e.r)
-    return OrderEstimate(
-        r=best.r, slope=best.slope, slope_dev=best.slope_dev,
-        samples=best.samples, method=f"{method}:min via {best.method}",
-    )
+    return replace(best, method=f"{method}:min via {best.method}")
 
 
 def estimate_all_orders(fam, ladder=None):
@@ -346,10 +343,8 @@ def signed_stddev(fam, r, ts):
     """sgn(t)^r times the standard deviation of the window eigenvalues: the
     analytic extension of the splitting function through t = 0."""
     ts = np.asarray(ts, dtype=float)
-    return np.array([
-        float(np.sign(t)) ** r * window_spread(vals, fam.k, fam.offset)[2]
-        for t, vals in zip(ts, _stacked_ladder(fam, ts)[1])
-    ])
+    std = window_spread(_stacked_ladder(fam, ts)[1], fam.k, fam.offset)[2]
+    return np.sign(ts) ** r * std
 
 
 def signed_stddev_fit_residual(fam, r, ts, degree=None):
@@ -452,7 +447,7 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
         idx, above, anchor, level = queue.pop()
         g = anchor.heff_block(above) / ts[:, None, None]
         g0 = _extrapolate_zero(g)
-        spec0 = eigh((g0 + g0.conj().T) / 2.0)
+        spec0 = eigh(_hermitian_part(g0))
         parts = classify_stratum(spec0, CLUSTER_RTOL).parts
         clusters = [(stop - size, stop)
                     for size, stop in zip(parts, accumulate(parts))]

@@ -47,12 +47,13 @@ cascade level's four probes) in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
+    _hermitian_part,
     conjugate,
     coordinate_pairs,
     coordinates,
@@ -95,8 +96,7 @@ def projector_lowest_k(spec, k):
     """
     check_separated(spec.eigenvalues, k, 0, DegenerateBoundary)
     v = spec.vectors[:, :k]
-    p = v @ v.conj().T
-    return (p + p.conj().T) / 2.0
+    return _hermitian_part(v @ v.conj().T)
 
 
 def _too_far(sep):
@@ -234,15 +234,23 @@ class SWDecomposition:
         return operator_2_norm(self.s)
 
 
+def is_diagonal_base(h0):
+    """True when h0 minus its real diagonal is entrywise within
+    CANONICAL_RTOL * max(1, max|entry|): a base `sw_decompose` takes."""
+    scale = max(1.0, float(np.max(np.abs(h0))))
+    off = np.max(np.abs(h0 - np.diag(np.diag(h0).real)))
+    return bool(off <= CANONICAL_RTOL * scale)
+
+
 def _validate_canonical_base(h0, k, offset):
     n = h0.shape[0]
     check_window(n, k, offset)
     if k == n:
         raise BasePointNotCanonical("window covers the whole spectrum")
+    if not is_diagonal_base(h0):
+        raise BasePointNotCanonical("base point must be diagonal")
     scale = max(1.0, float(np.max(np.abs(h0))))
     diag = np.diag(h0).real
-    if np.max(np.abs(h0 - np.diag(diag))) > CANONICAL_RTOL * scale:
-        raise BasePointNotCanonical("base point must be diagonal")
     if np.any(np.diff(diag) < -CANONICAL_RTOL * scale):
         raise BasePointNotCanonical("base diagonal must be ascending")
     if window_width(diag, k, offset) > CANONICAL_RTOL * scale:
@@ -334,23 +342,10 @@ def sw_decompose_general(h, g0, k, *, offset=0):
     check_degenerate(anchor.spectrum.eigenvalues, k, offset,
                      BasePointNotCanonical)
     dec = anchor.decompose(h)
-
-    def back(m):
-        return conjugate(m, anchor.gauge)
-
-    return SWDecomposition(
-        k=k,
-        offset=offset,
-        h0=back(anchor.base),
-        s=back(dec.s),
-        b=back(dec.b),
-        c=dec.c,
-        h_eff=back(dec.h_eff),
-        e=dec.e,
-        residual=dec.residual,
-        within_r0=dec.within_r0,
-        gauge=anchor.gauge,
-    )
+    u = anchor.gauge
+    return replace(dec, h0=conjugate(dec.h0, u), s=conjugate(dec.s, u),
+                   b=conjugate(dec.b, u), h_eff=conjugate(dec.h_eff, u),
+                   gauge=u)
 
 
 @dataclass(frozen=True)
@@ -432,7 +427,7 @@ class Anchor:
         u = x @ yh
         block = (u * spec.eigenvalues[..., None, w]) @ np.swapaxes(
             u.conj(), -1, -2)
-        return _traceless((block + np.swapaxes(block.conj(), -1, -2)) / 2.0)
+        return _traceless(_hermitian_part(block))
 
 
 def _traceless(block):

@@ -739,3 +739,39 @@ def test_cli_main_builds_its_parser_once(capsys):
     # The public builder still hands out a new parser on each call.
     assert build_parser() is not build_parser()
     assert build_parser() is not cli._shared_parser()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"drop": "k"}, "missing field 'k'"),
+    ({"drop": "ts"}, "missing field 'ts'"),
+    ({"drop": "matrices"}, "missing field 'matrices'"),
+    ({"drop": "base"}, "missing field 'base'"),
+    ({"cut": "ts"}, "'ts' and 'matrices' must have equal length"),
+    ({"cut": "matrices"}, "'ts' and 'matrices' must have equal length"),
+    ({"zero": 0.0}, "ladder parameters must be nonzero"),
+    ({"zero": -0.0}, "ladder parameters must be nonzero"),
+])
+def test_cli_ladder_file_field_errors_exit2(tmp_path, capsys, change,
+                                            message):
+    # The ladder's own fields: all four present, one matrix per t, and no
+    # t = 0 (H(0) is the base).
+    doc = _ladder_doc()
+    if "drop" in change:
+        del doc[change["drop"]]
+    if "cut" in change:
+        doc[change["cut"]] = doc[change["cut"]][1:]
+    if "zero" in change:
+        doc["ts"][2] = change["zero"]
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))
+    code = main(["order", "file", "--ladder-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad ladder file") and message in err
+
+
+def test_cli_order_file_needs_a_ladder_file(capsys):
+    code = main(["order", "file"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --ladder-file is required with 'order file'")

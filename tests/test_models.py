@@ -310,3 +310,33 @@ def test_pauli_sums_match_tensor_products_bitwise(n):
         assert five_qubit_code().tobytes() == _kron_sum(
             5, [(1.0, w) for w in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
         ).tobytes()
+
+
+def _loop_chain(n_cells, bond, lower=lambda amp: amp):
+    """Reference for the chains: one assignment per bond i, with `lower`
+    applied below the diagonal."""
+    n = 2 * n_cells
+    h = np.zeros((n, n), dtype=complex)
+    for i in range(n - 1):
+        h[i, i + 1] = bond(i)
+        h[i + 1, i] = lower(bond(i))
+    return h
+
+
+@pytest.mark.parametrize("v, w", [(0.25, 1.5), (-0.25, -1.5), (-0.0, 1.0),
+                                  (0.0, -0.0)])
+def test_ssh_chains_match_the_bond_loops_bytewise(v, w):
+    # Bytes, so signed zeros count: ssh writes v and w as given on both
+    # sides of the diagonal (+0.0 imaginary parts), the disorder direction
+    # writes conj(amp) below it.
+    for cells in (2, 3, 5):
+        h = ssh(cells, v, w)
+        ref = _loop_chain(cells, lambda i: v if i % 2 == 0 else w)
+        assert h.tobytes() == ref.tobytes()
+        rng = np.random.default_rng(cells)
+        amps = rng.standard_normal(2 * cells - 1) + 1j * rng.standard_normal(
+            2 * cells - 1)
+        amps[0] = complex(v, w)
+        h = ssh_hopping_disorder(cells, amps)
+        ref = _loop_chain(cells, lambda i: amps[i], np.conj)
+        assert h.tobytes() == ref.tobytes()

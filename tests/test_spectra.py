@@ -354,3 +354,44 @@ def test_window_rule_callers_keep_their_exception_types(call, exc, message):
     with pytest.raises(exc, match=message) as info:
         call()
     assert type(info.value) is exc
+
+
+def _loop_parts(vals, tol):
+    """Reference for classify_stratum: one pass over the gaps."""
+    parts = []
+    run = 1
+    for gap in np.diff(vals):
+        if gap <= tol:
+            run += 1
+        else:
+            parts.append(run)
+            run = 1
+    parts.append(run)
+    return tuple(parts)
+
+
+def _loop_on_boundary(parts, k):
+    """Reference for is_on_boundary: eigenvalues k and k+1 share a part."""
+    upper = 0
+    for p in parts:
+        lower = upper + 1
+        upper += p
+        if lower <= k and k + 1 <= upper:
+            return True
+    return False
+
+
+def test_stratum_rules_match_the_loop_references():
+    # Spectra rounded to few digits tie often, so runs of every length
+    # appear; k runs over 0..n and one past each end.
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 10))
+        vals = np.sort(np.round(rng.standard_normal(n), trial % 3))
+        part = classify_stratum(_spec_of(vals))
+        assert part.parts == _loop_parts(vals, part.tolerance)
+        assert all(type(p) is int for p in part.parts)
+        for k in range(-1, n + 2):
+            assert is_on_boundary(part, k) is _loop_on_boundary(part.parts, k)
+    assert classify_stratum(_spec_of([0.0, 0.0])).parts == (2,)
+    assert not is_on_boundary(classify_stratum(_spec_of([0.0, 0.0])), 0)

@@ -1,5 +1,6 @@
 """Splitting functions, order estimation, signed splitting, and the cascade."""
 
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -678,3 +679,45 @@ def test_all_orders_share_one_floor_with_estimate_order():
     for method in FIVE_METHODS:
         alone = estimate_order(fam, method=method, samples=samples)
         assert repr(alone) == repr(estimates[method])
+
+
+def _diagonal_window_family(window):
+    """H(t) = diag(*window(|t|), 5): a tabulated-looking family whose window
+    eigenvalues, in ascending order, are exactly window(|t|)."""
+    def evaluator(t):
+        return np.diag([*window(abs(t)), 5.0]).astype(complex)
+
+    return family(evaluator, len(window(0.0)))
+
+
+def test_fit_needs_four_samples_above_the_zero_floor():
+    # The splitting is exactly zero below t = 2^-5: three samples of the
+    # default ladder are left, too few for a slope.
+    fam = _diagonal_window_family(
+        lambda t: (-t, t) if t >= 2.0 ** -5 else (0.0, 0.0))
+    with pytest.raises(InconclusiveFit,
+                       match="stddev: only 3 samples above the zero floor"):
+        estimate_order(fam)
+
+
+def test_aggregate_methods_skip_components_that_do_not_fit():
+    # lambda_2 - lambda_1 = t^2.5 has no integer order; the other
+    # differences are of order one, so the aggregates take those.
+    fam = _diagonal_window_family(lambda t: (-t, -t + t ** 2.5, t))
+    assert repr(estimate_order(fam, "pairwise")) == repr(replace(
+        estimate_order(fam, "pairwise", pair=(1, 3)),
+        method="pairwise:min via pairwise(1, 3)"))
+    neighbor = estimate_order(fam, "neighbor")
+    assert (neighbor.r, neighbor.method) == (
+        1, "neighbor:min via pairwise(2, 3)")
+    with pytest.raises(InconclusiveFit):
+        estimate_order(fam, "pairwise", pair=(1, 2))
+
+
+def test_aggregate_methods_refuse_when_no_component_fits():
+    fam = _diagonal_window_family(lambda t: (-t ** 2.5, t ** 2.5))
+    for method in ("pairwise", "neighbor"):
+        with pytest.raises(InconclusiveFit, match=(
+                f"{method}: no component produced a usable fit "
+                r"\(pairwise\(1, 2\): slope 2.500 is not near")):
+            estimate_order(fam, method)

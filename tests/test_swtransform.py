@@ -724,3 +724,25 @@ def test_chart_transverse_vs_tangent_response():
         assert np.linalg.norm(chart_coordinates(dec).y) == pytest.approx(
             eps, rel=1e-6
         )
+
+
+def test_diagonal_base_rule_is_the_strict_path_test():
+    # One rule decides both whether sw_decompose accepts a base as diagonal
+    # and which decomposition `decompose --base` runs. On Hermitian bases
+    # (real diagonal) it is max|H0 - diag(H0)| <= 1e-12 * max(1, max|H0|).
+    rng = np.random.default_rng(21)
+    h = example_pr(0.1, 0.1)
+    for scale in (0.5, 1.0, 40.0):
+        base = scale * np.diag([0.0, 0.0, 1.0]).astype(complex)
+        for rel in (0.0, 1e-13, 0.9e-12, 1.1e-12, 1e-9):
+            noise = rel * max(1.0, scale) * np.exp(2j * np.pi * rng.random())
+            noisy = base.copy()
+            noisy[0, 2], noisy[2, 0] = noise, np.conj(noise)
+            diagonal = swtransform.is_diagonal_base(noisy)
+            assert diagonal is (rel <= 1e-12)
+            if diagonal:
+                sw_decompose(scale * h, noisy, 2)
+            else:
+                with pytest.raises(BasePointNotCanonical,
+                                   match="base point must be diagonal"):
+                    sw_decompose(scale * h, noisy, 2)

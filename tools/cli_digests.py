@@ -86,6 +86,15 @@ def _write_inputs(rng):
                       _write(f"ubase_{tag}.json", u @ base @ u.conj().T),
                       k, offset))
         _write(f"uh_{tag}.json", u @ h @ u.conj().T)
+    # Diagonal n = 8 bases for the diagonal-base test of `decompose --base`:
+    # one not ascending, and two with off-diagonal noise, relative to
+    # max(1, max|entry|), below (1e-13) and above (1e-9) its tolerance 1e-12.
+    base = _degenerate_base(8, 2, 0)
+    _write("desc_base.json", base[::-1, ::-1])
+    for tag, rel in (("13", 1e-13), ("9", 1e-9)):
+        noisy = base.copy()
+        noisy[0, 7] = noisy[7, 0] = rel * np.max(np.abs(base))
+        _write(f"noise{tag}_base.json", noisy)
     # Quadratic splitting of the ground pair, tabulated on t = 2^-3..2^-10.
     v = _random_unitary(4, rng)
     ts = [2.0 ** -e for e in range(3, 11)]
@@ -139,7 +148,11 @@ def _calls(cases):
                       ["distance", mfile, *window, *fmt],
                       ["project", mfile, *window, *fmt]]
     calls += [["decompose", "absent.json", "--k", "2"],
-              ["decompose", cases[0][0], "--base", cases[2][1], "--k", "2"]]
+              ["decompose", cases[0][0], "--base", cases[2][1], "--k", "2"],
+              ["decompose", cases[0][0], "--base", "desc_base.json", "--k",
+               "2"]]
+    calls += [["decompose", cases[0][0], "--base", f"noise{tag}_base.json",
+               "--k", "2", "--json"] for tag in ("13", "9")]
     for seed in ("0", "1", "2"):
         calls += [["order", "ising", "--qubits", q, "--seed", seed, "--json"]
                   for q in ("3", "4", "5")]
@@ -172,6 +185,7 @@ def _calls(cases):
               ["weyl-scan", "--model", "plugin:two_point_plugin.py:two_points",
                "--box", "0.4", "--res", "11", "--json"]]
     calls += [["model", "ssh", "--cells", "3", "--v", "0.25", "--w", "1.5"],
+              ["model", "ssh", "--cells", "3", "--v", "-0.25", "--w", "-1.5"],
               ["model", "ising", "--qubits", "3"],
               ["model", "transverse", "--qubits", "3", "--seed", "4"],
               ["model", "ssh-disorder", "--cells", "3", "--seed", "4"],
