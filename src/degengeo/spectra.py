@@ -78,7 +78,7 @@ def eigh(h):
     repeated runs print identically; no algorithm downstream depends on the
     phase. Each matrix's reconstruction residual is checked against its own
     bound RESIDUAL_RTOL * max(1, ||H_i||_F), and LinAlgError names the first
-    matrix that fails it.
+    matrix that fails it; a matrix with a NaN or infinite entry fails it.
     """
     h = np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
@@ -87,10 +87,14 @@ def eigh(h):
     pivots = np.take_along_axis(
         vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
     vecs = vecs * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
-    residual = np.linalg.norm(h @ vecs - vecs * vals[..., None, :],
-                              axis=(-2, -1))
+    # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
+    # unlike `residual > bound`, refuses it; the invalid values on the way
+    # there are expected.
+    with np.errstate(invalid="ignore"):
+        residual = np.linalg.norm(h @ vecs - vecs * vals[..., None, :],
+                                  axis=(-2, -1))
     bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
-    bad = np.argwhere(residual > bound)
+    bad = np.argwhere(~(residual <= bound))
     if len(bad):
         where = tuple(map(int, bad[0]))
         name = f" of matrix {where}" if where else ""

@@ -10,8 +10,11 @@ which also equals the order of the distance from the degeneracy manifold and
 of the effective-Hamiltonian norm. The estimators here recover that integer
 from log-log slopes; the cascade recovers it per eigenvalue pair together
 with the index permutation that makes the eigenvalue branches analytic
-through t = 0. A ladder's eigenvalues come from one stacked eigvalsh, and
-a cascade level is held as its values at the four probe points.
+through t = 0. A ladder's eigenvalues come from one stacked eigvalsh, its
+effective blocks from one stacked `Anchor.heff_block`, and a cascade level
+is held as its values at the four probe points. The spectrum of H(0) that
+`family` checks is kept on the handle, and the heff samples and the cascade
+build their start anchor from it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .errors import DegenError, InconclusiveFit
 from .hermitian import _hermitian_part, frobenius_norm, operator_2_norm
 from .spectra import (
+    Spectrum,
     check_degenerate,
     check_separated,
     classify_stratum,
@@ -74,15 +78,25 @@ def default_ladder(start=3, stop=16):
 @dataclass(frozen=True)
 class FamilyHandle:
     """One-parameter family of Hermitian matrices, degenerate at t = 0 on
-    the window of k eigenvalues starting after `offset` (ascending order)."""
+    the window of k eigenvalues starting after `offset` (ascending order).
+
+    `start` is the spectrum of H(0) that `family` checked; `start_anchor`
+    reuses it. A handle built without it diagonalizes H(0) on each call."""
 
     evaluator: Callable[[float], np.ndarray]
     n: int
     k: int
     offset: int = 0
+    start: Spectrum | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, t):
         return np.asarray(self.evaluator(float(t)))
+
+    def start_anchor(self):
+        """The anchor at H(0), the collapsed start point of every effective
+        block of the family."""
+        spec = self.start if self.start is not None else eigh(self(0.0))
+        return Anchor.from_spectrum(spec, self.k, self.offset)
 
 
 def family(evaluator, k, offset=0):
@@ -96,11 +110,11 @@ def family(evaluator, k, offset=0):
         raise ValueError(f"a family needs a window of k >= 2 levels to "
                          f"split, got k = {k}")
     h0 = np.asarray(evaluator(0.0))
-    vals = eigh(h0).eigenvalues
-    check_degenerate(vals, k, offset, ValueError)
-    check_separated(vals, k, offset, ValueError)
+    start = eigh(h0)
+    check_degenerate(start.eigenvalues, k, offset, ValueError)
+    check_separated(start.eigenvalues, k, offset, ValueError)
     return FamilyHandle(evaluator=evaluator, n=h0.shape[0], k=k,
-                        offset=offset)
+                        offset=offset, start=start)
 
 
 def linear_family(h0, h1, k, offset=0):
@@ -145,48 +159,70 @@ def _stacked_ladder(fam, ts):
 
 def splitting_samples(fam, ts, with_heff=True):
     """Evaluate all splitting measures of the family on the given nonzero,
-    distinct parameter values, in ascending order of t."""
+    distinct parameter values, in ascending order of t.
+
+    The ladder's eigenvalues come from one stacked eigvalsh. With heff, the
+    whole ladder, taken once into the gauge of the family's start anchor,
+    goes through one stacked `Anchor.heff_block` call and one stacked
+    eigvalsh for the uniqueness-ball norms. When a sample's decomposition
+    fails, the ladder is decomposed again one sample at a time, so that
+    each failing sample gets its own note and the others their values."""
     ts = np.sort(np.asarray(ts, dtype=float))
     if np.any(ts == 0.0):
         raise ValueError("sample points must be nonzero")
     if np.any(np.diff(ts) == 0.0):
         raise ValueError("sample points must be distinct")
     a, k = fam.offset, fam.k
-    if with_heff:
-        anchor = Anchor.at(fam(0.0), k, a)
-        r0 = window_half_gap(np.diag(anchor.base).real, k, a)
     hs, ladder_vals = _stacked_ladder(fam, ts)
+    _, mean_devs, stds = window_spread(ladder_vals, k, a)
+    heff_norms = notes = [None] * len(ts)
     if with_heff:
-        # ||H(t) - G||_2 < r0 in the anchor gauge, for the whole ladder from
-        # one stacked eigvalsh of finite matrices.
-        inside = operator_2_norm(anchor.local(hs) - anchor.base) < r0
+        heff_norms, notes = _heff_norms(fam.start_anchor(), hs)
     out = []
-    for sample, (t, h, vals) in enumerate(zip(ts, hs, ladder_vals)):
+    for sample, (t, vals) in enumerate(zip(ts, ladder_vals)):
         win = vals[a : a + k]
-        _, mean_dev, std = window_spread(vals, k, a)
         pairwise = {(i + 1, j + 1): float(win[i] - win[j])
                     for i, j in combinations(range(k), 2)}
-        heff_norm = None
-        note = None
-        if with_heff:
-            try:
-                heff_norm = frobenius_norm(anchor.heff_block(h))
-            except (DegenError, np.linalg.LinAlgError) as exc:
-                note = f"decomposition failed: {exc}"
-            else:
-                if not inside[sample]:
-                    note = "outside the uniqueness ball of the start point"
         out.append(
             SplittingSample(
                 t=float(t),
-                std_dev=std,
+                std_dev=float(stds[sample]),
                 pairwise=pairwise,
-                mean_dev=mean_dev,
-                heff_norm=heff_norm,
-                note=note,
+                mean_dev=mean_devs[sample],
+                heff_norm=heff_norms[sample],
+                note=notes[sample],
             )
         )
     return out
+
+
+def _heff_norms(anchor, hs):
+    """||H_eff||_F of each matrix of the finite stack hs against the anchor,
+    and its note: why its decomposition failed (the norm is then None), or
+    that ||H(t) - G||_2 >= r0 in the anchor gauge. The stack is taken into
+    the gauge once, and the norms come from one stacked eigvalsh. A stacked
+    `heff_block` raises on its first bad matrix; only then is each matrix
+    decomposed on its own."""
+    local = anchor.local(hs)
+    r0 = window_half_gap(np.diag(anchor.base).real, anchor.k, anchor.offset)
+    inside = operator_2_norm(local - anchor.base) < r0
+    try:
+        blocks = anchor._heff_block_local(local)
+    except (DegenError, np.linalg.LinAlgError):
+        blocks = None
+    norms, notes = [], []
+    for sample, h in enumerate(local):
+        try:
+            block = (anchor._heff_block_local(h) if blocks is None
+                     else blocks[sample])
+        except (DegenError, np.linalg.LinAlgError) as exc:
+            norms.append(None)
+            notes.append(f"decomposition failed: {exc}")
+            continue
+        norms.append(frobenius_norm(block))
+        notes.append(None if inside[sample] else
+                     "outside the uniqueness ball of the start point")
+    return norms, notes
 
 
 @dataclass(frozen=True)
@@ -202,11 +238,15 @@ class OrderEstimate:
     method: str
 
 
-def _zero_floor(fam, samples):
+def _zero_floor(fam, samples, label):
     """ZERO_FLOOR_RTOL * max(1, ||H(0)||, ||H'(0)||), with H'(0) differenced
     at the sample closest to 0: central, or one-sided for evaluators defined
     only on the sampled side (tabulated families raise KeyError off their
-    ladder). Three evaluations; every measure of a sample set shares it."""
+    ladder). Three evaluations; every measure of a sample set shares it.
+    Without samples there is nothing to fit, and InconclusiveFit says so
+    under `label`."""
+    if not samples:
+        raise InconclusiveFit(f"{label}: no usable samples")
     t1 = min(abs(s.t) for s in samples)
     h0 = fam(0.0)
     try:
@@ -267,8 +307,8 @@ def estimate_order(fam, method="stddev", ladder=None, samples=None,
         ladder = default_ladder()
     if samples is None:
         samples = splitting_samples(fam, ladder, with_heff=(method == "heff"))
-    return _estimate(samples, _zero_floor(fam, samples), fam.k, method,
-                     pair, index)
+    return _estimate(samples, _zero_floor(fam, samples, method), fam.k,
+                     method, pair, index)
 
 
 def _estimate(samples, floor, k, method, pair=None, index=None):
@@ -333,7 +373,7 @@ def estimate_all_orders(fam, ladder=None):
     if ladder is None:
         ladder = default_ladder()
     samples = splitting_samples(fam, ladder, with_heff=False)
-    floor = _zero_floor(fam, samples)
+    floor = _zero_floor(fam, samples, "all orders")
     estimates = {m: _estimate(samples, floor, fam.k, m) for m in FIVE_METHODS}
     orders = {e.r for e in estimates.values()}
     return estimates, len(orders) == 1
@@ -431,14 +471,23 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     A level is held as its values at the probe points t_probe, -t_probe,
     t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
     level is made from them: each level takes its four probe matrices, as
-    one (4, n, n) stack, through one `Anchor.heff_block` call.
+    one (4, n, n) stack, through one `Anchor.heff_block` call. The start
+    anchor is the family's (`FamilyHandle.start_anchor`), so H(0) is not
+    evaluated again when `family` made the handle.
 
-    t_probe must be small enough that the decompositions along the cascade
-    stay valid; errors from invalid probes propagate.
+    t_probe must be positive and finite and depth_cap at least 1, or
+    ValueError is raised. t_probe must also be small enough that the
+    decompositions along the cascade stay valid; errors from invalid probes
+    propagate.
     """
+    if not (0.0 < t_probe < math.inf):
+        raise ValueError(f"t_probe must be positive and finite, got "
+                         f"{t_probe!r}")
+    if depth_cap < 1:
+        raise ValueError(f"depth_cap must be at least 1, got {depth_cap!r}")
     k = fam.k
     ts = np.array([t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0])
-    start = Anchor.at(fam(0.0), k, fam.offset)
+    start = fam.start_anchor()
     probes = np.stack([fam(t) for t in ts])
     queue = [(tuple(range(1, k + 1)), probes, start, 1)]
     pair_levels = {}

@@ -42,7 +42,7 @@ every level of the cascade and the exact effective map of the Weyl analysis
 need only the window block of H_eff: `Anchor.heff_block` reads it off one
 eigendecomposition and the polar factor of a k x k SVD, as U Lambda_w
 U^dagger, without building S or e^{iS}, and takes a stack of matrices (a
-cascade level's four probes) in one call.
+cascade level's four probes, or a whole heff ladder) in one call.
 """
 
 from __future__ import annotations
@@ -417,12 +417,17 @@ class Anchor:
         residual, DegenerateBoundary for an unseparated window, and
         SubspacesTooFar. When the window covers the whole space there is
         nothing to rotate away and this is the traceless part of h."""
+        return self._heff_block_local(self.local(h))
+
+    def _heff_block_local(self, h):
+        """`heff_block` of h, or of each matrix of a stack, already in the
+        anchor's eigenbasis."""
+        w = slice(self.offset, self.offset + self.k)
         if self.k == self.spectrum.n:
-            return self.window_block(h)
-        spec = eigh(self.local(h))
+            return _traceless(h[..., w, w])
+        spec = eigh(h)
         for vals in spec.eigenvalues.reshape(-1, self.spectrum.n):
             check_separated(vals, self.k, self.offset, DegenerateBoundary)
-        w = slice(self.offset, self.offset + self.k)
         x, _, yh = _principal_angles(spec.vectors[..., w, w])
         u = x @ yh
         block = (u * spec.eigenvalues[..., None, w]) @ np.swapaxes(

@@ -125,6 +125,21 @@ def test_eigh_refuses_one_bad_matrix_of_a_stack(monkeypatch):
         eigh(h)
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_refuses_non_finite_matrices(bad):
+    # LAPACK returns NaN eigenvalues here without an error, and a NaN
+    # residual compares False with its bound; both must still raise.
+    h = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"eigendecomposition residual nan exceeds"):
+        eigh(h)
+    stack = np.stack([np.eye(2), np.diag([2.0, 3.0]), h, h])
+    with pytest.raises(np.linalg.LinAlgError, match=r"matrix \(2,\) nan"):
+        eigh(stack)
+    with pytest.raises(np.linalg.LinAlgError, match=r"matrix \(1, 0\) nan"):
+        eigh(stack.reshape(2, 2, 2, 2))
+
 def test_window_spread_rows_and_floats():
     rng = np.random.default_rng(5)
     vals = np.sort(rng.standard_normal((7, 6)), axis=-1)

@@ -26,12 +26,14 @@ from degengeo.spectra import (
     classify_stratum,
     eigh,
     window_distance,
+    window_half_gap,
     window_spread,
 )
 from degengeo.splitting import (
     CLUSTER_RTOL,
     FIVE_METHODS,
     CascadeResult,
+    FamilyHandle,
     _negative_permutation,
     cascade,
     default_ladder,
@@ -436,6 +438,20 @@ def test_cascade_depth_cap():
     assert res.negative_permutation == (1, 2)
 
 
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_probe": 0.0}, {"t_probe": -2.0 ** -6}, {"t_probe": np.inf},
+    {"t_probe": np.nan}, {"depth_cap": 0}, {"depth_cap": -1},
+])
+def test_cascade_refuses_bad_arguments(kwargs):
+    # The pair of ising(3) splits at order 3; t_probe = 0 used to divide by
+    # zero and report level 1.
+    fam = model_family("ising", 3, 0)
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        cascade(fam, **kwargs)
+    assert cascade(fam).pair_levels == {(1, 2): 3}
+
 # ---------------------------------------------------------------------------
 # The cascade's levels as probe samples, against the closure tower
 # ---------------------------------------------------------------------------
@@ -568,8 +584,8 @@ def test_cascade_matches_closure_tower_special_families(make, kwargs):
 @pytest.mark.parametrize("order", [3, 4, 5])
 def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
     # The pair of ising(r) splits at order r: r levels of four probes each,
-    # one stacked heff_block call per level, and H(t) at t = 0 and the four
-    # probes only.
+    # one stacked heff_block call per level, and H(t) at the four probes
+    # only: the start anchor comes from the spectrum `family` checked.
     evaluations = []
     fam = model_family("ising", order, 0, evaluations)
     calls = []
@@ -585,14 +601,15 @@ def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
     assert res.pair_levels == {(1, 2): order}
     assert calls == [(4, fam.n, fam.n)] + [(4, 2, 2)] * (order - 1)
     assert sum(shape[0] for shape in calls) == 4 * order
-    assert len(evaluations) == 5
+    assert len(evaluations) == 4
     t = 2.0 ** -6
-    assert sorted(evaluations) == sorted([0.0, t, -t, t / 2.0, -t / 2.0])
+    assert sorted(evaluations) == sorted([t, -t, t / 2.0, -t / 2.0])
 
 
 def test_cascade_factorization_count(linalg_calls):
-    # ising(4): the start anchor's eigh, one stacked eigh of the four level-1
-    # probes and one stacked k x k SVD of their window rows; no eigvalsh.
+    # ising(4): one stacked eigh of the four level-1 probes and one stacked
+    # k x k SVD of their window rows; no eigvalsh, and no eigh of H(0), whose
+    # spectrum `family` kept.
     # Each of the four levels diagonalizes its 2 x 2 start value, and the
     # deeper levels anchor whole 2 x 2 windows, which need no factorization.
     fam = model_family("ising", 4, 0)
@@ -600,7 +617,7 @@ def test_cascade_factorization_count(linalg_calls):
     linalg_calls.clear()
     res = cascade(fam)
     assert res.pair_levels == {(1, 2): 4}
-    assert linalg_calls == [("eigh", (n, n)), ("eigh", (4, n, n)),
+    assert linalg_calls == [("eigh", (4, n, n)),
                             ("svd", (4, 2, 2))] + [("eigh", (2, 2))] * 4
 
 
@@ -610,12 +627,15 @@ def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
     ts = np.sort(default_ladder(3, 12))
     linalg_calls.clear()
     samples = splitting_samples(fam, ts, with_heff=with_heff)
-    stacked = [call for call in linalg_calls if len(call[1]) == 3]
-    # The ladder's spectra; with heff also its uniqueness-ball norms.
-    assert stacked == [("eigvalsh", (len(ts), fam.n, fam.n))] * (
+    eigvalsh = [call for call in linalg_calls if call[0] == "eigvalsh"]
+    # The ladder's spectra; with heff also its uniqueness-ball norms, and
+    # the effective blocks from one stacked eigh and one stacked k x k SVD,
+    # with no n x n eigh of H(0) or of a single sample.
+    assert eigvalsh == [("eigvalsh", (len(ts), fam.n, fam.n))] * (
         2 if with_heff else 1)
-    if not with_heff:
-        assert linalg_calls == stacked
+    others = [call for call in linalg_calls if call[0] != "eigvalsh"]
+    assert others == ([("eigh", (len(ts), fam.n, fam.n)),
+                       ("svd", (len(ts), fam.k, fam.k))] if with_heff else [])
     for s, t in zip(samples, ts):
         vals = np.linalg.eigvalsh(fam(t))
         _, mean_dev, std = window_spread(vals, fam.k, fam.offset)
@@ -721,3 +741,90 @@ def test_aggregate_methods_refuse_when_no_component_fits():
                 f"{method}: no component produced a usable fit "
                 r"\(pairwise\(1, 2\): slope 2.500 is not near")):
             estimate_order(fam, method)
+
+
+@pytest.mark.parametrize("method", ["stddev", "heff"])
+def test_empty_ladder_has_no_usable_samples(method):
+    fam = model_family("ising", 3, 0)
+    with pytest.raises(InconclusiveFit, match=f"{method}: no usable samples"):
+        estimate_order(fam, method=method, ladder=[])
+
+
+def test_all_orders_of_an_empty_ladder_have_no_usable_samples():
+    fam = model_family("ising", 3, 0)
+    with pytest.raises(InconclusiveFit, match="all orders: no usable samples"):
+        estimate_all_orders(fam, [])
+
+
+def per_sample_heff(fam, ts):
+    """(heff_norm, note) of each sample as one decomposition per sample
+    against a fresh anchor at H(0) gives them: the reference for the
+    stacked ladder of `splitting_samples`."""
+    anchor = Anchor.at(fam(0.0), fam.k, fam.offset)
+    r0 = window_half_gap(np.diag(anchor.base).real, fam.k, fam.offset)
+    out = []
+    for t in np.sort(ts):
+        h = fam(t)
+        try:
+            norm = frobenius_norm(anchor.heff_block(h))
+        except (DegenError, np.linalg.LinAlgError) as exc:
+            out.append((None, f"decomposition failed: {exc}"))
+            continue
+        inside = operator_2_norm(anchor.local(h) - anchor.base) < r0
+        out.append((norm, None if inside else
+                    "outside the uniqueness ball of the start point"))
+    return out
+
+
+def assert_samples_match_per_sample(fam, ts):
+    samples = splitting_samples(fam, ts, with_heff=True)
+    assert [(s.heff_norm, s.note) for s in samples] == per_sample_heff(fam, ts)
+    for s in samples:
+        _, mean_dev, std = window_spread(np.linalg.eigvalsh(fam(s.t)), fam.k,
+                                         fam.offset)
+        assert s.std_dev == std
+        assert s.mean_dev.tobytes() == mean_dev.tobytes()
+    return samples
+
+
+@pytest.mark.parametrize("model, size", [("ising", 3), ("ising", 4),
+                                         ("ising", 5), ("ssh", 3),
+                                         ("ssh", 4), ("ssh", 5),
+                                         ("five-qubit", 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_stacked_heff_ladder_matches_per_sample_bits(model, size, seed):
+    fam = model_family(model, size, seed)
+    for ts in (default_ladder(), np.geomspace(0.05, 4.0, 9)):
+        assert_samples_match_per_sample(fam, ts)
+
+
+def test_one_failing_sample_keeps_per_sample_notes_and_values():
+    # Window levels (0, t) below 1, 2, 3, 4 in a fixed random basis: at
+    # t = 1 the window touches the next level, the only sample whose
+    # decomposition fails, and the stacked call fails with it.
+    v = random_unitary(6, np.random.default_rng(14))
+    fam = family(lambda t: (v * [0.0, t, 1.0, 2.0, 3.0, 4.0]) @ v.conj().T, 2)
+    samples = assert_samples_match_per_sample(
+        fam, [0.1, 0.2, 0.3, 0.4, 0.6, 1.0])
+    assert [s.heff_norm is None for s in samples] == [False] * 5 + [True]
+    assert samples[-1].note.startswith(
+        "decomposition failed: eigenvalues 2 and 3 coincide")
+    assert samples[-2].note == "outside the uniqueness ball of the start point"
+
+
+def test_hand_built_handle_diagonalizes_h0_itself(linalg_calls):
+    # A handle made without `family` has no start spectrum: its start
+    # anchor takes one eigh of H(0), and every result is the same.
+    fam = model_family("ssh", 4, 2)
+    hand = FamilyHandle(evaluator=fam.evaluator, n=fam.n, k=fam.k,
+                        offset=fam.offset)
+    assert hand.start is None and fam.start is not None and hand == fam
+    linalg_calls.clear()
+    hand.start_anchor()
+    assert linalg_calls == [("eigh", (fam.n, fam.n))]
+    ladder = default_ladder()
+    assert repr(splitting_samples(hand, ladder)) == repr(
+        splitting_samples(fam, ladder))
+    assert repr(estimate_order(hand, method="heff")) == repr(
+        estimate_order(fam, method="heff"))
+    assert repr(cascade(hand)) == repr(cascade(fam))
