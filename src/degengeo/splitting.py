@@ -81,13 +81,16 @@ class FamilyHandle:
     the window of k eigenvalues starting after `offset` (ascending order).
 
     `start` is the spectrum of H(0) that `family` checked; `start_anchor`
-    reuses it. A handle built without it diagonalizes H(0) on each call."""
+    reuses it. It is not a constructor argument, so it always belongs to
+    this handle's evaluator: a handle built by hand or by
+    `dataclasses.replace` has none and diagonalizes H(0) on each call."""
 
     evaluator: Callable[[float], np.ndarray]
     n: int
     k: int
     offset: int = 0
-    start: Spectrum | None = field(default=None, compare=False, repr=False)
+    start: Spectrum | None = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def __call__(self, t):
         return np.asarray(self.evaluator(float(t)))
@@ -113,8 +116,10 @@ def family(evaluator, k, offset=0):
     start = eigh(h0)
     check_degenerate(start.eigenvalues, k, offset, ValueError)
     check_separated(start.eigenvalues, k, offset, ValueError)
-    return FamilyHandle(evaluator=evaluator, n=h0.shape[0], k=k,
-                        offset=offset, start=start)
+    handle = FamilyHandle(evaluator=evaluator, n=h0.shape[0], k=k,
+                          offset=offset)
+    object.__setattr__(handle, "start", start)
+    return handle
 
 
 def linear_family(h0, h1, k, offset=0):

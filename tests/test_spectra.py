@@ -125,7 +125,6 @@ def test_eigh_refuses_one_bad_matrix_of_a_stack(monkeypatch):
         eigh(h)
 
 
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eigh_refuses_non_finite_matrices(bad):
     # LAPACK returns NaN eigenvalues here without an error, and a NaN
@@ -139,6 +138,7 @@ def test_eigh_refuses_non_finite_matrices(bad):
         eigh(stack)
     with pytest.raises(np.linalg.LinAlgError, match=r"matrix \(1, 0\) nan"):
         eigh(stack.reshape(2, 2, 2, 2))
+
 
 def test_window_spread_rows_and_floats():
     rng = np.random.default_rng(5)

@@ -438,7 +438,6 @@ def test_cascade_depth_cap():
     assert res.negative_permutation == (1, 2)
 
 
-
 @pytest.mark.parametrize("kwargs", [
     {"t_probe": 0.0}, {"t_probe": -2.0 ** -6}, {"t_probe": np.inf},
     {"t_probe": np.nan}, {"depth_cap": 0}, {"depth_cap": -1},
@@ -451,6 +450,7 @@ def test_cascade_refuses_bad_arguments(kwargs):
     with pytest.raises(ValueError, match=name):
         cascade(fam, **kwargs)
     assert cascade(fam).pair_levels == {(1, 2): 3}
+
 
 # ---------------------------------------------------------------------------
 # The cascade's levels as probe samples, against the closure tower
@@ -828,3 +828,25 @@ def test_hand_built_handle_diagonalizes_h0_itself(linalg_calls):
     assert repr(estimate_order(hand, method="heff")) == repr(
         estimate_order(fam, method="heff"))
     assert repr(cascade(hand)) == repr(cascade(fam))
+
+
+def test_replaced_evaluator_drops_the_start_spectrum():
+    # `replace` must not carry the old H(0)'s spectrum over to a new
+    # evaluator: the copy diagonalizes its own H(0) and matches a fresh
+    # `family` of that evaluator.
+    # The new family is the old one in a rotated basis, so a stale start
+    # spectrum would have the right eigenvalues and the wrong eigenvectors.
+    old = model_family("ising", 3, 0)
+    v = random_unitary(old.n, np.random.default_rng(15))
+    new = family(lambda t: v @ old(t) @ v.conj().T, old.k, old.offset)
+    swapped = replace(old, evaluator=new.evaluator)
+    assert swapped.start is None
+    ladder = default_ladder()
+    assert repr(splitting_samples(swapped, ladder)) == repr(
+        splitting_samples(new, ladder))
+    assert repr(estimate_order(swapped, method="heff")) == repr(
+        estimate_order(new, method="heff"))
+    assert repr(cascade(swapped)) == repr(cascade(new))
+    with pytest.raises(TypeError, match="start"):
+        FamilyHandle(evaluator=new.evaluator, n=new.n, k=new.k,
+                     start=new.start)
