@@ -75,6 +75,14 @@ def hermitian(entries):
     a = np.array(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _check_hermitian(a)
+    return _freeze(_hermitian_part(a))
+
+
+def _check_hermitian(a):
+    """`hermitian`'s refusals of a square array: ValueError for a non-finite
+    entry, or for an asymmetry max|A - A^dagger| above ASYMMETRY_RTOL times
+    the largest entry magnitude."""
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     scale = np.max(np.abs(a)) if a.size else 0.0
@@ -85,7 +93,6 @@ def hermitian(entries):
             f"{ASYMMETRY_RTOL:.1e} * max|entry| = "
             f"{ASYMMETRY_RTOL * scale:.3e}"
         )
-    return _freeze(_hermitian_part(a))
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -243,11 +250,22 @@ def _traceless_basis(k):
     return tuple(mats)
 
 
+@functools.cache
+def _transposed_traceless_basis(k):
+    """The transposes of `traceless_basis(k)` as one read-only stack
+    (k^2 - 1, k, k)."""
+    mats = [c.T for c in _traceless_basis(k)]
+    return _freeze(np.stack(mats) if mats else np.zeros((0, k, k), complex))
+
+
 def traceless_coordinates(block):
-    """Coordinates of a traceless Hermitian k x k matrix in `traceless_basis`."""
+    """Coordinates of a traceless Hermitian k x k matrix in `traceless_basis`,
+    shape (k^2 - 1,), or of each matrix of a stack (..., k, k), shape
+    (..., k^2 - 1): the inner products `frobenius_inner(block, c)`, summed
+    in the same order, in one product and one sum."""
     block = np.asarray(block)
-    return np.array([frobenius_inner(block, c)
-                     for c in _traceless_basis(block.shape[0])])
+    basis = _transposed_traceless_basis(block.shape[-1])
+    return np.sum(block[..., None, :, :] * basis, axis=(-2, -1)).real
 
 
 def traceless_from_coordinates(y, k):

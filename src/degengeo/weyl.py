@@ -17,23 +17,30 @@ window block at each anchor, the line search and the grid field only
 eigenvalues; `effective_map` stays as the oracle for these shortcuts.
 
 A family is an evaluator p -> H(p), or polynomial coefficients
-{alpha: C_alpha} with H(p) = sum_alpha p^alpha C_alpha. The grid field takes
-as many whole grid lines as fit in FIELD_CHUNK_ENTRIES matrix entries (at
-least one) through one checked eigendecomposition; a polynomial family
-builds each chunk in one broadcast instead of one evaluator call per point.
+{alpha: C_alpha} with H(p) = sum_alpha p^alpha C_alpha, held as one
+`MonomialTable`. The grid field takes as many whole grid lines as fit in
+FIELD_CHUNK_ENTRIES matrix entries (at least one) through one checked
+eigendecomposition; a polynomial family builds each chunk in one broadcast
+instead of one evaluator call per point.
+
+The window map is linear in H, so its Jacobian is the window map of the
+derivatives dH/dp_i. A polynomial family has them in closed form
+(`ParamFamily.gradient`), and Newton and the classifier take that exact J,
+with no evaluation beyond H(p); an evaluator family gets central
+differences of the window map (`_window_jacobian`). The charge sign det J
+is then the paper's, of the exact derivative.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import NewtonDiverged, StepTooSmall
-from .hermitian import traceless_coordinates
+from .hermitian import _check_hermitian, traceless_coordinates
 from .spectra import eigh, unseparated_edge, window_distance
 from .swtransform import Anchor
 
@@ -72,28 +79,69 @@ POINT_RTOL = 1e-8
 FIELD_CHUNK_ENTRIES = 4096
 
 
+@dataclass(frozen=True, eq=False)
+class MonomialTable:
+    """Polynomial coefficients {exponent tuple alpha: C_alpha} as arrays:
+    the exponents (t, m), the coefficient stack (t, n, n) in the same order,
+    and the degree, the largest exponent entry."""
+
+    exponents: np.ndarray
+    coeffs: np.ndarray
+    degree: int
+
+    @classmethod
+    def of(cls, terms):
+        exponents = np.array(list(terms))
+        return cls(exponents, np.stack(list(terms.values())),
+                   int(exponents.max()))
+
+    def _powers(self, points):
+        """p_i^d for d = 0..degree, shape (..., degree + 1, m). Repeated
+        products: `**` calls pow, about twenty times slower on a stack."""
+        m = points.shape[-1]
+        powers = np.ones(points.shape[:-1] + (self.degree + 1, m))
+        for d in range(1, self.degree + 1):
+            powers[..., d, :] = powers[..., d - 1, :] * points
+        return powers
+
+    def value(self, points):
+        """sum_alpha p^alpha C_alpha at each point of `points`, shape
+        (..., m): shape (..., n, n). The terms are added in order,
+        elementwise, so a point gives the same bits alone as inside a
+        stack."""
+        axes = np.arange(points.shape[-1])
+        monomials = np.prod(self._powers(points)[..., self.exponents, axes],
+                            axis=-1)
+        return sum(monomials[..., i, None, None] * coeff
+                   for i, coeff in enumerate(self.coeffs))
+
+    def gradient(self, p):
+        """Every partial derivative at one point p of shape (m,): the stack
+        (m, n, n) of dH/dp_i = sum_alpha alpha_i p^(alpha - e_i) C_alpha,
+        one contraction of the coefficient stack."""
+        m = len(p)
+        axes = np.arange(m)
+        powers = self._powers(p)
+        factors = powers[self.exponents, axes]
+        # weights[i, j, l]: the l-th factor of d(p^alpha_j)/dp_i.
+        weights = np.repeat(factors[None], m, axis=0)
+        weights[axes, :, axes] = (self.exponents * powers[
+            np.maximum(self.exponents - 1, 0), axes]).T
+        return np.tensordot(np.prod(weights, axis=-1), self.coeffs, axes=1)
+
+
 def polynomial_value(terms, points):
     """sum_alpha p^alpha C_alpha at each point p of `points`, shape (..., m),
     for terms {exponent tuple alpha: n x n matrix C_alpha}: shape
-    (..., n, n). Powers are repeated products (`**` calls pow, about twenty
-    times slower on a stack), and the terms are added in dict order,
-    elementwise, so a point gives the same bits alone as inside a stack."""
-    points = np.asarray(points, dtype=float)
-    exponents = np.array(list(terms))
-    degree, m = int(exponents.max()), points.shape[-1]
-    powers = np.ones(points.shape[:-1] + (degree + 1, m))
-    for d in range(1, degree + 1):
-        powers[..., d, :] = powers[..., d - 1, :] * points
-    monomials = np.prod(powers[..., exponents, np.arange(m)], axis=-1)
-    return sum(monomials[..., i, None, None] * coeff
-               for i, coeff in enumerate(terms.values()))
+    (..., n, n), added in dict order (`MonomialTable.value`)."""
+    return MonomialTable.of(terms).value(np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
 class ParamFamily:
     """Pure map from an m-dimensional parameter space to Hermitian matrices,
     analyzed around windows of k eigenvalues (ground window by default).
-    `terms`, when set, are the polynomial coefficients the evaluator
+    `table`, when set, holds the polynomial coefficients the evaluator
     evaluates (`polynomial_family`)."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -101,25 +149,44 @@ class ParamFamily:
     n: int
     k: int = 2
     offset: int = 0
-    # compare=False: == on dicts of arrays is ambiguous.
-    terms: dict | None = field(default=None, compare=False)
+    # compare=False: == on arrays is ambiguous.
+    table: MonomialTable | None = field(default=None, compare=False)
 
-    def __call__(self, p):
+    @property
+    def terms(self):
+        """The coefficients {alpha: C_alpha} of a polynomial family, else
+        None."""
+        if self.table is None:
+            return None
+        return dict(zip(map(tuple, self.table.exponents.tolist()),
+                        self.table.coeffs))
+
+    def _point(self, p):
         p = np.asarray(p, dtype=float)
         if p.shape != (self.m,):
             raise ValueError(f"expected a parameter point of shape ({self.m},)")
-        return np.asarray(self.evaluator(p))
+        return p
+
+    def __call__(self, p):
+        return np.asarray(self.evaluator(self._point(p)))
+
+    def gradient(self, p):
+        """The partial derivatives dH/dp_i at p, shape (m, n, n), from the
+        coefficients; ValueError for a family that has none."""
+        if self.table is None:
+            raise ValueError("only a polynomial family has an exact gradient")
+        return self.table.gradient(self._point(p))
 
     def stack(self, points):
         """H(p) for every point of `points`, shape (..., m): shape
-        (..., n, n). One broadcast of the terms when the family has them,
-        else one evaluator call per point."""
+        (..., n, n). One broadcast of the coefficients when the family has
+        them, else one evaluator call per point."""
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.m,):
             raise ValueError(f"expected parameter points of shape (..., "
                              f"{self.m})")
-        if self.terms is not None:
-            return polynomial_value(self.terms, points)
+        if self.table is not None:
+            return self.table.value(points)
         flat = points.reshape(-1, self.m).tolist()
         mats = np.stack([self(p) for p in flat])
         return mats.reshape(points.shape[:-1] + mats.shape[1:])
@@ -136,7 +203,11 @@ def polynomial_family(terms, k=2, offset=0):
     """The family H(p) = sum_alpha p^alpha C_alpha of the terms
     {exponent tuple alpha: n x n matrix C_alpha}; m is the length of the
     exponent tuples. ValueError unless there is a term, every alpha has m
-    nonnegative integer entries, and every C_alpha is n x n."""
+    nonnegative integer entries, and every C_alpha is an n x n matrix that
+    `hermitian.hermitian` would accept (finite, and Hermitian to
+    ASYMMETRY_RTOL). The family keeps a read-only copy of the coefficients,
+    bytes unchanged (coefficients of mixed dtypes share the promoted one),
+    in one `MonomialTable` built here."""
     terms = {tuple(map(operator.index, alpha)): np.asarray(coeff)
              for alpha, coeff in terms.items()}
     if not terms:
@@ -147,8 +218,15 @@ def polynomial_family(terms, k=2, offset=0):
         raise ValueError(f"exponent tuples must have {m} nonnegative entries")
     if any(coeff.shape != (n, n) for coeff in terms.values()):
         raise ValueError(f"coefficients must be {n} x {n} matrices")
-    return ParamFamily(evaluator=partial(polynomial_value, terms), m=m, n=n,
-                       k=k, offset=offset, terms=terms)
+    for alpha, coeff in terms.items():
+        try:
+            _check_hermitian(coeff)
+        except ValueError as exc:
+            raise ValueError(f"coefficient {alpha}: {exc}") from exc
+    table = MonomialTable.of(terms)
+    table.coeffs.setflags(write=False)
+    return ParamFamily(evaluator=table.value, m=m, n=n, k=k, offset=offset,
+                       table=table)
 
 
 def effective_map(fam, p0):
@@ -182,12 +260,13 @@ def default_step(p):
 
 
 def jacobian(h, p, step=None):
-    """Central-difference Jacobian of a vector map at p."""
+    """Central-difference Jacobian of a vector map at p; StepTooSmall unless
+    0 < step < inf."""
     p = np.asarray(p, dtype=float)
     if step is None:
         step = default_step(p)
-    if step <= 0.0:
-        raise StepTooSmall(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise StepTooSmall(f"step must be positive and finite, got {step}")
     return np.column_stack([(h(p + e) - h(p - e)) / (2.0 * step)
                             for e in step * np.eye(len(p))])
 
@@ -202,6 +281,27 @@ def jacobian_with_check(h, p):
     j2 = jacobian(h, p, step / 2.0)
     scale = max(float(np.max(np.abs(j1))), 1e-300)
     return j2, float(np.max(np.abs(j2 - j1))) / scale
+
+
+def _window_jacobian(anchor, fam, p, check=False):
+    """The Jacobian at p of the window map at `anchor`, and diagnostics
+    naming the derivative taken. The one place that chooses how to
+    differentiate a family.
+
+    The window map is linear in H, so for a polynomial family J is exact:
+    the traceless coordinates of the window blocks of dH/dp_i, one stacked
+    `window_block` of `fam.gradient(p)`. An evaluator family gets the
+    central difference `jacobian` (6 evaluations for m = 3), or with
+    `check` the step-halving `jacobian_with_check` (12), whose noise
+    estimate the diagnostics then carry."""
+    if fam.table is not None:
+        blocks = anchor.window_block(fam.gradient(p))
+        return traceless_coordinates(blocks).T, {"jacobian": "exact"}
+    window_map = _window_map(anchor, fam)
+    if not check:
+        return jacobian(window_map, p), {"jacobian": "central-difference"}
+    jac, noise = jacobian_with_check(window_map, p)
+    return jac, {"jacobian": "central-difference", "jacobian_noise": noise}
 
 
 def _rank(jac):
@@ -234,7 +334,11 @@ def classify_point(fam, p0):
     One eigendecomposition of H(p0) gives the distance from the manifold
     (from the window eigenvalues), the degeneracy threshold POINT_RTOL *
     ||H(p0)||_2 and the anchor; the Jacobian is the window map's at that
-    anchor, which is the exact map's (module docstring). A degenerate point
+    anchor, which is the exact map's (module docstring). It is exact for a
+    polynomial family (one gradient, diagnostics {"jacobian": "exact"}),
+    and for an evaluator family the step-halved central difference
+    (diagnostics "jacobian": "central-difference" and its "jacobian_noise",
+    see `jacobian_with_check`). A degenerate point
     is a Weyl point when the parameter space is 3-dimensional, the window is
     twofold, and the Jacobian has rank 3; the charge is then the sign of its
     determinant. For other (m, k) the rank is reported and the degenerate
@@ -243,7 +347,7 @@ def classify_point(fam, p0):
     spectrum = eigh(fam(p0))
     distance = window_distance(spectrum.eigenvalues, fam.k, fam.offset)
     anchor = Anchor.from_spectrum(spectrum, fam.k, fam.offset)
-    jac, noise = jacobian_with_check(_window_map(anchor, fam), p0)
+    jac, diagnostics = _window_jacobian(anchor, fam, p0, check=True)
     rank = _rank(jac)
     if distance > POINT_RTOL * spectrum.operator_2_norm():
         verdict, charge = "no-degeneracy", 0
@@ -254,7 +358,7 @@ def classify_point(fam, p0):
         verdict, charge = "non-generic-degeneracy", 0
     return WeylReport(p=p0, distance=distance, jacobian=jac, rank=rank,
                       charge=charge, classification=verdict,
-                      diagnostics={"jacobian_noise": noise})
+                      diagnostics=diagnostics)
 
 
 def _window_distance_at(fam, p):
@@ -273,10 +377,11 @@ def _window_distance_at(fam, p):
 def _newton_refine(fam, seed):
     """Damped Newton iteration on the effective map, re-anchoring the gauge
     at the current iterate each step. Each iterate takes one spectrum and
-    the window map at its anchor, and each line-search candidate only its
-    window distance (module docstring); a candidate whose window is
-    unseparated, or whose eigensolver fails, halves the step. Returns the
-    root and the number of re-anchorings."""
+    the window map at its anchor with its Jacobian there (exact for a
+    polynomial family, one central difference for an evaluator family), and
+    each line-search candidate only its window distance (module docstring);
+    a candidate whose window is unseparated, or whose eigensolver fails,
+    halves the step. Returns the root and the number of re-anchorings."""
     p = np.asarray(seed, dtype=float)
     for anchors in range(1, NEWTON_MAX_ITER + 1):
         hp = fam(p)
@@ -285,7 +390,7 @@ def _newton_refine(fam, seed):
         if norm <= ROOT_TOL:
             return p, anchors
         val = traceless_coordinates(anchor.window_block(hp))
-        jac = jacobian(_window_map(anchor, fam), p)
+        jac, _ = _window_jacobian(anchor, fam, p)
         try:
             full_step = np.linalg.lstsq(jac, -val, rcond=None)[0]
         except np.linalg.LinAlgError as exc:
@@ -353,7 +458,8 @@ def scan_grid(fam, box, resolution):
     max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time); its
     local minima seed a damped Newton refinement of the effective map's
     zero. Newton and the classifier use the window map at each anchor, which
-    has the exact map's value and Jacobian there, so no decomposition runs.
+    has the exact map's value and Jacobian there, so no decomposition runs;
+    a polynomial family's Jacobians are exact, with no differencing.
     Converged roots inside the box are deduplicated and classified; diverged
     seeds are skipped and counted. Reports come back sorted
     lexicographically by position.

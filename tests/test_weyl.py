@@ -1,5 +1,7 @@
 """Effective maps, Jacobian rank, Weyl classification, and grid scans."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,8 +125,12 @@ def test_jacobian_richardson_check():
         effective_map(weyl_family(), ORIGIN), ORIGIN
     )
     assert noise <= 1e-5
-    with pytest.raises(StepTooSmall):
-        jacobian(lambda p: p, ORIGIN, step=0.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf, -np.inf])
+def test_jacobian_refuses_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(StepTooSmall, match="positive and finite"):
+        jacobian(lambda p: p, ORIGIN, step=step)
 
 
 def test_classify_weyl_point():
@@ -159,8 +165,9 @@ def test_classify_first_order_matches_exact():
 
 def test_classify_point_takes_h_at_p0_once(linalg_calls):
     # One eigendecomposition of H(p0) gives the distance, the threshold and
-    # the anchor; the other 12 family evaluations are the points of the two
-    # Jacobians, which need no factorization.
+    # the anchor; for an evaluator family the other 12 family evaluations
+    # are the points of the two central differences, which need no
+    # factorization.
     evals = []
 
     def evaluator(p):
@@ -519,3 +526,209 @@ def test_pr_model_lines_split_at_second_order():
             lambda t, d=direction: example_pr(t * d[0], t * d[1]), 2
         )
         assert estimate_order(line).r == 2
+
+
+# ---------------------------------------------------------------------------
+# Exact Jacobians of polynomial families
+# ---------------------------------------------------------------------------
+
+
+def random_polynomial_terms(rng, n, m, degree):
+    """Random Hermitian coefficients of a polynomial family in m parameters:
+    a diagonal constant term with distinct levels, and about half of the
+    other exponent tuples of total degree at most `degree`."""
+    terms = {(0,) * m: np.diag(np.sort(rng.uniform(-2.0, 2.0, n)))
+             .astype(complex)}
+    for alpha in np.ndindex(*(degree + 1,) * m):
+        if 0 < sum(alpha) <= degree and rng.random() < 0.5:
+            terms[alpha] = random_hermitian(n, rng, scale=0.5)
+    return terms
+
+
+def _gradient_loop(terms, p):
+    """Reference: dH/dp_i = sum_alpha alpha_i p^(alpha - e_i) C_alpha, term
+    by term."""
+    grad = np.zeros((len(p),) + next(iter(terms.values())).shape, complex)
+    for alpha, coeff in terms.items():
+        for i, a in enumerate(alpha):
+            if a:
+                lowered = np.array(alpha) - np.eye(len(p), dtype=int)[i]
+                grad[i] += a * np.prod(np.asarray(p) ** lowered) * coeff
+    return grad
+
+
+def test_exact_jacobian_matches_central_difference():
+    # Random polynomial families (n = 3-8, m = 2-4, degree <= 3, random
+    # windows) at random anchors: the gradient is the term-by-term
+    # derivative, and the exact Jacobian of the window map is its central
+    # difference to a relative 1e-7.
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n, m = int(rng.integers(3, 9)), int(rng.integers(2, 5))
+        k = int(rng.integers(2, min(4, n - 1) + 1))
+        offset = int(rng.integers(0, n - k + 1))
+        terms = random_polynomial_terms(rng, n, m, int(rng.integers(1, 4)))
+        fam = polynomial_family(terms, k=k, offset=offset)
+        p0 = rng.uniform(-0.5, 0.5, size=m)
+        grad = fam.gradient(p0)
+        assert grad.shape == (m, n, n)
+        np.testing.assert_allclose(grad, _gradient_loop(terms, p0),
+                                   rtol=0.0, atol=1e-12)
+        anchor = Anchor.at(fam(p0), k, offset)
+        exact, diagnostics = weyl._window_jacobian(anchor, fam, p0)
+        assert diagnostics == {"jacobian": "exact"}
+        central = jacobian(weyl._window_map(anchor, fam), p0)
+        assert exact.shape == central.shape == (k * k - 1, m)
+        assert (np.max(np.abs(exact - central))
+                <= 1e-7 * np.max(np.abs(central)))
+
+
+def test_gradient_needs_coefficients():
+    with pytest.raises(ValueError, match="polynomial family"):
+        weyl_family().gradient(ORIGIN)
+    with pytest.raises(ValueError, match="shape"):
+        polynomial_weyl_family().gradient(np.zeros(2))
+
+
+def _scan_points(fam, box, res):
+    return [(r.p, r.rank, r.charge, r.classification)
+            for r in scan_grid(fam, box, res)]
+
+
+@pytest.mark.parametrize("res", [5, 11, 21])
+def test_exact_and_central_difference_scans_agree(res):
+    # The built-in model as terms (exact Jacobians) and wrapped as an
+    # evaluator (central differences): the same points, ranks and charges.
+    found = 0
+    for centre, half in [((0.0, 0.0, 0.0), 0.5), ((0.1, -0.05, 0.02), 0.3),
+                         ((0.17, 0.08, -0.21), 0.3),
+                         ((-0.04, 0.13, 0.09), 0.2)]:
+        box = [(c - half, c + half) for c in centre]
+        exact = _scan_points(polynomial_weyl_family(), box, res)
+        central = _scan_points(weyl_family(), box, res)
+        assert len(exact) == len(central)
+        for (p, *verdict), (q, *want) in zip(exact, central):
+            assert np.max(np.abs(p - q)) <= 1e-10
+            assert verdict == want
+        found += len(exact)
+    assert found >= 3
+
+
+def test_scan_diagnostics_name_the_derivative():
+    box = [(c - 0.3, c + 0.3) for c in (0.1, -0.05, 0.02)]
+    [exact] = scan_grid(polynomial_weyl_family(), box, 11)
+    [central] = scan_grid(weyl_family(), box, 11)
+    assert exact.diagnostics["jacobian"] == "exact"
+    assert "jacobian_noise" not in exact.diagnostics
+    assert central.diagnostics["jacobian"] == "central-difference"
+    assert central.diagnostics["jacobian_noise"] <= 1e-5
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _refuse(monkeypatch, *names):
+    def refused(*args, **kwargs):
+        raise AssertionError("a polynomial family was differenced")
+
+    for name in names:
+        monkeypatch.setattr(weyl, name, refused)
+
+
+def test_polynomial_scan_evaluates_few_points(monkeypatch):
+    # The off-centre built-in res-11 scan: four Newton iterates from one
+    # seed, and the classification. With exact Jacobians its points are the
+    # iterates, the line-search candidates and the root, no more than 8.
+    values = _count_calls(monkeypatch, weyl.ParamFamily, "__call__")
+    gradients = _count_calls(monkeypatch, weyl.ParamFamily, "gradient")
+    _refuse(monkeypatch, "jacobian", "jacobian_with_check")
+    box = [(c - 0.3, c + 0.3) for c in (0.1, -0.05, 0.02)]
+    [report] = scan_grid(polynomial_weyl_family(), box, 11)
+    assert report.classification == "weyl" and report.charge == 1
+    assert len(values) <= 8
+    assert len(gradients) == report.diagnostics["newton_anchors"]
+
+
+def test_classify_point_on_a_polynomial_family(monkeypatch, linalg_calls):
+    # One value, one gradient and one eigendecomposition; no difference.
+    values = _count_calls(monkeypatch, weyl.ParamFamily, "__call__")
+    gradients = _count_calls(monkeypatch, weyl.ParamFamily, "gradient")
+    _refuse(monkeypatch, "jacobian", "jacobian_with_check")
+    rep = classify_point(polynomial_weyl_family(), ORIGIN)
+    assert (len(values), len(gradients)) == (1, 1)
+    assert [name for name, _ in linalg_calls].count("eigh") == 1
+    assert (rep.classification, rep.rank, rep.charge) == ("weyl", 3, 1)
+    np.testing.assert_allclose(rep.jacobian, np.sqrt(2.0) * np.eye(3),
+                               rtol=0.0, atol=1e-15)
+    assert rep.diagnostics == {"jacobian": "exact"}
+
+
+def _dict_order_sum(terms, p):
+    """Reference: sum_alpha p^alpha C_alpha for one point, each power a
+    repeated product, the terms added in dict order to 0."""
+    total = 0
+    for alpha, coeff in terms.items():
+        powers = [np.prod([x] * a) if a else 1.0 for x, a in zip(p, alpha)]
+        total = total + np.prod(powers) * coeff
+    return total
+
+
+def test_values_are_the_dict_order_sum():
+    # __call__, stack and polynomial_value give the reference's bits at
+    # every sign pattern of zero and at random points, for the built-in
+    # model and for random cubic families.
+    rng = np.random.default_rng(23)
+    families = [WEYL_EXAMPLE_TERMS,
+                *(random_polynomial_terms(rng, 4, 3, 3) for _ in range(3))]
+    points = np.array([*itertools.product([0.0, -0.0, 0.3, -0.7], repeat=3),
+                       *rng.uniform(-2.0, 2.0, size=(50, 3))])
+    for terms in families:
+        fam = polynomial_family(terms)
+        want = np.stack([_dict_order_sum(terms, p) for p in points])
+        got = [fam.stack(points), np.stack([fam(p) for p in points]),
+               weyl.polynomial_value(terms, points),
+               np.stack([weyl.polynomial_value(terms, p) for p in points])]
+        for mats in got:
+            assert mats.dtype == want.dtype
+            assert mats.tobytes() == want.tobytes()
+
+
+def test_polynomial_family_refuses_bad_coefficients():
+    # hermitian.hermitian's rule and message, per coefficient.
+    x = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    for coeff, match in [(x, "not Hermitian"),
+                         (np.diag([0.0, np.nan, 1.0]), "must be finite"),
+                         (np.diag([0.0, -np.inf, 1.0]), "must be finite")]:
+        terms = dict(WEYL_EXAMPLE_TERMS)
+        terms[(1, 0, 0)] = coeff
+        with pytest.raises(ValueError, match=rf"\(1, 0, 0\): .*{match}"):
+            polynomial_family(terms)
+    # An asymmetry within ASYMMETRY_RTOL passes, and no coefficient is
+    # hermitized: its bytes, and a -0.0, are kept.
+    near = np.array([[-0.0, 1.0 + 1e-13j], [1.0, 2.0]])
+    fam = polynomial_family({(0,): near, (1,): np.eye(2, dtype=complex)})
+    assert fam.terms[(0,)].tobytes() == near.tobytes()
+
+
+def test_polynomial_family_keeps_its_own_coefficients():
+    # The family copies the coefficients: changing the caller's array later
+    # changes neither the values nor `terms`, and the copies are read-only.
+    coeffs = {alpha: np.array(c) for alpha, c in WEYL_EXAMPLE_TERMS.items()}
+    fam = polynomial_family(coeffs)
+    p = np.array([0.3, -0.2, 0.1])
+    before = fam(p).copy()
+    coeffs[(1, 0, 0)][0, 1] = coeffs[(1, 0, 0)][1, 0] = 7.0
+    assert np.array_equal(fam(p), before)
+    assert np.array_equal(fam.stack(p[None]), before[None])
+    assert np.array_equal(fam.terms[(1, 0, 0)], WEYL_EXAMPLE_TERMS[(1, 0, 0)])
+    for coeff in fam.terms.values():
+        assert not coeff.flags.writeable

@@ -110,6 +110,12 @@ def _write_inputs(rng):
     Path("nan_plugin.py").write_text(
         "import numpy as np\n\n\ndef nan_model(p):\n"
         "    return np.full((3, 3), np.nan)\n", encoding="utf-8")
+    # The built-in model as a plugin: its scans take central differences
+    # where the built-in model's take exact Jacobians.
+    Path("weyl_example_plugin.py").write_text(
+        "from degengeo.models import weyl_example\n\n\n"
+        "def weyl_example_plugin(p):\n    return weyl_example(*p)\n",
+        encoding="utf-8")
     # A 16 x 16 one: window d . sigma, d = (x, y, z^2 - 1/16), next to 14
     # fixed levels, in a basis that turns with x + z. Its Weyl points are
     # (0, 0, -1/4) and (0, 0, 1/4).
@@ -183,7 +189,11 @@ def _calls(cases):
               ["weyl-scan", "--model", "plugin:nan_plugin.py:nan_model",
                "--box", "0.5", "--res", "5"],
               ["weyl-scan", "--model", "plugin:two_point_plugin.py:two_points",
-               "--box", "0.4", "--res", "11", "--json"]]
+               "--box", "0.4", "--res", "11", "--json"],
+              ["weyl-scan", "--model",
+               "plugin:weyl_example_plugin.py:weyl_example_plugin", "--box",
+               "0.3", "--center", "0.1", "-0.05", "0.02", "--res", "11",
+               "--json"]]
     calls += [["model", "ssh", "--cells", "3", "--v", "0.25", "--w", "1.5"],
               ["model", "ssh", "--cells", "3", "--v", "-0.25", "--w", "-1.5"],
               ["model", "ising", "--qubits", "3"],
