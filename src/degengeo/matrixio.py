@@ -13,7 +13,11 @@ Run reports are written in exactly the layout of
 array turned into nested lists ([re, im] for complex entries). Arrays are
 rendered straight to that text in one vectorized pass per array, since
 the standard encoder formats every float through Python generators when
-an indent is set.
+an indent is set. A finite float array is formatted once per distinct
+magnitude, each text reused for the leaves of either sign (the parts of a
+decomposition are Hermitian, so about half of their leaves are the sign
+flip of another), and the writer collects the pieces of the whole report
+in one list that it joins once.
 """
 
 from __future__ import annotations
@@ -168,35 +172,62 @@ def _encoded(value, pad):
     return json.dumps(_plain(value), indent=2).replace("\n", "\n" + pad)
 
 
-def _dumps(value, pad=""):
-    """`json.dumps(_plain(value), indent=2)` with every line after the first
-    indented by `pad`. Subtrees without arrays go to the encoder whole."""
+def _write(value, pad, out):
+    """Append to `out` the pieces of `json.dumps(_plain(value), indent=2)`
+    with every line after the first indented by `pad`. Subtrees without
+    arrays go to the encoder whole; the caller joins `out` once, so no
+    nesting level copies the text below it."""
     if isinstance(value, np.ndarray):
-        return _array_json(value, pad)
-    if not _holds_array(value):
-        return _encoded(value, pad)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = {str(k): v for k, v in value.items()}
-        body = ",".join(f"\n{inner}{json.dumps(k)}: {_dumps(v, inner)}"
-                        for k, v in items.items())
-        return "{" + body + "\n" + pad + "}"
-    body = ",".join(f"\n{inner}{_dumps(v, inner)}" for v in value)
-    return "[" + body + "\n" + pad + "]"
+        _array_json(value, pad, out)
+    elif not _holds_array(value):
+        out.append(_encoded(value, pad))
+    else:
+        inner = pad + "  "
+        if isinstance(value, dict):
+            value = {str(k): v for k, v in value.items()}
+            keys = [json.dumps(k) + ": " for k in value]
+            value, brackets = value.values(), "{}"
+        else:
+            keys, brackets = [""] * len(value), "[]"
+        sep = brackets[0]
+        for key, v in zip(keys, value):
+            out.append(f"{sep}\n{inner}{key}")
+            _write(v, inner, out)
+            sep = ","
+        out.append("\n" + pad + brackets[1])
 
 
-def _array_json(a, pad):
-    """One array in the indent=2 layout: leaves formatted in one map, then
-    joined with the separator for the number of axes that wrap after each
-    leaf (closing and reopening that many brackets)."""
+def _leaf_texts(a):
+    """The encoder's text of every leaf of a real array, in C order.
+
+    A finite float array is folded by magnitude: one `float.__repr__` (the
+    encoder's own text for a finite float) per distinct |x|, a table of
+    those texts followed by their "-"-prefixed twins, and one gather at
+    index + (number of magnitudes) * signbit(x). So -0.0 reads "-0.0", and a
+    Hermitian matrix, whose entries repeat across the diagonal up to the
+    sign of the imaginary part, costs about half a repr per leaf. Other
+    arrays (integer, bool, or holding NaN or inf) go leaf by leaf through
+    `json.dumps`."""
+    flat = a.ravel()
+    if a.dtype.kind != "f" or not np.isfinite(flat).all():
+        return list(map(json.dumps, flat.tolist()))
+    mags, inverse = np.unique(np.abs(flat), return_inverse=True)
+    texts = list(map(float.__repr__, mags.tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    return table[inverse + len(texts) * np.signbit(flat)].tolist()
+
+
+def _array_json(a, pad, out):
+    """Append one array in the indent=2 layout: the leaves from
+    `_leaf_texts`, interleaved with the separator for the number of axes
+    that wrap after each leaf (closing and reopening that many
+    brackets)."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
     if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "fiub":
-        return _encoded(a, pad)
-    # float.__repr__ is the encoder's own text for a finite float.
-    finite = a.dtype.kind == "f" and np.isfinite(a).all()
-    leaves = list(map(float.__repr__ if finite else json.dumps,
-                      a.ravel().tolist()))
+        out.append(_encoded(a, pad))
+        return
+    leaves = _leaf_texts(a)
     m = a.ndim
     ind = ["\n" + pad + "  " * j for j in range(m + 1)]
 
@@ -212,8 +243,9 @@ def _array_json(a, pad):
     parts = [None] * (2 * len(leaves) - 1)
     parts[::2] = leaves
     parts[1::2] = np.array(seps, dtype=object)[wraps].tolist()
-    head = "".join("[" + ind[j + 1] for j in range(m))
-    return head + "".join(parts) + closing(m)
+    out.append("".join("[" + ind[j + 1] for j in range(m)))
+    out.extend(parts)
+    out.append(closing(m))
 
 
 @dataclass
@@ -225,7 +257,7 @@ class RunReport:
 
     `to_json` writes the bytes that `json.dumps(doc, indent=2)` writes for
     the report with its arrays as nested lists, plus a final newline; the
-    arrays are rendered directly."""
+    arrays are rendered directly, and the text is joined once."""
 
     command: str
     inputs: dict = field(default_factory=dict)
@@ -242,7 +274,10 @@ class RunReport:
             "outputs": self.outputs,
             "diagnostics": self.diagnostics,
         }
-        return _dumps(doc) + "\n"
+        out = []
+        _write(doc, "", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self):
         lines = [f"command: {self.command}"]

@@ -362,16 +362,18 @@ def classify_point(fam, p0):
 
 
 def _window_distance_at(fam, p):
-    """The line search's merit: the distance of H(p) from the manifold, from
-    its eigenvalues; inf when the window is not separated from its
-    neighbours or the eigensolver fails."""
+    """The line search's merit at p: the distance of H(p) from the manifold,
+    from its eigenvalues, and H(p) itself, so that an accepted candidate is
+    not evaluated again; (inf, None) when the window is not separated from
+    its neighbours or the eigensolver fails."""
     try:
-        vals = np.linalg.eigvalsh(fam(p))
+        hp = fam(p)
+        vals = np.linalg.eigvalsh(hp)
     except np.linalg.LinAlgError:
-        return np.inf
+        return np.inf, None
     if unseparated_edge(vals, fam.k, fam.offset) is not None:
-        return np.inf
-    return window_distance(vals, fam.k, fam.offset)
+        return np.inf, None
+    return window_distance(vals, fam.k, fam.offset), hp
 
 
 def _newton_refine(fam, seed):
@@ -381,10 +383,12 @@ def _newton_refine(fam, seed):
     polynomial family, one central difference for an evaluator family), and
     each line-search candidate only its window distance (module docstring);
     a candidate whose window is unseparated, or whose eigensolver fails,
-    halves the step. Returns the root and the number of re-anchorings."""
+    halves the step. The family is evaluated once per point: an accepted
+    candidate's matrix is the next iterate's. Returns the root and the
+    number of re-anchorings."""
     p = np.asarray(seed, dtype=float)
+    hp = fam(p)
     for anchors in range(1, NEWTON_MAX_ITER + 1):
-        hp = fam(p)
         anchor = Anchor.at(hp, fam.k, fam.offset)
         norm = window_distance(anchor.spectrum.eigenvalues, fam.k, fam.offset)
         if norm <= ROOT_TOL:
@@ -398,8 +402,9 @@ def _newton_refine(fam, seed):
         alpha = 1.0
         while alpha >= 1.0 / 64.0:
             candidate = p + alpha * full_step
-            if _window_distance_at(fam, candidate) < norm:
-                p = candidate
+            distance, h_candidate = _window_distance_at(fam, candidate)
+            if distance < norm:
+                p, hp = candidate, h_candidate
                 break
             alpha /= 2.0
         else:

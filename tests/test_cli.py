@@ -641,6 +641,67 @@ def test_report_json_matches_standard_encoder(inputs, outputs, diagnostics):
     assert report.to_json() == _reference_json(report)
 
 
+@st.composite
+def _pooled_arrays(draw):
+    """A Hermitian complex matrix (n <= 12), or a float64 or float32 array,
+    whose leaves are drawn with random signs from a pool of at most four
+    magnitudes, so that the writer's table of texts and of their negated
+    twins is shared between leaves; sometimes one leaf is NaN or +-inf."""
+    kind = draw(st.sampled_from(["hermitian", "float64", "float32"]))
+    top = 3e38 if kind == "float32" else None
+    pool = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e16, 0.1]),
+                  st.floats(min_value=0.0, max_value=top,
+                            allow_infinity=False)),
+        min_size=1, max_size=4)))
+    if kind == "hermitian":
+        n = draw(st.integers(1, 12))
+        shape = (2, n, n)
+    else:
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+    picks = pool[draw(hnp.arrays(np.intp, shape,
+                                 elements=st.integers(0, len(pool) - 1)))]
+    leaves = np.where(draw(hnp.arrays(np.bool_, shape)), -picks, picks)
+    if kind == "hermitian":
+        re, im = leaves
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        a = np.empty((n, n), dtype=complex)
+        a.real = np.where(upper, re, re.T)
+        a.imag = np.where(upper, im, -im.T)
+        a.imag[np.diag_indices(n)] = 0.0
+    else:
+        a = leaves.astype(kind)
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        a.real.flat[draw(st.integers(0, a.size - 1))] = bad
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=st.lists(_pooled_arrays(), min_size=1, max_size=3))
+def test_report_json_pooled_magnitudes(arrays):
+    report = RunReport("decompose", outputs={str(i): a
+                                             for i, a in enumerate(arrays)})
+    assert report.to_json() == _reference_json(report)
+
+
+def test_report_json_decompose_shaped_64():
+    # S, B and H_eff of a 64 x 64 pair with a threefold window: each
+    # magnitude of the Hermitian parts is printed with both signs.
+    rng = np.random.default_rng(7)
+    base = np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 62.0)]).astype(complex)
+    dec = sw_decompose_general(base + 0.05 * random_hermitian(64, rng), base,
+                               3)
+    report = RunReport(
+        "decompose", inputs={"matrix": "h.json", "base": "base.json", "k": 3,
+                             "offset": 0},
+        outputs={"S": dec.s, "B": dec.b, "c": dec.c, "H_eff": dec.h_eff,
+                 "H_eff_window_block": dec.heff_block()},
+        diagnostics={"residual": dec.residual, "S_2norm": dec.s_2norm(),
+                     "within_r0": dec.within_r0, "s_norm_ok": True})
+    assert report.to_json() == _reference_json(report)
+
+
 def _reference_cell(z, is_complex):
     if is_complex:
         z = complex(z)

@@ -423,6 +423,36 @@ def test_scan_runs_no_decomposition(monkeypatch, linalg_calls, fam):
     assert square.count("eigvalsh") == counts["_window_distance_at"] > 0
 
 
+@pytest.mark.parametrize("fam", [polynomial_weyl_family(), weyl_family(),
+                                 random_family(3, n=16)])
+def test_scan_evaluates_each_point_once(monkeypatch, fam):
+    # Outside the grid field, Newton evaluates each iterate, line-search
+    # candidate and difference point once (an accepted candidate's matrix is
+    # the next iterate's); the only repeat is classify_point's H(root).
+    points = []
+    real = weyl.ParamFamily.__call__
+
+    def recorded(self, p):
+        points.append(tuple(np.asarray(p, dtype=float).tolist()))
+        return real(self, p)
+
+    field = weyl._distance_field
+
+    def field_then_forget(*args):
+        values = field(*args)
+        points.clear()
+        return values
+
+    monkeypatch.setattr(weyl.ParamFamily, "__call__", recorded)
+    monkeypatch.setattr(weyl, "_distance_field", field_then_forget)
+    box = [(c - 0.3, c + 0.3) for c in (0.1, -0.05, 0.02)]
+    reports = scan_grid(fam, box, 11)
+    assert reports
+    repeats = [p for p in set(points) if points.count(p) > 1]
+    assert sorted(repeats) == sorted(tuple(r.p.tolist()) for r in reports)
+    assert len(points) == len(set(points)) + len(reports)
+
+
 def test_window_map_matches_exact_map_at_its_anchor():
     # At random anchors of random linear families (n = 3-16, k = 2-4,
     # random offsets) the exact and window maps share value and Jacobian,

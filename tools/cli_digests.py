@@ -95,6 +95,10 @@ def _write_inputs(rng):
         noisy = base.copy()
         noisy[0, 7] = noisy[7, 0] = rel * np.max(np.abs(base))
         _write(f"noise{tag}_base.json", noisy)
+    # A block-diagonal n = 3 pair: its decompose --json report prints 0.0
+    # and -0.0 leaves, and 0.05 with both signs.
+    _write("blockdiag.json", np.diag([0.05, -0.05, 1.1]).astype(complex))
+    _write("blockdiag_base.json", np.diag([0.0, 0.0, 1.0]).astype(complex))
     # Quadratic splitting of the ground pair, tabulated on t = 2^-3..2^-10.
     v = _random_unitary(4, rng)
     ts = [2.0 ** -e for e in range(3, 11)]
@@ -159,6 +163,8 @@ def _calls(cases):
                "2"]]
     calls += [["decompose", cases[0][0], "--base", f"noise{tag}_base.json",
                "--k", "2", "--json"] for tag in ("13", "9")]
+    calls.append(["decompose", "blockdiag.json", "--base",
+                  "blockdiag_base.json", "--k", "2", "--json"])
     for seed in ("0", "1", "2"):
         calls += [["order", "ising", "--qubits", q, "--seed", seed, "--json"]
                   for q in ("3", "4", "5")]
