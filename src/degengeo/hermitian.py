@@ -62,7 +62,7 @@ def _hermitian_part(a):
     """(A + A^dagger)/2 of one matrix, or of each matrix of a stack
     (..., n, n). Exactly Hermitian: entries (a, b) and (b, a) add the same
     two numbers."""
-    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermitian(entries):
@@ -128,10 +128,22 @@ def frobenius_norm(h):
     return float(np.linalg.norm(np.asarray(h), "fro"))
 
 
+def _finite_eigvalsh(h):
+    """np.linalg.eigvalsh of h, or of each matrix of a stack, after refusing
+    a NaN or infinite entry with LinAlgError. eigvalsh itself does not
+    always raise there: it returns [0, 0, -0] for diag(0, 1, nan), and NaNs
+    for diag(0, 1, inf)."""
+    h = np.asarray(h)
+    if not np.isfinite(h).all():
+        raise np.linalg.LinAlgError("the matrix has a non-finite entry")
+    return np.linalg.eigvalsh(h)
+
+
 def operator_2_norm(h):
     """Operator 2-norm max|lambda_i|, from the eigenvalues of H: a float for
-    one n x n H, an array of shape (...) for a stack (..., n, n)."""
-    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1, initial=0.0)
+    one n x n H, an array of shape (...) for a stack (..., n, n). A matrix
+    with a NaN or infinite entry raises LinAlgError."""
+    norms = np.max(np.abs(_finite_eigvalsh(h)), axis=-1, initial=0.0)
     return float(norms) if norms.ndim == 0 else norms
 
 

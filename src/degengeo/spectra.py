@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermitian import _finite_eigvalsh
+
 __all__ = [
     "Spectrum",
     "StratumPartition",
@@ -71,32 +73,44 @@ class StratumPartition:
 
 def eigh(h):
     """Full eigendecomposition of a Hermitian matrix, or of a stack of them
-    of shape (..., n, n) in one LAPACK call.
+    of shape (..., n, n) in one LAPACK call (`np.linalg.eigh`).
 
     Eigenvalues come out ascending. Each eigenvector's phase is fixed by
-    making its largest-modulus component real and positive, purely so that
-    repeated runs print identically; no algorithm downstream depends on the
-    phase. Each matrix's reconstruction residual is checked against its own
+    making its largest-modulus component real and positive (the first such
+    component on a tie), purely so that repeated runs print identically; no
+    algorithm downstream depends on the phase. Each matrix's reconstruction
+    residual ||H U - U diag(eigenvalues)||_F is checked against its own
     bound RESIDUAL_RTOL * max(1, ||H_i||_F), and LinAlgError names the first
     matrix that fails it; a matrix with a NaN or infinite entry fails it.
+
+    Eigenvalues, vectors and residuals equal, bit for bit, those of the
+    reference: `np.linalg.eigh`, a per-column loop that divides each column
+    by its pivot's phase, and `np.linalg.norm` for both Frobenius norms. The
+    pivots are gathered by direct indexing and the norms evaluated by the
+    expression `np.linalg.norm` uses, without their per-call helper layers.
     """
     h = np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
+    n = vals.shape[-1]
+    stack = vecs.reshape(-1, n, n)
+    rows = np.abs(stack).argmax(axis=1)
+    pivots = stack[np.arange(len(stack))[:, None], rows, np.arange(n)]
     # hypot, not np.abs: on complex arrays np.abs can differ from the modulus
     # a scalar abs() returns in the last bit.
-    pivots = np.take_along_axis(
-        vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
-    vecs = vecs * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
+    phases = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
+    vecs = vecs * phases.reshape(vals.shape)[..., None, :]
     # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
     # unlike `residual > bound`, refuses it; the invalid values on the way
     # there are expected.
     with np.errstate(invalid="ignore"):
-        residual = np.linalg.norm(h @ vecs - vecs * vals[..., None, :],
-                                  axis=(-2, -1))
-    bound = RESIDUAL_RTOL * np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
-    bad = np.argwhere(~(residual <= bound))
-    if len(bad):
-        where = tuple(map(int, bad[0]))
+        residual = _frobenius(h @ vecs - vecs * vals[..., None, :])
+    # np.linalg.norm reads an integer or boolean h as float.
+    if h.dtype.kind not in "fc":
+        h = h.astype(float)
+    bound = RESIDUAL_RTOL * np.maximum(1.0, _frobenius(h))
+    ok = residual <= bound
+    if np.count_nonzero(ok) < ok.size:
+        where = tuple(map(int, np.argwhere(~ok)[0]))
         name = f" of matrix {where}" if where else ""
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual{name} {residual[where]:.3e} "
@@ -108,10 +122,21 @@ def eigh(h):
     return Spectrum(eigenvalues=vals, vectors=vecs, residual=residual)
 
 
+def _frobenius(x):
+    """||x||_F over the last two axes, as `np.linalg.norm(x, axis=(-2, -1))`
+    computes it for a float or complex x."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
+
+
 def coincidence_tolerance(vals, rel_tol):
-    """rel_tol * max(1, max|vals|): the gap at or below which two adjacent
-    eigenvalues count as coincident."""
-    return rel_tol * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    """rel_tol * max(1, max|vals|) along the last axis: the gap at or below
+    which two adjacent eigenvalues count as coincident. A float for 1-D
+    vals, an array of shape (...) for vals of shape (..., n)."""
+    top = np.abs(vals).max(axis=-1, initial=0.0)
+    if top.ndim == 0:
+        return rel_tol * max(1.0, float(top))
+    # fmax, like the scalar max(1.0, top), passes over a NaN top.
+    return rel_tol * np.fmax(1.0, top)
 
 
 def check_window(n, k, offset=0):
@@ -132,6 +157,14 @@ def window_width(vals, k, offset=0):
     when this is within the coincidence tolerance."""
     win = _window(vals, k, offset)
     return float(np.max(win) - np.min(win))
+
+
+def window_mean(vals, k, offset=0):
+    """Mean of the window eigenvalues along the last axis, as
+    `window_spread` gives it: a float for 1-D vals, an array of shape (...)
+    for vals of shape (..., n)."""
+    mean = _window(vals, k, offset).sum(axis=-1) / k
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def window_spread(vals, k, offset=0):
@@ -172,7 +205,11 @@ def unseparated_edge(vals, k, offset):
     with a gap within the coincidence tolerance, lower edge first; None when
     the window is strictly separated from its neighbours."""
     check_window(len(vals), k, offset)
-    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+    return _unseparated_edge(vals, k, offset,
+                             coincidence_tolerance(vals, DEGENERACY_RTOL))
+
+
+def _unseparated_edge(vals, k, offset, tol):
     for i in (offset, offset + k):
         if 0 < i < len(vals) and vals[i] - vals[i - 1] <= tol:
             return i
@@ -180,10 +217,27 @@ def unseparated_edge(vals, k, offset):
 
 
 def check_separated(vals, k, offset, exc):
-    """Raise exc unless the window is strictly separated."""
-    i = unseparated_edge(vals, k, offset)
+    """Raise exc unless the window is strictly separated. For a stack of
+    spectra (..., n) one edge-gap test covers the whole stack, and exc
+    carries the message of the first spectrum (in C order) that fails it,
+    the message that spectrum alone would give."""
+    vals = np.asarray(vals)
+    n = vals.shape[-1]
+    check_window(n, k, offset)
+    edges = [i for i in (offset, offset + k) if 0 < i < n]
+    if not edges:
+        return
+    tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
+    if vals.ndim > 1:
+        close = np.zeros(tol.shape, dtype=bool)
+        for i in edges:
+            close |= vals[..., i] - vals[..., i - 1] <= tol
+        if not close.any():
+            return
+        first = np.unravel_index(close.argmax(), close.shape)
+        vals, tol = vals[first], float(tol[first])
+    i = _unseparated_edge(vals, k, offset, tol)
     if i is not None:
-        tol = coincidence_tolerance(vals, DEGENERACY_RTOL)
         raise exc(f"eigenvalues {i} and {i + 1} coincide within tolerance "
                   f"{tol:.3e}")
 
@@ -246,10 +300,11 @@ def stratum_codimension(partition):
 def half_gap(h0, k):
     """Half the spectral gap (lambda_{k+1} - lambda_k)/2 of a matrix; zero on
     the boundary stratum. This is the operator-2-norm ball radius within
-    which the block decomposition is unique."""
+    which the block decomposition is unique. A matrix with a NaN or infinite
+    entry raises LinAlgError."""
     h0 = np.asarray(h0)
     n = h0.shape[0]
     check_window(n, k)
     if k == n:
         raise ValueError(f"window covers the whole spectrum: n={n}, k={k}")
-    return float(window_half_gap(np.linalg.eigvalsh(h0), k, 0))
+    return float(window_half_gap(_finite_eigvalsh(h0), k, 0))

@@ -151,7 +151,8 @@ class SplittingSample:
 def _stacked_ladder(fam, ts):
     """The family's matrices at ts, stacked, and their eigenvalues from one
     eigvalsh over the stack. A matrix with a non-finite entry raises
-    LinAlgError, as eigvalsh does on NaN (on inf it may return NaN)."""
+    LinAlgError, which eigvalsh alone does not always do (see
+    `hermitian._finite_eigvalsh`)."""
     hs = np.empty((0, fam.n, fam.n))
     if len(ts):
         hs = np.stack([fam(t) for t in ts])
@@ -168,10 +169,11 @@ def splitting_samples(fam, ts, with_heff=True):
 
     The ladder's eigenvalues come from one stacked eigvalsh. With heff, the
     whole ladder, taken once into the gauge of the family's start anchor,
-    goes through one stacked `Anchor.heff_block` call and one stacked
-    eigvalsh for the uniqueness-ball norms. When a sample's decomposition
-    fails, the ladder is decomposed again one sample at a time, so that
-    each failing sample gets its own note and the others their values."""
+    goes through one stacked `Anchor.heff_block` call; its uniqueness-ball
+    test takes Frobenius bounds, and one eigvalsh over only the samples
+    they leave open. When a sample's decomposition fails, the ladder is
+    decomposed again one sample at a time, so that each failing sample gets
+    its own note and the others their values."""
     ts = np.sort(np.asarray(ts, dtype=float))
     if np.any(ts == 0.0):
         raise ValueError("sample points must be nonzero")
@@ -205,12 +207,12 @@ def _heff_norms(anchor, hs):
     """||H_eff||_F of each matrix of the finite stack hs against the anchor,
     and its note: why its decomposition failed (the norm is then None), or
     that ||H(t) - G||_2 >= r0 in the anchor gauge. The stack is taken into
-    the gauge once, and the norms come from one stacked eigvalsh. A stacked
+    the gauge once, for the blocks and for `_within_ball`. A stacked
     `heff_block` raises on its first bad matrix; only then is each matrix
     decomposed on its own."""
     local = anchor.local(hs)
     r0 = window_half_gap(np.diag(anchor.base).real, anchor.k, anchor.offset)
-    inside = operator_2_norm(local - anchor.base) < r0
+    inside = _within_ball(local - anchor.base, r0)
     try:
         blocks = anchor._heff_block_local(local)
     except (DegenError, np.linalg.LinAlgError):
@@ -228,6 +230,20 @@ def _heff_norms(anchor, hs):
         notes.append(None if inside[sample] else
                      "outside the uniqueness ball of the start point")
     return norms, notes
+
+
+def _within_ball(x, r0):
+    """operator_2_norm(x) < r0 for each matrix of the stack x (..., n, n).
+    Since ||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F, the Frobenius norm decides
+    every matrix for which one of the bounds clears r0 by a relative 1e-12,
+    far above the rounding of either norm; one eigvalsh over the matrices
+    left open decides the rest."""
+    fro = np.linalg.norm(x, axis=(-2, -1))
+    inside = fro < r0 * (1.0 - 1e-12)
+    undecided = ~inside & ~(fro / np.sqrt(x.shape[-1]) > r0 * (1.0 + 1e-12))
+    if undecided.any():
+        inside[undecided] = operator_2_norm(x[undecided]) < r0
+    return inside
 
 
 @dataclass(frozen=True)
@@ -492,6 +508,7 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
         raise ValueError(f"depth_cap must be at least 1, got {depth_cap!r}")
     k = fam.k
     ts = np.array([t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0])
+    scale = ts[:, None, None]
     start = fam.start_anchor()
     probes = np.stack([fam(t) for t in ts])
     queue = [(tuple(range(1, k + 1)), probes, start, 1)]
@@ -499,7 +516,7 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     capped = []
     while queue:
         idx, above, anchor, level = queue.pop()
-        g = anchor.heff_block(above) / ts[:, None, None]
+        g = anchor.heff_block(above) / scale
         g0 = _extrapolate_zero(g)
         spec0 = eigh(_hermitian_part(g0))
         parts = classify_stratum(spec0, CLUSTER_RTOL).parts

@@ -68,8 +68,8 @@ from .spectra import (
     check_window,
     eigh,
     window_half_gap,
+    window_mean,
     window_members,
-    window_spread,
     window_width,
 )
 
@@ -133,11 +133,11 @@ def _principal_angles(v_w):
     SubspacesTooFar, with the first such block's separation, when some
     ||P - P0||_2 = max sin(Theta) reaches 1: no direct rotation exists."""
     x, cos, yh = np.linalg.svd(v_w)
-    min_cos = np.min(cos, axis=-1, initial=1.0)
+    min_cos = cos.min(axis=-1, initial=1.0)
     sep = np.sqrt(np.maximum(0.0, 1.0 - min_cos ** 2))
-    far = np.argwhere(sep >= 1.0 - 1e-12)
-    if len(far):
-        raise _too_far(float(sep[tuple(far[0])]))
+    far = sep >= 1.0 - 1e-12
+    if far.any():
+        raise _too_far(float(sep[tuple(np.argwhere(far)[0])]))
     return x, cos, yh
 
 
@@ -376,7 +376,7 @@ class Anchor:
         """The anchor at a matrix whose spectrum is already known; raises
         BasePointNotCanonical unless the collapsed window is separated."""
         vals = spectrum.eigenvalues.copy()
-        vals[offset : offset + k] = window_spread(vals, k, offset)[0]
+        vals[offset : offset + k] = window_mean(vals, k, offset)
         check_separated(vals, k, offset, BasePointNotCanonical)
         return cls(spectrum, np.diag(vals).astype(complex), k, offset)
 
@@ -426,8 +426,8 @@ class Anchor:
         if self.k == self.spectrum.n:
             return _traceless(h[..., w, w])
         spec = eigh(h)
-        for vals in spec.eigenvalues.reshape(-1, self.spectrum.n):
-            check_separated(vals, self.k, self.offset, DegenerateBoundary)
+        check_separated(spec.eigenvalues, self.k, self.offset,
+                        DegenerateBoundary)
         x, _, yh = _principal_angles(spec.vectors[..., w, w])
         u = x @ yh
         block = (u * spec.eigenvalues[..., None, w]) @ np.swapaxes(
@@ -439,7 +439,7 @@ def _traceless(block):
     """A k x k block, or each of a stack (..., k, k), minus its mean
     diagonal entry times the identity."""
     k = block.shape[-1]
-    mean = np.trace(block, axis1=-2, axis2=-1).real / k
+    mean = block.trace(axis1=-2, axis2=-1).real / k
     return block - mean[..., None, None] * np.eye(k)
 
 

@@ -90,6 +90,17 @@ def test_norms_explicit():
     assert frobenius_norm(np.zeros((4, 4))) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_norm_refuses_non_finite_matrices(bad):
+    # eigvalsh returns [0, 0, -0] for diag(0, 1, nan) without an error, and
+    # NaNs for diag(0, 1, inf): the norm would read 0.0 or nan.
+    h = np.diag([0.0, 1.0, bad])
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+        operator_2_norm(h)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+        operator_2_norm(np.stack([np.eye(3), h.astype(complex)]))
+
+
 def test_norm_inequality_chain():
     rng = np.random.default_rng(2)
     for _ in range(100):

@@ -83,27 +83,60 @@ def _hermitian_stack(rng, shape, n, dtype):
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
+def _norm_residual(h, spec):
+    """Reference residual: np.linalg.norm of H U - U diag(eigenvalues)."""
+    u = spec.vectors
+    return np.linalg.norm(h @ u - u * spec.eigenvalues[..., None, :],
+                          axis=(-2, -1))
+
+
+def _tied(n, dtype):
+    """sigma_x in the leading 2 x 2 block and 3 .. n+1 below it: LAPACK
+    returns eigenvector columns 1 and 2 with two components of equal
+    modulus."""
+    h = np.diag(np.arange(1.0, n + 1.0)).astype(dtype)
+    h[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    return h
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
 def test_eigh_stack_matches_per_matrix_and_loop_bytes(n, dtype):
     rng = np.random.default_rng(n)
     stack = _hermitian_stack(rng, (2, 3), n, dtype)
     diagonal = np.diag(rng.standard_normal(n)).astype(dtype)
-    for h in (*stack.reshape(-1, n, n), diagonal):
+    singles = [*stack.reshape(-1, n, n), diagonal]
+    if n >= 2:
+        tied = _tied(n, dtype)
+        raw = np.linalg.eigh(tied)[1]
+        assert abs(raw[0, 0]) == abs(raw[1, 0]) and raw[0, 0] < 0.0
+        # The first of the two pivots wins: column 1 flips sign.
+        assert eigh(tied).vectors[0, 0] > 0.0
+        singles.append(tied)
+    for h in singles:
         vals, vecs = _eigh_loop(h)
         spec = eigh(h)
         assert spec.eigenvalues.tobytes() == vals.tobytes()
         assert spec.vectors.tobytes() == vecs.tobytes()
         assert isinstance(spec.residual, float)
+        assert spec.residual == _norm_residual(h, spec)
     spec = eigh(stack)
     assert spec.eigenvalues.shape == (2, 3, n)
     assert spec.vectors.shape == (2, 3, n, n)
     assert spec.residual.shape == (2, 3) and spec.n == n
+    assert spec.residual.tobytes() == _norm_residual(stack, spec).tobytes()
     for idx in np.ndindex(2, 3):
         one = eigh(stack[idx])
         assert spec.eigenvalues[idx].tobytes() == one.eigenvalues.tobytes()
         assert spec.vectors[idx].tobytes() == one.vectors.tobytes()
+        assert spec.residual[idx] == one.residual
         assert spec.operator_2_norm()[idx] == one.operator_2_norm()
+    # An empty stack, as an empty heff ladder gives.
+    empty = eigh(np.zeros((0, n, n), dtype=dtype))
+    assert empty.eigenvalues.shape == (0, n)
+    assert empty.vectors.shape == (0, n, n)
+    assert empty.vectors.dtype == np.dtype(dtype)
+    assert empty.residual.shape == (0,)
 
 
 def test_eigh_refuses_one_bad_matrix_of_a_stack(monkeypatch):
@@ -233,6 +266,15 @@ def test_half_gap():
         half_gap(np.diag([0.0, 1.0]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_half_gap_refuses_non_finite_matrices(bad):
+    # eigvalsh returns [0, 0, -0] for diag(0, 1, nan) without an error, and
+    # NaNs for diag(0, 1, inf): the half gap would read 0.0 or nan.
+    for h in (np.diag([0.0, 1.0, bad]), np.diag([bad, 0.0, 1.0])):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+            half_gap(h, 1)
+
+
 # ---------------------------------------------------------------------------
 # window rules
 # ---------------------------------------------------------------------------
@@ -339,6 +381,35 @@ def test_window_rules_at_the_tolerance():
                                          "tolerance 2.000e-08"):
         check_degenerate(np.array([-2.0, 0.0, np.nextafter(tol, np.inf),
                                    1.0]), 2, 1, ValueError)
+
+
+def test_stacked_separation_check_reports_the_first_failing_spectrum():
+    # Window 2..3 of four levels. Spectra (1, 0) and (1, 1) both fail, at
+    # different edges and tolerances; the stack raises the message of the
+    # first in C order, as that spectrum alone would.
+    separated = [-1.0, 0.0, 0.0, 1.0]
+    lower = [0.0, 0.0, 0.0, 3.0]
+    upper = [-5.0, 0.0, 0.0, 0.0]
+    stack = np.array([[separated, separated], [lower, upper]])
+    message = _message(check_separated, np.array(lower), 2, 1,
+                       DegenerateBoundary)
+    assert message == "eigenvalues 1 and 2 coincide within tolerance 3.000e-08"
+    assert _message(check_separated, stack, 2, 1,
+                    DegenerateBoundary) == message
+    assert _message(check_separated, stack[:, ::-1], 2, 1,
+                    DegenerateBoundary) == (
+        "eigenvalues 3 and 4 coincide within tolerance 5.000e-08")
+    assert _message(check_separated, stack[:1], 2, 1, ValueError) is None
+    assert _message(check_separated, stack[:0], 2, 1, ValueError) is None
+    # Through Anchor.heff_block: one stacked check, the per-matrix message.
+    anchor = Anchor.at(np.diag([-1.0, 0.0, 0.0, 1.0]).astype(complex), 2, 1)
+    mats = np.array([np.diag(v).astype(complex)
+                     for v in (separated, lower, upper)])
+    with pytest.raises(DegenerateBoundary) as one:
+        anchor.heff_block(mats[1])
+    with pytest.raises(DegenerateBoundary) as stacked:
+        anchor.heff_block(mats)
+    assert str(stacked.value) == str(one.value) == message
 
 
 _UNSEPARATED = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)

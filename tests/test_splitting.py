@@ -159,11 +159,13 @@ def test_heff_samples_note_decomposition_errors_only():
 
 
 def test_uniqueness_ball_takes_one_stacked_eigvalsh(linalg_calls):
-    # ||H(t) - G||_2 for a 14-point ladder comes from one (14, n, n)
-    # eigvalsh, with no per-sample one, and the notes follow the per-sample
-    # rule. Window levels (0, t) below 1, 2, 3, 4 in a fixed random basis:
-    # the ball has radius 1/2, and at t = 1 the window touches the next
-    # level, so all three kinds of note occur.
+    # ||H(t) - G||_2 < r0 for a 14-point ladder is decided by one stacked
+    # eigvalsh over the samples that the Frobenius bounds leave open, with
+    # no per-sample one, and the notes follow the per-sample rule. Window
+    # levels (0, t) below 1, 2, 3, 4 in a fixed random basis: the ball has
+    # radius 1/2, and at t = 1 the window touches the next level, so all
+    # three kinds of note occur. H(t) - G has rank one, so both its norms
+    # are t, and the 7 samples with t > 1/2 are left open.
     v = random_unitary(6, np.random.default_rng(14))
     fam = family(lambda t: (v * [0.0, t, 1.0, 2.0, 3.0, 4.0]) @ v.conj().T, 2)
     ts = np.linspace(0.07, 1.0, 14)
@@ -171,7 +173,7 @@ def test_uniqueness_ball_takes_one_stacked_eigvalsh(linalg_calls):
     linalg_calls.clear()
     samples = splitting_samples(fam, ts, with_heff=True)
     assert [c for c in linalg_calls if c[0] == "eigvalsh"] == [
-        ("eigvalsh", (14, 6, 6))] * 2
+        ("eigvalsh", (14, 6, 6)), ("eigvalsh", (7, 6, 6))]
     notes = []
     for t in ts:
         try:
@@ -377,6 +379,20 @@ def test_cascade_ising_ground_pair():
     res = cascade(fam, t_probe=2.0 ** -5)
     assert res.pair_levels == {(1, 2): 3}
     assert res.negative_permutation == (2, 1)
+
+
+def test_cascade_factorization_plan(linalg_calls):
+    # A k = 2 cascade of ising(4) reaches level 4. The first level takes
+    # its four probes through one (4, 16, 16) eigh and one (4, 2, 2) SVD;
+    # every level diagonalizes its extrapolated 2 x 2 start once. Deeper
+    # levels anchor a whole-spectrum window, whose blocks need no
+    # factorization. Any new factorization on this path shows here.
+    fam = model_family("ising", 4, 0)
+    linalg_calls.clear()
+    res = cascade(fam)
+    assert res.pair_levels == {(1, 2): 4}
+    assert linalg_calls == [("eigh", (4, 16, 16)), ("svd", (4, 2, 2))] + [
+        ("eigh", (2, 2))] * 4
 
 
 @pytest.mark.parametrize("model, size", [("ising", 3), ("ising", 5),
@@ -628,11 +644,11 @@ def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
     linalg_calls.clear()
     samples = splitting_samples(fam, ts, with_heff=with_heff)
     eigvalsh = [call for call in linalg_calls if call[0] == "eigvalsh"]
-    # The ladder's spectra; with heff also its uniqueness-ball norms, and
-    # the effective blocks from one stacked eigh and one stacked k x k SVD,
-    # with no n x n eigh of H(0) or of a single sample.
-    assert eigvalsh == [("eigvalsh", (len(ts), fam.n, fam.n))] * (
-        2 if with_heff else 1)
+    # The ladder's spectra; with heff, the Frobenius bounds decide every
+    # uniqueness-ball test here, and the effective blocks come from one
+    # stacked eigh and one stacked k x k SVD, with no n x n eigh of H(0) or
+    # of a single sample.
+    assert eigvalsh == [("eigvalsh", (len(ts), fam.n, fam.n))]
     others = [call for call in linalg_calls if call[0] != "eigvalsh"]
     assert others == ([("eigh", (len(ts), fam.n, fam.n)),
                        ("svd", (len(ts), fam.k, fam.k))] if with_heff else [])
