@@ -35,7 +35,7 @@ from .models import (WEYL_EXAMPLE_TERMS, example_3x3, example_pr,
                      ssh_hopping_disorder, transverse_perturbation,
                      weyl_example)
 from .projection import collapse_projection
-from .spectra import window_distance
+from .spectra import eigh, unseparated_edge, window_distance, window_spread
 from .splitting import (default_ladder, estimate_all_orders, family,
                         linear_family)
 from .swtransform import (Anchor, is_diagonal_base, sw_decompose,
@@ -82,13 +82,14 @@ class _CliError(Exception):
 def _cmd_decompose(args):
     h = _read_or_fail(args.matrix)
     if args.base == "auto":
-        base = collapse_projection(h, args.k, offset=args.offset).h_sigma
-        decompose = sw_decompose_general
+        # Against its own collapse: one eigendecomposition of H serves the
+        # anchor and the decomposition.
+        dec = Anchor.at(h, args.k, args.offset).decompose(h)
     else:
         base = _read_or_fail(args.base)
         decompose = (sw_decompose if is_diagonal_base(base)
                      else sw_decompose_general)
-    dec = decompose(h, base, args.k, offset=args.offset)
+        dec = decompose(h, base, args.k, offset=args.offset)
     s_norm = dec.s_2norm()
     report = RunReport(
         command="decompose",
@@ -133,18 +134,20 @@ def _cmd_project(args):
 
 def _cmd_distance(args):
     h = _read_or_fail(args.matrix)
-    pr = collapse_projection(h, args.k, offset=args.offset)
+    spec = eigh(h)
+    vals = spec.eigenvalues
+    unique = unseparated_edge(vals, args.k, args.offset) is None
     outputs = {
-        "distance": window_distance(pr.spectrum.eigenvalues, args.k,
-                                    args.offset),
-        "sqrt_k_times_std_dev": np.sqrt(args.k) * pr.std_dev,
-        "unique": pr.unique,
+        "distance": window_distance(vals, args.k, args.offset),
+        "sqrt_k_times_std_dev":
+            np.sqrt(args.k) * window_spread(vals, args.k, args.offset)[2],
+        "unique": unique,
     }
     diagnostics = {}
-    if pr.unique:
-        # Cross-check through the decomposition against the collapsed base,
-        # in the eigenbasis of H that the projection already took.
-        anchor = Anchor.from_spectrum(pr.spectrum, args.k, args.offset)
+    if unique:
+        # Cross-check through the decomposition of H against its collapse,
+        # from the same eigendecomposition.
+        anchor = Anchor.from_spectrum(spec, args.k, args.offset, matrix=h)
         dec = anchor.decompose(h)
         outputs["heff_norm"] = frobenius_norm(dec.h_eff)
         diagnostics["heff_residual"] = dec.residual

@@ -147,6 +147,20 @@ def operator_2_norm(h):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _within_ball(x, r0):
+    """operator_2_norm(x) < r0, a bool for one n x n x and a bool array of
+    shape (...) for a stack (..., n, n). Since ||X||_F / sqrt(n) <= ||X||_2
+    <= ||X||_F, the Frobenius norm decides every matrix for which one of the
+    bounds clears r0 by a relative 1e-12, far above the rounding of either
+    norm; one eigvalsh over the matrices left open decides the rest."""
+    fro = np.linalg.norm(x, axis=(-2, -1))
+    inside = np.asarray(fro < r0 * (1.0 - 1e-12))
+    undecided = ~inside & ~(fro / np.sqrt(x.shape[-1]) > r0 * (1.0 + 1e-12))
+    if undecided.any():
+        inside[undecided] = operator_2_norm(x[undecided]) < r0
+    return inside if inside.ndim else bool(inside)
+
+
 def _basis_order(n):
     """Index labels in the canonical order of `_canonical_slots`: the basis
     of the upper-left m x m block is completed before index m+1 appears, so

@@ -82,12 +82,17 @@ def _matrix_from_document(doc):
             f"'entries' must hold {n * n} [re, im] pairs, got {got}"
         )
     try:
-        # One scan over the types of all leaves admits JSON numbers only.
-        numeric = set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES
-        pairs = np.asarray(entries, dtype=float) if numeric else None
-    except (TypeError, ValueError, OverflowError):
+        # Every entry has two items, and one scan over the types of all
+        # leaves admits JSON numbers only; the leaves then go to one flat
+        # array in one pass.
         pairs = None
-    if pairs is None or pairs.shape != (n * n, 2):
+        if (set(map(len, entries)) == {2} and set(map(
+                type, chain.from_iterable(entries))) <= _NUMBER_TYPES):
+            pairs = np.fromiter(chain.from_iterable(entries), float,
+                                2 * n * n).reshape(n * n, 2)
+    except (TypeError, OverflowError):
+        pairs = None
+    if pairs is None:
         for i, pair in enumerate(entries):
             if not (isinstance(pair, list) and len(pair) == 2
                     and set(map(type, pair)) <= _NUMBER_TYPES):
@@ -211,10 +216,26 @@ def _leaf_texts(a):
     flat = a.ravel()
     if a.dtype.kind != "f" or not np.isfinite(flat).all():
         return list(map(json.dumps, flat.tolist()))
+    table, index = _signed_texts(flat, _reprs)
+    return table[index].tolist()
+
+
+def _reprs(values):
+    return list(map(float.__repr__, values))
+
+
+def _signed_texts(flat, texts_of, plus=""):
+    """(table, index) with table[index] the text of each value of the finite
+    float array flat. texts_of formats the list of distinct magnitudes, once
+    each, and table holds those texts prefixed by `plus`, followed by their
+    "-"-prefixed twins, which index picks by signbit (so -0.0 gets the
+    "-"). Right for every format that writes -x as "-" followed by the text
+    of x."""
     mags, inverse = np.unique(np.abs(flat), return_inverse=True)
-    texts = list(map(float.__repr__, mags.tolist()))
-    table = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return table[inverse + len(texts) * np.signbit(flat)].tolist()
+    texts = texts_of(mags.tolist())
+    table = np.array([plus + t for t in texts] + ["-" + t for t in texts],
+                     dtype=object)
+    return table, inverse + len(texts) * np.signbit(flat)
 
 
 def _array_json(a, pad, out):
@@ -302,21 +323,42 @@ def _fmt_scalar(v):
     return str(v)
 
 
+def _texts_12g(values):
+    """format(x, ".12g") of each float of the list values, by one %-format
+    of them all."""
+    return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _matrix_cells(value):
+    """The text of `_fmt_scalar` for every entry of a 2-D array, in C order.
+    Finite arrays are formatted once per distinct magnitude of the real
+    parts and once per distinct magnitude of the imaginary parts
+    (`_signed_texts`), and a complex cell joins its two texts in one object
+    array addition."""
+    if not np.iscomplexobj(value):
+        re = np.asarray(value, dtype=float).ravel()
+        if not np.isfinite(re).all():
+            return [f"{x:.12g}" for x in re.tolist()]
+        table, index = _signed_texts(re, _texts_12g)
+        return table[index].tolist()
+    re, im = value.real.ravel(), value.imag.ravel()
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        return [f"{a:.12g}{b:+.12g}i" for a, b in zip(re.tolist(),
+                                                      im.tolist())]
+    re_table, re_index = _signed_texts(re, _texts_12g)
+    im_table, im_index = _signed_texts(im, _texts_12g, plus="+")
+    return (re_table[re_index] + (im_table + "i")[im_index]).tolist()
+
+
 def _text_lines(key, value, indent):
     pad = " " * indent
     if isinstance(value, np.ndarray) and value.ndim == 2:
-        # The cells of _fmt_scalar, right-aligned to 22 characters.
-        if np.iscomplexobj(value):
-            cells = [f"{f'{re:.12g}{im:+.12g}i':>22}" for re, im in zip(
-                value.real.ravel().tolist(), value.imag.ravel().tolist())]
-        else:
-            cells = [f"{x:>22.12g}"
-                     for x in np.asarray(value, dtype=float).ravel().tolist()]
-        w = value.shape[1]
-        return [f"{pad}{key}:"] + [
-            pad + "  " + "  ".join(cells[i * w : (i + 1) * w])
-            for i in range(value.shape[0])
-        ]
+        # The cells right-aligned to 22 characters by one %-format for the
+        # whole matrix.
+        rows, w = value.shape
+        row = pad + "  " + "  ".join(["%22s"] * w)
+        body = "\n".join([row] * rows) % tuple(_matrix_cells(value))
+        return [f"{pad}{key}:"] + ([body] if rows else [])
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, dict):

@@ -229,6 +229,7 @@ def example_pr_reference(p, r):
     root = np.sqrt(1.0 + 4.0 * q2)
     anti = np.array([[0, 0, p], [0, 0, r], [-p, -r, 0]], dtype=complex)
     if q2 == 0.0:
+        angle = 0.0
         s = np.zeros((3, 3), dtype=complex)
         h_eff = np.zeros((3, 3), dtype=complex)
         e = np.eye(3, dtype=complex)
@@ -251,6 +252,7 @@ def example_pr_reference(p, r):
     return SWDecomposition(
         k=2, offset=0, h0=h0, s=_freeze(s), b=_freeze(b), c=float(c),
         h_eff=_freeze(h_eff), e=_freeze(e), residual=residual, within_r0=True,
+        heff_window=_freeze(h_eff[:2, :2].copy()), max_angle=float(angle),
     )
 
 

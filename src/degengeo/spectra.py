@@ -92,6 +92,9 @@ def eigh(h):
     h = np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
     n = vals.shape[-1]
+    if n == 0:
+        # Empty matrices: nothing to phase or to check.
+        return _frozen(vals, vecs, np.zeros(vals.shape[:-1]))
     stack = vecs.reshape(-1, n, n)
     rows = np.abs(stack).argmax(axis=1)
     pivots = stack[np.arange(len(stack))[:, None], rows, np.arange(n)]
@@ -116,6 +119,12 @@ def eigh(h):
             f"eigendecomposition residual{name} {residual[where]:.3e} "
             f"exceeds {bound[where]:.3e}"
         )
+    return _frozen(vals, vecs, residual)
+
+
+def _frozen(vals, vecs, residual):
+    """The Spectrum of read-only vals and vecs, its residual a float for one
+    matrix."""
     vals.setflags(write=False)
     vecs.setflags(write=False)
     residual = float(residual) if residual.ndim == 0 else residual

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit
-from .hermitian import _hermitian_part, frobenius_norm, operator_2_norm
+from .hermitian import _hermitian_part, _within_ball, frobenius_norm
 from .spectra import (
     Spectrum,
     check_degenerate,
@@ -230,20 +230,6 @@ def _heff_norms(anchor, hs):
         notes.append(None if inside[sample] else
                      "outside the uniqueness ball of the start point")
     return norms, notes
-
-
-def _within_ball(x, r0):
-    """operator_2_norm(x) < r0 for each matrix of the stack x (..., n, n).
-    Since ||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F, the Frobenius norm decides
-    every matrix for which one of the bounds clears r0 by a relative 1e-12,
-    far above the rounding of either norm; one eigvalsh over the matrices
-    left open decides the rest."""
-    fro = np.linalg.norm(x, axis=(-2, -1))
-    inside = fro < r0 * (1.0 - 1e-12)
-    undecided = ~inside & ~(fro / np.sqrt(x.shape[-1]) > r0 * (1.0 + 1e-12))
-    if undecided.any():
-        inside[undecided] = operator_2_norm(x[undecided]) < r0
-    return inside
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,17 @@ Z sin(Theta), S[c, w] = -i Z Theta X^dagger, so ||S||_2 = max(Theta). One
 eigendecomposition of H and a k x k SVD give the whole decomposition, and
 the result keeps that e^{iS}.
 
+The parts are assembled in the frame H was given in, in O(n^2 k) work after
+the eigendecomposition, with no n x n x n product. Let U_w be the base's
+window vectors (identity columns for a diagonal base) and R =
+V - U_w U_w^dagger V the part of V outside the base window. Then S =
+M + M^dagger with M of rank k, E - I = L [U_w, R]^dagger (E = e^{iS}) has
+rank at most 2k, and E^dagger H E is H plus rank-2k corrections: B is the
+complement block of those, H_eff is U_w W U_w^dagger with W =
+U Lambda_w U^dagger minus its mean (U = X Y^dagger the polar factor of V_w,
+Lambda_w the window eigenvalues of H), and the residual
+||E (H0 + B + T + H_eff) E^dagger - H||_F comes from the same low-rank form.
+
 Uniqueness with ||S||_2 < pi/2 is guaranteed inside the operator-2-norm ball
 of radius r0 = half the spectral gap of H0; outside it the decomposition is
 still attempted whenever ||P - P0||_2 = max sin(Theta) < 1 for the window
@@ -33,32 +44,33 @@ contiguous leading blocks.
 Every decomposition against a base that is not given diagonal goes through
 an `Anchor`: the eigendecomposition of a matrix G near the degeneracy
 manifold, and its spectrum with the window collapsed to the window mean. By
-the distance theorem the collapsed matrix is the closest point of the
-manifold to G; in the eigenbasis of G (the anchor's gauge) it is diagonal,
-so each H is taken into that gauge and decomposed against the diagonal base,
-which the anchor validated once, when it was made.
-The general-base decomposition works this way. The heff splitting samples,
-every level of the cascade and the exact effective map of the Weyl analysis
-need only the window block of H_eff: `Anchor.heff_block` reads it off one
-eigendecomposition and the polar factor of a k x k SVD, as U Lambda_w
-U^dagger, without building S or e^{iS}, and takes a stack of matrices (a
-cascade level's four probes, or a whole heff ladder) in one call.
+the distance theorem the collapsed matrix G + U_w (mu - Lambda_w) U_w^dagger
+is the closest point of the manifold to G; it is the base of every
+decomposition against the anchor, which validated it once, when it was made.
+When H is G itself, the anchor's spectrum is H's, and no second
+eigendecomposition runs.
+The heff splitting samples, every level of the cascade and the exact
+effective map of the Weyl analysis need only the window block of H_eff:
+`Anchor.heff_block` reads it off one eigendecomposition and the polar factor
+of a k x k SVD, as U Lambda_w U^dagger, without building S or e^{iS}, and
+takes a stack of matrices (a cascade level's four probes, or a whole heff
+ladder) in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
     _hermitian_part,
+    _within_ball,
     conjugate,
     coordinate_pairs,
     coordinates,
     frobenius_norm,
-    operator_2_norm,
     traceless_coordinates,
 )
 from .spectra import (
@@ -123,8 +135,7 @@ def direct_rotation(p, p0):
     members = vals0 > 0.5
     if np.count_nonzero(members) != np.count_nonzero(vals > 0.5):
         raise _too_far(1.0)
-    _, e = _window_rotation(frame.conj().T @ vecs[:, vals > 0.5], members)
-    return frame @ e @ frame.conj().T
+    return _Rotation.between(frame[:, members], vecs[:, vals > 0.5]).matrix()
 
 
 def _principal_angles(v_w):
@@ -141,30 +152,54 @@ def _principal_angles(v_w):
     return x, cos, yh
 
 
-def _window_rotation(v, members):
-    """S and e^{iS} of the direct rotation from the coordinate window
-    `members` onto the span of the orthonormal columns v.
+def _window_block(vals_w, u):
+    """U Lambda_w U^dagger, exactly Hermitian, for the polar factor u of the
+    window rows of the window eigenvectors and their eigenvalues vals_w: the
+    window block of E^dagger H E, for one matrix or a stack."""
+    block = (u * vals_w[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+    return _hermitian_part(block)
 
-    With v_w = X cos(Theta) Y^dagger and v_c Y = Z sin(Theta), the rotation
-    sends the window columns to v U^dagger (U = X Y^dagger, the polar factor
-    of v_w), the complement columns' window rows to -U v_c^dagger, and acts
-    on the complement block as I - Z (I - cos Theta) Z^dagger, written without
-    dividing by sin(Theta)."""
-    v_w, v_c = v[members], v[~members]
-    x, cos, yh = _principal_angles(v_w)
-    theta = np.arccos(np.minimum(cos, 1.0))
-    z_sin = v_c @ yh.conj().T
-    u = x @ yh
-    n = len(members)
-    off, comp = np.ix_(~members, members), np.ix_(~members, ~members)
-    s = np.zeros((n, n), dtype=complex)
-    s[off] = -1j * (z_sin / np.sinc(theta / np.pi)) @ x.conj().T
-    s[np.ix_(members, ~members)] = s[off].conj().T
-    e = np.zeros((n, n), dtype=complex)
-    e[:, members] = v @ u.conj().T
-    e[np.ix_(members, ~members)] = -u @ v_c.conj().T
-    e[comp] = np.eye(n - len(cos)) - (z_sin / (1.0 + cos)) @ z_sin.conj().T
-    return s, e
+
+@dataclass(frozen=True)
+class _Rotation:
+    """The direct rotation e^{iS} from span(U_w) onto span(V), for
+    orthonormal n x k columns U_w and V, in low-rank form.
+
+    With U_w^dagger V = X cos(Theta) Y^dagger and R = V - U_w U_w^dagger V,
+    the part of V outside span(U_w) (R Y = Z sin(Theta), Z orthonormal), the
+    rotation sends U_w to V U^dagger (U = X Y^dagger, the polar factor of
+    U_w^dagger V), sends each y orthogonal to U_w to y - U_w U R^dagger y
+    - Z (I - cos Theta) Z^dagger y, and fixes what is orthogonal to both
+    windows. Written without dividing by sin(Theta):
+    e^{iS} = I + l q^dagger with q = [U_w, R] and
+    l = [V U^dagger - U_w, -U_w U - R Y (I + cos Theta)^{-1} Y^dagger];
+    S = m U_w^dagger + U_w m^dagger with m = -i Z Theta X^dagger, so
+    ||S||_2 = max(Theta). Building it costs O(n k^2)."""
+
+    m: np.ndarray
+    l: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
+
+    @classmethod
+    def between(cls, u_w, v):
+        v_w = u_w.conj().T @ v
+        x, cos, yh = _principal_angles(v_w)
+        u = x @ yh
+        r = v - u_w @ v_w
+        z_sin = r @ yh.conj().T
+        # The columns of z_sin have norms sin(Theta): arctan2 keeps small
+        # angles accurate, where arccos(cos) errs by sqrt(machine epsilon).
+        theta = np.arctan2(np.linalg.norm(z_sin, axis=0), cos)
+        m = -1j * (z_sin / np.sinc(theta / np.pi)) @ x.conj().T
+        l = np.concatenate([v @ u.conj().T - u_w,
+                            -u_w @ u - (z_sin / (1.0 + cos)) @ yh], axis=1)
+        return cls(m, l, np.concatenate([u_w, r], axis=1), u, theta)
+
+    def matrix(self):
+        """e^{iS} as a dense n x n matrix, in O(n^2 k)."""
+        return np.eye(len(self.q)) + self.l @ self.q.conj().T
 
 
 @dataclass(frozen=True)
@@ -172,12 +207,13 @@ class SWDecomposition:
     """The tuple (S, B, T = c on the window, H_eff) of the exact block
     decomposition, plus the rotation, a validity flag and the residual.
 
-    All matrix parts live in the frame the input was given in, except `e`,
-    the e^{iS} the principal angles gave, kept in the eigenbasis of the base
-    and read by `rotation` and `reconstruct`. For a non-diagonal base point,
-    `gauge` holds the unitary whose columns diagonalize the base with
+    All matrix parts live in the frame the input was given in, `e` (the
+    e^{iS} the principal angles gave) included. For a non-diagonal base
+    point, `gauge` holds the unitary whose columns diagonalize the base with
     ascending eigenvalues, and `h0` is the base point with its window
-    collapsed exactly.
+    collapsed exactly. `heff_window` is H_eff as a traceless k x k block in
+    the eigenbasis of the base, and `max_angle` the largest principal angle
+    between the windows of the base and of H, which is ||S||_2.
     """
 
     k: int
@@ -190,6 +226,8 @@ class SWDecomposition:
     e: np.ndarray
     residual: float
     within_r0: bool
+    heff_window: np.ndarray
+    max_angle: float
     gauge: np.ndarray | None = None
 
     @property
@@ -199,8 +237,10 @@ class SWDecomposition:
     def window_projector(self):
         """Projector P0 onto the base point's degenerate window."""
         members = window_members(self.n, self.k, self.offset)
-        p0 = np.diag(members.astype(complex))
-        return p0 if self.gauge is None else conjugate(p0, self.gauge)
+        if self.gauge is None:
+            return np.diag(members.astype(complex))
+        u_w = self.gauge[:, members]
+        return _hermitian_part(u_w @ u_w.conj().T)
 
     def t_matrix(self):
         """The scalar part T = c P0."""
@@ -212,9 +252,7 @@ class SWDecomposition:
 
     def rotation(self):
         """e^{iS} in the input frame (unitary, so not re-symmetrized)."""
-        if self.gauge is None:
-            return self.e
-        return self.gauge @ self.e @ self.gauge.conj().T
+        return self.e
 
     def reconstruct(self):
         """e^{iS} (H0 + B + T + H_eff) e^{-iS}."""
@@ -227,11 +265,11 @@ class SWDecomposition:
     def heff_block(self):
         """The effective Hamiltonian as a dense traceless k x k matrix, in
         the eigenbasis of the base point."""
-        w = slice(self.offset, self.offset + self.k)
-        return self._local(self.h_eff)[w, w]
+        return self.heff_window
 
     def s_2norm(self):
-        return operator_2_norm(self.s)
+        """||S||_2, the largest principal angle."""
+        return self.max_angle
 
 
 def is_diagonal_base(h0):
@@ -260,31 +298,51 @@ def _validate_canonical_base(h0, k, offset):
     check_separated(diag, k, offset, BasePointNotCanonical)
 
 
-def _decompose(h, h0, k, offset):
-    """The decomposition of H against a diagonal base H0 known to be
-    canonical."""
-    n = h.shape[0]
-    diag0 = np.diag(h0).real
-    members = window_members(n, k, offset)
-
-    spec = eigh(h)
+def _decompose(h, spec, h0, u_w, mu, r0, k, offset, gauge=None,
+               within_r0=None):
+    """The decomposition of H, whose checked eigendecomposition is spec,
+    against the base h0: a Hermitian matrix that is mu on the span of the
+    orthonormal columns u_w (n x k) and has r0 as the half gap around that
+    window. Every part is assembled in H's frame from the low-rank form of
+    `_Rotation`, in O(n^2 k): no n x n x n product. `within_r0`, when the
+    caller knows it, replaces the test of ||H - h0||_2 < r0, which the
+    Frobenius norm decides unless it falls between r0 and sqrt(n) r0."""
+    w = slice(offset, offset + k)
     check_separated(spec.eigenvalues, k, offset, DegenerateBoundary)
-    s, e = _window_rotation(spec.vectors[:, offset : offset + k], members)
-    bd = conjugate(h, e.conj().T)
+    rot = _Rotation.between(u_w, spec.vectors[:, w])
+    u_wh = u_w.conj().T
+    m = rot.m @ u_wh
+    s = m + m.conj().T
+    l, q = rot.l, rot.q
+    lh, qh = l.conj().T, q.conj().T
 
-    win_block = bd[np.ix_(members, members)]
-    mean = float(np.trace(win_block).real) / k
-    c = mean - float(diag0[offset])
-    h_eff = np.zeros((n, n), dtype=complex)
-    h_eff[np.ix_(members, members)] = win_block - mean * np.eye(k)
-    b = np.zeros((n, n), dtype=complex)
-    b[np.ix_(~members, ~members)] = (
-        bd[np.ix_(~members, ~members)] - np.diag(diag0[~members])
-    )
+    block = _window_block(spec.eigenvalues[w], rot.u)
+    mean = float(block.trace().real) / k
+    heff_window = block - mean * np.eye(k)
+    h_eff = _hermitian_part(u_w @ heff_window @ u_wh)
+    c = mean - mu
 
-    t = c * np.diag(members.astype(complex))
-    residual = frobenius_norm(conjugate(h0 + b + t + h_eff, e) - h)
+    # E^dagger H E = H + Z q^dagger + q Z^dagger with Z = H l + q K / 2 and
+    # K = l^dagger H l; the complement projector Q_c = I - u_w u_w^dagger
+    # keeps only the R half of q, so B = Q_c (H - h0) Q_c
+    # + (Q_c Z_R) R^dagger + h.c., one n x 2k by 2k x n product.
+    delta = _hermitian_part(h - h0)
+    t_r = h @ l[:, k:]
+    z_r = t_r + 0.5 * (q @ (lh @ t_r))
+    j = delta @ u_w
+    g = np.concatenate([0.5 * (u_w @ (u_wh @ j)) - j,
+                        z_r - u_w @ (u_wh @ z_r)], axis=1) @ qh
+    b = delta + (g + g.conj().T)
 
+    # E X E^dagger - H = (X - H) + Z' l^dagger + l Z'^dagger with
+    # Z' = X q + l (q^dagger X q) / 2, for X = h0 + B + c P0 + H_eff.
+    x = h0 + b + _hermitian_part(u_w @ (heff_window + c * np.eye(k)) @ u_wh)
+    t_x = x @ q
+    z_x = (t_x + 0.5 * (l @ (qh @ t_x))) @ lh
+    residual = frobenius_norm((x - h) + (z_x + z_x.conj().T))
+
+    if within_r0 is None:
+        within_r0 = bool(_within_ball(delta, r0))
     return SWDecomposition(
         k=k,
         offset=offset,
@@ -293,11 +351,12 @@ def _decompose(h, h0, k, offset):
         b=b,
         c=c,
         h_eff=h_eff,
-        e=e,
+        e=rot.matrix(),
         residual=residual,
-        within_r0=bool(
-            operator_2_norm(h - h0) < window_half_gap(diag0, k, offset)
-        ),
+        within_r0=within_r0,
+        heff_window=heff_window,
+        max_angle=float(rot.theta.max()),
+        gauge=gauge,
     )
 
 
@@ -320,19 +379,25 @@ def sw_decompose(h, h0, k, *, offset=0):
     if h.shape != h0.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {h0.shape}")
     _validate_canonical_base(h0, k, offset)
-    return _decompose(h, h0, k, offset)
+    diag0 = np.diag(h0).real
+    # The window vectors of a diagonal base are the window's identity
+    # columns.
+    return _decompose(h, eigh(h), h0, np.eye(len(diag0), k, -offset),
+                      float(diag0[offset]), window_half_gap(diag0, k, offset),
+                      k, offset)
 
 
 def sw_decompose_general(h, g0, k, *, offset=0):
     """Decompose H relative to an arbitrary (non-diagonal) degenerate base.
 
-    The base is diagonalized with ascending eigenvalues, the window is
-    collapsed exactly, the diagonal-frame decomposition is computed, and all
-    parts are conjugated back. The returned parts satisfy the projector-form
-    block conditions with respect to the base's window eigenprojector; the
-    diagonalizing gauge is recorded on the result (the base's degenerate
-    block leaves a unitary freedom in it, under which the spectrum and norm
-    of H_eff are invariant).
+    The base is diagonalized with ascending eigenvalues and its window is
+    collapsed exactly; the parts are then assembled in the input frame in
+    O(n^2 k) from that gauge's window vectors and the eigendecomposition of
+    H, so the whole call costs two eigendecompositions and a k x k SVD. The
+    returned parts satisfy the projector-form block conditions with respect
+    to the base's window eigenprojector; the diagonalizing gauge is recorded
+    on the result (the base's degenerate block leaves a unitary freedom in
+    it, under which the spectrum and norm of H_eff are invariant).
     """
     h = np.asarray(h)
     g0 = np.asarray(g0)
@@ -341,11 +406,7 @@ def sw_decompose_general(h, g0, k, *, offset=0):
     anchor = Anchor.at(g0, k, offset)
     check_degenerate(anchor.spectrum.eigenvalues, k, offset,
                      BasePointNotCanonical)
-    dec = anchor.decompose(h)
-    u = anchor.gauge
-    return replace(dec, h0=conjugate(dec.h0, u), s=conjugate(dec.s, u),
-                   b=conjugate(dec.b, u), h_eff=conjugate(dec.h_eff, u),
-                   gauge=u)
+    return anchor.decompose(h)
 
 
 @dataclass(frozen=True)
@@ -355,30 +416,34 @@ class Anchor:
     eigenvalues with the window collapsed to their mean as a diagonal matrix.
 
     `base` is the closest point of the manifold to G written in the gauge
-    (the eigenbasis of G), so a matrix H taken into that gauge decomposes
-    against a diagonal base point. That base is canonical by construction
-    once its window gaps are checked, which happens once, when the anchor is
-    made; `decompose` does not check it again.
+    (the eigenbasis of G). That base is canonical by construction once its
+    window gaps are checked, which happens once, when the anchor is made;
+    `decompose` does not check it again. `matrix` is G itself, which
+    `decompose` needs; anchors made from a spectrum alone serve the window
+    blocks.
     """
 
     spectrum: Spectrum
     base: np.ndarray
     k: int
     offset: int = 0
+    matrix: np.ndarray | None = None
 
     @classmethod
     def at(cls, g, k, offset=0):
         """The anchor at the matrix g, from one eigendecomposition."""
-        return cls.from_spectrum(eigh(g), k, offset)
+        g = np.asarray(g)
+        return cls.from_spectrum(eigh(g), k, offset, matrix=g)
 
     @classmethod
-    def from_spectrum(cls, spectrum, k, offset=0):
-        """The anchor at a matrix whose spectrum is already known; raises
-        BasePointNotCanonical unless the collapsed window is separated."""
+    def from_spectrum(cls, spectrum, k, offset=0, matrix=None):
+        """The anchor at a matrix whose spectrum is already known (and which
+        may be given as `matrix`); raises BasePointNotCanonical unless the
+        collapsed window is separated."""
         vals = spectrum.eigenvalues.copy()
         vals[offset : offset + k] = window_mean(vals, k, offset)
         check_separated(vals, k, offset, BasePointNotCanonical)
-        return cls(spectrum, np.diag(vals).astype(complex), k, offset)
+        return cls(spectrum, np.diag(vals).astype(complex), k, offset, matrix)
 
     @property
     def gauge(self):
@@ -397,11 +462,30 @@ class Anchor:
         return _traceless(self.local(h)[..., w, w])
 
     def decompose(self, h):
-        """The decomposition of h, in the anchor's eigenbasis, against the
-        collapsed base."""
+        """The decomposition of h, in h's frame and with the anchor's gauge
+        recorded, against the collapsed base G + U_w (mu - Lambda_w)
+        U_w^dagger. When h is the anchor's own matrix its spectrum is
+        reused, and ||h - base||_2 = max|Lambda_w - mu| is read off it."""
         if self.k == self.spectrum.n:
             raise BasePointNotCanonical("window covers the whole spectrum")
-        return _decompose(self.local(h), self.base, self.k, self.offset)
+        if self.matrix is None:
+            raise ValueError("the anchor was made without its matrix")
+        h = np.asarray(h)
+        if h.shape != self.matrix.shape:
+            raise ValueError(
+                f"dimension mismatch: {h.shape} vs {self.matrix.shape}")
+        w = slice(self.offset, self.offset + self.k)
+        vals = np.diag(self.base).real
+        mu = float(vals[self.offset])
+        dev = self.spectrum.eigenvalues[w] - mu
+        u_w = self.gauge[:, w]
+        h0 = _hermitian_part(self.matrix - (u_w * dev) @ u_w.conj().T)
+        r0 = window_half_gap(vals, self.k, self.offset)
+        own = h is self.matrix
+        return _decompose(
+            h, self.spectrum if own else eigh(h), h0, u_w, mu, r0, self.k,
+            self.offset, gauge=self.gauge,
+            within_r0=bool(np.abs(dev).max() < r0) if own else None)
 
     def heff_block(self, h):
         """The effective Hamiltonian of h as a dense traceless k x k block in
@@ -429,10 +513,7 @@ class Anchor:
         check_separated(spec.eigenvalues, self.k, self.offset,
                         DegenerateBoundary)
         x, _, yh = _principal_angles(spec.vectors[..., w, w])
-        u = x @ yh
-        block = (u * spec.eigenvalues[..., None, w]) @ np.swapaxes(
-            u.conj(), -1, -2)
-        return _traceless(_hermitian_part(block))
+        return _traceless(_window_block(spec.eigenvalues[..., w], x @ yh))
 
 
 def _traceless(block):

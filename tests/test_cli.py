@@ -21,6 +21,7 @@ from degengeo.matrixio import (
 )
 from degengeo.models import example_pr
 from degengeo.projection import collapse_projection, distance_to_sigma
+from degengeo.spectra import window_distance, window_half_gap
 from degengeo.swtransform import sw_decompose_general
 
 from test_swtransform import exp_i
@@ -68,6 +69,28 @@ def test_parse_matches_entrywise_loop():
     assert parsed.tobytes() == hermitian(loop.reshape(n, n)).tobytes()
     with pytest.raises(ValueError, match="entry 1 is not an"):
         parse_matrix('{"n": 2, "entries": [[1, 0], [0, 0, 0], [0, 0], [1, 0]]}')
+
+
+def test_parse_matches_the_nested_list_conversion():
+    # Integers beyond 2**53 (2**60 + 1 rounds to 2**60), huge and tiny
+    # floats, signed zeros and mixed pairs: the one flat pass gives the bits
+    # that np.asarray gives for the nested lists.
+    n = 4
+    leaves = [2**60, 2**60 + 1, -(2**61) - 3, -0.0, 0.0, 3, -7, 1.5,
+              -2.25, 10**20, 1e-300, -1e300]
+    rng = np.random.default_rng(5)
+    pairs = [None] * (n * n)
+    for a in range(n):
+        pairs[a * n + a] = [leaves[int(rng.integers(len(leaves)))],
+                            [0, 0.0, -0.0][a % 3]]
+    for a, m in zip(*np.triu_indices(n, 1)):
+        re, im = (leaves[int(i)] for i in rng.integers(len(leaves), size=2))
+        pairs[a * n + m] = [re, im]
+        pairs[m * n + a] = [re, -im]
+    old = np.asarray(pairs, dtype=float)
+    want = hermitian((old[:, 0] + 1j * old[:, 1]).reshape(n, n))
+    assert parse_matrix(json.dumps({"n": n, "entries": pairs})).tobytes() \
+        == want.tobytes()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -148,9 +171,10 @@ def test_cli_distance_value(tmp_path, capsys):
 
 def test_cli_distance_takes_one_spectrum_of_h(tmp_path, capsys,
                                              linalg_calls):
-    # The eigh of H in the projection, then the decomposition's eigh of H in
-    # that eigenbasis, its eigvalsh of H - H0 and its k x k SVD; the values
-    # agree with a separate eigvalsh and a decomposition against H_sigma.
+    # One eigh of H serves the distance and the decomposition against the
+    # collapsed H, which adds its k x k SVD; the ball flag is read off the
+    # window eigenvalues. The values agree with a separate eigvalsh and a
+    # decomposition against H_sigma.
     n, k, offset = 64, 3, 5
     h = random_hermitian(n, np.random.default_rng(12))
     mfile = _write(tmp_path, "h.json", h)
@@ -158,8 +182,7 @@ def test_cli_distance_takes_one_spectrum_of_h(tmp_path, capsys,
     code = main(["distance", mfile, "--k", str(k), "--offset", str(offset),
                  "--json"])
     assert code == 0
-    assert sorted(linalg_calls) == [("eigh", (n, n)), ("eigh", (n, n)),
-                                    ("eigvalsh", (n, n)), ("svd", (k, k))]
+    assert sorted(linalg_calls) == [("eigh", (n, n)), ("svd", (k, k))]
     out = json.loads(capsys.readouterr().out)["outputs"]
     tol = 1e-13 * np.linalg.norm(h)
     pr = collapse_projection(h, k, offset=offset)
@@ -168,6 +191,36 @@ def test_cli_distance_takes_one_spectrum_of_h(tmp_path, capsys,
         distance_to_sigma(h, k, offset), rel=0.0, abs=tol)
     assert out["heff_norm"] == pytest.approx(
         np.linalg.norm(dec.h_eff), rel=0.0, abs=tol)
+
+
+@pytest.mark.parametrize("command", ["decompose", "distance"])
+def test_cli_own_collapse_takes_one_eigh(tmp_path, capsys, linalg_calls,
+                                         command):
+    # `decompose --base auto` and `distance` decompose H against its own
+    # collapse: exactly one eigh, and no eigvalsh.
+    n, k, offset = 16, 2, 7
+    h = random_hermitian(n, np.random.default_rng(23))
+    mfile = _write(tmp_path, "h.json", h)
+    linalg_calls.clear()
+    code = main([command, mfile, "--k", str(k), "--offset", str(offset),
+                 "--json"])
+    assert code == 0
+    names = [name for name, _ in linalg_calls]
+    assert names.count("eigh") == 1 and names.count("eigvalsh") == 0
+    doc = json.loads(capsys.readouterr().out)
+    vals = np.linalg.eigvalsh(h)
+    if command == "distance":
+        assert doc["outputs"]["heff_norm"] == pytest.approx(
+            window_distance(vals, k, offset), rel=0.0, abs=1e-13)
+    else:
+        # ||H - H_sigma||_2 is the largest window deviation from the mean.
+        win = vals[offset : offset + k]
+        collapsed = vals.copy()
+        collapsed[offset : offset + k] = win.mean()
+        r0 = window_half_gap(collapsed, k, offset)
+        assert doc["diagnostics"]["within_r0"] is bool(
+            np.abs(win - win.mean()).max() < r0)
+        assert np.linalg.norm(_report_matrix(doc, "S")) <= 1e-13
 
 
 def test_cli_project_on_manifold(tmp_path, capsys):
@@ -721,6 +774,16 @@ def _reference_cell(z, is_complex):
     return f"{float(z):.12g}"
 
 
+def _reference_text(matrix):
+    """The text report of the one matrix S, one f-string per cell."""
+    is_complex = np.iscomplexobj(matrix)
+    return "\n".join(["command: decompose", "outputs:", "  S:"] + [
+        "    " + "  ".join(f"{_reference_cell(z, is_complex):>22s}"
+                          for z in row)
+        for row in matrix
+    ]) + "\n"
+
+
 _MATRICES = st.one_of(
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                             min_side=0, max_side=5),
@@ -736,14 +799,34 @@ _MATRICES = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(matrix=_MATRICES)
 def test_report_text_matrix_cells(matrix):
-    is_complex = np.iscomplexobj(matrix)
-    expected = ["command: decompose", "outputs:", "  S:"] + [
-        "    " + "  ".join(f"{_reference_cell(z, is_complex):>22s}"
-                          for z in row)
-        for row in matrix
-    ]
     report = RunReport("decompose", outputs={"S": matrix})
-    assert report.to_text() == "\n".join(expected) + "\n"
+    assert report.to_text() == _reference_text(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(array=_pooled_arrays())
+def test_report_text_pooled_magnitudes(array):
+    # Real and complex matrices whose leaves share a few magnitudes with
+    # either sign, so each text of the real and of the imaginary parts
+    # serves several cells, sometimes with one NaN or +-inf: the cells of
+    # one f-string per entry, byte for byte.
+    matrix = array.reshape(array.shape[0], -1)
+    report = RunReport("decompose", outputs={"S": matrix})
+    assert report.to_text() == _reference_text(matrix)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[-0.0, 0.0], [1e300, -1e-300]]),
+    np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)],
+              [complex(1e300, 1e-300), complex(-1e-300, -1e300)]]),
+    np.zeros((3, 2)),
+    np.zeros((2, 2), dtype=complex),
+    np.zeros((0, 3)),
+    np.zeros((2, 0), dtype=complex),
+])
+def test_report_text_signed_zeros_extremes_and_empty(matrix):
+    report = RunReport("decompose", outputs={"S": matrix})
+    assert report.to_text() == _reference_text(matrix)
 
 
 def test_report_text_scalars_lists_and_nested_dicts():

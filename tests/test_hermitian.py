@@ -101,6 +101,30 @@ def test_operator_norm_refuses_non_finite_matrices(bad):
         operator_2_norm(np.stack([np.eye(3), h.astype(complex)]))
 
 
+def test_ball_rule_is_the_operator_norm_test(linalg_calls):
+    # ||X||_2 < r0 from ||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F where a
+    # bound decides, and from one eigvalsh over the matrices left open: a
+    # bool for one matrix, a bool array for a stack.
+    within_ball = hermitian_module._within_ball
+    rng = np.random.default_rng(8)
+    x = random_hermitian(8, rng)
+    two, fro = operator_2_norm(x), frobenius_norm(x)
+    assert fro / np.sqrt(8) < 0.99 * two and two < 0.99 * fro
+    for r0, decided in [(1.01 * fro, True), (0.99 * fro / np.sqrt(8), True),
+                        (1.001 * two, False), (0.999 * two, False)]:
+        linalg_calls.clear()
+        inside = within_ball(x, r0)
+        assert type(inside) is bool and inside == (two < r0)
+        assert linalg_calls == ([] if decided else [("eigvalsh", (1, 8, 8))])
+    scales = np.array([0.1, 0.95, 1.05, 10.0]) / two
+    stack = x * scales[:, None, None]
+    linalg_calls.clear()
+    inside = within_ball(stack, 1.0)
+    assert linalg_calls == [("eigvalsh", (2, 8, 8))]
+    assert inside.tolist() == (operator_2_norm(stack) < 1.0).tolist()
+    assert inside.tolist() == [True, True, False, False]
+
+
 def test_norm_inequality_chain():
     rng = np.random.default_rng(2)
     for _ in range(100):

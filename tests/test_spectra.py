@@ -139,6 +139,24 @@ def test_eigh_stack_matches_per_matrix_and_loop_bytes(n, dtype):
     assert empty.residual.shape == (0,)
 
 
+def test_eigh_of_empty_matrices():
+    # A 0 x 0 matrix and stacks of them: the empty arrays np.linalg.eigh
+    # gives, read-only, with residual 0 and 2-norm 0.
+    one = eigh(np.zeros((0, 0), dtype=complex))
+    assert one.eigenvalues.shape == (0,) and one.vectors.shape == (0, 0)
+    assert one.vectors.dtype == complex and one.n == 0
+    assert isinstance(one.residual, float) and one.residual == 0.0
+    assert one.operator_2_norm() == 0.0
+    stack = eigh(np.zeros((3, 2, 0, 0)))
+    assert stack.eigenvalues.shape == (3, 2, 0)
+    assert stack.vectors.shape == (3, 2, 0, 0)
+    assert stack.residual.tobytes() == np.zeros((3, 2)).tobytes()
+    assert stack.operator_2_norm().tobytes() == np.zeros((3, 2)).tobytes()
+    for spec in (one, stack):
+        assert not spec.eigenvalues.flags.writeable
+        assert not spec.vectors.flags.writeable
+
+
 def test_eigh_refuses_one_bad_matrix_of_a_stack(monkeypatch):
     rng = np.random.default_rng(3)
     stack = _hermitian_stack(rng, (4,), 5, complex)

@@ -61,6 +61,15 @@ def perturbed(h0, k, rng, fraction=0.5):
     return h0 + v * (fraction * r0 / operator_2_norm(v))
 
 
+def windowed_diagonal(n, k, offset, rng):
+    """An ascending diagonal, exactly degenerate on the window, whose window
+    has gaps of at least 1 to its neighbours."""
+    deg = float(rng.standard_normal())
+    below = deg - 1.0 - np.sort(rng.uniform(0.0, 2.0, size=offset))[::-1]
+    above = deg + 1.0 + np.sort(rng.uniform(0.0, 2.0, size=n - k - offset))
+    return np.concatenate([below, np.full(k, deg), above])
+
+
 # ---------------------------------------------------------------------------
 # projectors and the direct rotation
 # ---------------------------------------------------------------------------
@@ -362,15 +371,16 @@ def test_refusal_threshold_near_right_angle(short, refused):
 
 
 def test_one_factorization_per_decomposition(linalg_calls):
-    # One eigh of H, one eigvalsh of H - H0 (the uniqueness-ball flag), and
-    # one k x k SVD of the window rows of the window eigenvectors.
+    # One eigh of H and one k x k SVD of the window rows of the window
+    # eigenvectors; ||H - H0||_F < r0 here, so the Frobenius bound decides
+    # the uniqueness-ball flag without an eigvalsh.
     rng = np.random.default_rng(17)
     h0 = random_base(9, 3, rng)
     h = perturbed(h0, 3, rng)
+    assert frobenius_norm(h - h0) < half_gap(h0, 3)
     linalg_calls.clear()
     sw_decompose(h, h0, 3)
-    assert sorted(linalg_calls) == [("eigh", (9, 9)), ("eigvalsh", (9, 9)),
-                                    ("svd", (3, 3))]
+    assert sorted(linalg_calls) == [("eigh", (9, 9)), ("svd", (3, 3))]
 
 
 @pytest.mark.parametrize("general", [False, True])
@@ -410,6 +420,146 @@ def test_reconstruct_runs_no_eigendecomposition(linalg_calls):
     assert linalg_calls == []
     assert frobenius_norm(rebuilt[0] - h) <= 1e-9
     assert frobenius_norm(rebuilt[1] - conjugate(h, u)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the O(n^2 k) assembly against full n x n conjugations
+# ---------------------------------------------------------------------------
+
+
+def full_conjugation_reference(h, gauge, vals0, k, offset):
+    """The decomposition by n x n conjugations: H taken into the gauge (the
+    columns that diagonalize the base, eigenvalues vals0 ascending), e^{iS}
+    built there as a dense matrix from the principal angles, E^dagger H E
+    formed by two n x n products and its blocks read off, and every part
+    conjugated back to H's frame. Also returns the window block of H_eff in
+    the gauge."""
+    n = h.shape[0]
+    members = np.zeros(n, dtype=bool)
+    members[offset : offset + k] = True
+    win, comp = np.ix_(members, members), np.ix_(~members, ~members)
+    off = np.ix_(~members, members)
+    d = np.array(vals0, dtype=float)
+    d[members] = d[members].mean()
+    local = conjugate(h, gauge.conj().T)
+    v = np.linalg.eigh(local)[1][:, offset : offset + k]
+    x, cos, yh = np.linalg.svd(v[members])
+    theta = np.arccos(np.minimum(cos, 1.0))
+    z_sin = v[~members] @ yh.conj().T
+    u = x @ yh
+    s = np.zeros((n, n), dtype=complex)
+    s[off] = -1j * (z_sin / np.sinc(theta / np.pi)) @ x.conj().T
+    s[np.ix_(members, ~members)] = s[off].conj().T
+    e = np.zeros((n, n), dtype=complex)
+    e[:, members] = v @ u.conj().T
+    e[np.ix_(members, ~members)] = -u @ v[~members].conj().T
+    e[comp] = np.eye(n - k) - (z_sin / (1.0 + cos)) @ z_sin.conj().T
+    bd = conjugate(local, e.conj().T)
+    mean = np.trace(bd[win]).real / k
+    h_eff = np.zeros((n, n), dtype=complex)
+    h_eff[win] = bd[win] - mean * np.eye(k)
+    b = np.zeros((n, n), dtype=complex)
+    b[comp] = bd[comp] - np.diag(d[~members])
+    parts = {name: conjugate(m, gauge) for name, m in (
+        ("h0", np.diag(d)), ("s", s), ("b", b), ("h_eff", h_eff))}
+    return dict(parts, c=mean - d[offset], e=gauge @ e @ gauge.conj().T,
+                window=h_eff[win])
+
+
+def decomposed_case(n, k, offset, share, general, rng):
+    """(H, decomposition, gauge, base eigenvalues, r0) for H = base + V with
+    ||V||_2 = share * r0, against a diagonal base or a random conjugate of
+    it."""
+    diag = windowed_diagonal(n, k, offset, rng)
+    r0 = window_half_gap(diag, k, offset)
+    v = random_hermitian(n, rng)
+    h = np.diag(diag) + v * (share * r0 / operator_2_norm(v))
+    if not general:
+        dec = sw_decompose(h, np.diag(diag).astype(complex), k, offset=offset)
+        return h, dec, np.eye(n), diag, r0
+    u = random_unitary(n, rng)
+    g, h = conjugate(np.diag(diag), u), conjugate(h, u)
+    base = eigh(g)
+    dec = sw_decompose_general(h, g, k, offset=offset)
+    return h, dec, base.vectors, base.eigenvalues, r0
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_low_rank_assembly_matches_the_full_conjugations(general):
+    # Random n = 3..40 with every window size and offsets: the parts
+    # assembled from rank-2k pieces agree with the n x n conjugations,
+    # rebuild H, keep the block conditions, and ||S||_2 is the largest
+    # principal angle.
+    rng = np.random.default_rng(40 + general)
+    sizes = [(3, 1), (3, 2), (40, 1), (40, 39)] + [
+        (n, int(rng.integers(1, n))) for n in rng.integers(3, 41, size=36)]
+    for n, k in sizes:
+        offset = int(rng.integers(0, n - k + 1))
+        share = rng.uniform(0.05, 0.95)
+        h, dec, gauge, vals0, r0 = decomposed_case(n, k, offset, share,
+                                                   general, rng)
+        tol = 1e-12 * max(1.0, operator_2_norm(h))
+        ref = full_conjugation_reference(h, gauge, vals0, k, offset)
+        for name in ("h0", "s", "b", "h_eff"):
+            assert np.max(np.abs(getattr(dec, name) - ref[name])) <= tol
+        assert abs(dec.c - ref["c"]) <= tol
+        assert np.max(np.abs(dec.rotation() - ref["e"])) <= tol
+        assert np.max(np.abs(dec.heff_block() - ref["window"])) <= tol
+        assert dec.residual <= tol
+        assert frobenius_norm(dec.reconstruct() - h) <= tol
+        p0 = dec.window_projector()
+        q0 = np.eye(n) - p0
+        for part in (p0 @ dec.s @ p0, q0 @ dec.s @ q0,
+                     dec.h_eff - p0 @ dec.h_eff @ p0,
+                     dec.b - q0 @ dec.b @ q0):
+            assert frobenius_norm(part) <= tol
+        assert abs(np.trace(dec.h_eff)) <= tol
+        assert abs(dec.s_2norm() - operator_2_norm(dec.s)) <= tol
+        assert dec.within_r0
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_within_r0_where_the_frobenius_bounds_do_not_decide(general,
+                                                          linalg_calls):
+    # ||H - H0||_2 a hair inside or outside r0 while r0 <= ||H - H0||_F <=
+    # sqrt(n) r0: neither bound decides, one eigvalsh of H - H0 does, and
+    # the flag is operator_2_norm(H - H0) < r0.
+    rng = np.random.default_rng(44 + general)
+    n, k, offset = 16, 3, 5
+    for share in (0.99, 0.999, 1.001, 1.01):
+        linalg_calls.clear()
+        h, dec, _, _, r0 = decomposed_case(n, k, offset, share, general, rng)
+        calls = list(linalg_calls)
+        fro = frobenius_norm(h - dec.h0)
+        assert r0 <= fro <= np.sqrt(n) * r0
+        assert ("eigvalsh", (n, n)) in calls
+        assert dec.within_r0 == (operator_2_norm(h - dec.h0) < r0)
+        assert dec.within_r0 == (share < 1.0)
+
+
+@pytest.mark.parametrize("window, inside", [((0.0, 0.1, 0.2), True),
+                                            ((0.0, 1.0, 2.0), False)])
+def test_decomposing_the_anchor_matrix_reuses_its_spectrum(window, inside,
+                                                         linalg_calls):
+    # H against its own collapse: one eigh and one k x k SVD. S vanishes,
+    # ||H_eff|| is the window distance, and the ball flag is read off the
+    # window deviations from their mean mu, max|lambda_w - mu| < r0.
+    rng = np.random.default_rng(46)
+    vals = np.array([-3.0, -0.5, *window, 2.5, 4.0])
+    n, k, offset = len(vals), 3, 2
+    h = conjugate(np.diag(vals), random_unitary(n, rng))
+    linalg_calls.clear()
+    dec = Anchor.at(h, k, offset).decompose(h)
+    assert sorted(linalg_calls) == [("eigh", (n, n)), ("svd", (k, k))]
+    collapsed = vals.copy()
+    collapsed[offset : offset + k] = np.mean(window)
+    r0 = window_half_gap(collapsed, k, offset)
+    assert dec.within_r0 == inside
+    assert dec.within_r0 == (operator_2_norm(h - dec.h0) < r0)
+    assert frobenius_norm(dec.s) <= 1e-13
+    assert frobenius_norm(dec.h_eff) == pytest.approx(
+        window_distance(vals, k, offset), abs=1e-13)
+    assert dec.residual <= 1e-13
 
 
 def test_package_imports_without_scipy():
@@ -539,10 +689,7 @@ def test_anchor_decompositions_skip_base_validation(monkeypatch):
 def windowed_anchor_pair(n, k, offset, rng):
     """An anchor at a random conjugate G of a diagonal base that is exactly
     degenerate on the window, and H = G + V with ||V||_2 = r0 / 2."""
-    deg = float(rng.standard_normal())
-    below = deg - 1.0 - np.sort(rng.uniform(0.0, 2.0, size=offset))[::-1]
-    above = deg + 1.0 + np.sort(rng.uniform(0.0, 2.0, size=n - k - offset))
-    diag = np.concatenate([below, np.full(k, deg), above])
+    diag = windowed_diagonal(n, k, offset, rng)
     g = conjugate(np.diag(diag).astype(complex), random_unitary(n, rng))
     v = random_hermitian(n, rng)
     r0 = window_half_gap(diag, k, offset)
@@ -561,7 +708,7 @@ def test_heff_block_is_the_decomposition_window_block(n):
             bound = 1e-13 * max(1.0, frobenius_norm(h))
             block = anchor.heff_block(h)
             w = slice(offset, offset + k)
-            want = anchor.decompose(h).h_eff[w, w]
+            want = anchor.local(anchor.decompose(h).h_eff)[w, w]
             assert block.shape == (k, k)
             assert np.array_equal(block, block.conj().T)
             assert np.max(np.abs(block - want)) <= bound
