@@ -148,17 +148,42 @@ def operator_2_norm(h):
 
 
 def _within_ball(x, r0):
-    """operator_2_norm(x) < r0, a bool for one n x n x and a bool array of
-    shape (...) for a stack (..., n, n). Since ||X||_F / sqrt(n) <= ||X||_2
-    <= ||X||_F, the Frobenius norm decides every matrix for which one of the
-    bounds clears r0 by a relative 1e-12, far above the rounding of either
-    norm; one eigvalsh over the matrices left open decides the rest."""
+    """operator_2_norm(x) < r0 for an exactly Hermitian x: a bool for one
+    n x n x and a bool array of shape (...) for a stack (..., n, n).
+
+    Cheapest first, each bound decides the matrices for which it clears r0
+    by a relative 1e-12, far above the rounding of the norms:
+    - ||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F;
+    - then, over the matrices left open, ||X||_2 <= ||X^2||_F^(1/2)
+      <= n^(1/4) ||X||_2, since ||X^2||_F^2 is the sum of |lambda_i|^4. That
+      holds for a normal X only: a nilpotent X has X^2 = 0. fl(X X) differs
+      from X^2 by at most sqrt(2) gamma_(n+2) |X| |X| entrywise (complex
+      products, Higham, Accuracy and Stability of Numerical Algorithms, 3.6),
+      so the computed ||X^2||_F is taken within that times ||X||_F^2;
+    - one eigvalsh over the matrices still open decides the rest."""
+    n = x.shape[-1]
     fro = np.linalg.norm(x, axis=(-2, -1))
     inside = np.asarray(fro < r0 * (1.0 - 1e-12))
-    undecided = ~inside & ~(fro / np.sqrt(x.shape[-1]) > r0 * (1.0 + 1e-12))
+    undecided = ~inside & ~(fro / np.sqrt(n) > r0 * (1.0 + 1e-12))
     if undecided.any():
-        inside[undecided] = operator_2_norm(x[undecided]) < r0
+        y = x[undecided]
+        square = np.linalg.norm(y @ y, axis=(-2, -1))
+        slack = np.sqrt(2.0) * _gamma(n + 2) * fro[undecided] ** 2
+        r2 = r0 * r0
+        within = square + slack < r2 * (1.0 - 1e-12)
+        still_open = ~within & ~(square - slack
+                                 > np.sqrt(n) * r2 * (1.0 + 1e-12))
+        if still_open.any():
+            within[still_open] = operator_2_norm(y[still_open]) < r0
+        inside[undecided] = within
     return inside if inside.ndim else bool(inside)
+
+
+def _gamma(m):
+    """gamma_m = m u / (1 - m u), u the unit roundoff of float64: the
+    relative error bound of a sum or product of m terms."""
+    mu = m * np.finfo(float).eps / 2.0
+    return mu / (1.0 - mu)
 
 
 def _basis_order(n):

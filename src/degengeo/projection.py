@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundary, NotInSigmaK
-from .hermitian import (_freeze, _hermitian_part, conjugate,
-                        coordinate_pairs, coordinates, frobenius_norm,
-                        random_unitary)
+from .hermitian import (_finite_eigvalsh, _freeze, _hermitian_part,
+                        conjugate, coordinate_pairs, coordinates,
+                        frobenius_norm, random_unitary)
 from .spectra import (
     Spectrum,
     eigh,
@@ -93,8 +93,9 @@ def distance_to_sigma(h, k, offset=0):
     """sqrt(k) times the standard deviation of the window eigenvalues; equal
     to the Frobenius distance from the k-fold degeneracy manifold, and to
     ||H_eff|| from any valid decomposition of H. A stack of shape
-    (..., n, n) gives the distances as an array of shape (...)."""
-    return window_distance(np.linalg.eigvalsh(np.asarray(h)), k, offset)
+    (..., n, n) gives the distances as an array of shape (...). A matrix
+    with a NaN or infinite entry raises LinAlgError."""
+    return window_distance(_finite_eigvalsh(h), k, offset)
 
 
 def project_with_index_set(h, indices, gauge=None):

@@ -212,6 +212,9 @@ def _heff_norms(anchor, hs):
     decomposed on its own."""
     local = anchor.local(hs)
     r0 = window_half_gap(np.diag(anchor.base).real, anchor.k, anchor.offset)
+    # Exactly Hermitian, as the square bound of `_within_ball` needs: `local`
+    # comes from `conjugate` (`_hermitian_part`), and the base is a real
+    # diagonal.
     inside = _within_ball(local - anchor.base, r0)
     try:
         blocks = anchor._heff_block_local(local)

@@ -342,6 +342,8 @@ def _decompose(h, spec, h0, u_w, mu, r0, k, offset, gauge=None,
     residual = frobenius_norm((x - h) + (z_x + z_x.conj().T))
 
     if within_r0 is None:
+        # delta is exactly Hermitian (`_hermitian_part`), as the square
+        # bound of `_within_ball` needs.
         within_r0 = bool(_within_ball(delta, r0))
     return SWDecomposition(
         k=k,

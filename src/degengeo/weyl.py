@@ -21,7 +21,11 @@ A family is an evaluator p -> H(p), or polynomial coefficients
 `MonomialTable`. The grid field takes as many whole grid lines as fit in
 FIELD_CHUNK_ENTRIES matrix entries (at least one) through one checked
 eigendecomposition; a polynomial family builds each chunk in one broadcast
-instead of one evaluator call per point.
+instead of one evaluator call per point. For an evaluator family whose
+field has two or more chunks, one worker thread diagonalizes each chunk
+while the calling thread evaluates the next, so at most two chunks are
+alive. The evaluator itself is only ever called on the calling thread, in
+C order of the grid, at most one chunk ahead of the eigensolver.
 
 The window map is linear in H, so its Jacobian is the window map of the
 derivatives dH/dp_i. A polynomial family has them in closed form
@@ -34,6 +38,8 @@ is then the paper's, of the exact derivative.
 from __future__ import annotations
 
 import operator
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -424,19 +430,111 @@ def _distance_field(fam, axes):
     The grid lines along the last axis are taken in C order, in chunks of as
     many whole lines as fit in FIELD_CHUNK_ENTRIES matrix entries and at
     least one; each chunk's matrices come from one `fam.stack` and go
-    through one checked eigendecomposition. So the stacked matrices never
-    hold more than max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries."""
+    through one checked eigendecomposition. A polynomial family, and any
+    field of one chunk, runs this as one serial loop. An evaluator family's
+    field of two or more chunks is pipelined (`_solved_ahead`): one worker
+    thread diagonalizes chunk i while the calling thread evaluates chunk
+    i + 1, calling the evaluator at the same points in the same C order as
+    the serial loop. So the stacked matrices never hold more than two
+    chunks, 2 max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries, and the
+    field has the serial loop's bits. Errors come in chunk order: a failed
+    eigendecomposition of chunk i is raised, with its own message, even
+    when evaluating chunk i + 1 raised too."""
     shape = tuple(len(a) for a in axes)
     lines = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
         -1, shape[-1], len(axes))
     per_chunk = max(1, FIELD_CHUNK_ENTRIES // (shape[-1] * fam.n ** 2))
-    dist = np.empty(lines.shape[:2])
-    for start in range(0, len(lines), per_chunk):
-        chunk = fam.stack(lines[start : start + per_chunk])
-        vals = eigh(chunk.reshape(-1, fam.n, fam.n)).eigenvalues
-        dist[start : start + per_chunk] = window_distance(
-            vals, fam.k, fam.offset).reshape(chunk.shape[:2])
-    return dist.reshape(shape)
+    starts = range(0, len(lines), per_chunk)
+
+    def chunk(start):
+        return fam.stack(lines[start : start + per_chunk])
+
+    def field(mats):
+        vals = eigh(mats.reshape(-1, fam.n, fam.n)).eigenvalues
+        return window_distance(vals, fam.k, fam.offset).reshape(
+            mats.shape[:2])
+
+    if fam.table is None and len(starts) > 1:
+        parts = _solved_ahead(field, chunk, starts)
+    else:
+        parts = [field(chunk(start)) for start in starts]
+    return np.concatenate(parts).reshape(shape)
+
+
+class _Job:
+    """One item handed to the worker of `_solved_ahead`: the item until it
+    is solved, then its result or error, and a lock held until then."""
+
+    __slots__ = ("item", "result", "error", "done")
+
+    def __init__(self, item):
+        self.item, self.result, self.error = item, None, None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def run(self, solve):
+        try:
+            self.result = solve(self.item)
+        except BaseException as exc:
+            self.error = exc
+        finally:
+            self.item = None
+            self.done.release()
+
+    def outcome(self):
+        """Wait for the worker; the result, or its error raised here."""
+        self.done.acquire()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def _solved_ahead(solve, draw, keys):
+    """[solve(draw(key)) for key in keys], with every solve on one worker
+    thread while the calling thread draws the next item.
+
+    Items are drawn on the calling thread, in order. Item i + 1 is handed to
+    the worker before the result of item i is collected, so the worker has
+    the next item as soon as it is done and never waits for a draw; at most
+    two items are alive, the one being solved and the one drawn after it.
+    Errors come in item order: when drawing item i + 1 raises, the result
+    of item i is collected first, and an error of its solve wins. The
+    worker is joined before this returns or raises."""
+    queue = deque()
+    queued = threading.Semaphore(0)
+
+    def work():
+        while True:
+            queued.acquire()
+            job = queue.popleft()
+            if job is None:
+                return
+            job.run(solve)
+
+    worker = threading.Thread(target=work, name="degengeo-field",
+                              daemon=True)
+    worker.start()
+    results, pending = [], None
+    try:
+        for key in keys:
+            try:
+                job = _Job(draw(key))
+            except BaseException:
+                if pending is not None:
+                    pending.outcome()
+                raise
+            queue.append(job)
+            queued.release()
+            if pending is not None:
+                results.append(pending.outcome())
+            pending = job
+        if pending is not None:
+            results.append(pending.outcome())
+    finally:
+        queue.append(None)
+        queued.release()
+        worker.join()
+    return results
 
 
 def _local_minima(values):
@@ -459,12 +557,16 @@ def scan_grid(fam, box, resolution):
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
     on a box grid by the distance theorem, as sqrt(k) times the standard
     deviation of the window eigenvalues, with one stacked eigendecomposition
-    per chunk of whole grid lines (`_distance_field`: at most
-    max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time); its
-    local minima seed a damped Newton refinement of the effective map's
-    zero. Newton and the classifier use the window map at each anchor, which
-    has the exact map's value and Jacobian there, so no decomposition runs;
-    a polynomial family's Jacobians are exact, with no differencing.
+    per chunk of whole grid lines (`_distance_field`: at most two chunks of
+    max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time). An
+    evaluator family is called on the calling thread only, in C order of
+    the grid, at most one chunk ahead of the eigensolver, which runs on one
+    worker thread that is joined before the field returns or raises. The
+    field's local minima seed a damped Newton refinement of the effective
+    map's zero. Newton and the classifier use the window map at each
+    anchor, which has the exact map's value and Jacobian there, so no
+    decomposition runs; a polynomial family's Jacobians are exact, with no
+    differencing.
     Converged roots inside the box are deduplicated and classified; diverged
     seeds are skipped and counted. Reports come back sorted
     lexicographically by position.

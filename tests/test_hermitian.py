@@ -125,6 +125,64 @@ def test_ball_rule_is_the_operator_norm_test(linalg_calls):
     assert inside.tolist() == [True, True, False, False]
 
 
+def test_square_bound_decides_inside_the_frobenius_band(linalg_calls):
+    # For r0 between ||X||_F / sqrt(n) and ||X||_F the decision is still
+    # operator_2_norm(x) < r0. An eigvalsh runs only where r0 also lies
+    # between n^(-1/4) ||X^2||_F^(1/2) and ||X^2||_F^(1/2), the bounds of
+    # ||X||_2 from the square of a Hermitian X.
+    within_ball = hermitian_module._within_ball
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 8, 64):
+        for _ in range(3):
+            x = random_hermitian(n, rng)
+            two, fro = operator_2_norm(x), frobenius_norm(x)
+            root = np.sqrt(frobenius_norm(x @ x))
+            assert two <= root * (1 + 1e-12)
+            assert root <= n ** 0.25 * two * (1 + 1e-12)
+            for r0 in np.geomspace(fro / np.sqrt(n), fro, 33)[1:-1]:
+                linalg_calls.clear()
+                assert within_ball(x, r0) == (two < r0)
+                band = root / n ** 0.25 < r0 < root
+                assert linalg_calls == ([("eigvalsh", (1, n, n))] if band
+                                        else [])
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_square_bound_decides_the_dense_perturbations(linalg_calls, n):
+    # A GUE-like X with ||X||_2 = r0 / 4, like the perturbations of the
+    # dense decompositions: ||X||_F is about sqrt(n) r0 / 8, at or above
+    # r0, but ||X^2||_F^(1/2) is about (n / 8)^(1/4) r0 / 4 < r0, so no
+    # eigvalsh runs, for one matrix or a stack.
+    rng = np.random.default_rng(n)
+    x = random_hermitian(n, rng)
+    r0 = 4.0 * operator_2_norm(x)
+    assert frobenius_norm(x) >= r0
+    assert np.sqrt(frobenius_norm(x @ x)) < 0.65 * r0
+    linalg_calls.clear()
+    assert hermitian_module._within_ball(x, r0) is True
+    assert hermitian_module._within_ball(np.stack([x, -x]), r0).tolist() \
+        == [True, True]
+    assert linalg_calls == []
+
+
+@pytest.mark.parametrize("share", [0.999, 0.9999999, 1.0000001, 1.001])
+def test_ball_radius_straddling_the_norm_takes_eigvalsh(linalg_calls,
+                                                        share):
+    # r0 a hair above or below ||X||_2, for an X none of the bounds
+    # decides there: one eigvalsh decides, one matrix or in a stack.
+    within_ball = hermitian_module._within_ball
+    x = random_hermitian(8, np.random.default_rng(22))
+    two = operator_2_norm(x)
+    root = np.sqrt(frobenius_norm(x @ x))
+    assert root > 1.01 * two and root / 8 ** 0.25 < 0.99 * two
+    r0 = share * two
+    linalg_calls.clear()
+    assert within_ball(x, r0) == (share > 1.0)
+    stack = np.stack([x, 0.1 * x, 10.0 * x])
+    assert within_ball(stack, r0).tolist() == [share > 1.0, True, False]
+    assert linalg_calls == [("eigvalsh", (1, 8, 8))] * 2
+
+
 def test_norm_inequality_chain():
     rng = np.random.default_rng(2)
     for _ in range(100):

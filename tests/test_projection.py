@@ -109,6 +109,20 @@ def test_offset_window_projection():
             collapse_projection(h, 2, offset=offset)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distance_refuses_non_finite_entries(bad):
+    # eigvalsh returns [0, 0, -0] for diag(0, 1, nan) without an error, and
+    # NaNs for diag(0, 1, inf): the distance would read 0.0 (on Sigma_2) or
+    # nan. One bad matrix in a stack refuses the stack.
+    h = np.diag([0.0, 1.0, bad])
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+        distance_to_sigma(h, 2)
+    stack = np.stack([np.diag([0.0, 1.0, 2.0]), h])
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+        distance_to_sigma(stack, 2)
+    assert distance_to_sigma(stack[:1], 2).tolist() == [np.sqrt(0.5)]
+
+
 def test_index_set_matches_collapse():
     rng = np.random.default_rng(5)
     h = random_hermitian(5, rng)

@@ -165,7 +165,9 @@ def test_uniqueness_ball_takes_one_stacked_eigvalsh(linalg_calls):
     # levels (0, t) below 1, 2, 3, 4 in a fixed random basis: the ball has
     # radius 1/2, and at t = 1 the window touches the next level, so all
     # three kinds of note occur. H(t) - G has rank one, so both its norms
-    # are t, and the 7 samples with t > 1/2 are left open.
+    # and ||(H(t) - G)^2||_F^(1/2) are t: the Frobenius bounds leave the 7
+    # samples with t > 1/2 open, and the square bound, which puts
+    # t > 6^(1/4)/2 = 0.78 outside, the 3 of them with t < 0.78.
     v = random_unitary(6, np.random.default_rng(14))
     fam = family(lambda t: (v * [0.0, t, 1.0, 2.0, 3.0, 4.0]) @ v.conj().T, 2)
     ts = np.linspace(0.07, 1.0, 14)
@@ -173,7 +175,7 @@ def test_uniqueness_ball_takes_one_stacked_eigvalsh(linalg_calls):
     linalg_calls.clear()
     samples = splitting_samples(fam, ts, with_heff=True)
     assert [c for c in linalg_calls if c[0] == "eigvalsh"] == [
-        ("eigvalsh", (14, 6, 6)), ("eigvalsh", (7, 6, 6))]
+        ("eigvalsh", (14, 6, 6)), ("eigvalsh", (3, 6, 6))]
     notes = []
     for t in ts:
         try:

@@ -1,6 +1,7 @@
 """Effective maps, Jacobian rank, Weyl classification, and grid scans."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -390,6 +391,185 @@ def test_scan_field_one_eigh_per_chunk_of_grid_lines(linalg_calls, fam, res,
     # lines as fit in FIELD_CHUNK_ENTRIES matrix entries, at least one.
     weyl._distance_field(fam, weyl._grid_axes([(-0.5, 0.5)] * 3, res))
     assert linalg_calls == [("eigh", shape) for shape in calls]
+
+
+def _serial_field(monkeypatch):
+    """Make `_distance_field` take the serial loop for every family."""
+    monkeypatch.setattr(weyl, "_solved_ahead", lambda solve, draw, keys:
+                        [solve(draw(key)) for key in keys])
+
+
+def _traced_family(evaluate, seen):
+    """The evaluator family of evaluate (offset 1), recording the thread and
+    the point of every call after its construction in seen."""
+    def evaluator(p):
+        seen.append((threading.get_ident(), tuple(p.tolist())))
+        return evaluate(p)
+
+    fam = param_family(evaluator, 3, offset=1)
+    seen.clear()
+    return fam
+
+
+def _eigh_threads(monkeypatch):
+    """The threads the field's eigendecompositions run on, in call order."""
+    threads = []
+    real = weyl.eigh
+
+    def recorded(h):
+        threads.append(threading.get_ident())
+        return real(h)
+
+    monkeypatch.setattr(weyl, "eigh", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("seed, res", [(0, 5), (1, 7), (2, 15)])
+def test_pipelined_field_equals_the_polynomial_field(monkeypatch, seed, res):
+    # n = 16: 3, 2 and 1 grid lines a chunk, 9, 25 and 225 chunks. The
+    # polynomial family runs the serial loop on this thread; wrapped as an
+    # evaluator its eigendecompositions run on one other thread, and the
+    # field keeps every bit.
+    poly = polynomial_family(random_terms(seed, n=16), offset=1)
+    evaluated = param_family(poly, 3, offset=1)
+    centre = np.random.default_rng(seed).uniform(-0.1, 0.1, size=3)
+    axes = weyl._grid_axes([(c - 0.4, c + 0.4) for c in centre], res)
+    threads = _eigh_threads(monkeypatch)
+    serial = weyl._distance_field(poly, axes)
+    assert set(threads) == {threading.get_ident()}
+    threads.clear()
+    pipelined = weyl._distance_field(evaluated, axes)
+    assert threading.get_ident() not in threads and len(set(threads)) == 1
+    assert np.array_equal(pipelined, serial)
+
+
+def test_pipelined_field_evaluates_as_the_serial_loop(monkeypatch):
+    # The evaluator runs on the calling thread only, at the grid points in C
+    # order, in the pipelined field as in the serial loop.
+    fam = random_family(4, n=16)
+    axes = weyl._grid_axes([(-0.3, 0.5), (-0.4, 0.2), (0.0, 0.6)], 6)
+    runs = []
+    for serial in (False, True):
+        seen = []
+        traced = _traced_family(fam, seen)
+        with pytest.MonkeyPatch.context() as mp:
+            if serial:
+                _serial_field(mp)
+            field = weyl._distance_field(traced, axes)
+        runs.append((seen, field))
+    (threaded, field), (serial, reference) = runs
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    in_c_order = [tuple(p) for p in grid.reshape(-1, 3).tolist()]
+    assert threaded == serial
+    assert [p for _, p in threaded] == in_c_order
+    assert {thread for thread, _ in threaded} == {threading.get_ident()}
+    assert np.array_equal(field, reference)
+
+
+def _failing_family(bad_chunk, raising_chunk, res):
+    """An n = 16 evaluator family whose field, at resolution res, has one
+    non-Hermitian matrix (the fourth) in chunk bad_chunk and whose evaluator
+    raises in chunk raising_chunk (None: never), and the points it was
+    called at."""
+    fam = random_family(5, n=16)
+    per_chunk = res * max(1, weyl.FIELD_CHUNK_ENTRIES // (res * 16 ** 2))
+    seen = []
+
+    def evaluate(p):
+        chunk, index = divmod(len(seen) - 1, per_chunk)
+        if chunk == raising_chunk:
+            raise RuntimeError(f"no matrix at {p.tolist()}")
+        h = fam(p)
+        if chunk == bad_chunk and index == 3:
+            h = h.copy()
+            h[0, 5] += 0.5
+        return h
+
+    return _traced_family(evaluate, seen), seen
+
+
+def _field_error(fam, axes):
+    with pytest.raises(Exception) as caught:
+        weyl._distance_field(fam, axes)
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("bad_chunk, raising_chunk", [
+    (2, 3), (2, None), (None, 3), (0, 1), (7, 8), (8, None), (None, 8)])
+def test_pipelined_field_raises_in_chunk_order(monkeypatch, bad_chunk,
+                                               raising_chunk):
+    # res 5, n = 16: nine chunks of three grid lines. An eigendecomposition
+    # that fails in chunk i wins over an evaluator error in chunk i + 1,
+    # with the serial loop's message; the evaluator runs at most one chunk
+    # past the failing one, and the worker is gone when the field raises.
+    axes = weyl._grid_axes([(-0.4, 0.4)] * 3, 5)
+    before = threading.active_count()
+    fam, seen = _failing_family(bad_chunk, raising_chunk, 5)
+    pipelined = _field_error(fam, axes)
+    evaluated = len(seen)
+    assert threading.active_count() == before
+    with pytest.MonkeyPatch.context() as mp:
+        _serial_field(mp)
+        fam, seen = _failing_family(bad_chunk, raising_chunk, 5)
+        serial = _field_error(fam, axes)
+    assert pipelined == serial
+    if bad_chunk is not None:
+        assert serial[0] is np.linalg.LinAlgError
+        assert serial[1].startswith("eigendecomposition residual of matrix "
+                                    "(3,) ")
+        assert len(seen) <= evaluated <= len(seen) + 15
+    else:
+        assert serial[0] is RuntimeError
+        assert evaluated == len(seen)
+
+
+def test_scan_leaves_no_thread_behind():
+    # One worker thread while the field is evaluated, none after the scan
+    # returns or raises.
+    before = threading.active_count()
+    counts = []
+
+    def counted(p):
+        counts.append(threading.active_count())
+        return fam(p)
+
+    fam = random_family(6, n=16)
+    box = [(c - 0.3, c + 0.3) for c in (0.031, -0.017, 0.012)]
+    reports = scan_grid(param_family(counted, 3, offset=1), box, 7)
+    assert [r.classification for r in reports] == ["weyl"]
+    assert max(counts) == before + 1
+    assert threading.active_count() == before
+    bad, _ = _failing_family(4, 5, 7)
+    with pytest.raises(np.linalg.LinAlgError):
+        scan_grid(bad, box, 7)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fam, res", [
+    # Polynomial: 21 and 225 chunks, on the calling thread.
+    pytest.param(polynomial_weyl_family(), 21, id="polynomial-n3"),
+    pytest.param(polynomial_family(random_terms(3, n=16), offset=1), 15,
+                 id="polynomial-n16"),
+    # Evaluator families whose field is one chunk: 64 and 125 matrices.
+    pytest.param(weyl_family(), 4, id="one-chunk-n3"),
+    pytest.param(random_family(1, n=5), 5, id="one-chunk-n5"),
+])
+def test_serial_fields_start_no_thread(monkeypatch, fam, res):
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    threads = _eigh_threads(monkeypatch)
+    axes = weyl._grid_axes([(-0.5, 0.5)] * 3, res)
+    if fam.table is None:
+        assert res ** 3 * fam.n ** 2 <= weyl.FIELD_CHUNK_ENTRIES
+    weyl._distance_field(fam, axes)
+    assert started == []
+    assert set(threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("fam", [weyl_family(), random_family(3, n=16)])

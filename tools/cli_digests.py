@@ -125,7 +125,7 @@ def _write_inputs(rng):
     # (0, 0, -1/4) and (0, 0, 1/4).
     w = _random_unitary(16, rng)
     levels = 1.0 + np.sort(rng.uniform(0.0, 2.0, size=14))
-    Path("two_point_plugin.py").write_text(f"""import numpy as np
+    two_points = f"""import numpy as np
 
 W0 = np.array({w.real.tolist()!r}) + 1j * np.array({w.imag.tolist()!r})
 LEVELS = {levels.tolist()!r}
@@ -140,6 +140,31 @@ def two_points(p):
     w[:, [0, 2]] = w[:, [0, 2]] @ np.array([[c, -s], [s, c]])
     h = w @ d @ w.conj().T
     return (h + h.conj().T) / 2.0
+"""
+    Path("two_point_plugin.py").write_text(two_points, encoding="utf-8")
+    # The same family failing past x = 0.15, that is from the sixth chunk of
+    # three grid lines of a res-5 scan of the 0.4 box on: non-Hermitian
+    # matrices, an evaluator that raises, or both, raising from x = 0.3 on
+    # (the chunk after the first non-Hermitian one).
+    Path("late_fault_plugin.py").write_text(two_points + """
+
+def late_asymmetry(p):
+    h = two_points(p)
+    if p[0] > 0.15:
+        h[0, 5] += 0.5
+    return h
+
+
+def late_error(p):
+    if p[0] > 0.15:
+        raise ValueError(f"no matrix at x = {p[0]:.2f}")
+    return two_points(p)
+
+
+def asymmetry_then_error(p):
+    if p[0] > 0.3:
+        raise ValueError(f"no matrix at x = {p[0]:.2f}")
+    return late_asymmetry(p)
 """, encoding="utf-8")
     return cases
 
@@ -196,6 +221,17 @@ def _calls(cases):
                "--box", "0.5", "--res", "5"],
               ["weyl-scan", "--model", "plugin:two_point_plugin.py:two_points",
                "--box", "0.4", "--res", "11", "--json"],
+              ["weyl-scan", "--model",
+               "plugin:late_fault_plugin.py:late_asymmetry", "--box", "0.4",
+               "--res", "5"],
+              ["weyl-scan", "--model",
+               "plugin:late_fault_plugin.py:late_asymmetry", "--box", "0.4",
+               "--res", "11", "--json"],
+              ["weyl-scan", "--model", "plugin:late_fault_plugin.py:late_error",
+               "--box", "0.4", "--res", "5"],
+              ["weyl-scan", "--model",
+               "plugin:late_fault_plugin.py:asymmetry_then_error", "--box",
+               "0.4", "--res", "5"],
               ["weyl-scan", "--model",
                "plugin:weyl_example_plugin.py:weyl_example_plugin", "--box",
                "0.3", "--center", "0.1", "-0.05", "0.02", "--res", "11",
