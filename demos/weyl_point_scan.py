@@ -21,7 +21,8 @@ from degengeo import (
 from degengeo.models import WEYL_EXAMPLE_TERMS, example_pr
 
 # The model as polynomial coefficients {(a, b, c): C}, H = sum x^a y^b z^c C,
-# so the scan builds each chunk of grid matrices in one broadcast.
+# so the scan builds each chunk of grid matrices in one broadcast, on two
+# threads once the grid has two or more chunks.
 fam = polynomial_family(WEYL_EXAMPLE_TERMS)
 
 print("model with H(0) = diag(0, 0, 1) and window block "

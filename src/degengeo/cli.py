@@ -281,6 +281,9 @@ def _cmd_weyl_scan(args):
     else:
         raise _CliError(EXIT_PARSE, f"unknown model {args.model!r}")
     box = [(c - args.box, c + args.box) for c in args.center]
+    if not np.all(np.isfinite(box)):
+        raise _CliError(EXIT_PARSE, f"the box edges --center +- --box must "
+                                    f"be finite, got {box}")
     rows = [
         {
             "p": [format_float(x) for x in rep.p],

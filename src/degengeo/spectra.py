@@ -1,8 +1,9 @@
-"""Hermitian eigendecomposition with ascending ordering, classification of
-eigenvalue-coincidence patterns into strata, and spectral-gap quantities.
-It owns the window rules (membership, degeneracy, strict separation and the
-half gap to the neighbours); no other module reads the coincidence
-tolerance."""
+"""Hermitian eigendecomposition with ascending ordering, checked against one
+residual bound (`eigh`, and `checked_eigvals` for a caller that reads only
+the eigenvalues), classification of eigenvalue-coincidence patterns into
+strata, and spectral-gap quantities. It owns the window rules (membership,
+degeneracy, strict separation and the half gap to the neighbours); no other
+module reads the coincidence tolerance."""
 
 from __future__ import annotations
 
@@ -102,15 +103,35 @@ def eigh(h):
     # a scalar abs() returns in the last bit.
     phases = np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
     vecs = vecs * phases.reshape(vals.shape)[..., None, :]
-    # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
-    # unlike `residual > bound`, refuses it; the invalid values on the way
-    # there are expected.
-    with np.errstate(invalid="ignore"):
-        residual = _frobenius(h @ vecs - vecs * vals[..., None, :])
+    return _frozen(vals, vecs, _checked_residual(h, vals, vecs))
+
+
+def checked_eigvals(h):
+    """The eigenvalues of `eigh(h)`, bit for bit, for a caller that reads
+    nothing else: the same `np.linalg.eigh` call and the same residual
+    check, which refuses the same matrices with the same message (NaN and
+    infinite entries included). It skips the phase fix of the vectors and
+    the read-only Spectrum, so it costs less."""
+    h = np.asarray(h)
+    vals, vecs = np.linalg.eigh(h)
+    if vals.shape[-1]:
+        _checked_residual(h, vals, vecs)
+    return vals
+
+
+def _checked_residual(h, vals, vecs):
+    """The residual ||H U - U diag(vals)||_F of each matrix of h (n >= 1);
+    LinAlgError names the first matrix whose residual is not within
+    RESIDUAL_RTOL * max(1, ||H_i||_F)."""
     # np.linalg.norm reads an integer or boolean h as float.
     if h.dtype.kind not in "fc":
         h = h.astype(float)
-    bound = RESIDUAL_RTOL * np.maximum(1.0, _frobenius(h))
+    # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
+    # unlike `residual > bound`, refuses it; the invalid values on the way
+    # there (inf * 0 in a complex square too) are expected.
+    with np.errstate(invalid="ignore"):
+        residual = _frobenius(h @ vecs - vecs * vals[..., None, :])
+        bound = RESIDUAL_RTOL * np.maximum(1.0, _frobenius(h))
     ok = residual <= bound
     if np.count_nonzero(ok) < ok.size:
         where = tuple(map(int, np.argwhere(~ok)[0]))
@@ -119,7 +140,7 @@ def eigh(h):
             f"eigendecomposition residual{name} {residual[where]:.3e} "
             f"exceeds {bound[where]:.3e}"
         )
-    return _frozen(vals, vecs, residual)
+    return residual
 
 
 def _frozen(vals, vecs, residual):

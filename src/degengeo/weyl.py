@@ -20,12 +20,13 @@ A family is an evaluator p -> H(p), or polynomial coefficients
 {alpha: C_alpha} with H(p) = sum_alpha p^alpha C_alpha, held as one
 `MonomialTable`. The grid field takes as many whole grid lines as fit in
 FIELD_CHUNK_ENTRIES matrix entries (at least one) through one checked
-eigendecomposition; a polynomial family builds each chunk in one broadcast
-instead of one evaluator call per point. For an evaluator family whose
-field has two or more chunks, one worker thread diagonalizes each chunk
-while the calling thread evaluates the next, so at most two chunks are
-alive. The evaluator itself is only ever called on the calling thread, in
-C order of the grid, at most one chunk ahead of the eigensolver.
+eigenvalue solve; a polynomial family builds each chunk in one broadcast
+instead of one evaluator call per point. A field of two or more chunks runs
+on the calling thread and one worker thread, each holding one chunk at a
+time, so at most two chunks are alive. A polynomial family's chunks are
+built and solved by whichever thread takes them, in C order. An evaluator
+family's chunks are evaluated on the calling thread only, in C order of
+the grid, at most one chunk ahead of the worker, which solves them.
 
 The window map is linear in H, so its Jacobian is the window map of the
 derivatives dH/dp_i. A polynomial family has them in closed form
@@ -47,7 +48,8 @@ import numpy as np
 
 from .errors import NewtonDiverged, StepTooSmall
 from .hermitian import _check_hermitian, traceless_coordinates
-from .spectra import eigh, unseparated_edge, window_distance
+from .spectra import (checked_eigvals, eigh, unseparated_edge,
+                      window_distance)
 from .swtransform import Anchor
 
 __all__ = [
@@ -81,7 +83,8 @@ NEWTON_MAX_ITER = 60
 POINT_RTOL = 1e-8
 
 #: The grid field stacks whole grid lines up to this many matrix entries
-#: (matrices times n^2) per eigendecomposition, and always at least one line.
+#: (matrices times n^2) per eigenvalue solve, and always at least one line.
+#: Each of the field's two threads holds one such chunk at a time.
 FIELD_CHUNK_ENTRIES = 4096
 
 
@@ -192,7 +195,10 @@ class ParamFamily:
             raise ValueError(f"expected parameter points of shape (..., "
                              f"{self.m})")
         if self.table is not None:
-            return self.table.value(points)
+            # Overflow gives inf or NaN entries, which the grid field
+            # refuses by name; it raises no warning on the way.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.table.value(points)
         flat = points.reshape(-1, self.m).tolist()
         mats = np.stack([self(p) for p in flat])
         return mats.reshape(points.shape[:-1] + mats.shape[1:])
@@ -430,35 +436,102 @@ def _distance_field(fam, axes):
     The grid lines along the last axis are taken in C order, in chunks of as
     many whole lines as fit in FIELD_CHUNK_ENTRIES matrix entries and at
     least one; each chunk's matrices come from one `fam.stack` and go
-    through one checked eigendecomposition. A polynomial family, and any
-    field of one chunk, runs this as one serial loop. An evaluator family's
-    field of two or more chunks is pipelined (`_solved_ahead`): one worker
-    thread diagonalizes chunk i while the calling thread evaluates chunk
-    i + 1, calling the evaluator at the same points in the same C order as
-    the serial loop. So the stacked matrices never hold more than two
-    chunks, 2 max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries, and the
-    field has the serial loop's bits. Errors come in chunk order: a failed
-    eigendecomposition of chunk i is raised, with its own message, even
-    when evaluating chunk i + 1 raised too."""
+    through one checked eigenvalue solve (`checked_eigvals`). A field of one
+    chunk is one call on the calling thread. A field of two or more chunks
+    runs on the calling thread and one worker thread, so the stacked
+    matrices never hold more than two chunks,
+    2 max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries:
+    - a polynomial family's chunks are built and solved by both threads,
+      each taking the next chunk in C order (`_shared`);
+    - an evaluator family's are pipelined (`_solved_ahead`): the worker
+      solves chunk i while the calling thread evaluates chunk i + 1, calling
+      the evaluator at the same points in the same C order as a serial loop.
+    Either way the field has the serial loop's bits, and errors come in
+    chunk order: the first failing chunk raises its own message, even when a
+    later chunk failed too. A chunk whose solve fails and that holds a
+    matrix with a NaN or infinite entry raises LinAlgError naming the first
+    such point."""
     shape = tuple(len(a) for a in axes)
     lines = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
         -1, shape[-1], len(axes))
     per_chunk = max(1, FIELD_CHUNK_ENTRIES // (shape[-1] * fam.n ** 2))
     starts = range(0, len(lines), per_chunk)
 
-    def chunk(start):
-        return fam.stack(lines[start : start + per_chunk])
+    def draw(start):
+        points = lines[start : start + per_chunk]
+        return points, fam.stack(points)
 
-    def field(mats):
-        vals = eigh(mats.reshape(-1, fam.n, fam.n)).eigenvalues
+    def solve(chunk):
+        points, mats = chunk
+        mats = mats.reshape(-1, fam.n, fam.n)
+        try:
+            vals = checked_eigvals(mats)
+        except np.linalg.LinAlgError:
+            # Only a failed solve pays for this search.
+            finite = np.isfinite(mats).all(axis=(-2, -1))
+            if finite.all():
+                raise
+            p = points.reshape(-1, len(axes))[np.argmin(finite)]
+            raise np.linalg.LinAlgError(f"the family is not finite at "
+                                        f"p = {p.tolist()!r}") from None
         return window_distance(vals, fam.k, fam.offset).reshape(
-            mats.shape[:2])
+            points.shape[:2])
 
-    if fam.table is None and len(starts) > 1:
-        parts = _solved_ahead(field, chunk, starts)
+    if len(starts) == 1:
+        parts = [solve(draw(0))]
+    elif fam.table is None:
+        parts = _solved_ahead(solve, draw, starts)
     else:
-        parts = [field(chunk(start)) for start in starts]
+        parts = _shared(lambda start: solve(draw(start)), starts)
     return np.concatenate(parts).reshape(shape)
+
+
+def _shared(run, keys):
+    """[run(key) for key in keys], run by the calling thread and one worker
+    thread, each taking the next key that neither has taken, in order.
+
+    Each thread holds one item at a time, and the results come back in key
+    order. Errors come in key order: once a run has raised, no further key
+    is taken, the runs in progress finish, and the error of the lowest
+    failing key is raised. Every key below it was taken before it, so its
+    run has finished. The worker is joined before this returns or
+    raises."""
+    keys = list(keys)
+    results = [None] * len(keys)
+    errors = {}
+    lock = threading.Lock()
+    taken = 0
+
+    def take():
+        nonlocal taken
+        with lock:
+            if errors or taken == len(keys):
+                return None
+            taken += 1
+            return taken - 1
+
+    def work():
+        while (i := take()) is not None:
+            try:
+                results[i] = run(keys[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    worker = threading.Thread(target=work, name="degengeo-field",
+                              daemon=True)
+    worker.start()
+    try:
+        work()
+    finally:
+        # Should this thread leave work() by a raise outside run, the
+        # worker takes no further key either.
+        with lock:
+            taken = len(keys)
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class _Job:
@@ -556,12 +629,15 @@ def scan_grid(fam, box, resolution):
 
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
     on a box grid by the distance theorem, as sqrt(k) times the standard
-    deviation of the window eigenvalues, with one stacked eigendecomposition
+    deviation of the window eigenvalues, with one stacked eigenvalue solve
     per chunk of whole grid lines (`_distance_field`: at most two chunks of
-    max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time). An
-    evaluator family is called on the calling thread only, in C order of
-    the grid, at most one chunk ahead of the eigensolver, which runs on one
-    worker thread that is joined before the field returns or raises. The
+    max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time). A
+    field of two or more chunks runs on the calling thread and one worker
+    thread, which is joined before the field returns or raises. A
+    polynomial family's chunks are built and solved on both; an evaluator
+    family is called on the calling thread only, in C order of the grid, at
+    most one chunk ahead of the worker's solves. A family that is not
+    finite on the grid raises LinAlgError naming the first such point. The
     field's local minima seed a damped Newton refinement of the effective
     map's zero. Newton and the classifier use the window map at each
     anchor, which has the exact map's value and Jacobian there, so no

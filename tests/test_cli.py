@@ -1,6 +1,8 @@
 """Interchange format round-trips, report serialization, and the CLI."""
 
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from degengeo import cli
+from degengeo import cli, weyl
 from degengeo.cli import _order_family, build_parser, main
 from degengeo.hermitian import hermitian, random_hermitian
 from degengeo.matrixio import (
@@ -539,17 +541,39 @@ def test_cli_weyl_scan_model_errors_exit2(tmp_path, capsys, model, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("function", ["not_finite", "not_hermitian"])
-def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function):
+@pytest.mark.parametrize("function, message", [
+    pytest.param("not_finite",
+                 "the family is not finite at p = [-0.5, -0.5, -0.5]",
+                 id="not_finite"),
+    pytest.param("not_hermitian",
+                 "eigendecomposition residual of matrix (0,) ",
+                 id="not_hermitian"),
+])
+def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function,
+                                               message):
     # LinAlgError subclasses ValueError and still gets its own exit code:
-    # eigh fails to converge on NaN, and its residual check fails on a
-    # non-Hermitian matrix.
+    # the field names the first point of a NaN family, and its residual
+    # check refuses a non-Hermitian matrix.
     (tmp_path / "plugin.py").write_text(_PLUGIN)
     code = main(["weyl-scan", "--model",
                  f"plugin:{tmp_path}/plugin.py:{function}",
                  "--box", "0.5", "--res", "5"])
     assert code == 4
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+
+
+@pytest.mark.parametrize("res", ["3", "21"])
+def test_cli_weyl_scan_overflowing_model_exit4(capsys, res):
+    # The built-in model overflows at |p| = 1e200 on a grid with finite
+    # edges: the field names the first point, with no warning on the way
+    # (one chunk at res 3, 21 chunks on two threads at res 21).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["weyl-scan", "--box", "1e200", "--res", res])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: the family is not finite at p = "
+        "[-1e+200, -1e+200, -1e+200]\n")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -567,10 +591,17 @@ def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function):
     (["--box", "0.5", "--res", "102"], "--res must be at most 101, got 102"),
     (["--box", "0.5", "--res", "1000"],
      "--res must be at most 101, got 1000"),
+    (["--box", "1e308", "--center", "1e308", "0", "0"],
+     "the box edges --center +- --box must be finite, got [(0.0, inf), "
+     "(-1e+308, 1e+308), (-1e+308, 1e+308)]"),
+    (["--box", "1e308", "--center", "0", "0", "1e308"],
+     "the box edges --center +- --box must be finite, got [(-1e+308, "
+     "1e+308), (-1e+308, 1e+308), (0.0, inf)]"),
 ])
 def test_cli_weyl_scan_box_errors_exit2(capsys, flags, message):
     # A box without interior scans every grid point as a seed (or rejects
-    # every root); a non-finite one reaches LAPACK; a grid needs two points
+    # every root); a non-finite box, or finite flags whose edges overflow,
+    # would reach linspace and LAPACK; a grid needs two points
     # per axis, and a grid above res 101 holds more points than the field
     # builds at once (res 1000 would be 24 GB). All are refused first. The
     # flags come last, so their --res overrides the default one.
@@ -589,6 +620,29 @@ def test_cli_weyl_scan_finds_point(capsys):
     point = doc["outputs"]["points"][0]
     assert point["classification"] == "weyl"
     assert point["charge"] == 1
+
+
+def test_cli_builtin_scans_are_deterministic(monkeypatch, capsys):
+    # Two threads build and solve the field's chunks of a built-in scan (3
+    # chunks at res 11, 21 at res 21): 20 runs of each, with the threads
+    # switched every 10 us, give the bytes of the serial loop.
+    def report(res):
+        assert main(["weyl-scan", "--box", "0.5", "--res", res,
+                     "--json"]) == 0
+        return capsys.readouterr().out
+
+    interval = sys.getswitchinterval()
+    for res in ("11", "21"):
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {report(res) for _ in range(20)}
+        finally:
+            sys.setswitchinterval(interval)
+        with monkeypatch.context() as mp:
+            mp.setattr(weyl, "_shared", lambda run, keys:
+                       [run(key) for key in keys])
+            serial = report(res)
+        assert runs == {serial}
 
 
 def test_cli_reports_deterministic(capsys):

@@ -8,6 +8,7 @@ from degengeo.hermitian import conjugate, random_hermitian, random_unitary
 from degengeo.spectra import (
     DEGENERACY_RTOL,
     check_degenerate,
+    checked_eigvals,
     check_separated,
     classify_stratum,
     coincidence_tolerance,
@@ -189,6 +190,56 @@ def test_eigh_refuses_non_finite_matrices(bad):
         eigh(stack)
     with pytest.raises(np.linalg.LinAlgError, match=r"matrix \(1, 0\) nan"):
         eigh(stack.reshape(2, 2, 2, 2))
+
+
+@pytest.mark.parametrize("dtype", [float, complex, np.int64])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
+def test_checked_eigvals_are_the_eigh_eigenvalues(n, dtype):
+    # One matrix, a stack and a stack of stacks, real, complex and integer
+    # (a symmetric integer matrix, which eigh reads as float).
+    rng = np.random.default_rng(40 + n)
+    for shape in [(), (5,), (2, 3)]:
+        h = _hermitian_stack(rng, shape, n, complex if dtype is complex
+                             else float)
+        if dtype is np.int64:
+            h = np.round(8.0 * h).astype(np.int64)
+        vals = checked_eigvals(h)
+        reference = eigh(h).eigenvalues
+        assert vals.shape == reference.shape == (*shape, n)
+        assert vals.dtype == reference.dtype
+        assert vals.tobytes() == reference.tobytes()
+
+
+def _refusal(solve, h):
+    with pytest.raises(np.linalg.LinAlgError) as caught:
+        solve(h)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_checked_eigvals_refuse_as_eigh(bad, dtype):
+    # A non-Hermitian fourth matrix of a stack, or a NaN or infinite entry
+    # in it: the same LinAlgError message as eigh's, with no warning. LAPACK
+    # itself refuses some NaN matrices ("Eigenvalues did not converge"); the
+    # residual check refuses the others, naming the matrix.
+    rng = np.random.default_rng(9)
+    stack = _hermitian_stack(rng, (6,), 4, dtype)
+    if bad is None:
+        stack[3, 0, 2] += 0.5
+    else:
+        stack[3, 1, 1] = bad
+    grid = stack.reshape(2, 3, 4, 4)
+    for h in (stack, stack[3], grid):
+        assert _refusal(checked_eigvals, h) == _refusal(eigh, h)
+    for h, name in ((stack, "(3,)"), (grid, "(1, 0)")):
+        message = _refusal(checked_eigvals, h)
+        if bad is None:
+            assert message.startswith(f"eigendecomposition residual of "
+                                      f"matrix {name} ")
+        elif not message.startswith("Eigenvalues did not converge"):
+            assert message.startswith(f"eigendecomposition residual of "
+                                      f"matrix {name} nan exceeds ")
 
 
 def test_window_spread_rows_and_floats():

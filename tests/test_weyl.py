@@ -2,6 +2,7 @@
 
 import itertools
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,8 @@ def _serial_field(monkeypatch):
     """Make `_distance_field` take the serial loop for every family."""
     monkeypatch.setattr(weyl, "_solved_ahead", lambda solve, draw, keys:
                         [solve(draw(key)) for key in keys])
+    monkeypatch.setattr(weyl, "_shared", lambda run, keys:
+                        [run(key) for key in keys])
 
 
 def _traced_family(evaluate, seen):
@@ -411,36 +414,126 @@ def _traced_family(evaluate, seen):
     return fam
 
 
-def _eigh_threads(monkeypatch):
-    """The threads the field's eigendecompositions run on, in call order."""
+def _solve_threads(monkeypatch):
+    """The threads the field's eigenvalue solves run on, in call order."""
     threads = []
-    real = weyl.eigh
+    real = weyl.checked_eigvals
 
     def recorded(h):
         threads.append(threading.get_ident())
         return real(h)
 
-    monkeypatch.setattr(weyl, "eigh", recorded)
+    monkeypatch.setattr(weyl, "checked_eigvals", recorded)
     return threads
 
 
 @pytest.mark.parametrize("seed, res", [(0, 5), (1, 7), (2, 15)])
 def test_pipelined_field_equals_the_polynomial_field(monkeypatch, seed, res):
     # n = 16: 3, 2 and 1 grid lines a chunk, 9, 25 and 225 chunks. The
-    # polynomial family runs the serial loop on this thread; wrapped as an
-    # evaluator its eigendecompositions run on one other thread, and the
-    # field keeps every bit.
+    # polynomial family's chunks are solved on this thread and at most one
+    # other; wrapped as an evaluator its solves all run on one other thread,
+    # and the field keeps every bit.
     poly = polynomial_family(random_terms(seed, n=16), offset=1)
     evaluated = param_family(poly, 3, offset=1)
     centre = np.random.default_rng(seed).uniform(-0.1, 0.1, size=3)
     axes = weyl._grid_axes([(c - 0.4, c + 0.4) for c in centre], res)
-    threads = _eigh_threads(monkeypatch)
-    serial = weyl._distance_field(poly, axes)
-    assert set(threads) == {threading.get_ident()}
+    threads = _solve_threads(monkeypatch)
+    shared = weyl._distance_field(poly, axes)
+    assert len(set(threads) - {threading.get_ident()}) <= 1
     threads.clear()
     pipelined = weyl._distance_field(evaluated, axes)
     assert threading.get_ident() not in threads and len(set(threads)) == 1
-    assert np.array_equal(pipelined, serial)
+    assert np.array_equal(pipelined, shared)
+
+
+@pytest.mark.parametrize("n, res", [(3, 5), (3, 11), (3, 21), (16, 7),
+                                    (16, 15)])
+def test_shared_field_equals_the_serial_loop(monkeypatch, n, res):
+    # Off-centre grids of 1, 3 (41, 41 and 39 grid lines), 21, 25 and 225
+    # chunks. Two threads building and solving a polynomial family's chunks
+    # give the serial loop's bits, run after run.
+    if n == 3:
+        fam = polynomial_weyl_family()
+        centre = np.array([0.031, -0.017, 0.012])
+    else:
+        fam = polynomial_family(random_terms(res, n=16), offset=1)
+        centre = np.random.default_rng(res).uniform(-0.1, 0.1, size=3)
+    axes = weyl._grid_axes([(c - 0.4, c + 0.4) for c in centre], res)
+    shared = {weyl._distance_field(fam, axes).tobytes() for _ in range(2)}
+    _serial_field(monkeypatch)
+    assert shared == {weyl._distance_field(fam, axes).tobytes()}
+
+
+def test_shared_field_runs_on_one_worker(monkeypatch):
+    # n = 3, res 21: 21 chunks. The first solve of each thread waits for a
+    # solve on another thread, so the calling thread and one worker each
+    # solve a chunk, the two at once; no third thread runs, and none is
+    # left afterwards.
+    before = threading.active_count()
+    meeting = threading.Barrier(2, timeout=30)
+    seen, counts = [], []
+    real = weyl.checked_eigvals
+
+    def solve(h):
+        counts.append(threading.active_count())
+        if threading.get_ident() not in seen:
+            seen.append(threading.get_ident())
+            meeting.wait()
+        return real(h)
+
+    monkeypatch.setattr(weyl, "checked_eigvals", solve)
+    axes = weyl._grid_axes([(-0.5, 0.5)] * 3, 21)
+    field = weyl._distance_field(polynomial_weyl_family(), axes)
+    assert threading.active_count() == before
+    assert len(seen) == 2 and threading.get_ident() in seen
+    assert len(counts) == 21 and set(counts) == {before + 1}
+    with pytest.MonkeyPatch.context() as mp:
+        _serial_field(mp)
+        mp.setattr(weyl, "checked_eigvals", real)
+        assert np.array_equal(field, weyl._distance_field(
+            polynomial_weyl_family(), axes))
+
+
+def test_shared_field_raises_the_first_failing_chunk(monkeypatch):
+    # n = 3, res 21: 21 chunks of one plane each. Chunks 2 and 5 fail, and
+    # chunk 2's solve waits until chunk 5 has failed on the other thread:
+    # chunk 2's message is raised all the same, no chunk after the failure
+    # is taken, and the worker is gone. The serial loop raises the same.
+    fam = polynomial_weyl_family()
+    axes = weyl._grid_axes([(-0.5, 0.5)] * 3, 21)
+    chunks = [fam.stack(np.stack(np.meshgrid(x, *axes[1:], indexing="ij"),
+                                 axis=-1)).reshape(-1, 3, 3)
+              for x in axes[0]]
+    real = weyl.checked_eigvals
+
+    def run(wait):
+        late_failure = threading.Event()
+        solved = []
+
+        def solve(h):
+            index = next(i for i, c in enumerate(chunks)
+                         if np.array_equal(c, h))
+            solved.append(index)
+            if index == 2 and wait:
+                assert late_failure.wait(timeout=30)
+            if index in (2, 5):
+                if index == 5:
+                    late_failure.set()
+                raise np.linalg.LinAlgError(f"chunk {index} failed")
+            return real(h)
+
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weyl, "checked_eigvals", solve)
+            if not wait:
+                _serial_field(mp)
+            with pytest.raises(np.linalg.LinAlgError) as caught:
+                weyl._distance_field(fam, axes)
+        assert threading.active_count() == before
+        return str(caught.value), sorted(solved)
+
+    assert run(wait=True) == ("chunk 2 failed", [0, 1, 2, 3, 4, 5])
+    assert run(wait=False) == ("chunk 2 failed", [0, 1, 2])
 
 
 def test_pipelined_field_evaluates_as_the_serial_loop(monkeypatch):
@@ -492,6 +585,45 @@ def _field_error(fam, axes):
     with pytest.raises(Exception) as caught:
         weyl._distance_field(fam, axes)
     return type(caught.value), str(caught.value)
+
+
+def _not_finite_past(x0):
+    """An n = 16 evaluator family whose matrices are NaN where x > x0."""
+    fam = random_family(5, n=16)
+
+    def evaluate(p):
+        return fam(p) if p[0] <= x0 else np.full((16, 16), np.nan)
+
+    return param_family(evaluate, 3, offset=1)
+
+
+@pytest.mark.parametrize("fam, box, res, p", [
+    # Built-in model: H(p) overflows on every plane of the grid, in a
+    # field of one chunk and in one of 21 chunks on two threads.
+    pytest.param(polynomial_weyl_family(), [(-1e200, 1e200)] * 3, 3,
+                 [-1e200] * 3, id="overflow-1-chunk"),
+    pytest.param(polynomial_weyl_family(), [(-1e200, 1e200)] * 3, 21,
+                 [-1e200] * 3, id="overflow-21-chunks"),
+    # An evaluator: NaN from the sixth of nine chunks on, first at
+    # linspace(-0.4, 0.4, 5)[3].
+    pytest.param(_not_finite_past(0.15), [(-0.4, 0.4)] * 3, 5,
+                 [0.20000000000000007, -0.4, -0.4], id="nan-evaluator"),
+])
+def test_field_refuses_a_family_that_is_not_finite(fam, box, res, p):
+    # The first chunk whose solve fails and that holds a non-finite matrix
+    # names its first such point, the serial loop's error; no warning
+    # escapes on the way, and no thread is left.
+    axes = weyl._grid_axes(box, res)
+    message = f"the family is not finite at p = {p!r}"
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _field_error(fam, axes) == (np.linalg.LinAlgError, message)
+        with pytest.MonkeyPatch.context() as mp:
+            _serial_field(mp)
+            assert _field_error(fam, axes) == (np.linalg.LinAlgError,
+                                               message)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("bad_chunk, raising_chunk", [
@@ -546,11 +678,11 @@ def test_scan_leaves_no_thread_behind():
 
 
 @pytest.mark.parametrize("fam, res", [
-    # Polynomial: 21 and 225 chunks, on the calling thread.
-    pytest.param(polynomial_weyl_family(), 21, id="polynomial-n3"),
-    pytest.param(polynomial_family(random_terms(3, n=16), offset=1), 15,
+    # Fields of one chunk, polynomial and evaluator: 125, 8, 64 and 125
+    # matrices.
+    pytest.param(polynomial_weyl_family(), 5, id="polynomial-n3"),
+    pytest.param(polynomial_family(random_terms(3, n=16), offset=1), 2,
                  id="polynomial-n16"),
-    # Evaluator families whose field is one chunk: 64 and 125 matrices.
     pytest.param(weyl_family(), 4, id="one-chunk-n3"),
     pytest.param(random_family(1, n=5), 5, id="one-chunk-n5"),
 ])
@@ -563,13 +695,12 @@ def test_serial_fields_start_no_thread(monkeypatch, fam, res):
         real(self)
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    threads = _eigh_threads(monkeypatch)
+    threads = _solve_threads(monkeypatch)
     axes = weyl._grid_axes([(-0.5, 0.5)] * 3, res)
-    if fam.table is None:
-        assert res ** 3 * fam.n ** 2 <= weyl.FIELD_CHUNK_ENTRIES
+    assert res ** 3 * fam.n ** 2 <= weyl.FIELD_CHUNK_ENTRIES
     weyl._distance_field(fam, axes)
     assert started == []
-    assert set(threads) == {threading.get_ident()}
+    assert threads == [threading.get_ident()]
 
 
 @pytest.mark.parametrize("fam", [weyl_family(), random_family(3, n=16)])

@@ -208,12 +208,22 @@ def _calls(cases):
         calls += [["weyl-scan", "--box", "0.5", "--res", res, "--json"],
                   ["weyl-scan", "--box", "0.3", "--center", "0.1", "-0.05",
                    "0.02", "--res", res, "--json"]]
+    # Built-in fields of one chunk (res 5, no worker thread) and of eight
+    # (res 15: 30 grid lines a chunk, 15 in the last).
+    calls += [["weyl-scan", "--box", "0.5", "--res", "5", "--json"],
+              ["weyl-scan", "--box", "0.3", "--center", "0.1", "-0.05",
+               "0.02", "--res", "15", "--json"]]
     calls += [["weyl-scan", "--box", "0.5", "--res", "11"],
               ["weyl-scan", "--box", "0", "--res", "5"],
               ["weyl-scan", "--box", "-0.5", "--res", "5"],
               ["weyl-scan", "--box", "0.5", "--center", "nan", "0", "0",
                "--res", "5"],
               ["weyl-scan", "--box", "0.5", "--res", "1"],
+              # Finite flags whose box edges overflow, and finite edges at
+              # which the built-in model overflows.
+              ["weyl-scan", "--box", "1e308", "--center", "1e308", "0", "0",
+               "--res", "3"],
+              ["weyl-scan", "--box", "1e200", "--res", "3"],
               # Refused since the cap on --res; a checkout without the cap
               # scans the res-102 grid instead, so this line moves there.
               ["weyl-scan", "--box", "0.5", "--res", "102"],
