@@ -344,6 +344,20 @@ def _cmd_model(args):
 # ---------------------------------------------------------------------------
 
 
+def _seed(text):
+    """A --seed value: numpy's generators take non-negative integers. A
+    non-integer gets argparse's message for type=int."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, "
+                                         f"got {seed}")
+    return seed
+
+
 def _add_common(parser):
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
@@ -388,7 +402,7 @@ def build_parser():
     # The dimerized chain's degenerate pair sits mid-spectrum, so that is
     # the default window for ssh.
     p.add_argument("--window", choices=["ground", "middle"], default="middle")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--ladder-start", type=int, default=3)
     p.add_argument("--ladder-stop", type=int, default=16)
     p.add_argument("--ladder-file", help="tabulated family (ladder format)")
@@ -414,7 +428,7 @@ def build_parser():
     p.add_argument("--v", type=float, default=0.0)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--qubits", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     for flag in ("--p", "--q", "--r", "--s", "--x", "--y", "--z"):
         p.add_argument(flag, type=float, default=0.0)
     p.add_argument("--v3", type=float, default=0.0,

@@ -9,9 +9,14 @@ Pauli words are written in closed form, with no tensor products. Read the
 letters as bits, the first letter the most significant: xmask marks the X
 and Y letters, zmask the Z and Y letters. A word then has exactly one
 nonzero per row r, at column r XOR xmask, and since Y = iXZ its value there
-is i^{#Y} (-1)^{popcount(column & zmask)}. A Pauli sum adds c_j times these
-2^q values to a zero matrix, term by term; every nonzero is an exact +-c_j
-or +-i c_j, so the sum has the bytes of the sum of the tensor products.
+is i^{#Y} (-1)^{popcount(column & zmask)}. All words of a sum are read in
+one array pass: a letter table gives each letter's two bits, so xmask,
+zmask and #Y of every word come from one lookup, and the parity of
+column & zmask from bit folds (x ^= x >> s for the powers of two s below
+q, largest first) over the (words x 2^q) array of columns. A Pauli sum
+adds c_j times these 2^q values to a zero matrix, in term order
+(`np.add.at`); every nonzero is an exact +-c_j or +-i c_j, so the sum has
+the bytes of the sum of the tensor products.
 """
 
 from __future__ import annotations
@@ -47,6 +52,15 @@ MAX_QUBITS = 6
 #: Pauli letter -> (flips the bit, reads the bit's sign); Y = iXZ does both.
 _PAULI = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
+#: _PAULI as a table indexed by the letter's byte.
+_LETTER_BITS = np.zeros((256, 2), dtype=np.intp)
+_LETTER_BITS[[ord(ch) for ch in _PAULI]] = list(_PAULI.values())
+
+#: A word's value i^{#Y} (-1)^parity at [#Y mod 4, parity], with the signed
+#: zeros of the complex values i^{#Y} and -(i^{#Y}).
+_PHASES = np.array([[1, -1], [1j, -(1j)], [-1, 1], [-(1j), 1j]],
+                   dtype=complex)
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -64,26 +78,29 @@ class PauliString:
             raise ValueError(f"unknown Pauli letter in {self.letters!r}")
 
     def matrix(self):
-        cols, phases = _pauli_entries(self.letters)
-        out = np.zeros((cols.size, cols.size), dtype=complex)
-        out[np.arange(cols.size), cols] = self.coefficient * phases
+        cols, phases = _pauli_entries([self.letters], self.n_qubits)
+        dim = cols.shape[1]
+        out = np.zeros((dim, dim), dtype=complex)
+        out[np.arange(dim), cols[0]] = self.coefficient * phases[0]
         return _freeze(out)
 
 
-def _pauli_entries(letters):
-    """The word's nonzeros: row r holds phases[r] at column cols[r]."""
-    xmask = zmask = 0
-    for ch in letters:
-        flip, sign = _PAULI[ch]
-        xmask = 2 * xmask + flip
-        zmask = 2 * zmask + sign
-    cols = np.arange(2 ** len(letters)) ^ xmask
-    parity = np.zeros_like(cols)
-    for bit in range(len(letters)):  # popcount(cols & zmask) mod 2
-        if zmask >> bit & 1:
-            parity ^= cols >> bit & 1
-    phase = (1, 1j, -1, -1j)[letters.count("Y") % 4]
-    return cols, np.where(parity, -phase, phase).astype(complex)
+def _pauli_entries(words, n_qubits):
+    """The nonzeros of each of the words of n_qubits letters, as two
+    (words x 2^n_qubits) arrays: row r of word j holds phases[j, r] at column
+    cols[j, r]."""
+    codes = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    bits = _LETTER_BITS[codes.reshape(len(words), n_qubits)]
+    xmask, zmask = (1 << np.arange(n_qubits - 1, -1, -1)) @ bits.T
+    cols = np.arange(2 ** n_qubits) ^ xmask[:, None]
+    # popcount mod 2, by folding the bits: shifts ..., 4, 2, 1 below q.
+    parity = cols & zmask[:, None]
+    shift = 1 << (n_qubits - 1).bit_length()
+    while shift > 1:
+        shift >>= 1
+        parity ^= parity >> shift
+    n_y = (bits[..., 0] & bits[..., 1]).sum(axis=1)
+    return cols, _PHASES[n_y[:, None] & 3, parity & 1]
 
 
 def pauli_matrix(letters, coefficient=1.0):
@@ -108,13 +125,14 @@ def _site_words(n_qubits, blocks):
 def _pauli_sum(n_qubits, terms):
     """sum_j c_j P_j over the (c_j, word_j) terms, added in order to zero;
     each term touches only its 2^n_qubits nonzeros."""
+    terms = list(terms)
     dim = 2 ** n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for c, word in terms:
-        cols, phases = _pauli_entries(word)
-        h[rows, cols] += c * phases
-    return _freeze(h)
+    h = np.zeros(dim * dim, dtype=complex)
+    cols, phases = _pauli_entries([word for _, word in terms], n_qubits)
+    vals = np.array([c for c, _ in terms])[:, None] * phases
+    # Flat indices, term by term: each row r of a term at r * dim + column.
+    np.add.at(h, (cols + np.arange(0, dim * dim, dim)).ravel(), vals.ravel())
+    return _freeze(h.reshape(dim, dim))
 
 
 def ssh(n_cells, v, w):

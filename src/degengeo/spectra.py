@@ -128,10 +128,20 @@ def _checked_residual(h, vals, vecs):
         h = h.astype(float)
     # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
     # unlike `residual > bound`, refuses it; the invalid values on the way
-    # there (inf * 0 in a complex square too) are expected.
-    with np.errstate(invalid="ignore"):
-        residual = _frobenius(h @ vecs - vecs * vals[..., None, :])
-        bound = RESIDUAL_RTOL * np.maximum(1.0, _frobenius(h))
+    # there (inf * 0 in a complex square too) are expected. So are squares
+    # past the largest double: a norm that overflowed fails this first
+    # check, which inf <= inf would pass, and the norms are taken again,
+    # scaled, before the check is final.
+    with np.errstate(all="ignore"):
+        r = h @ vecs - vecs * vals[..., None, :]
+        residual, norm = _frobenius(r), _frobenius(h)
+        bound = RESIDUAL_RTOL * np.maximum(1.0, norm)
+        ok = (residual <= bound) & (norm < np.inf)
+        if np.count_nonzero(ok) == ok.size:
+            return residual
+        residual = _rescaled(_frobenius, r, (-2, -1), residual)
+        norm = _rescaled(_frobenius, h, (-2, -1), norm)
+        bound = RESIDUAL_RTOL * np.maximum(1.0, norm)
     ok = residual <= bound
     if np.count_nonzero(ok) < ok.size:
         where = tuple(map(int, np.argwhere(~ok)[0]))
@@ -154,8 +164,31 @@ def _frozen(vals, vecs, residual):
 
 def _frobenius(x):
     """||x||_F over the last two axes, as `np.linalg.norm(x, axis=(-2, -1))`
-    computes it for a float or complex x."""
+    computes it for a float or complex x. Its sum of squares overflows for
+    entries above about 1e154; `_rescaled` takes such norms again."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
+
+
+def _root_of_squares(root, x, axis):
+    """root(x), for a root of a sum of squares of x along axis, with the
+    values that overflowed taken again (`_rescaled`)."""
+    with np.errstate(over="ignore"):
+        out = root(x)
+    return _rescaled(root, x, axis, out) if np.isinf(out).any() else out
+
+
+def _rescaled(root, x, axis, out):
+    """out = root(x), for a root of a sum of squares of x along axis (so
+    that root(x) = s * root(x / s) for s > 0), with each value whose sum
+    overflowed on a finite x taken again as s * root(x / s), s the largest
+    |real or imaginary part| along axis. That overflows only when the root
+    itself does; every other value keeps its bits."""
+    scale = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
+    redo = np.isinf(out) & np.isfinite(scale)
+    scale = np.where(redo, scale, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        again = scale * root(x / np.expand_dims(scale, axis))
+    return np.where(redo, again, out)[()]
 
 
 def coincidence_tolerance(vals, rel_tol):
@@ -202,14 +235,21 @@ def window_spread(vals, k, offset=0):
     their mean, their deviations from it, and the population standard
     deviation. For 1-D vals the mean and std are floats; for vals of shape
     (..., n) they are arrays of shape (...) and the deviations (..., k)."""
+    mean, dev = _deviations(vals, k, offset)
+    std = _root_of_squares(lambda d: np.sqrt((d ** 2).sum(axis=-1) / k),
+                           dev, -1)
+    if dev.ndim == 1:
+        return float(mean), dev, float(std)
+    return mean, dev, std
+
+
+def _deviations(vals, k, offset):
+    """The mean of the window eigenvalues along the last axis, and their
+    deviations from it."""
     # sum / k is how np.mean reduces, without its per-call overhead.
     win = _window(vals, k, offset)
     mean = win.sum(axis=-1) / k
-    dev = win - mean[..., None]
-    std = np.sqrt((dev ** 2).sum(axis=-1) / k)
-    if win.ndim == 1:
-        return float(mean), dev, float(std)
-    return mean, dev, std
+    return mean, win - mean[..., None]
 
 
 def window_distance(vals, k, offset=0):
@@ -217,8 +257,8 @@ def window_distance(vals, k, offset=0):
     axis: by the distance theorem, the Frobenius distance of the matrix with
     these eigenvalues from the k-fold degeneracy manifold. A float for 1-D
     vals, an array of shape (...) for vals of shape (..., n)."""
-    dev = window_spread(vals, k, offset)[1]
-    dist = np.sqrt((dev ** 2).sum(axis=-1))
+    dev = _deviations(vals, k, offset)[1]
+    dist = _root_of_squares(lambda d: np.sqrt((d ** 2).sum(axis=-1)), dev, -1)
     return float(dist) if dist.ndim == 0 else dist
 
 

@@ -266,28 +266,70 @@ def _zero_floor(fam, samples, label):
     return ZERO_FLOOR_RTOL * max(1.0, frobenius_norm(h0), frobenius_norm(d))
 
 
-def _fit_order(ts, vals, floor, method):
-    pts = [(t, v) for t, v in zip(ts, vals) if v is not None]
-    if not pts:
+class _LogAbscissae:
+    """The abscissae log|t| of the log-log fits on one sample set, with the
+    moments every series fitted on all of them shares: the centred values
+    x - mean(x) and their sum of squares."""
+
+    __slots__ = ("log_t", "centred", "sxx")
+
+    def __init__(self, ts):
+        self.log_t = [math.log(abs(t)) for t in ts]
+        self.centred, self.sxx = _centred(self.log_t)
+
+    def slope(self, rows, log_v):
+        """The ordinary least-squares slope of log_v on log|t| over the
+        sample indices rows, in closed form:
+        sum((x - mean x) (y - mean y)) / sum((x - mean x)^2); NaN when the
+        x do not spread or a y is infinite."""
+        if len(rows) == len(self.log_t):
+            x, sxx = self.centred, self.sxx
+        else:
+            x, sxx = _centred([self.log_t[i] for i in rows])
+        # Four distinct ts whose logs round to one value have no slope.
+        if not sxx:
+            return math.nan
+        y = _centred(log_v)[0]
+        return sum(a * b for a, b in zip(x, y)) / sxx
+
+
+def _centred(x):
+    """The floats x minus their mean, and the sum of squares of that."""
+    mean = sum(x) / len(x)
+    x = [v - mean for v in x]
+    return x, sum(v * v for v in x)
+
+
+def _fit_order(ts, vals, floor, method, abscissae=None):
+    """The order of one series of sampled values vals at ts: the log-log
+    slope through the samples above the zero floor, rounded to the nearest
+    integer. A value None is no sample; the slope is the closed-form least-
+    squares one, its log|t| moments from `abscissae` (a `_LogAbscissae` of
+    ts, built here when not given)."""
+    usable = [i for i, v in enumerate(vals) if v is not None]
+    if not usable:
         raise InconclusiveFit(f"{method}: no usable samples")
-    above = [(t, v) for t, v in pts if abs(v) > floor]
-    if not above:
+    rows = [i for i in usable if abs(vals[i]) > floor]
+    if not rows:
         return OrderEstimate(
             r=math.inf, slope=math.nan, slope_dev=0.0,
-            samples=tuple(pts), method=method,
+            samples=tuple((ts[i], vals[i]) for i in usable), method=method,
         )
-    if len(above) < 4:
+    if len(rows) < 4:
         raise InconclusiveFit(
-            f"{method}: only {len(above)} samples above the zero floor"
+            f"{method}: only {len(rows)} samples above the zero floor"
         )
-    log_t = np.log(np.abs([t for t, _ in above]))
-    log_v = np.log(np.abs([v for _, v in above]))
-    slope, _ = np.polyfit(log_t, log_v, 1)
+    if abscissae is None:
+        abscissae = _LogAbscissae(ts)
+    slope = abscissae.slope(rows, [math.log(abs(vals[i])) for i in rows])
+    if math.isnan(slope):
+        raise InconclusiveFit(f"{method}: the samples give no finite "
+                              f"log-log slope")
     r = int(round(slope))
     dev = abs(slope - r)
     est = OrderEstimate(
-        r=r, slope=float(slope), slope_dev=float(dev),
-        samples=tuple(above), method=method,
+        r=r, slope=slope, slope_dev=dev,
+        samples=tuple((ts[i], vals[i]) for i in rows), method=method,
     )
     if dev > SLOPE_TOL or r < 1:
         raise InconclusiveFit(
@@ -299,8 +341,9 @@ def _fit_order(ts, vals, floor, method):
 
 def estimate_order(fam, method="stddev", ladder=None, samples=None,
                    pair=None, index=None):
-    """Least-squares log-log slope of one splitting measure on a geometric
-    ladder, rounded to the nearest integer.
+    """Log-log slope of one splitting measure on a geometric ladder, the
+    ordinary least-squares slope in closed form, rounded to the nearest
+    integer.
 
     method is one of "stddev", "pairwise", "neighbor", "extreme", "mean",
     "heff", "distance". The aggregate methods ("pairwise", "neighbor",
@@ -318,15 +361,17 @@ def estimate_order(fam, method="stddev", ladder=None, samples=None,
     if samples is None:
         samples = splitting_samples(fam, ladder, with_heff=(method == "heff"))
     return _estimate(samples, _zero_floor(fam, samples, method), fam.k,
-                     method, pair, index)
+                     method, _LogAbscissae([s.t for s in samples]), pair,
+                     index)
 
 
-def _estimate(samples, floor, k, method, pair=None, index=None):
-    """estimate_order on precomputed samples and zero floor."""
+def _estimate(samples, floor, k, method, abscissae, pair=None, index=None):
+    """estimate_order on precomputed samples and zero floor; every series
+    fitted shares the log|t| moments `abscissae` of the samples."""
     ts = [s.t for s in samples]
 
     def single(vals, label):
-        return _fit_order(ts, vals, floor, label)
+        return _fit_order(ts, vals, floor, label, abscissae)
 
     if method == "stddev":
         return single([s.std_dev for s in samples], "stddev")
@@ -384,7 +429,9 @@ def estimate_all_orders(fam, ladder=None):
         ladder = default_ladder()
     samples = splitting_samples(fam, ladder, with_heff=False)
     floor = _zero_floor(fam, samples, "all orders")
-    estimates = {m: _estimate(samples, floor, fam.k, m) for m in FIVE_METHODS}
+    abscissae = _LogAbscissae([s.t for s in samples])
+    estimates = {m: _estimate(samples, floor, fam.k, m, abscissae)
+                 for m in FIVE_METHODS}
     orders = {e.r for e in estimates.values()}
     return estimates, len(orders) == 1
 

@@ -985,3 +985,86 @@ def test_cli_order_file_needs_a_ladder_file(capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "error: --ladder-file is required with 'order file'")
+
+
+@pytest.mark.parametrize("argv", [["order", "ising"], ["model", "transverse"],
+                                  ["order", "five-qubit", "--json"]])
+def test_cli_negative_seed_is_a_parse_error(capsys, argv):
+    # numpy's generators take non-negative seeds only; the flag is refused
+    # while parsing, and a non-integer keeps argparse's int message.
+    for seed, message in (("-1", "must be a non-negative integer, got -1"),
+                          ("1.5", "invalid int value: '1.5'")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --seed: {message}\n" in err
+
+
+def test_cli_weyl_scan_box_whose_squares_overflow(capsys):
+    # At the corners of the 1e60 box the built-in model's entries reach
+    # 1e180: finite, but their squares overflow. The scan finds the Weyl
+    # point at the origin with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["weyl-scan", "--box", "1e60", "--res", "3", "--json"])
+    assert code == 0
+    points = json.loads(capsys.readouterr().out)["outputs"]["points"]
+    assert [(p["p"], p["classification"]) for p in points] == [
+        (["0", "0", "0"], "weyl")]
+
+
+def _digest_calls(tmp_path, monkeypatch):
+    """The argv lists of `tools/cli_digests.py`, with its inputs written to
+    tmp_path, the working directory. The environment variables the tool
+    sets on import are restored after the test."""
+    import importlib.util
+    import os
+    from pathlib import Path
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "COLUMNS"):
+        monkeypatch.setenv(var, os.environ.get(var, ""))
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    monkeypatch.chdir(tmp_path)
+    return digests._calls(digests._write_inputs(
+        np.random.default_rng(digests.SEED)))
+
+
+def _order_outcome(argv, capsys):
+    """Exit code and, for a JSON report, each method's r, the agreement
+    and the order."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if code or "--json" not in argv:
+        return code, None
+    outputs = json.loads(out)["outputs"]
+    return code, ({m: e["r"] for m, e in outputs["estimates"].items()},
+                  outputs["agreement"], outputs["order"])
+
+
+def test_cli_order_outcomes_match_the_least_squares_fit(tmp_path, monkeypatch,
+                                                       capsys):
+    # On every `order` call of the digest list, the closed-form slopes give
+    # the orders, agreement and exit code that np.polyfit's slopes give.
+    from degengeo.splitting import _LogAbscissae
+
+    calls = [argv for argv in _digest_calls(tmp_path, monkeypatch)
+             if argv[0] == "order" and "--help" not in argv]
+    assert len(calls) > 30
+    closed_form = [_order_outcome(argv, capsys) for argv in calls]
+
+    def polyfit_slope(self, rows, log_v):
+        return float(np.polyfit([self.log_t[i] for i in rows], log_v, 1)[0])
+
+    monkeypatch.setattr(_LogAbscissae, "slope", polyfit_slope)
+    least_squares = [_order_outcome(argv, capsys) for argv in calls]
+    assert closed_form == least_squares
+    codes = {code for code, _ in closed_form}
+    assert codes == {0, 2, 3, 5}

@@ -7,8 +7,10 @@ import pytest
 
 from degengeo.hermitian import frobenius_norm
 from degengeo.models import (
+    MAX_QUBITS,
     WEYL_EXAMPLE_TERMS,
     PauliString,
+    _pauli_sum,
     example_3x3,
     example_pr,
     example_pr_reference,
@@ -310,6 +312,35 @@ def test_pauli_sums_match_tensor_products_bitwise(n):
         assert five_qubit_code().tobytes() == _kron_sum(
             5, [(1.0, w) for w in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
         ).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_pauli_sums_of_every_y_count_match_tensor_products_bitwise(n):
+    # Words with #Y = 0 .. n, so #Y mod 4 takes every value from n = 3 on,
+    # the other letters drawn from I, X, Z; two words of each count, with
+    # +-0 among the coefficients. Words on the same columns add in term
+    # order.
+    rng = np.random.default_rng(300 + n)
+    terms = []
+    for n_y in range(n + 1):
+        for _ in range(2):
+            letters = ["Y"] * n_y + list(rng.choice(list("IXZ"), n - n_y))
+            terms.append((rng.standard_normal(),
+                          "".join(rng.permutation(letters))))
+    terms[0] = (-0.0, terms[0][1])
+    terms[-1] = (0.0, terms[-1][1])
+    terms += terms[::-1]
+    assert _pauli_sum(n, terms).tobytes() == _kron_sum(n, terms).tobytes()
+    assert (_pauli_sum(n, iter(terms)).tobytes()
+            == _kron_sum(n, terms).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 3, MAX_QUBITS])
+def test_pauli_sum_of_no_terms_is_zero(n):
+    for terms in ([], iter(())):
+        h = _pauli_sum(n, terms)
+        assert h.shape == (2 ** n, 2 ** n) and not h.flags.writeable
+        assert h.tobytes() == np.zeros_like(h).tobytes()
 
 
 def _loop_chain(n_cells, bond, lower=lambda amp: amp):

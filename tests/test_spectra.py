@@ -7,6 +7,8 @@ from degengeo.errors import BasePointNotCanonical, DegenerateBoundary
 from degengeo.hermitian import conjugate, random_hermitian, random_unitary
 from degengeo.spectra import (
     DEGENERACY_RTOL,
+    _frobenius,
+    _root_of_squares,
     check_degenerate,
     checked_eigvals,
     check_separated,
@@ -259,6 +261,68 @@ def test_window_spread_rows_and_floats():
             assert window_distance(row, k, offset) == dist[i]
     with pytest.raises(ValueError):
         window_spread(vals, 3, 4)
+
+
+def _scaled_norm(h):
+    """||h||_F of a matrix whose squares overflow, through h / 1e300."""
+    return 1e300 * np.linalg.norm(h / 1e300)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_checked_residual_of_huge_matrices(dtype):
+    # Entries near 1e300 square past the largest double. The residual and
+    # its bound are still the finite Frobenius norms, so the check holds
+    # (with no overflow warning), and a stack mixing huge and ordinary
+    # matrices keeps the ordinary ones' bits.
+    rng = np.random.default_rng(12)
+    stack = _hermitian_stack(rng, (3,), 4, dtype)
+    huge = 1e300 * stack[1]
+    spec = eigh(huge)
+    assert 0.0 < spec.residual < 1e-10 * _scaled_norm(huge)
+    assert checked_eigvals(huge).tobytes() == spec.eigenvalues.tobytes()
+    # Not Hermitian: the residual is of the order of the entries, and the
+    # check refuses it instead of comparing inf with inf.
+    skew = huge.copy()
+    skew[0, 2] += 1e300
+    for solve in (eigh, checked_eigvals):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"residual \d\.\d+e\+(299|300) exceeds"):
+            solve(skew)
+    mixed = stack.copy()
+    mixed[1] = huge
+    residual = eigh(mixed).residual
+    assert residual[1] == spec.residual
+    for i in (0, 2):
+        assert residual[i] == eigh(stack[i]).residual
+    # The scaled norms, with the plain norms' bits where they do not
+    # overflow; beyond the largest double a norm is infinite, and a NaN
+    # stays NaN.
+    norms = _root_of_squares(_frobenius, mixed, (-2, -1))
+    assert norms[1] == pytest.approx(_scaled_norm(huge), rel=1e-15)
+    assert norms[[0, 2]].tobytes() == np.linalg.norm(
+        stack[[0, 2]], axis=(-2, -1)).tobytes()
+    assert type(_root_of_squares(_frobenius, huge, (-2, -1))) is np.float64
+    assert _root_of_squares(_frobenius, np.full((2, 2), 1e308, dtype=dtype),
+                            (-2, -1)) == np.inf
+    assert np.isnan(_root_of_squares(
+        _frobenius, np.array([[np.nan, 1e300], [1e300, 0.0]]), (-2, -1)))
+
+
+def test_window_spread_of_huge_eigenvalues():
+    # Deviations near 1e200 square past the largest double; the standard
+    # deviation and the distance are finite, rows that do not overflow keep
+    # their bits, and the float forms stay floats.
+    vals = np.array([[-1e200, 1e200, 5e200], [-1.0, 2.0, 3.0],
+                     [-3e307, 3e307, 0.0]])
+    mean, dev, std = window_spread(vals, 2)
+    dist = window_distance(vals, 2)
+    assert std.tolist() == [1e200, 1.5, 3e307]
+    assert dist[0] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert dist[2] == pytest.approx(np.sqrt(2.0) * 3e307, rel=1e-15)
+    assert dist[1] == np.sqrt(4.5)
+    row = window_spread(vals[0], 2)
+    assert type(row[2]) is float and row[2] == 1e200
+    assert type(window_distance(vals[0], 2)) is float
 
 
 def _spec_of(vals):

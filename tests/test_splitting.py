@@ -868,3 +868,89 @@ def test_replaced_evaluator_drops_the_start_spectrum():
     with pytest.raises(TypeError, match="start"):
         FamilyHandle(evaluator=new.evaluator, n=new.n, k=new.k,
                      start=new.start)
+
+
+# The closed-form slope against the least-squares solver it replaces.
+
+
+def _polyfit_slope(ts, vals):
+    return np.polyfit(np.log(np.abs(ts)), np.log(np.abs(vals)), 1)[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closed_form_slope_matches_polyfit(seed):
+    # Random geometric ladders, one-sided and +-, with real slopes (most
+    # not near an integer, so the fit raises with its estimate), samples
+    # censored by the zero floor and samples missing (None).
+    from degengeo.splitting import _LogAbscissae, _fit_order
+
+    rng = np.random.default_rng(seed)
+    for trial in range(25):
+        exps = rng.uniform(2.0, 20.0, size=rng.integers(4, 16))
+        ts = 2.0 ** -exps
+        if trial % 2:
+            ts = np.concatenate([ts, -ts[: rng.integers(1, len(ts) + 1)]])
+        ts = list(rng.permutation(ts))
+        power = rng.uniform(0.5, 7.0)
+        vals = [float(rng.uniform(0.5, 2.0) * abs(t) ** power
+                      * np.exp(0.1 * rng.standard_normal())) for t in ts]
+        floor = 0.0
+        kept = 4 + trial % 4
+        if trial % 3 == 1 and kept < len(vals):  # censor all but `kept`
+            floor = sorted(abs(v) for v in vals)[-kept - 1]
+        if trial % 5 == 2:
+            vals[rng.integers(len(vals))] = None
+        keep = [i for i, v in enumerate(vals)
+                if v is not None and abs(v) > floor]
+        if len(keep) < 4:
+            continue
+        expected = _polyfit_slope([ts[i] for i in keep],
+                                  [vals[i] for i in keep])
+        for abscissae in (None, _LogAbscissae(ts)):
+            try:
+                est = _fit_order(ts, vals, floor, "stddev", abscissae)
+            except InconclusiveFit as exc:
+                est = exc.estimate
+            assert est.slope == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert est.samples == tuple((ts[i], vals[i]) for i in keep)
+
+
+def test_closed_form_slope_refuses_no_spread_and_infinite_values():
+    from degengeo.splitting import _fit_order
+
+    # Four distinct ts whose logs round to one double, and an infinite
+    # sample: no finite slope, and no RuntimeWarning on the way.
+    t = 1e-3
+    ts = [t, np.nextafter(t, 1.0), -t, -np.nextafter(t, 1.0)]
+    assert len({np.log(abs(x)) for x in ts}) == 1
+    with pytest.raises(InconclusiveFit,
+                       match="stddev: the samples give no finite log-log"):
+        _fit_order(ts, [1.0, 2.0, 3.0, 4.0], 0.0, "stddev")
+    ts = list(default_ladder(3, 8))
+    vals = [t ** 2 for t in ts]
+    vals[2] = np.inf
+    with pytest.raises(InconclusiveFit,
+                       match="mean: the samples give no finite log-log"):
+        _fit_order(ts, vals, 0.0, "mean")
+
+
+def test_orders_need_no_least_squares_solver(monkeypatch):
+    rng = np.random.default_rng(1)
+    h0 = ising(3)
+    h1 = transverse_perturbation(3, rng.standard_normal(3),
+                                 rng.standard_normal(3))
+    fam = family(lambda t: h0 + t * h1, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares solver was called")
+
+    expected = estimate_all_orders(fam)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    estimates, agreement = estimate_all_orders(fam)
+    assert agreement and {e.r for e in estimates.values()} == {3}
+    assert repr(estimates) == repr(expected[0])
+    for method in (*FIVE_METHODS, "heff", "distance"):
+        assert estimate_order(fam, method).r == 3
+    assert estimate_order(fam, "pairwise", pair=(1, 2)).r == 3
+    assert estimate_order(fam, "mean", index=2).r == 3

@@ -203,7 +203,9 @@ def _calls(cases):
               ["order", "file", "--ladder-file", "ladder.json", "--json"],
               ["order", "ising", "--qubits", "6", "--seed", "0"],
               ["order", "ising", "--ladder-start", "10", "--ladder-stop", "3"],
-              ["order", "ising", "--ladder-start", "3", "--ladder-stop", "5"]]
+              ["order", "ising", "--ladder-start", "3", "--ladder-stop", "5"],
+              # A negative seed is refused while the flags are parsed.
+              ["order", "ising", "--seed", "-1"]]
     for res in ("9", "11", "21"):
         calls += [["weyl-scan", "--box", "0.5", "--res", res, "--json"],
                   ["weyl-scan", "--box", "0.3", "--center", "0.1", "-0.05",
@@ -224,6 +226,8 @@ def _calls(cases):
               ["weyl-scan", "--box", "1e308", "--center", "1e308", "0", "0",
                "--res", "3"],
               ["weyl-scan", "--box", "1e200", "--res", "3"],
+              # Finite fields whose sums of squares overflow a double.
+              ["weyl-scan", "--box", "1e60", "--res", "3"],
               # Refused since the cap on --res; a checkout without the cap
               # scans the res-102 grid instead, so this line moves there.
               ["weyl-scan", "--box", "0.5", "--res", "102"],
@@ -250,6 +254,7 @@ def _calls(cases):
               ["model", "ssh", "--cells", "3", "--v", "-0.25", "--w", "-1.5"],
               ["model", "ising", "--qubits", "3"],
               ["model", "transverse", "--qubits", "3", "--seed", "4"],
+              ["model", "transverse", "--seed", "-1"],
               ["model", "ssh-disorder", "--cells", "3", "--seed", "4"],
               ["model", "one-local", "--qubits", "2", "--seed", "4"],
               ["model", "five-qubit"],
