@@ -344,18 +344,29 @@ def _cmd_model(args):
 # ---------------------------------------------------------------------------
 
 
-def _seed(text):
-    """A --seed value: numpy's generators take non-negative integers. A
+def _int_arg(text, ok, rule):
+    """int(text), refused unless ok(value) with "must be {rule}". A
     non-integer gets argparse's message for type=int."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, "
-                                         f"got {seed}")
-    return seed
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+    return value
+
+
+def _seed(text):
+    """A --seed value: numpy's generators take non-negative integers."""
+    return _int_arg(text, lambda seed: seed >= 0, "a non-negative integer")
+
+
+def _ladder_exponent(text):
+    """A --ladder-start or --ladder-stop value e: the ladder holds t = 2^-e,
+    a finite nonzero double for e in -1023..1074 only."""
+    return _int_arg(text, lambda e: -1023 <= e <= 1074,
+                    "an integer in -1023..1074")
 
 
 def _add_common(parser):
@@ -403,8 +414,8 @@ def build_parser():
     # the default window for ssh.
     p.add_argument("--window", choices=["ground", "middle"], default="middle")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--ladder-start", type=int, default=3)
-    p.add_argument("--ladder-stop", type=int, default=16)
+    p.add_argument("--ladder-start", type=_ladder_exponent, default=3)
+    p.add_argument("--ladder-stop", type=_ladder_exponent, default=16)
     p.add_argument("--ladder-file", help="tabulated family (ladder format)")
     _add_common(p)
     p.set_defaults(func=_cmd_order)

@@ -124,8 +124,31 @@ def frobenius_inner(h, k):
 
 
 def frobenius_norm(h):
-    """Frobenius norm sqrt(tr(H^2)) = sqrt(sum |H_ab|^2)."""
-    return float(np.linalg.norm(np.asarray(h), "fro"))
+    """Frobenius norm sqrt(tr(H^2)) = sqrt(sum |H_ab|^2), as
+    `np.linalg.norm(h, "fro")` computes it. Its sum of squares overflows for
+    entries above about 1e154; such a norm of a finite h is taken again,
+    scaled (`_rescaled`), so it is inf only past the largest double."""
+    h = np.asarray(h)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(h, "fro")
+    if norm == np.inf:
+        norm = _rescaled(functools.partial(np.linalg.norm, ord="fro"), h,
+                         (-2, -1), norm)
+    return float(norm)
+
+
+def _rescaled(root, x, axis, out):
+    """out = root(x), for a root of a sum of squares of x along axis (so
+    that root(x) = s * root(x / s) for s > 0), with each value whose sum
+    overflowed on a finite x taken again as s * root(x / s), s the largest
+    |real or imaginary part| along axis. That overflows only when the root
+    itself does; every other value keeps its bits."""
+    scale = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
+    redo = np.isinf(out) & np.isfinite(scale)
+    scale = np.where(redo, scale, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        again = scale * root(x / np.expand_dims(scale, axis))
+    return np.where(redo, again, out)[()]
 
 
 def _finite_eigvalsh(h):

@@ -16,8 +16,9 @@ the standard encoder formats every float through Python generators when
 an indent is set. A finite float array is formatted once per distinct
 magnitude, each text reused for the leaves of either sign (the parts of a
 decomposition are Hermitian, so about half of their leaves are the sign
-flip of another), and the writer collects the pieces of the whole report
-in one list that it joins once.
+flip of another): a negative leaf's "-" ends the separator before it. The
+writer collects the pieces of the whole report in one list that it joins
+once.
 """
 
 from __future__ import annotations
@@ -202,28 +203,6 @@ def _write(value, pad, out):
         out.append("\n" + pad + brackets[1])
 
 
-def _leaf_texts(a):
-    """The encoder's text of every leaf of a real array, in C order.
-
-    A finite float array is folded by magnitude: one `float.__repr__` (the
-    encoder's own text for a finite float) per distinct |x|, a table of
-    those texts followed by their "-"-prefixed twins, and one gather at
-    index + (number of magnitudes) * signbit(x). So -0.0 reads "-0.0", and a
-    Hermitian matrix, whose entries repeat across the diagonal up to the
-    sign of the imaginary part, costs about half a repr per leaf. Other
-    arrays (integer, bool, or holding NaN or inf) go leaf by leaf through
-    `json.dumps`."""
-    flat = a.ravel()
-    if a.dtype.kind != "f" or not np.isfinite(flat).all():
-        return list(map(json.dumps, flat.tolist()))
-    table, index = _signed_texts(flat, _reprs)
-    return table[index].tolist()
-
-
-def _reprs(values):
-    return list(map(float.__repr__, values))
-
-
 def _signed_texts(flat, texts_of, plus=""):
     """(table, index) with table[index] the text of each value of the finite
     float array flat. texts_of formats the list of distinct magnitudes, once
@@ -239,16 +218,26 @@ def _signed_texts(flat, texts_of, plus=""):
 
 
 def _array_json(a, pad, out):
-    """Append one array in the indent=2 layout: the leaves from
-    `_leaf_texts`, interleaved with the separator for the number of axes
-    that wrap after each leaf (closing and reopening that many
-    brackets)."""
+    """Append one array in the indent=2 layout: its leaves interleaved with
+    the separator for the number of axes that wrap after each leaf (closing
+    and reopening that many brackets).
+
+    A finite float array is folded by magnitude: one `float.__repr__` (the
+    encoder's own text for a finite float) per distinct |x|, gathered for
+    every leaf by its magnitude alone. The sign of a leaf (signbit, so -0.0
+    reads "-0.0") goes at the end of the text before it: the separator
+    table holds each separator and its "-"-suffixed twin, and the opening
+    brackets take the first leaf's "-". So a Hermitian matrix, whose entries
+    repeat across the diagonal up to the sign of the imaginary part, costs
+    about half a repr per leaf and no signed copy of any text. Other arrays
+    (integer, bool, or holding NaN or inf) go leaf by leaf through
+    `json.dumps`."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
     if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "fiub":
         out.append(_encoded(a, pad))
         return
-    leaves = _leaf_texts(a)
+    flat = a.ravel()
     m = a.ndim
     ind = ["\n" + pad + "  " * j for j in range(m + 1)]
 
@@ -257,14 +246,26 @@ def _array_json(a, pad, out):
 
     seps = [closing(w) + "," + "".join(ind[m - w + j] + "[" for j in range(w))
             + ind[m] for w in range(m)]
-    position = np.arange(1, len(leaves))
-    wraps = np.zeros(len(leaves) - 1, dtype=np.intp)
+    opening = "".join("[" + ind[j + 1] for j in range(m))
+    position = np.arange(1, flat.size)
+    wraps = np.zeros(flat.size - 1, dtype=np.intp)
     for stride in np.cumprod(a.shape[:0:-1]):
         wraps += position % stride == 0
+    if a.dtype.kind == "f" and np.isfinite(flat).all():
+        mags, index = np.unique(np.abs(flat), return_inverse=True)
+        texts = list(map(float.__repr__, mags.tolist()))
+        leaves = np.array(texts, dtype=object)[index].tolist()
+        negative = np.signbit(flat)
+        seps += [sep + "-" for sep in seps]
+        wraps += m * negative[1:]
+        if negative[0]:
+            opening += "-"
+    else:
+        leaves = list(map(json.dumps, flat.tolist()))
     parts = [None] * (2 * len(leaves) - 1)
     parts[::2] = leaves
     parts[1::2] = np.array(seps, dtype=object)[wraps].tolist()
-    out.append("".join("[" + ind[j + 1] for j in range(m)))
+    out.append(opening)
     out.extend(parts)
     out.append(closing(m))
 
@@ -278,7 +279,8 @@ class RunReport:
 
     `to_json` writes the bytes that `json.dumps(doc, indent=2)` writes for
     the report with its arrays as nested lists, plus a final newline; the
-    arrays are rendered directly, and the text is joined once."""
+    arrays are rendered directly, as unsigned leaf texts between separators
+    that carry the signs, and the text is joined once."""
 
     command: str
     inputs: dict = field(default_factory=dict)

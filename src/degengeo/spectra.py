@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import _finite_eigvalsh
+from .hermitian import _finite_eigvalsh, _rescaled
 
 __all__ = [
     "Spectrum",
@@ -175,20 +175,6 @@ def _root_of_squares(root, x, axis):
     with np.errstate(over="ignore"):
         out = root(x)
     return _rescaled(root, x, axis, out) if np.isinf(out).any() else out
-
-
-def _rescaled(root, x, axis, out):
-    """out = root(x), for a root of a sum of squares of x along axis (so
-    that root(x) = s * root(x / s) for s > 0), with each value whose sum
-    overflowed on a finite x taken again as s * root(x / s), s the largest
-    |real or imaginary part| along axis. That overflows only when the root
-    itself does; every other value keeps its bits."""
-    scale = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
-    redo = np.isinf(out) & np.isfinite(scale)
-    scale = np.where(redo, scale, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        again = scale * root(x / np.expand_dims(scale, axis))
-    return np.where(redo, again, out)[()]
 
 
 def coincidence_tolerance(vals, rel_tol):

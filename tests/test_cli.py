@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -232,6 +232,32 @@ def test_cli_project_on_manifold(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["outputs"]["distance"] <= 1e-12
     assert doc["outputs"]["unique"] is True
+
+
+def test_cli_norms_whose_squares_overflow(tmp_path, capsys):
+    # Finite entries up to 2e200, whose squares overflow: the residuals,
+    # ||H_eff|| and the distances are Frobenius norms taken again, scaled.
+    # No report holds Infinity or NaN, and every distance is the window
+    # distance of the eigenvalues.
+    h = np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200
+    h[0, 2] = h[2, 0] = 1e190
+    h[1, 3] = h[3, 1] = 3e199
+    mfile = _write(tmp_path, "h.json", h.astype(complex))
+    docs = {}
+    for command in ("decompose", "distance", "project"):
+        assert main([command, mfile, "--k", "2", "--json"]) == 0
+        docs[command] = json.loads(
+            capsys.readouterr().out,
+            parse_constant=lambda name: pytest.fail(f"{name} in {command}"))
+    dist = window_distance(np.linalg.eigvalsh(h), 2)
+    assert 3e198 < dist < np.inf
+    for value in (docs["distance"]["outputs"]["distance"],
+                  docs["distance"]["outputs"]["heff_norm"],
+                  docs["project"]["outputs"]["distance"]):
+        assert value == pytest.approx(dist, rel=1e-12)
+    for residual in (docs["decompose"]["diagnostics"]["residual"],
+                     docs["distance"]["diagnostics"]["heff_residual"]):
+        assert residual <= 1e-12 * 2e200
 
 
 def test_cli_boundary_flagged_not_fatal(tmp_path, capsys):
@@ -765,8 +791,8 @@ def test_report_json_matches_standard_encoder(inputs, outputs, diagnostics):
 def _pooled_arrays(draw):
     """A Hermitian complex matrix (n <= 12), or a float64 or float32 array,
     whose leaves are drawn with random signs from a pool of at most four
-    magnitudes, so that the writer's table of texts and of their negated
-    twins is shared between leaves; sometimes one leaf is NaN or +-inf."""
+    magnitudes, so that the writer's text of each magnitude is shared
+    between leaves of either sign; sometimes one leaf is NaN or +-inf."""
     kind = draw(st.sampled_from(["hermitian", "float64", "float32"]))
     top = 3e38 if kind == "float32" else None
     pool = np.array(draw(st.lists(
@@ -797,8 +823,23 @@ def _pooled_arrays(draw):
     return a
 
 
+# The sign of a leaf goes at the end of the text before it, so the cases
+# pinned here are those of the first and last leaf of an array: -0.0 first,
+# a negative first and last leaf, a one-leaf array, 1-D and 3-D arrays, a
+# negative first imaginary part, and float32 leaves.
 @settings(max_examples=300, deadline=None)
 @given(arrays=st.lists(_pooled_arrays(), min_size=1, max_size=3))
+@example(arrays=[np.array([-0.0, 0.0, 1.5, -0.0])])
+@example(arrays=[np.array([-2.5, 0.1, -2.5]), np.array([[-1.0, 3.0],
+                                                         [0.5, -7.25]])])
+@example(arrays=[np.array([-4.0]), np.array([[0.0]]),
+                 np.array([[[-1e-300 - 0.0j]]])])
+@example(arrays=[np.array([1.0, -1.0, 2.0]),
+                 np.array([-1.0, 1.0, -0.5, 0.5]).repeat(6).reshape(2, 3, 4)
+                 * np.arange(24).reshape(2, 3, 4)])
+@example(arrays=[np.array([[3.0 - 1.0j, -0.5 + 2.0j], [-0.5 - 2.0j, -0.0j]]),
+                 np.array([[0.0 - 0.0j, 1.0j], [-1.0j, -2.0 + 0.0j]])])
+@example(arrays=[np.array([-0.1, 0.1, 3e38, -1e-45, 0.0], dtype=np.float32)])
 def test_report_json_pooled_magnitudes(arrays):
     _assert_same_report(RunReport("decompose", outputs={
         str(i): a for i, a in enumerate(arrays)}))
@@ -999,6 +1040,26 @@ def test_cli_negative_seed_is_a_parse_error(capsys, argv):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument --seed: {message}\n" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ladder-start", "-1100", "--ladder-stop", "5"],
+     "argument --ladder-start: must be an integer in -1023..1074, got -1100"),
+    (["--ladder-start", "1100", "--ladder-stop", "1110"],
+     "argument --ladder-start: must be an integer in -1023..1074, got 1100"),
+    (["--ladder-stop", "1075"],
+     "argument --ladder-stop: must be an integer in -1023..1074, got 1075"),
+    (["--ladder-start", "-1024"],
+     "argument --ladder-start: must be an integer in -1023..1074, got -1024"),
+])
+def test_cli_order_ladder_exponent_out_of_range_exit2(capsys, flags, message):
+    # The ladder holds t = 2^-e: past -1023 that overflows (an OverflowError
+    # from the power), past 1074 it underflows to 0 (no sample point). Both
+    # are refused while parsing.
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "ising", *flags])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_cli_weyl_scan_box_whose_squares_overflow(capsys):

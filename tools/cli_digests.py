@@ -166,6 +166,11 @@ def asymmetry_then_error(p):
         raise ValueError(f"no matrix at x = {p[0]:.2f}")
     return late_asymmetry(p)
 """, encoding="utf-8")
+    # Finite entries up to 2e200, whose sums of squares overflow a double.
+    huge = np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200
+    huge[0, 2] = huge[2, 0] = 1e190
+    huge[1, 3] = huge[3, 1] = 3e199
+    _write("huge.json", huge)
     return cases
 
 
@@ -268,6 +273,13 @@ def _calls(cases):
               ["model", "example-pr", "--p", "0.3", "--r", "0.1"],
               ["model", "weyl-example", "--x", "0.1", "--y", "-0.2"],
               ["model", "weyl-example"]]
+    calls += [[command, "huge.json", "--k", "2", "--json"]
+              for command in ("decompose", "distance", "project")]
+    # Ladder exponents whose 2^-e overflows or underflows to 0.
+    calls += [["order", "ising", "--ladder-start", "-1100", "--ladder-stop",
+               "5"],
+              ["order", "ising", "--ladder-start", "1100", "--ladder-stop",
+               "1110"]]
     return calls
 
 
