@@ -222,14 +222,11 @@ def _array_json(a, pad, out):
     the separator for the number of axes that wrap after each leaf (closing
     and reopening that many brackets).
 
-    A finite float array is folded by magnitude: one `float.__repr__` (the
-    encoder's own text for a finite float) per distinct |x|, gathered for
-    every leaf by its magnitude alone. The sign of a leaf (signbit, so -0.0
-    reads "-0.0") goes at the end of the text before it: the separator
-    table holds each separator and its "-"-suffixed twin, and the opening
-    brackets take the first leaf's "-". So a Hermitian matrix, whose entries
-    repeat across the diagonal up to the sign of the imaginary part, costs
-    about half a repr per leaf and no signed copy of any text. Other arrays
+    A finite float array takes one `float.__repr__` (the encoder's text for
+    a finite float) per distinct |x|, gathered for each leaf by magnitude.
+    A leaf's sign (signbit, so -0.0 reads "-0.0") ends the text before it:
+    the separator table holds each separator and its "-"-suffixed twin,
+    and the opening brackets take the first leaf's "-". Other arrays
     (integer, bool, or holding NaN or inf) go leaf by leaf through
     `json.dumps`."""
     if np.iscomplexobj(a):
