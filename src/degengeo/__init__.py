@@ -62,7 +62,6 @@ from .spectra import (
 )
 from .splitting import (
     CascadeResult,
-    FamilyHandle,
     OrderEstimate,
     SplittingSample,
     cascade,

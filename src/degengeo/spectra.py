@@ -231,10 +231,16 @@ def window_spread(vals, k, offset=0):
 
 def _deviations(vals, k, offset):
     """The mean of the window eigenvalues along the last axis, and their
-    deviations from it."""
+    deviations from it. A mean whose sum overflowed on finite eigenvalues is
+    taken again as sum(win / k); every other mean keeps its bits."""
     # sum / k is how np.mean reduces, without its per-call overhead.
     win = _window(vals, k, offset)
-    mean = win.sum(axis=-1) / k
+    with np.errstate(over="ignore"):
+        mean = win.sum(axis=-1) / k
+    redo = np.isinf(mean)
+    if redo.any():
+        redo &= np.isfinite(win).all(axis=-1)
+        mean = np.where(redo, (win / k).sum(axis=-1), mean)[()]
     return mean, win - mean[..., None]
 
 

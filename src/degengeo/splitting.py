@@ -10,11 +10,12 @@ which also equals the order of the distance from the degeneracy manifold and
 of the effective-Hamiltonian norm. The estimators here recover that integer
 from log-log slopes; the cascade recovers it per eigenvalue pair together
 with the index permutation that makes the eigenvalue branches analytic
-through t = 0. A ladder's eigenvalues come from one stacked eigvalsh, its
-effective blocks from one stacked `Anchor.heff_block`, and a cascade level
-is held as its values at the four probe points. The spectrum of H(0) that
-`family` checks is kept on the handle, and the heff samples and the cascade
-build their start anchor from it.
+through t = 0. A family is a `weyl.ParamFamily` with m = 1. A ladder's
+eigenvalues come from one stacked eigvalsh, its effective blocks from one
+stacked `Anchor.heff_block`, and a cascade level is held as its values at
+the four probe points. The spectrum of H(0) that `family` checks is kept on
+the family, and the heff samples and the cascade build their start anchor
+from it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, product
-from typing import Callable
 
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit
 from .hermitian import _hermitian_part, _within_ball, frobenius_norm
 from .spectra import (
-    Spectrum,
     check_degenerate,
     check_separated,
     classify_stratum,
@@ -38,9 +37,9 @@ from .spectra import (
     window_spread,
 )
 from .swtransform import Anchor
+from .weyl import ParamFamily
 
 __all__ = [
-    "FamilyHandle",
     "family",
     "linear_family",
     "SplittingSample",
@@ -75,35 +74,13 @@ def default_ladder(start=3, stop=16):
     return np.array([2.0 ** -e for e in range(start, stop + 1)])
 
 
-@dataclass(frozen=True)
-class FamilyHandle:
-    """One-parameter family of Hermitian matrices, degenerate at t = 0 on
-    the window of k eigenvalues starting after `offset` (ascending order).
-
-    `start` is the spectrum of H(0) that `family` checked; `start_anchor`
-    reuses it. It is not a constructor argument, so it always belongs to
-    this handle's evaluator: a handle built by hand or by
-    `dataclasses.replace` has none and diagonalizes H(0) on each call."""
-
-    evaluator: Callable[[float], np.ndarray]
-    n: int
-    k: int
-    offset: int = 0
-    start: Spectrum | None = field(default=None, init=False, compare=False,
-                                   repr=False)
-
-    def __call__(self, t):
-        return np.asarray(self.evaluator(float(t)))
-
-    def start_anchor(self):
-        """The anchor at H(0), the collapsed start point of every effective
-        block of the family."""
-        spec = self.start if self.start is not None else eigh(self(0.0))
-        return Anchor.from_spectrum(spec, self.k, self.offset)
+# The former name of the one-parameter family; `bench/tracing.py` imports it.
+FamilyHandle = ParamFamily
 
 
 def family(evaluator, k, offset=0):
-    """Wrap an evaluator after checking that H(0) is degenerate on the window.
+    """The family t -> evaluator(float t), a `ParamFamily` with m = 1, after
+    checking that H(0) is degenerate on the window.
 
     The window must hold at least two levels, and the window eigenvalues of
     H(0) must coincide within the grouping tolerance and be strictly
@@ -116,10 +93,10 @@ def family(evaluator, k, offset=0):
     start = eigh(h0)
     check_degenerate(start.eigenvalues, k, offset, ValueError)
     check_separated(start.eigenvalues, k, offset, ValueError)
-    handle = FamilyHandle(evaluator=evaluator, n=h0.shape[0], k=k,
-                          offset=offset)
-    object.__setattr__(handle, "start", start)
-    return handle
+    fam = ParamFamily(evaluator=lambda p: evaluator(float(p[0])), m=1,
+                      n=h0.shape[0], k=k, offset=offset)
+    object.__setattr__(fam, "start", start)
+    return fam
 
 
 def linear_family(h0, h1, k, offset=0):
@@ -153,9 +130,7 @@ def _stacked_ladder(fam, ts):
     eigvalsh over the stack. A matrix with a non-finite entry raises
     LinAlgError, which eigvalsh alone does not always do (see
     `hermitian._finite_eigvalsh`)."""
-    hs = np.empty((0, fam.n, fam.n))
-    if len(ts):
-        hs = np.stack([fam(t) for t in ts])
+    hs = fam.stack(ts[:, None])
     finite = np.isfinite(hs).all(axis=(-2, -1))
     if not finite.all():
         raise np.linalg.LinAlgError(f"the family is not finite at "
@@ -253,17 +228,23 @@ def _zero_floor(fam, samples, label):
     at the sample closest to 0: central, or one-sided for evaluators defined
     only on the sampled side (tabulated families raise KeyError off their
     ladder). Three evaluations; every measure of a sample set shares it.
-    Without samples there is nothing to fit, and InconclusiveFit says so
-    under `label`."""
+    Without samples there is nothing to fit, nor with an H'(0) estimate that
+    is not finite (a subnormal t overflows the quotient), and
+    InconclusiveFit says so under `label`."""
     if not samples:
         raise InconclusiveFit(f"{label}: no usable samples")
     t1 = min(abs(s.t) for s in samples)
-    h0 = fam(0.0)
+    h0, above = fam(0.0), fam(t1)
     try:
-        d = (fam(t1) - fam(-t1)) / (2.0 * t1)
+        below, step = fam(-t1), 2.0 * t1
     except KeyError:
-        d = (fam(t1) - h0) / t1
-    return ZERO_FLOOR_RTOL * max(1.0, frobenius_norm(h0), frobenius_norm(d))
+        below, step = h0, t1
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivative = frobenius_norm((above - below) / step)
+    if not math.isfinite(derivative):
+        raise InconclusiveFit(f"{label}: the estimate of H'(0) from "
+                              f"t = {t1!r} is not finite")
+    return ZERO_FLOOR_RTOL * max(1.0, frobenius_norm(h0), derivative)
 
 
 class _LogAbscissae:
@@ -529,8 +510,8 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
     level is made from them: each level takes its four probe matrices, as
     one (4, n, n) stack, through one `Anchor.heff_block` call. The start
-    anchor is the family's (`FamilyHandle.start_anchor`), so H(0) is not
-    evaluated again when `family` made the handle.
+    anchor is the family's (`ParamFamily.start_anchor`), so H(0) is not
+    evaluated again when `family` made the family.
 
     t_probe must be positive and finite and depth_cap at least 1, or
     ValueError is raised. t_probe must also be small enough that the
@@ -546,7 +527,7 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     ts = np.array([t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0])
     scale = ts[:, None, None]
     start = fam.start_anchor()
-    probes = np.stack([fam(t) for t in ts])
+    probes = fam.stack(ts[:, None])
     queue = [(tuple(range(1, k + 1)), probes, start, 1)]
     pair_levels = {}
     capped = []

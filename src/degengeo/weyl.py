@@ -18,15 +18,16 @@ eigenvalues; `effective_map` stays as the oracle for these shortcuts.
 
 A family is an evaluator p -> H(p), or polynomial coefficients
 {alpha: C_alpha} with H(p) = sum_alpha p^alpha C_alpha, held as one
-`MonomialTable`. The grid field takes as many whole grid lines as fit in
-FIELD_CHUNK_ENTRIES matrix entries (at least one) through one checked
-eigenvalue solve; a polynomial family builds each chunk in one broadcast
-instead of one evaluator call per point. A field of two or more chunks runs
-on the calling thread and one worker thread, each holding one chunk at a
-time, so at most two chunks are alive. A polynomial family's chunks are
-built and solved by whichever thread takes them, in C order. An evaluator
-family's chunks are evaluated on the calling thread only, in C order of
-the grid, at most one chunk ahead of the worker, which solves them.
+`MonomialTable`; `splitting` takes its m = 1 case. The grid field takes as
+many whole grid lines as fit in FIELD_CHUNK_ENTRIES matrix entries (at least
+one) through one checked eigenvalue solve; a polynomial family builds each
+chunk in one broadcast instead of one evaluator call per point. A field of
+two or more chunks runs on the calling thread and one worker thread, each
+holding one chunk at a time, so at most two chunks are alive. A polynomial
+family's chunks are built and solved by whichever thread takes them, in C
+order. An evaluator family's chunks are evaluated on the calling thread
+only, in C order of the grid, at most one chunk ahead of the worker, which
+solves them.
 
 The window map is linear in H, so its Jacobian is the window map of the
 derivatives dH/dp_i. A polynomial family has them in closed form
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import NewtonDiverged, StepTooSmall
 from .hermitian import _check_hermitian, traceless_coordinates
-from .spectra import (checked_eigvals, eigh, unseparated_edge,
+from .spectra import (Spectrum, checked_eigvals, eigh, unseparated_edge,
                       window_distance)
 from .swtransform import Anchor
 
@@ -150,8 +151,10 @@ def polynomial_value(terms, points):
 class ParamFamily:
     """Pure map from an m-dimensional parameter space to Hermitian matrices,
     analyzed around windows of k eigenvalues (ground window by default).
-    `table`, when set, holds the polynomial coefficients the evaluator
-    evaluates (`polynomial_family`)."""
+    `table` holds the coefficients the evaluator evaluates
+    (`polynomial_family`), `start` the spectrum of H(0) (`splitting.family`).
+    Neither is a constructor argument, so both belong to this evaluator: a
+    family built by hand or by `dataclasses.replace` has neither."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     m: int
@@ -159,7 +162,10 @@ class ParamFamily:
     k: int = 2
     offset: int = 0
     # compare=False: == on arrays is ambiguous.
-    table: MonomialTable | None = field(default=None, compare=False)
+    table: MonomialTable | None = field(default=None, init=False,
+                                        compare=False)
+    start: Spectrum | None = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     @property
     def terms(self):
@@ -171,13 +177,21 @@ class ParamFamily:
                         self.table.coeffs))
 
     def _point(self, p):
-        p = np.asarray(p, dtype=float)
+        # A scalar is a point only when m = 1. (np.atleast_1d, in one call.)
+        p = np.array(p, dtype=float, ndmin=1, copy=None)
         if p.shape != (self.m,):
             raise ValueError(f"expected a parameter point of shape ({self.m},)")
         return p
 
     def __call__(self, p):
         return np.asarray(self.evaluator(self._point(p)))
+
+    def start_anchor(self):
+        """The anchor at H(0), the collapsed start point of every effective
+        block of a one-parameter family, from `start` when set."""
+        spec = (self.start if self.start is not None
+                else eigh(self(np.zeros(self.m))))
+        return Anchor.from_spectrum(spec, self.k, self.offset)
 
     def gradient(self, p):
         """The partial derivatives dH/dp_i at p, shape (m, n, n), from the
@@ -189,7 +203,7 @@ class ParamFamily:
     def stack(self, points):
         """H(p) for every point of `points`, shape (..., m): shape
         (..., n, n). One broadcast of the coefficients when the family has
-        them, else one evaluator call per point."""
+        them, else one evaluator call per point (none for no points)."""
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.m,):
             raise ValueError(f"expected parameter points of shape (..., "
@@ -200,6 +214,8 @@ class ParamFamily:
             with np.errstate(over="ignore", invalid="ignore"):
                 return self.table.value(points)
         flat = points.reshape(-1, self.m).tolist()
+        if not flat:
+            return np.empty(points.shape[:-1] + (self.n, self.n))
         mats = np.stack([self(p) for p in flat])
         return mats.reshape(points.shape[:-1] + mats.shape[1:])
 
@@ -237,8 +253,9 @@ def polynomial_family(terms, k=2, offset=0):
             raise ValueError(f"coefficient {alpha}: {exc}") from exc
     table = MonomialTable.of(terms)
     table.coeffs.setflags(write=False)
-    return ParamFamily(evaluator=table.value, m=m, n=n, k=k, offset=offset,
-                       table=table)
+    fam = ParamFamily(evaluator=table.value, m=m, n=n, k=k, offset=offset)
+    object.__setattr__(fam, "table", table)
+    return fam
 
 
 def effective_map(fam, p0):

@@ -1062,6 +1062,22 @@ def test_cli_order_ladder_exponent_out_of_range_exit2(capsys, flags, message):
     assert f"error: {message}\n" in capsys.readouterr().err
 
 
+def test_cli_order_ladders_at_the_ends_of_the_double_range(capsys):
+    # At t = 2^-1074 the difference quotient of H'(0) is not finite: a
+    # refusal naming it, exit 5. At t up to 2^1023 the window sums overflow
+    # and their means are taken again: order 1. Neither warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["order", "ising", "--ladder-start", "1060",
+                     "--ladder-stop", "1074"]) == 5
+        assert ("inconclusive fit: all orders: the estimate of H'(0) from "
+                "t = 5e-324 is not finite\n") in capsys.readouterr().err
+        assert main(["order", "ising", "--ladder-start", "-1023",
+                     "--ladder-stop", "-1019", "--json"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert (outputs["order"], outputs["agreement"]) == (1, True)
+
+
 def test_cli_weyl_scan_box_whose_squares_overflow(capsys):
     # At the corners of the 1e60 box the built-in model's entries reach
     # 1e180: finite, but their squares overflow. The scan finds the Weyl

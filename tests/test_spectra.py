@@ -1,5 +1,7 @@
 """Eigendecomposition, stratum classification, and gap quantities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,27 @@ def test_window_spread_of_huge_eigenvalues():
     row = window_spread(vals[0], 2)
     assert type(row[2]) is float and row[2] == 1e200
     assert type(window_distance(vals[0], 2)) is float
+
+
+def test_window_spread_of_a_sum_past_the_largest_double():
+    # The window sum 3.4e308 overflows on finite eigenvalues: that mean is
+    # taken again as sum(win / k), with no warning. Means whose sum is
+    # finite keep the bits of sum / k, and an infinite eigenvalue keeps its
+    # infinite mean.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, dev, std = window_spread([1.7e308, 1.7e308], 2)
+        assert (mean, dev.tolist(), std) == (1.7e308, [0.0, 0.0], 0.0)
+        assert type(mean) is float
+        vals = np.array([[1.7e308, 1.7e308, 0.0], [0.1, 0.2, 0.4],
+                         [-1.7e308, -1.5e308, 1.0]])
+        mean, dev, std = window_spread(vals, 2)
+        assert mean.tolist() == [1.7e308, (0.1 + 0.2) / 2, -1.6e308]
+        assert std[:2].tolist() == [0.0, window_spread(vals[1], 2)[2]]
+        assert std[2] == pytest.approx(1e307, rel=1e-15)
+        assert window_distance(vals, 2)[0] == 0.0
+    with np.errstate(invalid="ignore"):
+        assert window_spread([np.inf, 1.0], 2)[0] == np.inf
 
 
 def _spec_of(vals):

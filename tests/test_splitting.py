@@ -33,7 +33,6 @@ from degengeo.splitting import (
     CLUSTER_RTOL,
     FIVE_METHODS,
     CascadeResult,
-    FamilyHandle,
     _negative_permutation,
     cascade,
     default_ladder,
@@ -46,6 +45,7 @@ from degengeo.splitting import (
     splitting_samples,
 )
 from degengeo.swtransform import Anchor
+from degengeo.weyl import ParamFamily
 
 from test_swtransform import random_base
 
@@ -830,12 +830,12 @@ def test_one_failing_sample_keeps_per_sample_notes_and_values():
     assert samples[-2].note == "outside the uniqueness ball of the start point"
 
 
-def test_hand_built_handle_diagonalizes_h0_itself(linalg_calls):
-    # A handle made without `family` has no start spectrum: its start
-    # anchor takes one eigh of H(0), and every result is the same.
+def test_hand_built_family_diagonalizes_h0_itself(linalg_calls):
+    # A one-parameter family made without `family` has no start spectrum:
+    # its start anchor takes one eigh of H(0), and every result is the same.
     fam = model_family("ssh", 4, 2)
-    hand = FamilyHandle(evaluator=fam.evaluator, n=fam.n, k=fam.k,
-                        offset=fam.offset)
+    hand = ParamFamily(evaluator=fam.evaluator, m=1, n=fam.n, k=fam.k,
+                       offset=fam.offset)
     assert hand.start is None and fam.start is not None and hand == fam
     linalg_calls.clear()
     hand.start_anchor()
@@ -866,8 +866,8 @@ def test_replaced_evaluator_drops_the_start_spectrum():
         estimate_order(new, method="heff"))
     assert repr(cascade(swapped)) == repr(cascade(new))
     with pytest.raises(TypeError, match="start"):
-        FamilyHandle(evaluator=new.evaluator, n=new.n, k=new.k,
-                     start=new.start)
+        ParamFamily(evaluator=new.evaluator, m=1, n=new.n, k=new.k,
+                    start=new.start)
 
 
 # The closed-form slope against the least-squares solver it replaces.

@@ -3,6 +3,7 @@
 import itertools
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from degengeo.errors import DegenError, StepTooSmall
 from degengeo.hermitian import random_hermitian
 from degengeo.models import WEYL_EXAMPLE_TERMS, example_pr, weyl_example
 from degengeo.projection import collapse_projection, distance_to_sigma
-from degengeo.splitting import estimate_order, family
+from degengeo.splitting import estimate_order, family, linear_family
 from degengeo.swtransform import Anchor
 from degengeo.weyl import (
     _newton_refine,
@@ -1073,3 +1074,47 @@ def test_polynomial_family_keeps_its_own_coefficients():
     assert np.array_equal(fam.terms[(1, 0, 0)], WEYL_EXAMPLE_TERMS[(1, 0, 0)])
     for coeff in fam.terms.values():
         assert not coeff.flags.writeable
+
+
+def test_replaced_polynomial_family_drops_its_coefficients():
+    # `replace` with another evaluator keeps no coefficients of the old
+    # one: the copy has no table, and its stack equals its calls, which are
+    # the new evaluator's, so no exact gradient is offered either.
+    def shifted(p):
+        return weyl_example(*p) + 6.0 * np.eye(3)
+
+    swapped = replace(polynomial_weyl_family(), evaluator=shifted)
+    assert swapped.table is None and swapped.terms is None
+    points = np.array([[0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [-0.5, 0.4, 0.2]])
+    stacked = swapped.stack(points)
+    assert np.array_equal(stacked, np.stack([swapped(p) for p in points]))
+    assert np.array_equal(stacked, np.stack([shifted(p) for p in points]))
+    with pytest.raises(ValueError, match="exact gradient"):
+        swapped.gradient(points[0])
+
+
+def test_one_parameter_families_are_param_families():
+    # `family` and `linear_family` give m = 1 evaluator families, which take
+    # a scalar t as the point [t]; a family with m = 3 refuses a scalar.
+    h0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    h1 = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    for fam in (family(lambda t: h0 + t * h1, 2), linear_family(h0, h1, 2)):
+        assert type(fam) is weyl.ParamFamily
+        assert (fam.m, fam.n, fam.k, fam.offset) == (1, 3, 2, 0)
+        assert fam.table is None and fam.start is not None
+        assert np.array_equal(fam(0.5), h0 + 0.5 * h1)
+        assert np.array_equal(fam(0.5), fam([0.5]))
+        assert np.array_equal(fam.stack([[0.5], [-0.25]]),
+                              [fam(0.5), fam(-0.25)])
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        weyl_family()(0.5)
+
+
+def test_stack_of_no_points_is_empty():
+    # No points give a (0, n, n) stack, with no evaluator call.
+    def unused(p):
+        raise AssertionError("the evaluator was called")
+
+    for m in (1, 3):
+        fam = weyl.ParamFamily(unused, m=m, n=4)
+        assert fam.stack(np.empty((0, m))).shape == (0, 4, 4)

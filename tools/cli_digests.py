@@ -280,6 +280,12 @@ def _calls(cases):
                "5"],
               ["order", "ising", "--ladder-start", "1100", "--ladder-stop",
                "1110"]]
+    # Ladders at the ends of the accepted range: a subnormal difference step
+    # for H'(0), and window sums past the largest double.
+    calls += [["order", "ising", "--ladder-start", "1060", "--ladder-stop",
+               "1074"],
+              ["order", "ising", "--ladder-start", "-1023", "--ladder-stop",
+               "-1019"]]
     return calls
 
 
