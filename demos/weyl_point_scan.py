@@ -21,8 +21,11 @@ from degengeo import (
 from degengeo.models import WEYL_EXAMPLE_TERMS, example_pr
 
 # The model as polynomial coefficients {(a, b, c): C}, H = sum x^a y^b z^c C,
-# so the scan builds each chunk of grid matrices in one broadcast, on two
-# threads once the grid has two or more chunks.
+# so the scan builds each chunk of grid matrices in one broadcast. Once the
+# grid has two or more chunks, this thread and one worker each build a chunk
+# in turn and solve it while the other builds the next. An evaluator family
+# (`param_family`) would be called the same way: on either thread, one call
+# at a time, at the grid points in C order.
 fam = polynomial_family(WEYL_EXAMPLE_TERMS)
 
 print("model with H(0) = diag(0, 0, 1) and window block "

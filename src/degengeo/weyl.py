@@ -22,12 +22,12 @@ A family is an evaluator p -> H(p), or polynomial coefficients
 many whole grid lines as fit in FIELD_CHUNK_ENTRIES matrix entries (at least
 one) through one checked eigenvalue solve; a polynomial family builds each
 chunk in one broadcast instead of one evaluator call per point. A field of
-two or more chunks runs on the calling thread and one worker thread, each
-holding one chunk at a time, so at most two chunks are alive. A polynomial
-family's chunks are built and solved by whichever thread takes them, in C
-order. An evaluator family's chunks are evaluated on the calling thread
-only, in C order of the grid, at most one chunk ahead of the worker, which
-solves them.
+two or more chunks runs on the calling thread and one worker thread: each
+takes the next chunk in C order, builds it under one lock and solves it
+outside, holding one chunk at a time, so at most two chunks are alive. An
+evaluator may thus be called on either thread, but one call at a time, at
+the grid points in C order, and at most one chunk past the lowest unsolved
+one.
 
 The window map is linear in H, so its Jacobian is the window map of the
 derivatives dH/dp_i. A polynomial family has them in closed form
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,7 +84,8 @@ POINT_RTOL = 1e-8
 
 #: The grid field stacks whole grid lines up to this many matrix entries
 #: (matrices times n^2) per eigenvalue solve, and always at least one line.
-#: Each of the field's two threads holds one such chunk at a time.
+#: Each of the field's two threads holds one such chunk at a time, and no
+#: chunk is built before the one two places earlier is solved.
 FIELD_CHUNK_ENTRIES = 4096
 
 
@@ -455,19 +455,17 @@ def _distance_field(fam, axes):
     least one; each chunk's matrices come from one `fam.stack` and go
     through one checked eigenvalue solve (`checked_eigvals`). A field of one
     chunk is one call on the calling thread. A field of two or more chunks
-    runs on the calling thread and one worker thread, so the stacked
-    matrices never hold more than two chunks,
-    2 max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries:
-    - a polynomial family's chunks are built and solved by both threads,
-      each taking the next chunk in C order (`_shared`);
-    - an evaluator family's are pipelined (`_solved_ahead`): the worker
-      solves chunk i while the calling thread evaluates chunk i + 1, calling
-      the evaluator at the same points in the same C order as a serial loop.
-    Either way the field has the serial loop's bits, and errors come in
-    chunk order: the first failing chunk raises its own message, even when a
-    later chunk failed too. A chunk whose solve fails and that holds a
-    matrix with a NaN or infinite entry raises LinAlgError naming the first
-    such point."""
+    runs on the calling thread and one worker thread (`_on_two_threads`):
+    each takes the next chunk, builds it under one lock and solves it
+    outside, and chunk i is built only once chunk i - 2 is solved. So the
+    stacked matrices never hold more than two chunks,
+    2 max(len(axes[-1]) n^2, FIELD_CHUNK_ENTRIES) entries, and an evaluator
+    is called at the serial loop's points in its C order, one call at a
+    time, on either thread, at most one chunk past the lowest unsolved one.
+    The field has the serial loop's bits, and errors come in chunk order:
+    the first failing chunk raises its own message, even when a later chunk
+    failed too. A chunk whose solve fails and that holds a matrix with a NaN
+    or infinite entry raises LinAlgError naming the first such point."""
     shape = tuple(len(a) for a in axes)
     lines = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
         -1, shape[-1], len(axes))
@@ -496,44 +494,58 @@ def _distance_field(fam, axes):
 
     if len(starts) == 1:
         parts = [solve(draw(0))]
-    elif fam.table is None:
-        parts = _solved_ahead(solve, draw, starts)
     else:
-        parts = _shared(lambda start: solve(draw(start)), starts)
+        parts = _on_two_threads(solve, draw, starts)
     return np.concatenate(parts).reshape(shape)
 
 
-def _shared(run, keys):
-    """[run(key) for key in keys], run by the calling thread and one worker
-    thread, each taking the next key that neither has taken, in order.
+def _on_two_threads(solve, draw, keys):
+    """[solve(draw(key)) for key in keys], run by the calling thread and one
+    worker thread.
 
-    Each thread holds one item at a time, and the results come back in key
-    order. Errors come in key order: once a run has raised, no further key
-    is taken, the runs in progress finish, and the error of the lowest
-    failing key is raised. Every key below it was taken before it, so its
-    run has finished. The worker is joined before this returns or
-    raises."""
+    Each thread takes the next key and draws its item under one lock, so
+    draws never overlap and come in key order, then solves the item outside
+    the lock. Key i is drawn only once key i - 2 is solved: at most two
+    items are alive, and no draw runs more than one key past the lowest
+    unsolved one. Errors come in key order: once a draw or solve has raised,
+    no further key is drawn, the solves in progress finish, and the error of
+    the lowest failing key is raised. Every key below it was drawn before
+    it, so its solve has finished. The worker is joined before this returns
+    or raises."""
     keys = list(keys)
-    results = [None] * len(keys)
-    errors = {}
-    lock = threading.Lock()
+    items, results, errors = {}, {}, {}
+    turn = threading.Condition()
     taken = 0
 
-    def take():
-        nonlocal taken
-        with lock:
-            if errors or taken == len(keys):
-                return None
-            taken += 1
-            return taken - 1
+    def ready():
+        return (errors or taken == len(keys) or taken < 2
+                or taken - 2 in results)
 
     def work():
-        while (i := take()) is not None:
-            try:
-                results[i] = run(keys[i])
-            except BaseException as exc:
-                with lock:
+        nonlocal taken
+        while True:
+            with turn:
+                turn.wait_for(ready)
+                if errors or taken == len(keys):
+                    return
+                i, taken = taken, taken + 1
+                try:
+                    items[i] = draw(keys[i])
+                except BaseException as exc:
                     errors[i] = exc
+                    turn.notify()
+                    return
+            try:
+                # Popped, so that the item dies with its solve.
+                result = solve(items.pop(i))
+            except BaseException as exc:
+                with turn:
+                    errors[i] = exc
+                    turn.notify()
+                return
+            with turn:
+                results[i] = result
+                turn.notify()
 
     worker = threading.Thread(target=work, name="degengeo-field",
                               daemon=True)
@@ -541,90 +553,15 @@ def _shared(run, keys):
     try:
         work()
     finally:
-        # Should this thread leave work() by a raise outside run, the
-        # worker takes no further key either.
-        with lock:
+        # Should this thread leave work() by a raise outside draw and
+        # solve, the worker draws no further key either.
+        with turn:
             taken = len(keys)
+            turn.notify()
         worker.join()
     if errors:
         raise errors[min(errors)]
-    return results
-
-
-class _Job:
-    """One item handed to the worker of `_solved_ahead`: the item until it
-    is solved, then its result or error, and a lock held until then."""
-
-    __slots__ = ("item", "result", "error", "done")
-
-    def __init__(self, item):
-        self.item, self.result, self.error = item, None, None
-        self.done = threading.Lock()
-        self.done.acquire()
-
-    def run(self, solve):
-        try:
-            self.result = solve(self.item)
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.item = None
-            self.done.release()
-
-    def outcome(self):
-        """Wait for the worker; the result, or its error raised here."""
-        self.done.acquire()
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
-def _solved_ahead(solve, draw, keys):
-    """[solve(draw(key)) for key in keys], with every solve on one worker
-    thread while the calling thread draws the next item.
-
-    Items are drawn on the calling thread, in order. Item i + 1 is handed to
-    the worker before the result of item i is collected, so the worker has
-    the next item as soon as it is done and never waits for a draw; at most
-    two items are alive, the one being solved and the one drawn after it.
-    Errors come in item order: when drawing item i + 1 raises, the result
-    of item i is collected first, and an error of its solve wins. The
-    worker is joined before this returns or raises."""
-    queue = deque()
-    queued = threading.Semaphore(0)
-
-    def work():
-        while True:
-            queued.acquire()
-            job = queue.popleft()
-            if job is None:
-                return
-            job.run(solve)
-
-    worker = threading.Thread(target=work, name="degengeo-field",
-                              daemon=True)
-    worker.start()
-    results, pending = [], None
-    try:
-        for key in keys:
-            try:
-                job = _Job(draw(key))
-            except BaseException:
-                if pending is not None:
-                    pending.outcome()
-                raise
-            queue.append(job)
-            queued.release()
-            if pending is not None:
-                results.append(pending.outcome())
-            pending = job
-        if pending is not None:
-            results.append(pending.outcome())
-    finally:
-        queue.append(None)
-        queued.release()
-        worker.join()
-    return results
+    return [results[i] for i in range(len(keys))]
 
 
 def _local_minima(values):
@@ -650,10 +587,10 @@ def scan_grid(fam, box, resolution):
     per chunk of whole grid lines (`_distance_field`: at most two chunks of
     max(resolution n^2, FIELD_CHUNK_ENTRIES) matrix entries at a time). A
     field of two or more chunks runs on the calling thread and one worker
-    thread, which is joined before the field returns or raises. A
-    polynomial family's chunks are built and solved on both; an evaluator
-    family is called on the calling thread only, in C order of the grid, at
-    most one chunk ahead of the worker's solves. A family that is not
+    thread, which is joined before the field returns or raises. Both build
+    and solve chunks; an evaluator family is called on either thread, one
+    call at a time, in C order of the grid, at most one chunk past the
+    lowest unsolved one. A family that is not
     finite on the grid raises LinAlgError naming the first such point. The
     field's local minima seed a damped Newton refinement of the effective
     map's zero. Newton and the classifier use the window map at each

@@ -648,27 +648,58 @@ def test_cli_weyl_scan_finds_point(capsys):
     assert point["charge"] == 1
 
 
-def test_cli_builtin_scans_are_deterministic(monkeypatch, capsys):
+# A 16 x 16 family: window d . sigma, d = (x, y, z^2 - 1/16), next to 14
+# fixed levels, in a basis that turns with x + z. Its Weyl points are
+# (0, 0, -1/4) and (0, 0, 1/4).
+_TWO_POINTS = """
+import numpy as np
+
+_rng = np.random.default_rng(16)
+W0 = np.linalg.qr(_rng.standard_normal((16, 16))
+                  + 1j * _rng.standard_normal((16, 16)))[0]
+LEVELS = 1.0 + np.sort(_rng.uniform(0.0, 2.0, size=14))
+
+
+def two_points(p):
+    x, y, z = p
+    d = np.diag([z * z - 0.0625, 0.0625 - z * z, *LEVELS]).astype(complex)
+    d[0, 1], d[1, 0] = x - 1j * y, x + 1j * y
+    c, s = np.cos(0.3 * (x + z)), np.sin(0.3 * (x + z))
+    w = W0.copy()
+    w[:, [0, 2]] = w[:, [0, 2]] @ np.array([[c, -s], [s, c]])
+    h = w @ d @ w.conj().T
+    return (h + h.conj().T) / 2.0
+"""
+
+
+def test_cli_builtin_scans_are_deterministic(monkeypatch, capsys, tmp_path):
     # Two threads build and solve the field's chunks of a built-in scan (3
-    # chunks at res 11, 21 at res 21): 20 runs of each, with the threads
-    # switched every 10 us, give the bytes of the serial loop.
-    def report(res):
-        assert main(["weyl-scan", "--box", "0.5", "--res", res,
-                     "--json"]) == 0
+    # chunks at res 11, 21 at res 21) and of an n = 16 plugin's (121 chunks
+    # at res 11): 20 runs of each, with the threads switched every 10 us,
+    # give the bytes of the serial loop.
+    plugin = tmp_path / "two_points.py"
+    plugin.write_text(_TWO_POINTS)
+
+    def report(flags):
+        assert main(["weyl-scan", *flags, "--json"]) == 0
         return capsys.readouterr().out
 
     interval = sys.getswitchinterval()
-    for res in ("11", "21"):
+    for flags, count in ((["--box", "0.5", "--res", "11"], 1),
+                         (["--box", "0.5", "--res", "21"], 1),
+                         (["--model", f"plugin:{plugin}:two_points",
+                           "--box", "0.4", "--res", "11"], 2)):
         sys.setswitchinterval(1e-5)
         try:
-            runs = {report(res) for _ in range(20)}
+            runs = {report(flags) for _ in range(20)}
         finally:
             sys.setswitchinterval(interval)
         with monkeypatch.context() as mp:
-            mp.setattr(weyl, "_shared", lambda run, keys:
-                       [run(key) for key in keys])
-            serial = report(res)
+            mp.setattr(weyl, "_on_two_threads", lambda solve, draw, keys:
+                       [solve(draw(key)) for key in keys])
+            serial = report(flags)
         assert runs == {serial}
+        assert json.loads(serial)["outputs"]["count"] == count
 
 
 def test_cli_reports_deterministic(capsys):

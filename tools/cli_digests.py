@@ -166,6 +166,23 @@ def asymmetry_then_error(p):
         raise ValueError(f"no matrix at x = {p[0]:.2f}")
     return late_asymmetry(p)
 """, encoding="utf-8")
+    # The same family, refusing a call made while another is under way: the
+    # scan field calls an evaluator one call at a time, on either thread.
+    Path("exclusive_plugin.py").write_text(two_points + """
+
+import threading
+
+_BUSY = threading.Lock()
+
+
+def exclusive(p):
+    if not _BUSY.acquire(blocking=False):
+        raise RuntimeError("overlapping evaluator calls")
+    try:
+        return two_points(p)
+    finally:
+        _BUSY.release()
+""", encoding="utf-8")
     # Finite entries up to 2e200, whose sums of squares overflow a double.
     huge = np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200
     huge[0, 2] = huge[2, 0] = 1e190
@@ -286,6 +303,11 @@ def _calls(cases):
                "1074"],
               ["order", "ising", "--ladder-start", "-1023", "--ladder-stop",
                "-1019"]]
+    # An n = 16 field of 121 chunks whose evaluator refuses overlapping
+    # calls.
+    calls.append(["weyl-scan", "--model",
+                  "plugin:exclusive_plugin.py:exclusive", "--box", "0.4",
+                  "--res", "11", "--json"])
     return calls
 
 
