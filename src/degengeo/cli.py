@@ -4,10 +4,11 @@ Subcommands: decompose, project, distance, order, weyl-scan, model. Reports
 go to stdout, line-oriented by default or as versioned JSON with --json;
 wall time goes to stderr so that reports stay byte-identical for identical
 inputs and seed. Exit codes: 0 success, 2 parse error, 3 precondition
-violation, 4 numerical failure, 5 inconclusive order fit. `model` and `order`
-build models from one table: `order F --seed S` moves along the matrix that
-`model D --seed S` prints, where (F, D) is (ising, transverse), (ssh,
-ssh-disorder) or (five-qubit, one-local --qubits 5).
+violation (also a `weyl-scan` plugin that raises), 4 numerical failure, 5
+inconclusive order fit. `model` and `order` build models from one table:
+`order F --seed S` moves along the matrix that `model D --seed S` prints,
+where (F, D) is (ising, transverse), (ssh, ssh-disorder) or (five-qubit,
+one-local --qubits 5).
 """
 
 from __future__ import annotations
@@ -255,9 +256,20 @@ def _load_plugin(spec):
         raise _CliError(EXIT_PARSE, f"cannot load plugin module {path}: "
                                     f"{exc}") from exc
     try:
-        return getattr(module, attr)
+        return functools.partial(_call_plugin, getattr(module, attr), spec)
     except AttributeError as exc:
         raise _CliError(EXIT_PARSE, f"plugin {path} has no {attr}") from exc
+
+
+def _call_plugin(fn, spec, p):
+    """fn(p); any other exception than a ValueError or DegenError exits 3."""
+    try:
+        return fn(p)
+    except (ValueError, DegenError):  # LinAlgError among them
+        raise
+    except Exception as exc:
+        raise _CliError(EXIT_PRECONDITION, f"plugin {spec} raised "
+                        f"{type(exc).__name__}: {exc}") from exc
 
 
 def _cmd_weyl_scan(args):

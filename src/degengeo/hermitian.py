@@ -70,12 +70,17 @@ def hermitian(entries):
 
     Returns (A + A^dagger)/2 as a read-only complex array. Input whose
     asymmetry max|A - A^dagger| exceeds ASYMMETRY_RTOL times the largest
-    entry magnitude is rejected, as is any non-finite entry.
+    entry magnitude is rejected, as is any non-finite entry, or any real or
+    imaginary part above half the largest double.
     """
     a = np.array(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _check_hermitian(a)
+    bound = np.finfo(float).max / 2
+    if a.size and max(np.abs(a.real).max(), np.abs(a.imag).max()) > bound:
+        raise ValueError(f"matrix entries must have real and imaginary "
+                         f"parts of at most {bound} (half the largest double)")
     return _freeze(_hermitian_part(a))
 
 

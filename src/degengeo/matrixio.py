@@ -10,7 +10,8 @@ under "base".
 
 Run reports are written in exactly the layout of
 `json.dumps(plain, indent=2)`, where `plain` is the report with every
-array turned into nested lists ([re, im] for complex entries). Arrays are
+array turned into nested lists ([re, im] for complex entries), by one walk
+over the report that hands each scalar leaf to `json.dumps`. Arrays are
 rendered straight to that text in one vectorized pass per array, since
 the standard encoder formats every float through Python generators when
 an indent is set. A finite float array is formatted once per distinct
@@ -145,76 +146,52 @@ def read_ladder(path):
     return k, offset, ts, mats, base
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays and complex numbers into
-    JSON-serializable structures ([re, im] for complex entries)."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):  # real: `_array_json` splits complex
-        return value.tolist()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
-
-
-def _holds_array(value):
-    pending = [value]
-    while pending:
-        v = pending.pop()
-        if isinstance(v, np.ndarray):
-            return True
-        if isinstance(v, dict):
-            pending.extend(v.values())
-        elif isinstance(v, (list, tuple)):
-            pending.extend(v)
-    return False
-
-
-def _encoded(value, pad):
-    return json.dumps(_plain(value), indent=2).replace("\n", "\n" + pad)
-
-
 def _write(value, pad, out):
-    """Append to `out` the pieces of `json.dumps(_plain(value), indent=2)`
-    with every line after the first indented by `pad`. Subtrees without
-    arrays go to the encoder whole; the caller joins `out` once, so no
-    nesting level copies the text below it."""
+    """Append to `out` the pieces of `json.dumps(plain, indent=2)` (module
+    docstring) with every line after the first indented by `pad`. Dicts,
+    lists, tuples, complex numbers and numpy scalars are walked here, arrays
+    go to `_array_json` and every other leaf to `json.dumps`; the caller
+    joins `out` once, so no nesting level copies the text below it."""
     if isinstance(value, np.ndarray):
         _array_json(value, pad, out)
-    elif not _holds_array(value):
-        out.append(_encoded(value, pad))
+        return
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
+    if isinstance(value, dict):
+        value = {str(k): v for k, v in value.items()}
+        keys = [json.dumps(k) + ": " for k in value]
+        value, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        keys, brackets = [""] * len(value), "[]"
     else:
-        inner = pad + "  "
-        if isinstance(value, dict):
-            value = {str(k): v for k, v in value.items()}
-            keys = [json.dumps(k) + ": " for k in value]
-            value, brackets = value.values(), "{}"
-        else:
-            keys, brackets = [""] * len(value), "[]"
-        sep = brackets[0]
-        for key, v in zip(keys, value):
-            out.append(f"{sep}\n{inner}{key}")
-            _write(v, inner, out)
-            sep = ","
-        out.append("\n" + pad + brackets[1])
+        out.append(json.dumps(value))
+        return
+    if not keys:
+        out.append(brackets)
+        return
+    inner = pad + "  "
+    sep = brackets[0]
+    for key, v in zip(keys, value):
+        out.append(f"{sep}\n{inner}{key}")
+        _write(v, inner, out)
+        sep = ","
+    out.append("\n" + pad + brackets[1])
 
 
 def _signed_texts(flat, texts_of, plus=""):
-    """(table, index) with table[index] the text of each value of the finite
-    float array flat. texts_of formats the list of distinct magnitudes, once
-    each, and table holds those texts prefixed by `plus`, followed by their
-    "-"-prefixed twins, which index picks by signbit (so -0.0 gets the
-    "-"). Right for every format that writes -x as "-" followed by the text
-    of x."""
+    """(table, index) with table[index] the text of each value of the float
+    array flat. texts_of formats the list of distinct magnitudes, once each,
+    and table holds those texts prefixed by `plus`, followed by their
+    "-"-prefixed twins, which index picks by signbit (so -0.0 gets the "-"),
+    but not for NaN, which `format` writes unsigned. Right for every format
+    that writes -x as "-" followed by the text of x."""
     mags, inverse = np.unique(np.abs(flat), return_inverse=True)
     texts = texts_of(mags.tolist())
     table = np.array([plus + t for t in texts] + ["-" + t for t in texts],
                      dtype=object)
-    return table, inverse + len(texts) * np.signbit(flat)
+    return table, inverse + len(texts) * (np.signbit(flat) & ~np.isnan(flat))
 
 
 def _array_json(a, pad, out):
@@ -228,11 +205,11 @@ def _array_json(a, pad, out):
     the separator table holds each separator and its "-"-suffixed twin,
     and the opening brackets take the first leaf's "-". Other arrays
     (integer, bool, or holding NaN or inf) go leaf by leaf through
-    `json.dumps`."""
+    `json.dumps`; 0-d, empty and object arrays go to `_write` as lists."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
     if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "fiub":
-        out.append(_encoded(a, pad))
+        _write(a.tolist(), pad, out)
         return
     flat = a.ravel()
     m = a.ndim
@@ -275,9 +252,10 @@ class RunReport:
     never part of the report.
 
     `to_json` writes the bytes that `json.dumps(doc, indent=2)` writes for
-    the report with its arrays as nested lists, plus a final newline; the
-    arrays are rendered directly, as unsigned leaf texts between separators
-    that carry the signs, and the text is joined once."""
+    the report with its arrays as nested lists, plus a final newline, in one
+    walk (`_write`): the arrays are rendered directly, as unsigned leaf
+    texts between separators that carry the signs, and the text is joined
+    once."""
 
     command: str
     inputs: dict = field(default_factory=dict)
@@ -330,22 +308,16 @@ def _texts_12g(values):
 
 def _matrix_cells(value):
     """The text of `_fmt_scalar` for every entry of a 2-D array, in C order.
-    Finite arrays are formatted once per distinct magnitude of the real
-    parts and once per distinct magnitude of the imaginary parts
-    (`_signed_texts`), and a complex cell joins its two texts in one object
-    array addition."""
+    The real parts are formatted once per distinct magnitude, and so are the
+    imaginary parts (`_signed_texts`), and a complex cell joins its two
+    texts in one object array addition."""
     if not np.iscomplexobj(value):
-        re = np.asarray(value, dtype=float).ravel()
-        if not np.isfinite(re).all():
-            return [f"{x:.12g}" for x in re.tolist()]
-        table, index = _signed_texts(re, _texts_12g)
+        table, index = _signed_texts(np.asarray(value, dtype=float).ravel(),
+                                     _texts_12g)
         return table[index].tolist()
-    re, im = value.real.ravel(), value.imag.ravel()
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        return [f"{a:.12g}{b:+.12g}i" for a, b in zip(re.tolist(),
-                                                      im.tolist())]
-    re_table, re_index = _signed_texts(re, _texts_12g)
-    im_table, im_index = _signed_texts(im, _texts_12g, plus="+")
+    re_table, re_index = _signed_texts(value.real.ravel(), _texts_12g)
+    im_table, im_index = _signed_texts(value.imag.ravel(), _texts_12g,
+                                       plus="+")
     return (re_table[re_index] + (im_table + "i")[im_index]).tolist()
 
 

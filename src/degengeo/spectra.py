@@ -212,7 +212,7 @@ def window_mean(vals, k, offset=0):
     """Mean of the window eigenvalues along the last axis, as
     `window_spread` gives it: a float for 1-D vals, an array of shape (...)
     for vals of shape (..., n)."""
-    mean = _window(vals, k, offset).sum(axis=-1) / k
+    mean = _deviations(vals, k, offset)[0]
     return float(mean) if mean.ndim == 0 else mean
 
 

@@ -65,6 +65,7 @@ import numpy as np
 
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
+    _check_same_dimension,
     _hermitian_part,
     _within_ball,
     conjugate,
@@ -128,8 +129,7 @@ def direct_rotation(p, p0):
     Requires ||P - P0||_2 < 1 (projectors of equal rank)."""
     p = np.asarray(p)
     p0 = np.asarray(p0)
-    if p.shape != p0.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {p0.shape}")
+    _check_same_dimension(p, p0)
     vals0, frame = np.linalg.eigh(p0)
     vals, vecs = np.linalg.eigh(p)
     members = vals0 > 0.5
@@ -378,8 +378,7 @@ def sw_decompose(h, h0, k, *, offset=0):
     """
     h = np.asarray(h)
     h0 = np.asarray(h0)
-    if h.shape != h0.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {h0.shape}")
+    _check_same_dimension(h, h0)
     _validate_canonical_base(h0, k, offset)
     diag0 = np.diag(h0).real
     # The window vectors of a diagonal base are the window's identity
@@ -403,8 +402,7 @@ def sw_decompose_general(h, g0, k, *, offset=0):
     """
     h = np.asarray(h)
     g0 = np.asarray(g0)
-    if h.shape != g0.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {g0.shape}")
+    _check_same_dimension(h, g0)
     anchor = Anchor.at(g0, k, offset)
     check_degenerate(anchor.spectrum.eigenvalues, k, offset,
                      BasePointNotCanonical)
@@ -473,9 +471,7 @@ class Anchor:
         if self.matrix is None:
             raise ValueError("the anchor was made without its matrix")
         h = np.asarray(h)
-        if h.shape != self.matrix.shape:
-            raise ValueError(
-                f"dimension mismatch: {h.shape} vs {self.matrix.shape}")
+        _check_same_dimension(h, self.matrix)
         w = slice(self.offset, self.offset + self.k)
         vals = np.diag(self.base).real
         mu = float(vals[self.offset])

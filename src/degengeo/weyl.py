@@ -232,7 +232,7 @@ def polynomial_family(terms, k=2, offset=0):
     {exponent tuple alpha: n x n matrix C_alpha}; m is the length of the
     exponent tuples. ValueError unless there is a term, every alpha has m
     nonnegative integer entries, and every C_alpha is an n x n matrix that
-    `hermitian.hermitian` would accept (finite, and Hermitian to
+    `hermitian._check_hermitian` accepts (finite, and Hermitian to
     ASYMMETRY_RTOL). The family keeps a read-only copy of the coefficients,
     bytes unchanged (coefficients of mixed dtypes share the promoted one),
     in one `MonomialTable` built here."""

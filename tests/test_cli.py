@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -258,6 +259,22 @@ def test_cli_norms_whose_squares_overflow(tmp_path, capsys):
     for residual in (docs["decompose"]["diagnostics"]["residual"],
                      docs["distance"]["diagnostics"]["heff_residual"]):
         assert residual <= 1e-12 * 2e200
+
+
+def test_cli_refuses_entries_above_half_the_largest_double(tmp_path, capsys):
+    # (A + A^dagger)/2 of these diagonal entries overflows: the file is
+    # refused as a parse error, with no warning, where the decomposition
+    # once failed on NaN residuals.
+    mfile = _write(tmp_path, "h.json",
+                   np.diag([0.0, 1.6e308, 1.7e308]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("decompose", "distance", "project"):
+            code = main([command, mfile, "--k", "2", "--offset", "1"])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: bad matrix file {mfile}: matrix entries must have "
+                f"real and imaginary parts of at most 8.988465674311579e+307")
 
 
 def test_cli_boundary_flagged_not_fatal(tmp_path, capsys):
@@ -588,6 +605,57 @@ def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function,
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
 
 
+_FAILING_PLUGIN = _PLUGIN + """
+
+class Stop(BaseException):
+    pass
+
+
+def boom(p):
+    raise RuntimeError("no matrix")
+
+
+def late_boom(p):
+    if p[0] > 0.25:
+        raise RuntimeError(f"no matrix at x = {p[0]:.2f}")
+    return weyl(p)
+
+
+def stop(p):
+    raise Stop("stop")
+"""
+
+
+@pytest.mark.parametrize("function, message", [
+    ("boom", "RuntimeError: no matrix"),
+    ("late_boom", "RuntimeError: no matrix at x = 0.30"),
+])
+def test_cli_weyl_scan_plugin_exception_exit3(tmp_path, capsys, function,
+                                              message):
+    # An exception of the plugin other than ValueError or DegenError is a
+    # precondition failure naming the plugin: raised at the origin, where
+    # the family takes its dimension, or from x = 0.3 on, in the field's
+    # chunks 16 to 20 of 21, which either thread may solve. The worker
+    # thread is joined.
+    (tmp_path / "plugin.py").write_text(_FAILING_PLUGIN)
+    spec = f"{tmp_path}/plugin.py:{function}"
+    threads = threading.active_count()
+    code = main(["weyl-scan", "--model", f"plugin:{spec}", "--box", "0.5",
+                 "--res", "21"])
+    assert code == 3
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err.splitlines()[:-1] == [
+        f"error: plugin {spec} raised {message}"]
+
+
+def test_cli_weyl_scan_plugin_base_exception_escapes(tmp_path):
+    (tmp_path / "plugin.py").write_text(_FAILING_PLUGIN)
+    with pytest.raises(BaseException, match="stop") as info:
+        main(["weyl-scan", "--model", f"plugin:{tmp_path}/plugin.py:stop",
+              "--box", "0.5", "--res", "5"])
+    assert type(info.value).__name__ == "Stop"
+
+
 @pytest.mark.parametrize("res", ["3", "21"])
 def test_cli_weyl_scan_overflowing_model_exit4(capsys, res):
     # The built-in model overflows at |p| = 1e200 on a grid with finite
@@ -812,8 +880,22 @@ _VALUES = st.recursive(
 _SECTIONS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=4)
 
 
+# The walker's own branches, pinned: empty containers at every depth,
+# a numpy complex scalar, two keys that share one string (the later value
+# at the earlier place, as in a dict of str keys), a 0-d array, and an
+# empty complex array inside a list.
 @settings(max_examples=150, deadline=None)
 @given(inputs=_SECTIONS, outputs=_SECTIONS, diagnostics=_SECTIONS)
+@example(inputs={"a": {}, "b": [], "c": (), "d": [{}, [[]], ((),)]},
+         outputs={"e": {"f": {}, "g": ([], {})}}, diagnostics={})
+@example(inputs={}, outputs={"z": np.complex128(-0.0 + 1.5j),
+                             "zs": [np.complex128(complex("nan-infj"))]},
+         diagnostics={"k": {1: "int", "1": "str", 0: {}, "x": 2}})
+@example(inputs={"0d": np.array(-2.5), "0dc": np.array(1j),
+                 "0di": np.array(7)},
+         outputs={"l": [np.zeros((2, 0), dtype=complex)],
+                  "t": (np.zeros((0, 3)), np.zeros((2, 0), dtype=complex))},
+         diagnostics={})
 def test_report_json_matches_standard_encoder(inputs, outputs, diagnostics):
     _assert_same_report(RunReport("decompose", inputs, outputs, diagnostics))
 
@@ -941,6 +1023,9 @@ def test_report_text_pooled_magnitudes(array):
     assert report.to_text() == _reference_text(matrix)
 
 
+_SIGNED_NAN = np.copysign(np.nan, -1.0)
+
+
 @pytest.mark.parametrize("matrix", [
     np.array([[-0.0, 0.0], [1e300, -1e-300]]),
     np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)],
@@ -949,6 +1034,11 @@ def test_report_text_pooled_magnitudes(array):
     np.zeros((2, 2), dtype=complex),
     np.zeros((0, 3)),
     np.zeros((2, 0), dtype=complex),
+    # NaN with its sign bit set, which `format` writes as "nan", in the
+    # real and in the imaginary parts.
+    np.array([[_SIGNED_NAN, np.nan], [-np.inf, -1.0]]),
+    np.array([[complex(_SIGNED_NAN, _SIGNED_NAN), complex(-np.inf, np.nan)],
+              [complex(np.nan, -np.inf), complex(-0.0, _SIGNED_NAN)]]),
 ])
 def test_report_text_signed_zeros_extremes_and_empty(matrix):
     report = RunReport("decompose", outputs={"S": matrix})

@@ -1,6 +1,8 @@
 """Inner products, norms, bases, and construction invariants."""
 
 import importlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,24 @@ def test_construction_rejects_nonfinite_and_nonsquare():
         hermitian([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="square"):
         hermitian(np.zeros((2, 3)))
+
+
+def test_construction_refuses_parts_above_half_the_largest_double():
+    # (A + A^dagger)/2 of a diagonal entry above max/2 overflows to
+    # inf + nan j: such entries are refused, naming the bound, with no
+    # warning; entries at the bound are kept bit for bit.
+    top = np.finfo(float).max / 2
+    message = re.escape(f"parts of at most {top} (half the largest double)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (np.diag([0.0, 1.6e308, 1.7e308]),
+                  np.diag([0.0, -1.7e308, 1.0]),
+                  [[0.0, 1e308j], [-1e308j, 0.0]]):
+            with pytest.raises(ValueError, match=message):
+                hermitian(a)
+        a = np.diag([0.0, top, -top]) + 1j * np.triu(np.full((3, 3), top), 1)
+        a += np.triu(a, 1).conj().T
+        assert np.array_equal(hermitian(a), a)
 
 
 def test_inner_identity():

@@ -24,6 +24,7 @@ from degengeo.spectra import (
     unseparated_edge,
     window_distance,
     window_half_gap,
+    window_mean,
     window_members,
     window_spread,
     window_width,
@@ -346,6 +347,21 @@ def test_window_spread_of_a_sum_past_the_largest_double():
         assert window_distance(vals, 2)[0] == 0.0
     with np.errstate(invalid="ignore"):
         assert window_spread([np.inf, 1.0], 2)[0] == np.inf
+
+
+def test_window_mean_is_the_mean_of_window_spread():
+    # One mean for both: bit for bit on random stacks and windows, and the
+    # overflow-safe mean of a window summing past the largest double.
+    rng = np.random.default_rng(27)
+    for shape, k, offset in (((6,), 3, 2), ((4, 5), 2, 0), ((3, 2, 7), 4, 3)):
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+        mean = window_mean(vals, k, offset)
+        assert np.array_equal(mean, window_spread(vals, k, offset)[0])
+        assert type(mean) is (float if len(shape) == 1 else np.ndarray)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = window_mean([1.7e308, 1.7e308], 2)
+        assert (mean, type(mean)) == (1.7e308, float)
 
 
 def _spec_of(vals):

@@ -12,7 +12,8 @@ def test_cli_digests_runs_every_call_and_repeats():
     # Two runs on this checkout print the same lines: a SHA-256 of stdout,
     # the exit code and the argv of each call. The list holds parse,
     # precondition, numerical and inconclusive-fit failures next to the
-    # successes.
+    # successes. An exception that escapes `main` is printed as "raised
+    # Type: message" in place of the exit code, which fails the pattern.
     runs = [
         subprocess.run([sys.executable, str(ROOT / "tools" / "cli_digests.py")],
                        capture_output=True, text=True, check=True,

@@ -6,8 +6,9 @@ Imports `degengeo` from CHECKOUT/src (default: the checkout this file is
 in), writes seeded input files to a temporary directory, and runs each CLI
 call in-process from there: every subcommand's --help, every model, and the
 analysis commands on seeded inputs. One line per call: the SHA-256 of
-stdout, the exit code, the argv, and the first stderr line that is not the
-wall time.
+stdout, the exit code (or "raised Type: message" for an exception that
+escapes `main`), the argv, and the first stderr line that is not the wall
+time.
 Two checkouts give the same CLI bytes on these calls when
 
     diff <(python3 tools/cli_digests.py OLD) <(python3 tools/cli_digests.py NEW)
@@ -183,6 +184,13 @@ def exclusive(p):
     finally:
         _BUSY.release()
 """, encoding="utf-8")
+    # A weyl-scan plugin that raises an exception other than ValueError.
+    Path("boom_plugin.py").write_text(
+        'def boom(p):\n    raise RuntimeError("no matrix")\n',
+        encoding="utf-8")
+    # Finite entries above half the largest double, where (A + A^dagger)/2
+    # overflows.
+    _write("half_max.json", np.diag([0.0, 1.6e308, 1.7e308]))
     # Finite entries up to 2e200, whose sums of squares overflow a double.
     huge = np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200
     huge[0, 2] = huge[2, 0] = 1e190
@@ -308,6 +316,10 @@ def _calls(cases):
     calls.append(["weyl-scan", "--model",
                   "plugin:exclusive_plugin.py:exclusive", "--box", "0.4",
                   "--res", "11", "--json"])
+    calls.append(["weyl-scan", "--model", "plugin:boom_plugin.py:boom",
+                  "--box", "0.5", "--res", "5"])
+    calls += [[command, "half_max.json", "--k", "2", "--offset", "1"]
+              for command in ("decompose", "distance", "project")]
     return calls
 
 
@@ -318,6 +330,8 @@ def _run(main, argv):
             code = main(argv)
         except SystemExit as exc:  # argparse after --help
             code = exc.code
+        except Exception as exc:  # escaped main: a fault of the checkout
+            code = f"raised {type(exc).__name__}: {exc}"
     lines = [line for line in err.getvalue().splitlines()
              if not line.startswith("wall time:")]
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
