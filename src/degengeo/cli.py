@@ -145,9 +145,10 @@ def _cmd_distance(args):
         "unique": unique,
     }
     diagnostics = {}
-    if unique:
+    if unique and args.k < len(vals):
         # Cross-check through the decomposition of H against its collapse,
-        # from the same eigendecomposition.
+        # from the same eigendecomposition; a window of the whole spectrum
+        # has no complement to decompose against.
         anchor = Anchor.from_spectrum(spec, args.k, args.offset, matrix=h)
         dec = anchor.decompose(h)
         outputs["heff_norm"] = frobenius_norm(dec.h_eff)

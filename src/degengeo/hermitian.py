@@ -131,29 +131,29 @@ def frobenius_inner(h, k):
 def frobenius_norm(h):
     """Frobenius norm sqrt(tr(H^2)) = sqrt(sum |H_ab|^2), as
     `np.linalg.norm(h, "fro")` computes it. Its sum of squares overflows for
-    entries above about 1e154; such a norm of a finite h is taken again,
-    scaled (`_rescaled`), so it is inf only past the largest double."""
-    h = np.asarray(h)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(h, "fro")
-    if norm == np.inf:
-        norm = _rescaled(functools.partial(np.linalg.norm, ord="fro"), h,
-                         (-2, -1), norm)
-    return float(norm)
+    entries above about 1e154; `_overflow_safe` takes such a norm again at a
+    power-of-two scale, so it is inf only past the largest double."""
+    return float(_overflow_safe(functools.partial(np.linalg.norm, ord="fro"),
+                                np.asarray(h), (-2, -1)))
 
 
-def _rescaled(root, x, axis, out):
-    """out = root(x), for a root of a sum of squares of x along axis (so
-    that root(x) = s * root(x / s) for s > 0), with each value whose sum
-    overflowed on a finite x taken again as s * root(x / s), s the largest
-    |real or imaginary part| along axis. That overflows only when the root
-    itself does; every other value keeps its bits."""
-    scale = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
-    redo = np.isinf(out) & np.isfinite(scale)
-    scale = np.where(redo, scale, 1.0)
+def _overflow_safe(f, x, axis):
+    """f(x), for an f positively homogeneous of degree 1 along axis (a mean,
+    or a root of a sum of squares: f(s x) = s f(x) for s > 0), with each
+    value that is inf on a finite x taken again as s * f(x / s). s = 2^(e-1),
+    e the exponent `np.frexp` gives for the largest |real or imaginary part|
+    along axis, so x / s is exact and its largest part is in [1, 2): the
+    value is 2^j f(2^-j x), bit for bit, and overflows only when f(x) itself
+    exceeds the largest double. Every other value keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        again = scale * root(x / np.expand_dims(scale, axis))
-    return np.where(redo, again, out)[()]
+        out = f(x)
+        if np.count_nonzero(np.isinf(out)):
+            top = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
+            redo = np.isinf(out) & np.isfinite(top)
+            scale = np.ldexp(1.0, np.frexp(np.where(redo, top, 1.0))[1] - 1)
+            again = scale * f(x / np.expand_dims(scale, axis))
+            out = np.where(redo, again, out)[()]
+    return out
 
 
 def _finite_eigvalsh(h):
@@ -188,7 +188,13 @@ def _within_ball(x, r0):
       from X^2 by at most sqrt(2) gamma_(n+2) |X| |X| entrywise (complex
       products, Higham, Accuracy and Stability of Numerical Algorithms, 3.6),
       so the computed ||X^2||_F is taken within that times ||X||_F^2;
-    - one eigvalsh over the matrices still open decides the rest."""
+    - one eigvalsh over the matrices still open decides the rest.
+    For r0 > 1, x and r0 are first divided by the power of two at or below
+    r0 (exact), so r0^2 cannot overflow; ||X||_F overflows only for entries
+    past about 1e154 max(1, r0), and the first bound puts such an x outside."""
+    if 1.0 < r0 < np.inf:
+        scale = np.ldexp(1.0, np.frexp(r0)[1] - 1)
+        x, r0 = x / scale, r0 / scale
     n = x.shape[-1]
     fro = np.linalg.norm(x, axis=(-2, -1))
     inside = np.asarray(fro < r0 * (1.0 - 1e-12))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import _finite_eigvalsh, _rescaled
+from .hermitian import _finite_eigvalsh, _overflow_safe
 
 __all__ = [
     "Spectrum",
@@ -122,26 +122,21 @@ def checked_eigvals(h):
 def _checked_residual(h, vals, vecs):
     """The residual ||H U - U diag(vals)||_F of each matrix of h (n >= 1);
     LinAlgError names the first matrix whose residual is not within
-    RESIDUAL_RTOL * max(1, ||H_i||_F)."""
+    RESIDUAL_RTOL * max(1, ||H_i||_F), both norms by `_overflow_safe`."""
     # np.linalg.norm reads an integer or boolean h as float.
     if h.dtype.kind not in "fc":
         h = h.astype(float)
     # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
     # unlike `residual > bound`, refuses it; the invalid values on the way
-    # there (inf * 0 in a complex square too) are expected. So are squares
-    # past the largest double: a norm that overflowed fails this first
-    # check, which inf <= inf would pass, and the norms are taken again,
-    # scaled, before the check is final.
+    # there (inf * 0, in the products and in the squares) are expected.
     with np.errstate(all="ignore"):
         r = h @ vecs - vecs * vals[..., None, :]
-        residual, norm = _frobenius(r), _frobenius(h)
-        bound = RESIDUAL_RTOL * np.maximum(1.0, norm)
-        ok = (residual <= bound) & (norm < np.inf)
-        if np.count_nonzero(ok) == ok.size:
-            return residual
-        residual = _rescaled(_frobenius, r, (-2, -1), residual)
-        norm = _rescaled(_frobenius, h, (-2, -1), norm)
-        bound = RESIDUAL_RTOL * np.maximum(1.0, norm)
+    residual = _overflow_safe(_frobenius, r, (-2, -1))
+    # No bound is below RESIDUAL_RTOL, and a residual within it has finite H.
+    if np.count_nonzero(residual <= RESIDUAL_RTOL) == residual.size:
+        return residual
+    norm = _overflow_safe(_frobenius, h, (-2, -1))
+    bound = RESIDUAL_RTOL * np.maximum(1.0, norm)
     ok = residual <= bound
     if np.count_nonzero(ok) < ok.size:
         where = tuple(map(int, np.argwhere(~ok)[0]))
@@ -165,16 +160,8 @@ def _frozen(vals, vecs, residual):
 def _frobenius(x):
     """||x||_F over the last two axes, as `np.linalg.norm(x, axis=(-2, -1))`
     computes it for a float or complex x. Its sum of squares overflows for
-    entries above about 1e154; `_rescaled` takes such norms again."""
+    entries above about 1e154; callers take it through `_overflow_safe`."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
-
-
-def _root_of_squares(root, x, axis):
-    """root(x), for a root of a sum of squares of x along axis, with the
-    values that overflowed taken again (`_rescaled`)."""
-    with np.errstate(over="ignore"):
-        out = root(x)
-    return _rescaled(root, x, axis, out) if np.isinf(out).any() else out
 
 
 def coincidence_tolerance(vals, rel_tol):
@@ -222,25 +209,18 @@ def window_spread(vals, k, offset=0):
     deviation. For 1-D vals the mean and std are floats; for vals of shape
     (..., n) they are arrays of shape (...) and the deviations (..., k)."""
     mean, dev = _deviations(vals, k, offset)
-    std = _root_of_squares(lambda d: np.sqrt((d ** 2).sum(axis=-1) / k),
-                           dev, -1)
+    std = _overflow_safe(lambda d: np.sqrt((d ** 2).sum(-1) / k), dev, -1)
     if dev.ndim == 1:
         return float(mean), dev, float(std)
     return mean, dev, std
 
 
 def _deviations(vals, k, offset):
-    """The mean of the window eigenvalues along the last axis, and their
-    deviations from it. A mean whose sum overflowed on finite eigenvalues is
-    taken again as sum(win / k); every other mean keeps its bits."""
+    """The mean of the window eigenvalues along the last axis, by
+    `_overflow_safe`, and their deviations from it."""
     # sum / k is how np.mean reduces, without its per-call overhead.
     win = _window(vals, k, offset)
-    with np.errstate(over="ignore"):
-        mean = win.sum(axis=-1) / k
-    redo = np.isinf(mean)
-    if redo.any():
-        redo &= np.isfinite(win).all(axis=-1)
-        mean = np.where(redo, (win / k).sum(axis=-1), mean)[()]
+    mean = _overflow_safe(lambda w: w.sum(axis=-1) / k, win, -1)
     return mean, win - mean[..., None]
 
 
@@ -250,7 +230,7 @@ def window_distance(vals, k, offset=0):
     these eigenvalues from the k-fold degeneracy manifold. A float for 1-D
     vals, an array of shape (...) for vals of shape (..., n)."""
     dev = _deviations(vals, k, offset)[1]
-    dist = _root_of_squares(lambda d: np.sqrt((d ** 2).sum(axis=-1)), dev, -1)
+    dist = _overflow_safe(lambda d: np.sqrt((d ** 2).sum(-1)), dev, -1)
     return float(dist) if dist.ndim == 0 else dist
 
 

@@ -127,14 +127,10 @@ class SplittingSample:
 
 def _stacked_ladder(fam, ts):
     """The family's matrices at ts, stacked, and their eigenvalues from one
-    eigvalsh over the stack. A matrix with a non-finite entry raises
-    LinAlgError, which eigvalsh alone does not always do (see
+    eigvalsh over the stack. `ParamFamily.stack` refuses a matrix with a
+    non-finite entry, which eigvalsh alone does not always do (see
     `hermitian._finite_eigvalsh`)."""
     hs = fam.stack(ts[:, None])
-    finite = np.isfinite(hs).all(axis=(-2, -1))
-    if not finite.all():
-        raise np.linalg.LinAlgError(f"the family is not finite at "
-                                    f"t = {float(ts[np.argmin(finite)])!r}")
     return hs, np.linalg.eigvalsh(hs)
 
 

@@ -67,6 +67,7 @@ from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
     _check_same_dimension,
     _hermitian_part,
+    _overflow_safe,
     _within_ball,
     conjugate,
     coordinate_pairs,
@@ -317,7 +318,7 @@ def _decompose(h, spec, h0, u_w, mu, r0, k, offset, gauge=None,
     lh, qh = l.conj().T, q.conj().T
 
     block = _window_block(spec.eigenvalues[w], rot.u)
-    mean = float(block.trace().real) / k
+    mean = float(_overflow_safe(_trace_mean, block, (-2, -1)))
     heff_window = block - mean * np.eye(k)
     h_eff = _hermitian_part(u_w @ heff_window @ u_wh)
     c = mean - mu
@@ -517,9 +518,14 @@ class Anchor:
 def _traceless(block):
     """A k x k block, or each of a stack (..., k, k), minus its mean
     diagonal entry times the identity."""
-    k = block.shape[-1]
-    mean = block.trace(axis1=-2, axis2=-1).real / k
-    return block - mean[..., None, None] * np.eye(k)
+    mean = _overflow_safe(_trace_mean, block, (-2, -1))
+    return block - mean[..., None, None] * np.eye(block.shape[-1])
+
+
+def _trace_mean(block):
+    """tr(block) / k of a k x k block, or of each of a stack (..., k, k), by
+    the complex trace: for k >= 4 a real diagonal sums in another order."""
+    return block.trace(axis1=-2, axis2=-1).real / block.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -203,21 +203,30 @@ class ParamFamily:
     def stack(self, points):
         """H(p) for every point of `points`, shape (..., m): shape
         (..., n, n). One broadcast of the coefficients when the family has
-        them, else one evaluator call per point (none for no points)."""
+        them, else one evaluator call per point (none for no points).
+        LinAlgError names the first point, in C order, whose matrix has a
+        NaN or infinite entry: "t = ..." for m = 1, else "p = [...]"."""
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.m,):
             raise ValueError(f"expected parameter points of shape (..., "
                              f"{self.m})")
         if self.table is not None:
-            # Overflow gives inf or NaN entries, which the grid field
-            # refuses by name; it raises no warning on the way.
+            # Overflow gives inf or NaN entries, refused below by name; it
+            # raises no warning on the way.
             with np.errstate(over="ignore", invalid="ignore"):
-                return self.table.value(points)
-        flat = points.reshape(-1, self.m).tolist()
-        if not flat:
-            return np.empty(points.shape[:-1] + (self.n, self.n))
-        mats = np.stack([self(p) for p in flat])
-        return mats.reshape(points.shape[:-1] + mats.shape[1:])
+                mats = self.table.value(points)
+        else:
+            flat = points.reshape(-1, self.m).tolist()
+            if not flat:
+                return np.empty(points.shape[:-1] + (self.n, self.n))
+            mats = np.stack([self(p) for p in flat])
+            mats = mats.reshape(points.shape[:-1] + mats.shape[1:])
+        finite = np.isfinite(mats).all(axis=(-2, -1))
+        if not finite.all():
+            p = points.reshape(-1, self.m)[np.argmin(finite)].tolist()
+            at = f"t = {p[0]!r}" if self.m == 1 else f"p = {p!r}"
+            raise np.linalg.LinAlgError(f"the family is not finite at {at}")
+        return mats
 
 
 def param_family(evaluator, m, k=2, offset=0):
@@ -464,8 +473,8 @@ def _distance_field(fam, axes):
     time, on either thread, at most one chunk past the lowest unsolved one.
     The field has the serial loop's bits, and errors come in chunk order:
     the first failing chunk raises its own message, even when a later chunk
-    failed too. A chunk whose solve fails and that holds a matrix with a NaN
-    or infinite entry raises LinAlgError naming the first such point."""
+    failed too. A chunk that holds a matrix with a NaN or infinite entry is
+    refused as it is built: `fam.stack` names its first such point."""
     shape = tuple(len(a) for a in axes)
     lines = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
         -1, shape[-1], len(axes))
@@ -478,17 +487,7 @@ def _distance_field(fam, axes):
 
     def solve(chunk):
         points, mats = chunk
-        mats = mats.reshape(-1, fam.n, fam.n)
-        try:
-            vals = checked_eigvals(mats)
-        except np.linalg.LinAlgError:
-            # Only a failed solve pays for this search.
-            finite = np.isfinite(mats).all(axis=(-2, -1))
-            if finite.all():
-                raise
-            p = points.reshape(-1, len(axes))[np.argmin(finite)]
-            raise np.linalg.LinAlgError(f"the family is not finite at "
-                                        f"p = {p.tolist()!r}") from None
+        vals = checked_eigvals(mats.reshape(-1, fam.n, fam.n))
         return window_distance(vals, fam.k, fam.offset).reshape(
             points.shape[:2])
 
@@ -590,8 +589,8 @@ def scan_grid(fam, box, resolution):
     thread, which is joined before the field returns or raises. Both build
     and solve chunks; an evaluator family is called on either thread, one
     call at a time, in C order of the grid, at most one chunk past the
-    lowest unsolved one. A family that is not
-    finite on the grid raises LinAlgError naming the first such point. The
+    lowest unsolved one. A family that is not finite on the grid raises
+    LinAlgError from `ParamFamily.stack`, naming the first such point. The
     field's local minima seed a damped Newton refinement of the effective
     map's zero. Newton and the classifier use the window map at each
     anchor, which has the exact map's value and Jacobian there, so no

@@ -261,6 +261,82 @@ def test_cli_norms_whose_squares_overflow(tmp_path, capsys):
         assert residual <= 1e-12 * 2e200
 
 
+def _json_runs(capsys, argvs):
+    """The parsed --json report of each CLI call, which must exit 0, raise
+    no warning and print no Infinity or NaN."""
+    docs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in argvs:
+            assert main([*argv, "--json"]) == 0
+            docs.append(json.loads(
+                capsys.readouterr().out,
+                parse_constant=lambda name: pytest.fail(f"{name} in {argv}")))
+    return docs
+
+
+def test_cli_window_trace_mean_past_the_largest_double(tmp_path, capsys):
+    # The window sum of diag(8e307, 8.5e307, 8.9e307) overflows: its trace
+    # mean is taken again at a power-of-two scale, so the matrix is its own
+    # decomposition with c = 0, and ||H_eff|| is the window distance.
+    mfile = _write(tmp_path, "h.json",
+                   np.diag([0.0, 8e307, 8.5e307, 8.9e307]).astype(complex))
+    window = ["--k", "3", "--offset", "1"]
+    dec, dist, proj = _json_runs(capsys, [
+        [command, mfile, *window]
+        for command in ("decompose", "distance", "project")])
+    assert dec["outputs"]["c"] == 0.0
+    assert dec["diagnostics"]["residual"] == 0.0
+    assert dec["diagnostics"]["within_r0"] is True
+    assert dist["outputs"]["heff_norm"] == dist["outputs"]["distance"]
+    assert proj["outputs"]["distance"] == pytest.approx(
+        dist["outputs"]["distance"], rel=1e-14)
+    assert dist["outputs"]["distance"] == pytest.approx(6.377e306, rel=1e-4)
+
+
+def test_cli_within_r0_at_large_scale(tmp_path, capsys):
+    # ||H - H0||_2 is about 3e199 < r0 = 5e199 for the pair at 1e200 as for
+    # the same pair times 2^-664, though ||H - H0||_F^2 overflows.
+    h = np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200
+    h[0, 2] = h[2, 0] = 1e190
+    h[1, 3] = h[3, 1] = 3e199
+    base = np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200
+    for scale in (1.0, 2.0 ** -664):
+        mfile = _write(tmp_path, "h.json", (scale * h).astype(complex))
+        bfile = _write(tmp_path, "b.json", (scale * base).astype(complex))
+        doc, = _json_runs(capsys, [["decompose", mfile, "--base", bfile,
+                                    "--k", "2"]])
+        assert doc["diagnostics"]["within_r0"] is True
+
+
+def test_cli_within_r0_of_a_small_base_at_large_scale(tmp_path, capsys):
+    # r0 is below 1 here, so H - H0 is taken unscaled: its norms stay finite
+    # and raise no warning, and H is far outside the ball.
+    mfile = _write(tmp_path, "h.json",
+                   (np.diag([0.0, 0.0, 1.0, 2.0]) * 1e152).astype(complex))
+    bfile = _write(tmp_path, "b.json",
+                   np.diag([0.0, 0.0, 1e-3, 2e-3]).astype(complex))
+    doc, = _json_runs(capsys, [["decompose", mfile, "--base", bfile,
+                                "--k", "2"]])
+    assert doc["diagnostics"]["within_r0"] is False
+
+
+def test_cli_distance_of_the_whole_spectrum(tmp_path, capsys):
+    # A window of all n eigenvalues has no complement to decompose against:
+    # the report lacks the cross-check, as for an unseparated window, and
+    # the distance is the one `project` prints.
+    h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    h[0, 1] = h[1, 0] = 0.2
+    mfile = _write(tmp_path, "h.json", h)
+    dist, proj = _json_runs(capsys, [[command, mfile, "--k", "3"]
+                                     for command in ("distance", "project")])
+    assert dist["outputs"]["distance"] == pytest.approx(
+        proj["outputs"]["distance"], rel=1e-15)
+    assert dist["outputs"]["unique"] is True
+    assert "heff_norm" not in dist["outputs"]
+    assert dist["diagnostics"] == {}
+
+
 def test_cli_refuses_entries_above_half_the_largest_double(tmp_path, capsys):
     # (A + A^dagger)/2 of these diagonal entries overflows: the file is
     # refused as a parse error, with no warning, where the decomposition
@@ -896,6 +972,14 @@ _SECTIONS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=4)
          outputs={"l": [np.zeros((2, 0), dtype=complex)],
                   "t": (np.zeros((0, 3)), np.zeros((2, 0), dtype=complex))},
          diagnostics={})
+# Scalar leaves: an int or a finite float is written by repr, every other
+# leaf by json.dumps.
+@example(inputs={"nan": float("nan"), "inf": float("inf"),
+                 "-inf": float("-inf"), "-0": -0.0},
+         outputs={"true": True, "none": None,
+                  "int": 123456789012345678901234567890},
+         diagnostics={"l": [-123456789012345678901234567890, 0.1, -0.0,
+                            float("nan"), False, None, 7]})
 def test_report_json_matches_standard_encoder(inputs, outputs, diagnostics):
     _assert_same_report(RunReport("decompose", inputs, outputs, diagnostics))
 

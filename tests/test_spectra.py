@@ -4,13 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from degengeo.errors import BasePointNotCanonical, DegenerateBoundary
-from degengeo.hermitian import conjugate, random_hermitian, random_unitary
+from degengeo.hermitian import (_overflow_safe, conjugate, frobenius_norm,
+                                random_hermitian, random_unitary)
 from degengeo.spectra import (
     DEGENERACY_RTOL,
+    _checked_residual,
     _frobenius,
-    _root_of_squares,
     check_degenerate,
     checked_eigvals,
     check_separated,
@@ -300,14 +304,14 @@ def test_checked_residual_of_huge_matrices(dtype):
     # The scaled norms, with the plain norms' bits where they do not
     # overflow; beyond the largest double a norm is infinite, and a NaN
     # stays NaN.
-    norms = _root_of_squares(_frobenius, mixed, (-2, -1))
+    norms = _overflow_safe(_frobenius, mixed, (-2, -1))
     assert norms[1] == pytest.approx(_scaled_norm(huge), rel=1e-15)
     assert norms[[0, 2]].tobytes() == np.linalg.norm(
         stack[[0, 2]], axis=(-2, -1)).tobytes()
-    assert type(_root_of_squares(_frobenius, huge, (-2, -1))) is np.float64
-    assert _root_of_squares(_frobenius, np.full((2, 2), 1e308, dtype=dtype),
-                            (-2, -1)) == np.inf
-    assert np.isnan(_root_of_squares(
+    assert type(_overflow_safe(_frobenius, huge, (-2, -1))) is np.float64
+    assert _overflow_safe(_frobenius, np.full((2, 2), 1e308, dtype=dtype),
+                          (-2, -1)) == np.inf
+    assert np.isnan(_overflow_safe(
         _frobenius, np.array([[np.nan, 1e300], [1e300, 0.0]]), (-2, -1)))
 
 
@@ -330,7 +334,7 @@ def test_window_spread_of_huge_eigenvalues():
 
 def test_window_spread_of_a_sum_past_the_largest_double():
     # The window sum 3.4e308 overflows on finite eigenvalues: that mean is
-    # taken again as sum(win / k), with no warning. Means whose sum is
+    # taken again at a power-of-two scale, with no warning. Means whose sum is
     # finite keep the bits of sum / k, and an infinite eigenvalue keeps its
     # infinite mean.
     with warnings.catch_warnings():
@@ -362,6 +366,45 @@ def test_window_mean_is_the_mean_of_window_spread():
         warnings.simplefilter("error")
         mean = window_mean([1.7e308, 1.7e308], 2)
         assert (mean, type(mean)) == (1.7e308, float)
+
+
+# Real and imaginary parts with no tiny magnitudes: a square of 2^-j x
+# below the normal range would round differently from the square of x.
+_PARTS = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=hnp.arrays(float, (3, 3), elements=_PARTS),
+       im=hnp.arrays(float, (3, 3), elements=_PARTS),
+       k=st.integers(1, 3), top=st.integers(1000, 1021))
+def test_results_scale_by_powers_of_two_bit_for_bit(re, im, k, top):
+    # Every mean and root of a sum of squares f is positively homogeneous,
+    # and the overflow guard retries at a power-of-two scale, so
+    # f(2^j x) = 2^j f(x) bit for bit while 2^j x is finite, here with its
+    # largest part in [2^(top-1), 2^top), where the squares overflow.
+    x = re + 1j * im
+    largest = np.abs(np.concatenate([re, im])).max()
+    if largest == 0.0:
+        return
+    j = top - int(np.frexp(largest)[1])
+    h = (x + x.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(h)
+    offset = 3 - k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius_norm(np.ldexp(1.0, j) * x) == np.ldexp(
+            frobenius_norm(x), j)
+        assert _checked_residual(np.ldexp(1.0, j) * h, np.ldexp(vals, j),
+                                 vecs) == np.ldexp(
+            _checked_residual(h, vals, vecs), j)
+        big = np.ldexp(vals, j)
+        assert window_mean(big, k, offset) == np.ldexp(
+            window_mean(vals, k, offset), j)
+        mean, dev, std = window_spread(vals, k, offset)
+        assert window_spread(big, k, offset)[::2] == (np.ldexp(mean, j),
+                                                     np.ldexp(std, j))
+        assert window_distance(big, k, offset) == np.ldexp(
+            window_distance(vals, k, offset), j)
 
 
 def _spec_of(vals):

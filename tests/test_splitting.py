@@ -470,6 +470,18 @@ def test_cascade_refuses_bad_arguments(kwargs):
     assert cascade(fam).pair_levels == {(1, 2): 3}
 
 
+def test_cascade_names_a_probe_that_is_not_finite():
+    # The probe stack is refused by name, where the first eigendecomposition
+    # once failed on it without naming the probe.
+    def evaluator(t):
+        h = np.diag([t, -t, 2.0, 3.0]).astype(complex)
+        return h * np.nan if t == 2.0 ** -7 else h
+
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^the family is not finite at t = 0\.0078125$"):
+        cascade(family(evaluator, 2))
+
+
 # ---------------------------------------------------------------------------
 # The cascade's levels as probe samples, against the closure tower
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Effective maps, Jacobian rank, Weyl classification, and grid scans."""
 
 import itertools
+import re
 import threading
 import time
 import warnings
@@ -682,9 +683,9 @@ def _not_finite_past(x0):
                  [0.20000000000000007, -0.4, -0.4], id="nan-evaluator"),
 ])
 def test_field_refuses_a_family_that_is_not_finite(fam, box, res, p):
-    # The first chunk whose solve fails and that holds a non-finite matrix
-    # names its first such point, the serial loop's error; no warning
-    # escapes on the way, and no thread is left.
+    # The first chunk that holds a non-finite matrix is refused as it is
+    # built (`ParamFamily.stack`), naming its first such point, the serial
+    # loop's error; no warning escapes on the way, and no thread is left.
     axes = weyl._grid_axes(box, res)
     message = f"the family is not finite at p = {p!r}"
     before = threading.active_count()
@@ -696,6 +697,39 @@ def test_field_refuses_a_family_that_is_not_finite(fam, box, res, p):
             assert _field_error(fam, axes) == (np.linalg.LinAlgError,
                                                message)
     assert threading.active_count() == before
+
+
+def _nan_where(bad, m):
+    """An m-parameter evaluator family of diag(0, 1, 2 + p_0) that is NaN at
+    the points of `bad`."""
+    def evaluate(p):
+        h = np.diag([0.0, 1.0, 2.0 + p[0]]).astype(complex)
+        return h * np.nan if p.tolist() in bad else h
+
+    return param_family(evaluate, m)
+
+
+@pytest.mark.parametrize("fam, points, at", [
+    (_nan_where([[0.75], [0.5]], 1), [[0.25], [0.75], [0.5]], "t = 0.75"),
+    (_nan_where([[2.0, 0.0, 1.0], [1.0, 0.0, 0.5]], 3),
+     [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.5]], [[2.0, 0.0, 1.0], [3.0, 0.0, 0.0]]],
+     "p = [1.0, 0.0, 0.5]"),
+    # H(p) = diag(0, 1, 2) + x^2 diag(1, 1, -1) overflows past x = 1e154.
+    (polynomial_family({(0, 0, 0): np.diag([0.0, 1.0, 2.0]),
+                        (2, 0, 0): np.diag([1.0, 1.0, -1.0])}),
+     [[3.0, 0.0, 0.0], [1e300, 0.0, 0.0], [1e200, 1.0, 0.0]],
+     "p = [1e+300, 0.0, 0.0]"),
+])
+def test_stack_refuses_a_family_that_is_not_finite(fam, points, at):
+    # The stack names its first non-finite point in C order, by "t" for a
+    # one-parameter family, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"^the family is not finite at {re.escape(at)}$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            fam.stack(np.array(points))
+        first = np.array(points).reshape(-1, fam.m)[:1]
+        assert np.isfinite(fam.stack(first)).all()
 
 
 @pytest.mark.parametrize("bad_chunk, raising_chunk", [

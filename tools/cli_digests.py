@@ -196,6 +196,15 @@ def exclusive(p):
     huge[0, 2] = huge[2, 0] = 1e190
     huge[1, 3] = huge[3, 1] = 3e199
     _write("huge.json", huge)
+    # The base of huge.json, at r0 = 5e199 from it in the 2-norm, though
+    # ||H - H0||_F^2 overflows.
+    _write("hbase.json", np.diag([0.0, 0.0, 1.0, 2.0]) * 1e200)
+    # A window whose trace sum passes the largest double, on the diagonal
+    # and in a random basis.
+    levels = np.diag([0.0, 8e307, 8.5e307, 8.9e307])
+    u = _random_unitary(4, rng)
+    _write("wide.json", levels)
+    _write("uwide.json", u @ levels @ u.conj().T)
     return cases
 
 
@@ -320,6 +329,13 @@ def _calls(cases):
                   "--box", "0.5", "--res", "5"])
     calls += [[command, "half_max.json", "--k", "2", "--offset", "1"]
               for command in ("decompose", "distance", "project")]
+    calls.append(["decompose", "huge.json", "--base", "hbase.json", "--k", "2",
+                  "--json"])
+    calls += [[command, mfile, "--k", "3", "--offset", "1", "--json"]
+              for mfile in ("wide.json", "uwide.json")
+              for command in ("decompose", "distance", "project")]
+    # A window of the whole spectrum.
+    calls.append(["distance", "blockdiag.json", "--k", "3", "--json"])
     return calls
 
 
