@@ -3,7 +3,13 @@
 A matrix document is JSON text with two fields: "n" (the dimension) and
 "entries", the row-major list of n^2 [re, im] pairs of JSON numbers.
 Writers emit 17 significant digits, which round-trips IEEE doubles
-exactly. A ladder file is a JSON object that bundles a window (k, offset;
+exactly. The reader takes a document in the canonical layout
+`{"n": N, "entries": [[re, im], [re, im], ...]}` (the layout of
+`matrix_text`, and of `json.dumps` with its default separators; a final
+newline is allowed) in one flat pass: its numbers are parsed as one flat
+JSON list, without building a list per pair. Every other valid document
+(indented, compact, with other keys) goes through the general decoder,
+with the same results and the same errors. A ladder file is a JSON object that bundles a window (k, offset;
 JSON integers), the sample parameters "ts" (finite JSON numbers), one
 matrix document per sample under "matrices", and the start matrix H(0)
 under "base".
@@ -25,6 +31,8 @@ once.
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -102,14 +110,65 @@ def _matrix_from_document(doc):
                     f"entry {i} is not an [re, im] pair of numbers"
                 )
         raise ValueError("an entry exceeds the floating-point range")
-    # The same arithmetic as a per-entry float(re) + 1j * float(im), signed
-    # zeros included.
+    return _matrix_from_pairs(pairs)
+
+
+def _matrix_from_pairs(pairs):
+    """The Hermitian n x n matrix of the (n^2, 2) array of [re, im] leaves,
+    by the same arithmetic as a per-entry float(re) + 1j * float(im),
+    signed zeros included."""
+    n = math.isqrt(len(pairs))
     return hermitian((pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n))
 
 
+#: The text before the entries of a canonical document, and the characters
+#: that JSON numbers are written with.
+_CANONICAL_HEAD = re.compile(r'\{"n": ([1-9][0-9]*), "entries": \[')
+_NUMBER_CHARS = b"0123456789.eE+-"
+
+
+def _canonical_pairs(text):
+    """The (n^2, 2) array of [re, im] leaves of a document in the canonical
+    layout (module docstring), or None for any other text.
+
+    Deleting the number characters must leave the entries exactly
+    "[, ], " n^2 - 1 times and then "[, ]", for the n of the text; the
+    numbers are then parsed as one flat JSON list, each from its own token,
+    so each leaf is the value the general decoder gives it. Nothing sized
+    by the claimed n is built: the pair count comes from the text's length.
+    A token that is no JSON number, or a leaf past the double range, gives
+    None, and so does non-ASCII text."""
+    head = _CANONICAL_HEAD.match(text)
+    end = len(text) - text.endswith("\n") - 2
+    if head is None or text[end:end + 2] != "]}":
+        return None
+    body = text[head.end():end]
+    if not body.isascii():
+        return None
+    skeleton = body.encode("ascii").translate(None, _NUMBER_CHARS)
+    count = (len(skeleton) + 2) // 6
+    n = math.isqrt(count)
+    if (n * n != count or head[1] != str(n)
+            or skeleton != b"[, ], " * (count - 1) + b"[, ]"):
+        return None
+    try:
+        leaves = json.loads(body.replace("], [", ", "))
+        return np.fromiter(leaves, float, 2 * count).reshape(count, 2)
+    except (ValueError, OverflowError):
+        return None
+
+
 def parse_matrix(text):
-    """Parse interchange-format text into a validated Hermitian matrix."""
-    return _matrix_from_document(json.loads(text))
+    """Parse interchange-format text into a validated Hermitian matrix.
+
+    A document in the canonical layout takes one flat pass over its numbers
+    (`_canonical_pairs`); every other document, and one whose flat pass
+    fails, is decoded by `json.loads` and checked field by field. Both give
+    the same matrix, and the same error, for the same document."""
+    pairs = _canonical_pairs(text) if isinstance(text, str) else None
+    if pairs is None:
+        return _matrix_from_document(json.loads(text))
+    return _matrix_from_pairs(pairs)
 
 
 def read_matrix(path):
@@ -199,8 +258,8 @@ def _array_json(a, pad, out):
     the separator for the number of axes that wrap after each leaf (closing
     and reopening that many brackets).
 
-    A finite float array takes one `float.__repr__` (the encoder's text for
-    a finite float) per distinct |x|, gathered for each leaf by magnitude.
+    A finite float array takes one `repr` (the encoder's text for a finite
+    float) per distinct |x|, gathered for each leaf by magnitude.
     A leaf's sign (signbit, so -0.0 reads "-0.0") ends the text before it:
     the separator table holds each separator and its "-"-suffixed twin,
     and the opening brackets take the first leaf's "-". Other arrays
@@ -227,7 +286,7 @@ def _array_json(a, pad, out):
         wraps += position % stride == 0
     if a.dtype.kind == "f" and np.isfinite(flat).all():
         mags, index = np.unique(np.abs(flat), return_inverse=True)
-        texts = list(map(float.__repr__, mags.tolist()))
+        texts = list(map(repr, mags.tolist()))
         leaves = np.array(texts, dtype=object)[index].tolist()
         negative = np.signbit(flat)
         seps += [sep + "-" for sep in seps]

@@ -46,8 +46,9 @@ def _rebuild(u, vals):
 @dataclass(frozen=True)
 class ProjectionResult:
     """Closest point of the degeneracy manifold together with the distance
-    data: distance = sqrt(k) * std_dev, std_dev the population standard
-    deviation of the window eigenvalues, mean_lambda their mean. `unique` is
+    data: distance = sqrt(k) * std_dev (by `window_distance` of the
+    eigenvalues, as `distance_to_sigma` takes it), std_dev the population
+    standard deviation of the window eigenvalues, mean_lambda their mean. `unique` is
     False when the window is not strictly separated (the projection then
     depends on the eigenbasis choice, but the distance does not).
     `spectrum` is the eigendecomposition of H that was collapsed."""
@@ -79,7 +80,7 @@ def collapse_projection(h, k, offset=0):
     h_sigma = _rebuild(spec.vectors, collapsed)
     return ProjectionResult(
         h_sigma=h_sigma,
-        distance=frobenius_norm(h - h_sigma),
+        distance=window_distance(vals, k, offset),
         std_dev=std,
         mean_lambda=mean,
         unique=unseparated_edge(vals, k, offset) is None,

@@ -16,6 +16,8 @@ from degengeo.cli import _order_family, build_parser, main
 from degengeo.hermitian import hermitian, random_hermitian
 from degengeo.matrixio import (
     RunReport,
+    _canonical_pairs,
+    _matrix_from_document,
     format_float,
     matrix_text,
     parse_matrix,
@@ -52,6 +54,11 @@ def test_parse_rejects_malformed():
         parse_matrix('{"entries": []}')
     with pytest.raises(json.JSONDecodeError):
         parse_matrix("not json")
+    # A claimed n far beyond the entries given: refused by count, with
+    # nothing of size n^2 built.
+    with pytest.raises(ValueError, match=r"^'entries' must hold 999998000001 "
+                       r"\[re, im\] pairs, got 1$"):
+        parse_matrix('{"n": 999999, "entries": [[1.0, 0.0]]}')
 
 
 def test_parse_matches_entrywise_loop():
@@ -107,6 +114,90 @@ def test_parse_accepts_json_numbers_only(text, message):
     # numpy would convert them.
     with pytest.raises(ValueError, match=message):
         parse_matrix(text)
+
+
+#: Leaf spellings of canonical documents: floats, ints, signed zeros and
+#: ints above 2**53; and, at most one per document, ints past the double
+#: range and floats past it.
+_LEAVES = st.one_of(
+    st.floats(-1e300, 1e300).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(2**53 + 1, 2**70).map(str),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "1E5", "2.5e-3", "1e-400"]),
+)
+_OUT_OF_RANGE = [str(10**400), "-" + str(10**309)]
+_PAST_RANGE = st.sampled_from(["1e400", "-1e400", *_OUT_OF_RANGE])
+_ZEROS = st.sampled_from(["0", "-0", "0.0", "-0.0"])
+
+#: Spellings that are no JSON number.
+_NON_JSON = ["1.", ".5", "+1", "01", "-01", "-", "1e", "1.2.3", "1_0", "0x10",
+             "NaN", "Infinity", "", "\u0661"]
+
+#: The same document in layouts other than the canonical one.
+_LAYOUTS = [
+    lambda text: json.dumps(json.loads(text), indent=1),
+    lambda text: text.replace(", ", ",").replace(": ", ":"),
+    lambda text: text.rstrip("\n")[:-1] + ', "x": 1}',
+    lambda text: '{"n": 7, ' + text[1:],
+    lambda text: text.rstrip("\n")[:-1] + f', "n": {json.loads(text)["n"]}}}',
+    lambda text: text + " ",
+]
+
+
+@st.composite
+def _canonical_leaves(draw):
+    """(n, leaves, end): the [re, im] leaf texts of a canonical document of
+    n <= 6, Hermitian (mirrored leaves, zero diagonal imaginary parts)
+    unless drawn otherwise, and its end ("" or a newline)."""
+    n = draw(st.integers(1, 6))
+    mirrored = draw(st.booleans())
+    leaves = [[draw(_LEAVES), draw(_LEAVES)] for _ in range(n * n)]
+    for past in draw(st.lists(_PAST_RANGE, max_size=1)):
+        leaves[draw(st.integers(0, n * n - 1))][draw(st.integers(0, 1))] = past
+    for a in range(n):
+        for m in range(a, n if mirrored else a):
+            re, im = leaves[a * n + m]
+            if a == m:
+                leaves[a * n + a][1] = draw(_ZEROS)
+            else:
+                leaves[m * n + a] = [re, im[1:] if im[0] == "-" else "-" + im]
+    return n, leaves, draw(st.sampled_from(["", "\n"]))
+
+
+def _document_text(n, leaves, end):
+    pairs = ", ".join(f"[{re}, {im}]" for re, im in leaves)
+    return f'{{"n": {n}, "entries": [{pairs}]}}{end}'
+
+
+def _parse_outcome(parse, text):
+    """The matrix's shape and bytes, or the type and message of the error."""
+    try:
+        h = parse(text)
+    except Exception as exc:  # both readers must fail alike, whatever fails
+        return type(exc), str(exc)
+    return h.shape, h.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_canonical_leaves(), kind=st.sampled_from(["canonical", "token",
+                                                      "layout"]),
+       data=st.data())
+def test_parse_flat_pass_matches_the_general_decoder(doc, kind, data):
+    # The flat pass over a canonical document gives the bits, or the error,
+    # of the nested-list decoding; a token that is no JSON number, or any
+    # other layout, goes to that decoding itself.
+    n, leaves, end = doc
+    if kind == "token":
+        i = data.draw(st.integers(0, 2 * n * n - 1))
+        leaves[i // 2][i % 2] = data.draw(st.sampled_from(_NON_JSON))
+    text = _document_text(n, leaves, end)
+    if kind == "layout":
+        text = data.draw(st.sampled_from(_LAYOUTS))(text)
+    flat = kind == "canonical" and not any(
+        leaf in _OUT_OF_RANGE for pair in leaves for leaf in pair)
+    assert (_canonical_pairs(text) is not None) == flat
+    assert _parse_outcome(parse_matrix, text) == _parse_outcome(
+        lambda t: _matrix_from_document(json.loads(t)), text)
 
 
 def test_parse_rejects_non_hermitian():
@@ -335,6 +426,24 @@ def test_cli_distance_of_the_whole_spectrum(tmp_path, capsys):
     assert dist["outputs"]["unique"] is True
     assert "heff_norm" not in dist["outputs"]
     assert dist["diagnostics"] == {}
+
+
+@pytest.mark.parametrize("h, window", [
+    (np.array([[0.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+     ["--k", "3"]),
+    (np.diag([0.0, 8e307, 8.5e307, 8.9e307]), ["--k", "3", "--offset", "1"]),
+])
+def test_cli_project_prints_the_distance_of_distance(tmp_path, capsys, h,
+                                                     window):
+    # The distance theorem makes the two distances one number: both are
+    # taken from the window eigenvalues, so both print the same digits.
+    mfile = _write(tmp_path, "h.json", h.astype(complex))
+    texts = []
+    for command in ("distance", "project"):
+        assert main([command, mfile, *window, "--json"]) == 0
+        texts.append([line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith('    "distance": ')])
+    assert texts[0] == texts[1] and len(texts[0]) == 1
 
 
 def test_cli_refuses_entries_above_half_the_largest_double(tmp_path, capsys):

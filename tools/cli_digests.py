@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -205,6 +206,15 @@ def exclusive(p):
     u = _random_unitary(4, rng)
     _write("wide.json", levels)
     _write("uwide.json", u @ levels @ u.conj().T)
+    # One matrix in three layouts: the canonical one, which the reader takes
+    # in one flat pass, and two that go to the general JSON decoder. Their
+    # reports differ only in the file name they echo.
+    doc = json.loads(_document(_degenerate_base(16, 2, 0)
+                               + 0.05 * _random_hermitian(16, rng)))
+    for layout, options in (("canonical", {}), ("indent", {"indent": 1}),
+                            ("compact", {"separators": (",", ":")})):
+        Path(f"layout_{layout}.json").write_text(json.dumps(doc, **options),
+                                                 encoding="utf-8")
     return cases
 
 
@@ -336,6 +346,9 @@ def _calls(cases):
               for command in ("decompose", "distance", "project")]
     # A window of the whole spectrum.
     calls.append(["distance", "blockdiag.json", "--k", "3", "--json"])
+    calls += [[command, f"layout_{layout}.json", "--k", "2", "--json"]
+              for layout in ("canonical", "indent", "compact")
+              for command in ("decompose", "distance")]
     return calls
 
 
