@@ -33,10 +33,10 @@ print("decomposition parts:")
 print(f"  S (off-block exponent) =\n{np.round(dec.s, 6)}")
 print(f"  B (third-level shift)  = {dec.b[2, 2].real:.6f} on entry (3,3)")
 print(f"  c (window mean shift)  = {dec.c:.6f}")
-print(f"  H_eff (window block)   =\n{np.round(dec.heff_block(), 6)}")
+print(f"  H_eff (window block)   =\n{np.round(dec.heff_window, 6)}")
 print(f"  reconstruction residual  {dec.residual:.2e}")
 print(f"  within uniqueness ball:  {dec.within_r0}, "
-      f"||S||_2 = {dec.s_2norm():.4f} < pi/2: {dec.s_2norm() < np.pi / 2}\n")
+      f"||S||_2 = {dec.max_angle:.4f} < pi/2: {dec.max_angle < np.pi / 2}\n")
 
 ref = example_pr_reference(p, r)
 dev = max(

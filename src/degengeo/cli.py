@@ -91,7 +91,7 @@ def _cmd_decompose(args):
         decompose = (sw_decompose if is_diagonal_base(base)
                      else sw_decompose_general)
         dec = decompose(h, base, args.k, offset=args.offset)
-    s_norm = dec.s_2norm()
+    s_norm = dec.max_angle
     report = RunReport(
         command="decompose",
         inputs={"matrix": args.matrix, "base": args.base, "k": args.k,
@@ -101,7 +101,7 @@ def _cmd_decompose(args):
             "B": dec.b,
             "c": dec.c,
             "H_eff": dec.h_eff,
-            "H_eff_window_block": dec.heff_block(),
+            "H_eff_window_block": dec.heff_window,
         },
         diagnostics={
             "residual": dec.residual,

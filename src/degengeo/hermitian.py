@@ -43,9 +43,9 @@ ASYMMETRY_RTOL = 1e-12
 class BasisIndex:
     """Label of a canonical-basis element.
 
-    kind is one of "real-offdiag", "imag-offdiag", "diag", "traceless-diag";
-    a and b are 1-based indices with a < b for the off-diagonal kinds and
-    a == b for "diag".
+    kind is one of "real-offdiag", "imag-offdiag", "diag"; a and b are
+    1-based indices with a < b for the off-diagonal kinds and a == b for
+    "diag".
     """
 
     kind: str
@@ -63,6 +63,14 @@ def _hermitian_part(a):
     (..., n, n). Exactly Hermitian: entries (a, b) and (b, a) add the same
     two numbers."""
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _from_eigenpairs(u, vals):
+    """U diag(vals) U^dagger, exactly Hermitian (`_hermitian_part`) and
+    read-only, for columns u (n x k) and values vals (k,), or for each of a
+    stack (..., n, k) and (..., k)."""
+    return _freeze(_hermitian_part((u * vals[..., None, :])
+                                   @ u.conj().swapaxes(-1, -2)))
 
 
 def hermitian(entries):

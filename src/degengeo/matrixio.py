@@ -3,24 +3,26 @@
 A matrix document is JSON text with two fields: "n" (the dimension) and
 "entries", the row-major list of n^2 [re, im] pairs of JSON numbers.
 Writers emit 17 significant digits, which round-trips IEEE doubles
-exactly. The reader takes a document in the canonical layout
+exactly, but for -0.0: its "-0" reads back as +0.0. The reader takes a
+document in the canonical layout
 `{"n": N, "entries": [[re, im], [re, im], ...]}` (the layout of
 `matrix_text`, and of `json.dumps` with its default separators; a final
 newline is allowed) in one flat pass: its numbers are parsed as one flat
 JSON list, without building a list per pair. Every other valid document
 (indented, compact, with other keys) goes through the general decoder,
-with the same results and the same errors. A ladder file is a JSON object that bundles a window (k, offset;
-JSON integers), the sample parameters "ts" (finite JSON numbers), one
-matrix document per sample under "matrices", and the start matrix H(0)
-under "base".
+with the same results and the same errors. A ladder file is a JSON object
+that bundles a window (k, offset; JSON integers), the sample parameters
+"ts" (finite JSON numbers), one matrix document per sample under
+"matrices", and the start matrix H(0) under "base".
 
 Run reports are written in exactly the layout of
 `json.dumps(plain, indent=2)`, where `plain` is the report with every
 array turned into nested lists ([re, im] for complex entries), by one walk
-over the report that hands each scalar leaf to `json.dumps`. Arrays are
-rendered straight to that text in one vectorized pass per array, since
-the standard encoder formats every float through Python generators when
-an indent is set. A finite float array is formatted once per distinct
+over the report that hands each scalar leaf to `json.dumps`. Finite float
+and complex arrays are rendered straight to that text in one vectorized
+pass per array, since the standard encoder formats every float through
+Python generators when an indent is set; every other array is walked as
+nested lists. A finite float array is formatted once per distinct
 magnitude, each text reused for the leaves of either sign (the parts of a
 decomposition are Hermitian, so about half of their leaves are the sign
 flip of another): a negative leaf's "-" ends the separator before it. The
@@ -57,17 +59,13 @@ def format_float(x):
     return f"{float(x):.17g}"
 
 
-def _entry_pairs(h):
-    return ", ".join(
-        f"[{format_float(z.real)}, {format_float(z.imag)}]"
-        for z in np.asarray(h, dtype=complex).ravel()
-    )
-
-
 def matrix_text(h):
-    """Serialize a matrix to interchange-format text."""
-    h = np.asarray(h)
-    return f'{{"n": {h.shape[0]}, "entries": [{_entry_pairs(h)}]}}\n'
+    """Serialize a matrix to interchange-format text: every [re, im] pair
+    in one %-format pass, each part the text `format_float` gives it."""
+    h = np.asarray(h, dtype=complex)
+    parts = np.stack((h.real, h.imag), axis=-1).ravel().tolist()
+    entries = ", ".join(["[%.17g, %.17g]"] * h.size) % tuple(parts)
+    return f'{{"n": {h.shape[0]}, "entries": [{entries}]}}\n'
 
 
 def write_matrix(path, h):
@@ -118,7 +116,10 @@ def _matrix_from_pairs(pairs):
     by the same arithmetic as a per-entry float(re) + 1j * float(im),
     signed zeros included."""
     n = math.isqrt(len(pairs))
-    return hermitian((pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n))
+    # 0 * inf is NaN, which `hermitian` refuses next; no warning on the way.
+    with np.errstate(invalid="ignore"):
+        h = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
+    return hermitian(h)
 
 
 #: The text before the entries of a canonical document, and the characters
@@ -262,12 +263,14 @@ def _array_json(a, pad, out):
     float) per distinct |x|, gathered for each leaf by magnitude.
     A leaf's sign (signbit, so -0.0 reads "-0.0") ends the text before it:
     the separator table holds each separator and its "-"-suffixed twin,
-    and the opening brackets take the first leaf's "-". Other arrays
-    (integer, bool, or holding NaN or inf) go leaf by leaf through
-    `json.dumps`; 0-d, empty and object arrays go to `_write` as lists."""
+    and the opening brackets take the first leaf's "-". Every other array
+    goes to `_write` as nested lists, whose leaves `json.dumps` writes:
+    0-d and empty arrays, integer, bool and object arrays, and float or
+    complex arrays holding NaN or inf."""
     if np.iscomplexobj(a):
         a = np.stack((a.real, a.imag), axis=-1)
-    if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "fiub":
+    if (a.ndim == 0 or a.size == 0 or a.dtype.kind != "f"
+            or not np.isfinite(a).all()):
         _write(a.tolist(), pad, out)
         return
     flat = a.ravel()
@@ -284,17 +287,14 @@ def _array_json(a, pad, out):
     wraps = np.zeros(flat.size - 1, dtype=np.intp)
     for stride in np.cumprod(a.shape[:0:-1]):
         wraps += position % stride == 0
-    if a.dtype.kind == "f" and np.isfinite(flat).all():
-        mags, index = np.unique(np.abs(flat), return_inverse=True)
-        texts = list(map(repr, mags.tolist()))
-        leaves = np.array(texts, dtype=object)[index].tolist()
-        negative = np.signbit(flat)
-        seps += [sep + "-" for sep in seps]
-        wraps += m * negative[1:]
-        if negative[0]:
-            opening += "-"
-    else:
-        leaves = list(map(json.dumps, flat.tolist()))
+    mags, index = np.unique(np.abs(flat), return_inverse=True)
+    texts = list(map(repr, mags.tolist()))
+    leaves = np.array(texts, dtype=object)[index].tolist()
+    negative = np.signbit(flat)
+    seps += [sep + "-" for sep in seps]
+    wraps += m * negative[1:]
+    if negative[0]:
+        opening += "-"
     parts = [None] * (2 * len(leaves) - 1)
     parts[::2] = leaves
     parts[1::2] = np.array(seps, dtype=object)[wraps].tolist()

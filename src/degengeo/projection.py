@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundary, NotInSigmaK
-from .hermitian import (_finite_eigvalsh, _freeze, _hermitian_part,
-                        conjugate, coordinate_pairs, coordinates,
-                        frobenius_norm, random_unitary)
+from .hermitian import (_finite_eigvalsh, _from_eigenpairs, conjugate,
+                        coordinate_pairs, coordinates, frobenius_norm,
+                        random_unitary)
 from .spectra import (
     Spectrum,
     eigh,
@@ -36,11 +36,6 @@ __all__ = [
     "orthogonality_check",
     "sample_sigma_k",
 ]
-
-
-def _rebuild(u, vals):
-    """U diag(vals) U^dagger, exactly symmetrized and read-only."""
-    return _freeze(_hermitian_part((u * vals) @ u.conj().T))
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ def collapse_projection(h, k, offset=0):
     mean, _, std = window_spread(vals, k, offset)
     collapsed = vals.copy()
     collapsed[offset : offset + k] = mean
-    h_sigma = _rebuild(spec.vectors, collapsed)
+    h_sigma = _from_eigenpairs(spec.vectors, collapsed)
     return ProjectionResult(
         h_sigma=h_sigma,
         distance=window_distance(vals, k, offset),
@@ -128,7 +123,7 @@ def project_with_index_set(h, indices, gauge=None):
             f"lowest omitted eigenvalue {lowest_omitted:.6g}"
         )
     vals[sel] = mean
-    return _rebuild(spec.vectors, vals)
+    return _from_eigenpairs(spec.vectors, vals)
 
 
 def orthogonality_check(h, k, offset=0):
@@ -171,4 +166,4 @@ def sample_sigma_k(n, k, rng):
     deg = float(rng.standard_normal())
     rest = deg + 1e-3 + np.sort(rng.uniform(0.0, 2.0, size=n - k))
     vals = np.concatenate([np.full(k, deg), rest])
-    return _rebuild(random_unitary(n, rng), vals)
+    return _from_eigenpairs(random_unitary(n, rng), vals)

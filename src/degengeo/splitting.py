@@ -127,7 +127,8 @@ class SplittingSample:
 
 def _stacked_ladder(fam, ts):
     """The family's matrices at ts, stacked, and their eigenvalues from one
-    eigvalsh over the stack. `ParamFamily.stack` refuses a matrix with a
+    eigvalsh over the stack. Every evaluation of a family goes through
+    `ParamFamily.stack`, one point or many, and it refuses a matrix with a
     non-finite entry, which eigvalsh alone does not always do (see
     `hermitian._finite_eigvalsh`)."""
     hs = fam.stack(ts[:, None])

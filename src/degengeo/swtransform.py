@@ -66,6 +66,7 @@ import numpy as np
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
     _check_same_dimension,
+    _from_eigenpairs,
     _hermitian_part,
     _overflow_safe,
     _within_ball,
@@ -151,14 +152,6 @@ def _principal_angles(v_w):
     if far.any():
         raise _too_far(float(sep[tuple(np.argwhere(far)[0])]))
     return x, cos, yh
-
-
-def _window_block(vals_w, u):
-    """U Lambda_w U^dagger, exactly Hermitian, for the polar factor u of the
-    window rows of the window eigenvectors and their eigenvalues vals_w: the
-    window block of E^dagger H E, for one matrix or a stack."""
-    block = (u * vals_w[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
-    return _hermitian_part(block)
 
 
 @dataclass(frozen=True)
@@ -251,26 +244,13 @@ class SWDecomposition:
         """H0 + B + T + H_eff."""
         return self.h0 + self.b + self.t_matrix() + self.h_eff
 
-    def rotation(self):
-        """e^{iS} in the input frame (unitary, so not re-symmetrized)."""
-        return self.e
-
     def reconstruct(self):
         """e^{iS} (H0 + B + T + H_eff) e^{-iS}."""
-        return conjugate(self.block_diagonal(), self.rotation())
+        return conjugate(self.block_diagonal(), self.e)
 
     def _local(self, m):
         """A part of the decomposition in the eigenbasis of the base."""
         return m if self.gauge is None else conjugate(m, self.gauge.conj().T)
-
-    def heff_block(self):
-        """The effective Hamiltonian as a dense traceless k x k matrix, in
-        the eigenbasis of the base point."""
-        return self.heff_window
-
-    def s_2norm(self):
-        """||S||_2, the largest principal angle."""
-        return self.max_angle
 
 
 def is_diagonal_base(h0):
@@ -317,7 +297,7 @@ def _decompose(h, spec, h0, u_w, mu, r0, k, offset, gauge=None,
     l, q = rot.l, rot.q
     lh, qh = l.conj().T, q.conj().T
 
-    block = _window_block(spec.eigenvalues[w], rot.u)
+    block = _from_eigenpairs(rot.u, spec.eigenvalues[w])
     mean = float(_overflow_safe(_trace_mean, block, (-2, -1)))
     heff_window = block - mean * np.eye(k)
     h_eff = _hermitian_part(u_w @ heff_window @ u_wh)
@@ -512,7 +492,7 @@ class Anchor:
         check_separated(spec.eigenvalues, self.k, self.offset,
                         DegenerateBoundary)
         x, _, yh = _principal_angles(spec.vectors[..., w, w])
-        return _traceless(_window_block(spec.eigenvalues[..., w], x @ yh))
+        return _traceless(_from_eigenpairs(x @ yh, spec.eigenvalues[..., w]))
 
 
 def _traceless(block):
@@ -556,6 +536,6 @@ def chart_coordinates(dec):
         coordinates(dec._local(dec.b))[~members[a] & ~members[m]],
         [dec.c * np.sqrt(k)],
     ])
-    y = traceless_coordinates(dec.heff_block())
+    y = traceless_coordinates(dec.heff_window)
     assert len(x) + len(y) == n * n
     return ChartCoordinates(x=x, y=y)

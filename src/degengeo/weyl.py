@@ -18,10 +18,13 @@ eigenvalues; `effective_map` stays as the oracle for these shortcuts.
 
 A family is an evaluator p -> H(p), or polynomial coefficients
 {alpha: C_alpha} with H(p) = sum_alpha p^alpha C_alpha, held as one
-`MonomialTable`; `splitting` takes its m = 1 case. The grid field takes as
-many whole grid lines as fit in FIELD_CHUNK_ENTRIES matrix entries (at least
-one) through one checked eigenvalue solve; a polynomial family builds each
-chunk in one broadcast instead of one evaluator call per point. A field of
+`MonomialTable`; `splitting` takes its m = 1 case. Every evaluation, of one
+point or of a stack, goes through `ParamFamily.stack`, so each gets the same
+shape check and the same refusal, naming the point, of a matrix with a NaN
+or infinite entry. The grid field takes as many whole grid lines as fit in
+FIELD_CHUNK_ENTRIES matrix entries (at least one) through one checked
+eigenvalue solve; a polynomial family builds each chunk in one broadcast
+instead of one evaluator call per point. A field of
 two or more chunks runs on the calling thread and one worker thread: each
 takes the next chunk in C order, builds it under one lock and solves it
 outside, holding one chunk at a time, so at most two chunks are alive. An
@@ -151,10 +154,12 @@ def polynomial_value(terms, points):
 class ParamFamily:
     """Pure map from an m-dimensional parameter space to Hermitian matrices,
     analyzed around windows of k eigenvalues (ground window by default).
-    `table` holds the coefficients the evaluator evaluates
-    (`polynomial_family`), `start` the spectrum of H(0) (`splitting.family`).
-    Neither is a constructor argument, so both belong to this evaluator: a
-    family built by hand or by `dataclasses.replace` has neither."""
+    Every evaluation goes through `stack`, a single point (`__call__`)
+    included, and `stack` is the only caller of the evaluator. `table`
+    holds the coefficients the evaluator evaluates (`polynomial_family`),
+    `start` the spectrum of H(0) (`splitting.family`). Neither is a
+    constructor argument, so both belong to this evaluator: a family built
+    by hand or by `dataclasses.replace` has neither."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     m: int
@@ -184,7 +189,8 @@ class ParamFamily:
         return p
 
     def __call__(self, p):
-        return np.asarray(self.evaluator(self._point(p)))
+        """H(p) at one point p of shape (m,), by `stack`."""
+        return self.stack(self._point(p))
 
     def start_anchor(self):
         """The anchor at H(0), the collapsed start point of every effective
@@ -204,8 +210,9 @@ class ParamFamily:
         """H(p) for every point of `points`, shape (..., m): shape
         (..., n, n). One broadcast of the coefficients when the family has
         them, else one evaluator call per point (none for no points).
-        LinAlgError names the first point, in C order, whose matrix has a
-        NaN or infinite entry: "t = ..." for m = 1, else "p = [...]"."""
+        Every evaluation of the family comes here. LinAlgError names the
+        first point, in C order, whose matrix has a NaN or infinite entry:
+        "t = ..." for m = 1, else "p = [...]"."""
         points = np.asarray(points, dtype=float)
         if points.shape[-1:] != (self.m,):
             raise ValueError(f"expected parameter points of shape (..., "
@@ -219,7 +226,7 @@ class ParamFamily:
             flat = points.reshape(-1, self.m).tolist()
             if not flat:
                 return np.empty(points.shape[:-1] + (self.n, self.n))
-            mats = np.stack([self(p) for p in flat])
+            mats = np.stack([self.evaluator(np.array(p)) for p in flat])
             mats = mats.reshape(points.shape[:-1] + mats.shape[1:])
         finite = np.isfinite(mats).all(axis=(-2, -1))
         if not finite.all():
@@ -402,8 +409,9 @@ def classify_point(fam, p0):
 def _window_distance_at(fam, p):
     """The line search's merit at p: the distance of H(p) from the manifold,
     from its eigenvalues, and H(p) itself, so that an accepted candidate is
-    not evaluated again; (inf, None) when the window is not separated from
-    its neighbours or the eigensolver fails."""
+    not evaluated again; (inf, None), which halves the step, when H(p) has a
+    NaN or infinite entry (`ParamFamily.stack` refuses it), when the window
+    is not separated from its neighbours, or when the eigensolver fails."""
     try:
         hp = fam(p)
         vals = np.linalg.eigvalsh(hp)
@@ -420,10 +428,10 @@ def _newton_refine(fam, seed):
     the window map at its anchor with its Jacobian there (exact for a
     polynomial family, one central difference for an evaluator family), and
     each line-search candidate only its window distance (module docstring);
-    a candidate whose window is unseparated, or whose eigensolver fails,
-    halves the step. The family is evaluated once per point: an accepted
-    candidate's matrix is the next iterate's. Returns the root and the
-    number of re-anchorings."""
+    a candidate whose H(p) is not finite, whose window is unseparated, or
+    whose eigensolver fails, halves the step. The family is evaluated once
+    per point: an accepted candidate's matrix is the next iterate's. Returns
+    the root and the number of re-anchorings."""
     p = np.asarray(seed, dtype=float)
     hp = fam(p)
     for anchors in range(1, NEWTON_MAX_ITER + 1):

@@ -1,6 +1,8 @@
 """Interchange format round-trips, report serialization, and the CLI."""
 
+import inspect
 import json
+import re
 import sys
 import threading
 import warnings
@@ -30,6 +32,7 @@ from degengeo.spectra import window_distance, window_half_gap
 from degengeo.swtransform import sw_decompose_general
 
 from test_swtransform import exp_i
+from test_weyl import nan_past_half
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -462,6 +465,19 @@ def test_cli_refuses_entries_above_half_the_largest_double(tmp_path, capsys):
                 f"real and imaginary parts of at most 8.988465674311579e+307")
 
 
+def test_cli_refuses_an_entry_past_the_double_range_without_a_warning(
+        tmp_path, capsys):
+    # The imaginary leaf 1e400 reads as inf, and 0 + 1j * inf holds a NaN
+    # (0 * inf): refused as not finite, with no RuntimeWarning on the way.
+    mfile = tmp_path / "h.json"
+    mfile.write_text('{"n": 1, "entries": [[0, 1e400]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distance", str(mfile), "--k", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: bad matrix file {mfile}: matrix entries must be finite")
+
+
 def test_cli_boundary_flagged_not_fatal(tmp_path, capsys):
     mfile = _write(tmp_path, "h.json", np.diag([0.0, 0.5, 0.5]).astype(complex))
     code = main(["project", mfile, "--k", "2", "--json"])
@@ -788,6 +804,19 @@ def test_cli_weyl_scan_numerical_failure_exit4(tmp_path, capsys, function,
                  "--box", "0.5", "--res", "5"])
     assert code == 4
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+
+
+def test_cli_weyl_scan_skips_a_newton_step_into_a_nan_region(tmp_path,
+                                                             capsys):
+    # The seed's Newton step, and each halving of it, lands where the family
+    # is NaN: the line search gives the seed up, and the scan finds nothing.
+    plugin = tmp_path / "plugin.py"
+    plugin.write_text("import numpy as np\n\n\n"
+                      + inspect.getsource(nan_past_half))
+    code = main(["weyl-scan", "--model", f"plugin:{plugin}:nan_past_half",
+                 "--box", "0.3", "--res", "5", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["count"] == 0
 
 
 _FAILING_PLUGIN = _PLUGIN + """
@@ -1162,8 +1191,8 @@ def test_report_json_decompose_shaped_64():
         "decompose", inputs={"matrix": "h.json", "base": "base.json", "k": 3,
                              "offset": 0},
         outputs={"S": dec.s, "B": dec.b, "c": dec.c, "H_eff": dec.h_eff,
-                 "H_eff_window_block": dec.heff_block()},
-        diagnostics={"residual": dec.residual, "S_2norm": dec.s_2norm(),
+                 "H_eff_window_block": dec.heff_window},
+        diagnostics={"residual": dec.residual, "S_2norm": dec.max_angle,
                      "within_r0": dec.within_r0, "s_norm_ok": True})
     assert report.to_json() == _reference_json(report)
 
@@ -1195,6 +1224,42 @@ _MATRICES = st.one_of(
     hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2)),
     hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2)),
 )
+
+
+def _reference_matrix_text(h):
+    """`matrix_text` by one `format_float` call per part."""
+    h = np.asarray(h, dtype=complex)
+    pairs = ", ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]"
+                      for z in h.ravel())
+    return f'{{"n": {h.shape[0]}, "entries": [{pairs}]}}\n'
+
+
+_SQUARES = st.integers(1, 5).flatmap(lambda n: st.one_of(
+    hnp.arrays(np.float64, (n, n), elements=_FLOATS),
+    hnp.arrays(np.complex128, (n, n),
+               elements=st.builds(complex, _FLOATS, _FLOATS))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_SQUARES)
+def test_matrix_text_formats_each_part_and_reads_back(matrix):
+    assert matrix_text(matrix) == _reference_matrix_text(matrix)
+    # The mirrored upper triangle with a real diagonal: Hermitian, so it
+    # reads back as `hermitian` makes it, or fails as `hermitian` does. A
+    # signed zero reads back as +0 (JSON's "-0" is the integer 0), so the
+    # bits are compared after adding +0.
+    h = np.where(np.triu(np.ones(matrix.shape, bool)), matrix,
+                 matrix.conj().T)
+    np.fill_diagonal(h, h.diagonal().real)
+    if not np.isfinite(h).all():
+        return
+    try:
+        want = hermitian(h)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            parse_matrix(matrix_text(h))
+        return
+    assert parse_matrix(matrix_text(h)).tobytes() == (want + 0.0).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -143,9 +143,9 @@ def test_direct_rotation_is_the_decomposition_rotation():
     v = random_hermitian(5, np.random.default_rng(16))
     dec = sw_decompose(h0 + v * (0.6 / operator_2_norm(v)), h0, 3, offset=1)
     p0 = dec.window_projector()
-    p = conjugate(p0, dec.rotation())
+    p = conjugate(p0, dec.e)
     w = direct_rotation(p, p0)
-    assert np.max(np.abs(w - dec.rotation())) <= 1e-13
+    assert np.max(np.abs(w - dec.e)) <= 1e-13
     sin2, vecs = np.linalg.eigh((p - p0) @ (p - p0))
     eye = np.eye(5)
     kato = ((p @ p0 + (eye - p) @ (eye - p0))
@@ -208,7 +208,7 @@ def test_round_trip_and_structure():
         h0 = random_base(n, k, rng)
         h = perturbed(h0, k, rng, fraction=0.8)
         dec = sw_decompose(h, h0, k)
-        assert dec.within_r0 and dec.s_2norm() < np.pi / 2
+        assert dec.within_r0 and dec.max_angle < np.pi / 2
         assert dec.residual <= 1e-9 * max(1.0, frobenius_norm(h))
         # structural exactness
         assert abs(np.trace(dec.h_eff)) <= 1e-11 * max(
@@ -329,7 +329,7 @@ def test_closed_form_properties_at_50_digits(theta, n, k, offset):
     assert np.all(dec.s[np.ix_(members, members)] == 0.0)
     assert np.all(dec.s[np.ix_(~members, ~members)] == 0.0)
     assert dec.within_r0 == (operator_2_norm(h - h0) < 1.0)
-    assert dec.s_2norm() < np.pi / 2
+    assert dec.max_angle < np.pi / 2
 
     with mp.workdps(50):
         e = mp.expm(1j * mp.matrix(dec.s))
@@ -366,8 +366,8 @@ def test_refusal_threshold_near_right_angle(short, refused):
             sw_decompose(h, h0, 2)
     else:
         dec = sw_decompose(h, h0, 2)
-        assert dec.s_2norm() < np.pi / 2
-        assert dec.s_2norm() == pytest.approx(np.pi / 2 - short, abs=1e-12)
+        assert dec.max_angle < np.pi / 2
+        assert dec.max_angle == pytest.approx(np.pi / 2 - short, abs=1e-12)
 
 
 def test_one_factorization_per_decomposition(linalg_calls):
@@ -404,7 +404,7 @@ def test_rotation_is_the_exponential_of_s(general):
                                        offset=offset)
         else:
             dec = sw_decompose(h, h0, k, offset=offset)
-        worst = max(worst, np.max(np.abs(dec.rotation() - exp_i(dec.s))))
+        worst = max(worst, np.max(np.abs(dec.e - exp_i(dec.s))))
     assert worst <= 1e-13
 
 
@@ -503,8 +503,8 @@ def test_low_rank_assembly_matches_the_full_conjugations(general):
         for name in ("h0", "s", "b", "h_eff"):
             assert np.max(np.abs(getattr(dec, name) - ref[name])) <= tol
         assert abs(dec.c - ref["c"]) <= tol
-        assert np.max(np.abs(dec.rotation() - ref["e"])) <= tol
-        assert np.max(np.abs(dec.heff_block() - ref["window"])) <= tol
+        assert np.max(np.abs(dec.e - ref["e"])) <= tol
+        assert np.max(np.abs(dec.heff_window - ref["window"])) <= tol
         assert dec.residual <= tol
         assert frobenius_norm(dec.reconstruct() - h) <= tol
         p0 = dec.window_projector()
@@ -514,7 +514,7 @@ def test_low_rank_assembly_matches_the_full_conjugations(general):
                      dec.b - q0 @ dec.b @ q0):
             assert frobenius_norm(part) <= tol
         assert abs(np.trace(dec.h_eff)) <= tol
-        assert abs(dec.s_2norm() - operator_2_norm(dec.s)) <= tol
+        assert abs(dec.max_angle - operator_2_norm(dec.s)) <= tol
         assert dec.within_r0
 
 
@@ -585,8 +585,8 @@ def test_general_matches_diagonal_for_diagonal_base():
     # window block, under which H_eff transforms by conjugation; spectra and
     # the reconstruction agree.
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(gen.heff_block()),
-        np.linalg.eigvalsh(dec.heff_block()),
+        np.linalg.eigvalsh(gen.heff_window),
+        np.linalg.eigvalsh(dec.heff_window),
         atol=1e-10,
     )
     assert frobenius_norm(gen.reconstruct() - h) <= 1e-9
@@ -622,8 +622,8 @@ def test_heff_spectrum_base_point_independent():
     g0 = conjugate(random_base(5, 2, rng, gap=1.2), u)
     dec2 = sw_decompose_general(h, g0, 2)
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(dec1.heff_block()),
-        np.linalg.eigvalsh(dec2.heff_block()),
+        np.linalg.eigvalsh(dec1.heff_window),
+        np.linalg.eigvalsh(dec2.heff_window),
         atol=1e-8,
     )
 
@@ -640,8 +640,8 @@ def test_gauge_freedom_of_degenerate_block():
     g0 = conjugate(h0, block_rot)  # same matrix, rotated eigenbasis freedom
     dec2 = sw_decompose_general(h, g0, 2)
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(dec1.heff_block()),
-        np.linalg.eigvalsh(dec2.heff_block()),
+        np.linalg.eigvalsh(dec1.heff_window),
+        np.linalg.eigvalsh(dec2.heff_window),
         atol=1e-10,
     )
 
@@ -839,7 +839,7 @@ def test_chart_pauli_reconstruction_k2():
     dec = sw_decompose(h, h0, 2)
     cc = chart_coordinates(dec)
     np.testing.assert_allclose(
-        traceless_from_coordinates(cc.y, 2), dec.heff_block(), atol=1e-12
+        traceless_from_coordinates(cc.y, 2), dec.heff_window, atol=1e-12
     )
 
 

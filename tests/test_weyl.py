@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degengeo import swtransform, weyl
-from degengeo.errors import DegenError, StepTooSmall
+from degengeo.errors import DegenError, NewtonDiverged, StepTooSmall
 from degengeo.hermitian import random_hermitian
 from degengeo.models import WEYL_EXAMPLE_TERMS, example_pr, weyl_example
 from degengeo.projection import collapse_projection, distance_to_sigma
@@ -21,6 +21,7 @@ from degengeo.splitting import estimate_order, family, linear_family
 from degengeo.swtransform import Anchor
 from degengeo.weyl import (
     _newton_refine,
+    _window_distance_at,
     classify_point,
     effective_map,
     first_order_effective_map,
@@ -216,6 +217,42 @@ def test_newton_halves_step_on_bad_candidates_only(bad):
     root, anchors = _newton_refine(fam, np.zeros(1))
     np.testing.assert_allclose(root, [1.0], atol=1e-10)
     assert visited and anchors >= 3
+
+
+def test_line_search_merit_refuses_a_matrix_that_is_not_finite():
+    # diag(x, -x, 2) with its third level NaN past x = 0.2: eigvalsh alone
+    # gives diag(0.3, -0.3, NaN) window distance 0, a descent step.
+    def evaluator(p):
+        h = np.diag([p[0], -p[0], 2.0])
+        if p[0] > 0.2:
+            h[2, 2] = np.nan
+        return h
+
+    fam = weyl.ParamFamily(evaluator, m=3, n=3)
+    assert _window_distance_at(fam, np.array([0.3, 0.1, 0.1])) == (np.inf,
+                                                                   None)
+
+
+def nan_past_half(p):
+    """Window block (x^3 - 0.001) sigma_z + y sigma_x + z sigma_y next to a
+    third level at 1, which is NaN past x = 0.5. At the origin, the one
+    minimum of the res-5 field on [-0.3, 0.3]^3, d(x^3)/dx vanishes, so the
+    central-difference Newton step lands near x = 1e7, and every halving
+    down to 1/64 of it stays past x = 0.5."""
+    x, y, z = p
+    d = x ** 3 - 0.001
+    h = np.array([[d, y - 1j * z, 0.0], [y + 1j * z, -d, 0.0],
+                  [0.0, 0.0, 1.0]])
+    if x > 0.5:
+        h[2, 2] = np.nan
+    return h
+
+
+def test_newton_gives_up_a_step_into_a_family_that_is_not_finite():
+    fam = weyl.ParamFamily(nan_past_half, m=3, n=3)
+    assert scan_grid(fam, [(-0.3, 0.3)] * 3, 5) == []
+    with pytest.raises(NewtonDiverged, match="^no descent step found"):
+        _newton_refine(fam, ORIGIN)
 
 
 def _local_minima_loop(values):

@@ -144,6 +144,22 @@ def two_points(p):
     return (h + h.conj().T) / 2.0
 """
     Path("two_point_plugin.py").write_text(two_points, encoding="utf-8")
+    # Window (x^3 - 0.001) sigma_z + y sigma_x + z sigma_y next to a level
+    # at 1 that is NaN past x = 0.5: from the field's one minimum on the 0.3
+    # box, the origin, Newton's step and each halving of it land past 0.5,
+    # so the line search gives the seed up.
+    Path("nan_past_plugin.py").write_text("""import numpy as np
+
+
+def nan_past_half(p):
+    x, y, z = p
+    d = x ** 3 - 0.001
+    h = np.array([[d, y - 1j * z, 0.0], [y + 1j * z, -d, 0.0],
+                  [0.0, 0.0, 1.0]])
+    if x > 0.5:
+        h[2, 2] = np.nan
+    return h
+""", encoding="utf-8")
     # The same family failing past x = 0.15, that is from the sixth chunk of
     # three grid lines of a res-5 scan of the 0.4 box on: non-Hermitian
     # matrices, an evaluator that raises, or both, raising from x = 0.3 on
@@ -349,6 +365,9 @@ def _calls(cases):
     calls += [[command, f"layout_{layout}.json", "--k", "2", "--json"]
               for layout in ("canonical", "indent", "compact")
               for command in ("decompose", "distance")]
+    calls.append(["weyl-scan", "--model",
+                  "plugin:nan_past_plugin.py:nan_past_half", "--box", "0.3",
+                  "--res", "5", "--json"])
     return calls
 
 
