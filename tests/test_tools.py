@@ -1,5 +1,6 @@
 """The byte-identity digest tool."""
 
+import difflib
 import re
 import subprocess
 import sys
@@ -21,7 +22,17 @@ def test_cli_digests_runs_every_call_and_repeats():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
-    lines = runs[0].splitlines()
+    # The first run against the checked-in lines: first the environment
+    # they were taken in, then every digest line.
+    header, *lines = runs[0].splitlines()
+    want_header, *want = (ROOT / "tools" / "cli_digests.txt").read_text(
+        encoding="utf-8").splitlines()
+    assert header == want_header, (
+        f"tools/cli_digests.txt was taken in {want_header!r}, this run is in "
+        f"{header!r}; regenerate it there on an unchanged checkout")
+    moved = "\n".join(difflib.unified_diff(want, lines, "cli_digests.txt",
+                                           "this checkout", n=0, lineterm=""))
+    assert not moved, f"CLI digest lines differ:\n{moved}"
     assert len(lines) > 100
     line = re.compile(r"[0-9a-f]{64} (\d) (decompose|distance|project|order"
                       r"|weyl-scan|model) .* \| .*")

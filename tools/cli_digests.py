@@ -5,16 +5,24 @@
 Imports `degengeo` from CHECKOUT/src (default: the checkout this file is
 in), writes seeded input files to a temporary directory, and runs each CLI
 call in-process from there: every subcommand's --help, every model, and the
-analysis commands on seeded inputs. One line per call: the SHA-256 of
-stdout, the exit code (or "raised Type: message" for an exception that
-escapes `main`), the argv, and the first stderr line that is not the wall
-time.
+analysis commands on seeded inputs. The first line names the environment:
+the Python version (argparse's --help layout changes between versions), the
+numpy version, and the BLAS and LAPACK libraries numpy was built against.
+Then one line per call: the SHA-256 of stdout, the exit code (or "raised
+Type: message" for an exception that escapes `main`), the argv, and the
+first stderr line that is not the wall time.
 Two checkouts give the same CLI bytes on these calls when
 
     diff <(python3 tools/cli_digests.py OLD) <(python3 tools/cli_digests.py NEW)
 
 is empty. The inputs are built with numpy and written by this script, not
 by `degengeo.matrixio`, so both checkouts read the same files.
+
+`tools/cli_digests.txt` holds the expected lines, and a tier-1 test compares
+them with a run of this checkout. A change that moves a line on purpose, or
+a new environment, regenerates it with one redirect:
+
+    python3 tools/cli_digests.py > tools/cli_digests.txt
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -386,6 +395,14 @@ def _run(main, argv):
     return f"{digest} {code} {' '.join(argv)} | {lines[0] if lines else ''}"
 
 
+def environment():
+    """The header line: Python, numpy, and numpy's BLAS and LAPACK."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return (f"# python {platform.python_version()}, numpy {np.__version__}, "
+            + ", ".join(f"{lib} {deps[lib]['name']} {deps[lib]['version']}"
+                        for lib in ("blas", "lapack")))
+
+
 def main():
     checkout = Path(sys.argv[1] if len(sys.argv) > 1
                     else Path(__file__).resolve().parent.parent).resolve()
@@ -399,6 +416,7 @@ def main():
         os.chdir(tmp)
         try:
             calls = _calls(_write_inputs(np.random.default_rng(SEED)))
+            print(environment())
             for argv in calls:
                 print(_run(cli.main, argv))
         finally:
