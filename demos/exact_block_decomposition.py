@@ -13,16 +13,17 @@ import numpy as np
 from degengeo import (
     chart_coordinates,
     frobenius_norm,
-    half_gap,
     operator_2_norm,
     sw_decompose,
 )
 from degengeo.models import example_pr, example_pr_reference
+from degengeo.spectra import window_half_gap
 
 H0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 print("Base point H0 = diag(0, 0, 1): twofold degenerate ground level,")
-print(f"uniqueness ball radius r0 = {half_gap(H0, 2)} (half the gap)\n")
+r0 = window_half_gap(np.diag(H0).real, 2, 0)
+print(f"uniqueness ball radius r0 = {r0} (half the gap)\n")
 
 p, r = 0.3, 0.2
 h = example_pr(p, r)

@@ -21,16 +21,13 @@ the bytes of the sum of the tensor products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hermitian import _freeze
 from .swtransform import SWDecomposition
-from .weyl import polynomial_value
+from .weyl import MonomialTable
 
 __all__ = [
-    "PauliString",
     "pauli_matrix",
     "ssh",
     "ssh_hopping_disorder",
@@ -62,29 +59,6 @@ _PHASES = np.array([[1, -1], [1j, -(1j)], [-1, 1], [-(1j), 1j]],
                    dtype=complex)
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A coefficient times a tensor product of single-qubit Paulis,
-    written as a letter string like "XZZXI"."""
-
-    n_qubits: int
-    letters: str
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        if len(self.letters) != self.n_qubits:
-            raise ValueError("need one Pauli letter per qubit")
-        if any(ch not in _PAULI for ch in self.letters):
-            raise ValueError(f"unknown Pauli letter in {self.letters!r}")
-
-    def matrix(self):
-        cols, phases = _pauli_entries([self.letters], self.n_qubits)
-        dim = cols.shape[1]
-        out = np.zeros((dim, dim), dtype=complex)
-        out[np.arange(dim), cols[0]] = self.coefficient * phases[0]
-        return _freeze(out)
-
-
 def _pauli_entries(words, n_qubits):
     """The nonzeros of each of the words of n_qubits letters, as two
     (words x 2^n_qubits) arrays: row r of word j holds phases[j, r] at column
@@ -104,8 +78,16 @@ def _pauli_entries(words, n_qubits):
 
 
 def pauli_matrix(letters, coefficient=1.0):
-    """Dense matrix of a Pauli letter string."""
-    return PauliString(len(letters), letters, coefficient).matrix()
+    """Dense matrix of coefficient times the Pauli word `letters`, one
+    letter I, X, Y or Z per qubit, the first letter the most significant
+    bit; a word with any other letter is refused."""
+    if any(ch not in _PAULI for ch in letters):
+        raise ValueError(f"unknown Pauli letter in {letters!r}")
+    cols, phases = _pauli_entries([letters], len(letters))
+    dim = cols.shape[1]
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.arange(dim), cols[0]] = coefficient * phases[0]
+    return _freeze(out)
 
 
 def _check_qubits(n_qubits):
@@ -228,7 +210,8 @@ def example_pr(p, r):
 
 def example_pr_reference(p, r):
     """Closed-form decomposition of `example_pr(p, r)` relative to
-    diag(0, 0, 1), valid in a neighbourhood of the origin.
+    diag(0, 0, 1), valid in a neighbourhood of the origin: the oracle the
+    tests compare `sw_decompose` against.
 
     With q2 = p^2 + r^2, root = sqrt(1 + 4 q2) and A the real antisymmetric
     [[0, 0, p], [0, 0, r], [-p, -r, 0]]:
@@ -303,4 +286,5 @@ def weyl_example(x, y, z):
          [y + i x z,    x + i y z,    1 + x y z  ]],
 
     evaluated from WEYL_EXAMPLE_TERMS."""
-    return _freeze(polynomial_value(WEYL_EXAMPLE_TERMS, [x, y, z]))
+    return _freeze(MonomialTable.of(WEYL_EXAMPLE_TERMS).value(
+        np.array([x, y, z], dtype=float)))

@@ -24,6 +24,7 @@ from .spectra import (
     eigh,
     unseparated_edge,
     window_distance,
+    window_mean,
     window_members,
     window_spread,
 )
@@ -114,7 +115,7 @@ def project_with_index_set(h, indices, gauge=None):
     spec = gauge if gauge is not None else eigh(h)
     vals = spec.eigenvalues.copy()
     sel = np.array([i - 1 for i in idx])
-    mean = float(np.mean(vals[sel]))
+    mean = window_mean(vals[sel], len(sel))
     omitted = np.setdiff1d(np.arange(n), sel)
     lowest_omitted = float(vals[omitted[0]])
     if mean >= lowest_omitted:

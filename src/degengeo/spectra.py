@@ -11,17 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import _finite_eigvalsh, _overflow_safe
+from .hermitian import _overflow_safe
 
 __all__ = [
     "Spectrum",
     "StratumPartition",
     "eigh",
     "classify_stratum",
-    "is_in_sigma_k",
-    "is_on_boundary",
     "stratum_codimension",
-    "half_gap",
 ]
 
 #: Default relative tolerance for declaring adjacent eigenvalues coincident.
@@ -66,10 +63,6 @@ class StratumPartition:
 
     parts: tuple
     tolerance: float
-
-    @property
-    def n(self):
-        return sum(self.parts)
 
 
 def eigh(h):
@@ -319,34 +312,7 @@ def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
     return StratumPartition(parts=tuple(parts.tolist()), tolerance=tol)
 
 
-def is_in_sigma_k(partition, k):
-    """True when the lowest k eigenvalues coincide and are strictly separated
-    from the (k+1)-th, i.e. k_1 = k with at least two parts."""
-    parts = partition.parts
-    return parts[0] == k and len(parts) >= 2
-
-
-def is_on_boundary(partition, k):
-    """True when eigenvalues k and k+1 fall into one part (lambda_k equals
-    lambda_{k+1}), where the projection onto the k-fold manifold loses
-    uniqueness: 0 < k < n and no part ends at k."""
-    return bool(0 < k < partition.n
-                and k not in np.cumsum(partition.parts))
-
-
 def stratum_codimension(partition):
     """Codimension sum_i (k_i^2 - 1) of the stratum labeled by the partition."""
     return int(sum(p * p - 1 for p in partition.parts))
 
-
-def half_gap(h0, k):
-    """Half the spectral gap (lambda_{k+1} - lambda_k)/2 of a matrix; zero on
-    the boundary stratum. This is the operator-2-norm ball radius within
-    which the block decomposition is unique. A matrix with a NaN or infinite
-    entry raises LinAlgError."""
-    h0 = np.asarray(h0)
-    n = h0.shape[0]
-    check_window(n, k)
-    if k == n:
-        raise ValueError(f"window covers the whole spectrum: n={n}, k={k}")
-    return float(window_half_gap(_finite_eigvalsh(h0), k, 0))

@@ -49,7 +49,6 @@ __all__ = [
     "estimate_all_orders",
     "FIVE_METHODS",
     "signed_stddev",
-    "signed_stddev_fit_residual",
     "CascadeResult",
     "cascade",
     "default_ladder",
@@ -420,19 +419,6 @@ def signed_stddev(fam, r, ts):
     ts = np.asarray(ts, dtype=float)
     std = window_spread(_stacked_ladder(fam, ts)[1], fam.k, fam.offset)[2]
     return np.sign(ts) ** r * std
-
-
-def signed_stddev_fit_residual(fam, r, ts, degree=None):
-    """Numerical analyticity check: residual of a polynomial fit (default
-    degree r + 3) through signed standard-deviation samples straddling 0.
-    Small residual relative to the sample scale indicates a smooth function."""
-    ts = np.asarray(ts, dtype=float)
-    vals = signed_stddev(fam, r, ts)
-    if degree is None:
-        degree = r + 3
-    coeffs = np.polynomial.polynomial.polyfit(ts, vals, degree)
-    fit = np.polynomial.polynomial.polyval(ts, coeffs)
-    return float(np.max(np.abs(fit - vals)))
 
 
 # ---------------------------------------------------------------------------

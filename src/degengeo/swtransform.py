@@ -103,7 +103,8 @@ CANONICAL_RTOL = 1e-12
 
 
 def projector_lowest_k(spec, k):
-    """Rank-k orthogonal projector onto the span of the lowest k eigenvectors.
+    """The eigenprojector P: the rank-k orthogonal projector onto the span
+    of the lowest k eigenvectors.
 
     Requires lambda_k < lambda_{k+1} strictly (beyond the grouping
     tolerance); on the boundary the projector is not unique and
@@ -121,9 +122,10 @@ def _too_far(sep):
 
 
 def direct_rotation(p, p0):
-    """The direct rotation W from ran(P0) to ran(P): the unitary with
-    W P0 W^dagger = P that turns each principal vector of ran(P0) by its
-    principal angle towards ran(P) and fixes what is orthogonal to both.
+    """The direct rotation W = e^{iS} from ran(P0) to ran(P), the rotation
+    of the block decomposition: the unitary with W P0 W^dagger = P that
+    turns each principal vector of ran(P0) by its principal angle towards
+    ran(P) and fixes what is orthogonal to both.
     It equals Kato's (P P0 + (I - P)(I - P0)) (I - (P - P0)^2)^{-1/2} and
     the square root of (I - 2P)(I - 2P0) with eigenvalues closest to 1, and
     is built as in `sw_decompose`, from the principal angles in an
@@ -245,7 +247,8 @@ class SWDecomposition:
         return self.h0 + self.b + self.t_matrix() + self.h_eff
 
     def reconstruct(self):
-        """e^{iS} (H0 + B + T + H_eff) e^{-iS}."""
+        """The block decomposition reassembled: H = e^{iS} (H0 + B + T +
+        H_eff) e^{-iS}."""
         return conjugate(self.block_diagonal(), self.e)
 
     def _local(self, m):

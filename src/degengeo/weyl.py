@@ -59,7 +59,6 @@ __all__ = [
     "ParamFamily",
     "param_family",
     "polynomial_family",
-    "polynomial_value",
     "WeylReport",
     "effective_map",
     "first_order_effective_map",
@@ -141,13 +140,6 @@ class MonomialTable:
         weights[axes, :, axes] = (self.exponents * powers[
             np.maximum(self.exponents - 1, 0), axes]).T
         return np.tensordot(np.prod(weights, axis=-1), self.coeffs, axes=1)
-
-
-def polynomial_value(terms, points):
-    """sum_alpha p^alpha C_alpha at each point p of `points`, shape (..., m),
-    for terms {exponent tuple alpha: n x n matrix C_alpha}: shape
-    (..., n, n), added in dict order (`MonomialTable.value`)."""
-    return MonomialTable.of(terms).value(np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -293,10 +285,11 @@ def _window_map(anchor, fam):
 
 
 def first_order_effective_map(fam, p0):
-    """The first-order effective map: coordinates of the traceless window
-    block of H(p) in the anchor gauge, with no rotation applied. At p0 it
-    has `effective_map`'s value and Jacobian (module docstring), so the scan
-    and `classify_point` differentiate it instead."""
+    """The first-order effective Hamiltonian as a map: coordinates of the
+    traceless window block of H(p) in the anchor gauge, with no rotation
+    applied. At p0 it has `effective_map`'s value and Jacobian (module
+    docstring), so the scan and `classify_point` differentiate it instead;
+    at a Weyl point the sign of its Jacobian determinant is the charge."""
     return _window_map(Anchor.at(fam(p0), fam.k, fam.offset), fam)
 
 

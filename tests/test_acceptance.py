@@ -32,7 +32,7 @@ from degengeo.projection import (
     project_with_index_set,
     sample_sigma_k,
 )
-from degengeo.spectra import half_gap
+from degengeo.spectra import window_half_gap
 from degengeo.splitting import (
     FIVE_METHODS,
     cascade,
@@ -65,7 +65,8 @@ def _random_case(rng, n_range=(3, 9), k_choices=(2, 3), fraction=0.9):
     rest = deg + 1.0 + np.sort(rng.uniform(0.0, 2.0, size=n - k))
     h0 = np.diag(np.concatenate([np.full(k, deg), rest])).astype(complex)
     v = random_hermitian(n, rng)
-    scale = fraction * rng.uniform(0.1, 1.0) * half_gap(h0, k)
+    r0 = window_half_gap(np.diag(h0).real, k, 0)
+    scale = fraction * rng.uniform(0.1, 1.0) * r0
     return h0 + v * (scale / operator_2_norm(v)), h0, n, k
 
 

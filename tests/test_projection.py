@@ -8,6 +8,7 @@ from degengeo.errors import DegenerateBoundary, NotInSigmaK
 from degengeo.hermitian import (
     conjugate,
     frobenius_norm,
+    hermitian,
     random_hermitian,
     random_unitary,
 )
@@ -136,6 +137,17 @@ def test_index_set_precondition():
     h = np.diag([0.0, 1.0, 10.0]).astype(complex)
     with pytest.raises(NotInSigmaK):
         project_with_index_set(h, {1, 3})
+
+
+def test_index_set_mean_does_not_overflow():
+    # The selected eigenvalues sum past the largest double. Their mean,
+    # 8.37e307, is the window mean `collapse_projection` takes, below the
+    # omitted 8.9e307, so both give the same matrix.
+    h = hermitian(np.diag([8.0e307, 8.5e307, 8.6e307, 8.9e307]))
+    pr = collapse_projection(h, 3)
+    assert pr.mean_lambda == pytest.approx(8.3666666666666667e307)
+    g = project_with_index_set(h, [1, 2, 3])
+    assert g.tobytes() == pr.h_sigma.tobytes()
 
 
 def test_index_set_is_farther():

@@ -21,9 +21,6 @@ from degengeo.spectra import (
     classify_stratum,
     coincidence_tolerance,
     eigh,
-    half_gap,
-    is_in_sigma_k,
-    is_on_boundary,
     stratum_codimension,
     unseparated_edge,
     window_distance,
@@ -424,12 +421,15 @@ def test_classify_chained_grouping():
 
 
 def test_classify_membership_helpers():
-    part = classify_stratum(_spec_of([0, 0, 1, 2]))
-    assert is_in_sigma_k(part, 2)
-    assert not is_in_sigma_k(part, 3)
-    assert is_on_boundary(part, 1)
-    assert not is_on_boundary(part, 2)
-    assert is_on_boundary(classify_stratum(_spec_of([0, 1, 1, 2])), 2)
+    # H is in Sigma_k when its first part has k members and is not the
+    # whole spectrum; on the boundary when eigenvalues k and k+1 share a
+    # part, where the window's upper edge is unseparated.
+    vals = np.array([0.0, 0.0, 1.0, 2.0])
+    parts = classify_stratum(_spec_of(vals)).parts
+    assert parts[0] == 2 and len(parts) >= 2
+    assert unseparated_edge(vals, 1, 0) == 1
+    assert unseparated_edge(vals, 2, 0) is None
+    assert unseparated_edge(np.array([0.0, 1.0, 1.0, 2.0]), 2, 0) == 2
 
 
 def test_classify_conjugated():
@@ -474,20 +474,12 @@ def test_eigenvalue_continuity_weyl_inequality():
 
 
 def test_half_gap():
-    assert half_gap(np.diag([0.0, 0.0, 1.0]), 2) == pytest.approx(0.5)
-    assert half_gap(np.diag([0.0, 1.0, 2.0]), 1) == pytest.approx(0.5)
-    assert half_gap(np.diag([0.0, 1.0, 1.0]), 2) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        half_gap(np.diag([0.0, 1.0]), 2)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_half_gap_refuses_non_finite_matrices(bad):
-    # eigvalsh returns [0, 0, -0] for diag(0, 1, nan) without an error, and
-    # NaNs for diag(0, 1, inf): the half gap would read 0.0 or nan.
-    for h in (np.diag([0.0, 1.0, bad]), np.diag([bad, 0.0, 1.0])):
-        with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
-            half_gap(h, 1)
+    # r0 of a diagonal base is the window half gap of its diagonal: zero on
+    # the boundary stratum, inf for a window of the whole spectrum.
+    assert window_half_gap(np.array([0.0, 0.0, 1.0]), 2, 0) == 0.5
+    assert window_half_gap(np.array([0.0, 1.0, 2.0]), 1, 0) == 0.5
+    assert window_half_gap(np.array([0.0, 1.0, 1.0]), 2, 0) == 0.0
+    assert window_half_gap(np.array([0.0, 1.0]), 2, 0) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +664,8 @@ def _loop_parts(vals, tol):
 
 
 def _loop_on_boundary(parts, k):
-    """Reference for is_on_boundary: eigenvalues k and k+1 share a part."""
+    """Reference for the boundary stratum: eigenvalues k and k+1 share a
+    part."""
     upper = 0
     for p in parts:
         lower = upper + 1
@@ -684,7 +677,7 @@ def _loop_on_boundary(parts, k):
 
 def test_stratum_rules_match_the_loop_references():
     # Spectra rounded to few digits tie often, so runs of every length
-    # appear; k runs over 0..n and one past each end.
+    # appear; k runs over every window size 1..n.
     rng = np.random.default_rng(11)
     for trial in range(300):
         n = int(rng.integers(1, 10))
@@ -692,7 +685,7 @@ def test_stratum_rules_match_the_loop_references():
         part = classify_stratum(_spec_of(vals))
         assert part.parts == _loop_parts(vals, part.tolerance)
         assert all(type(p) is int for p in part.parts)
-        for k in range(-1, n + 2):
-            assert is_on_boundary(part, k) is _loop_on_boundary(part.parts, k)
+        for k in range(1, n + 1):
+            assert ((unseparated_edge(vals, k, 0) == k)
+                    is _loop_on_boundary(part.parts, k))
     assert classify_stratum(_spec_of([0.0, 0.0])).parts == (2,)
-    assert not is_on_boundary(classify_stratum(_spec_of([0.0, 0.0])), 0)

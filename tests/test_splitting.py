@@ -41,7 +41,6 @@ from degengeo.splitting import (
     family,
     linear_family,
     signed_stddev,
-    signed_stddev_fit_residual,
     splitting_samples,
 )
 from degengeo.swtransform import Anchor
@@ -346,11 +345,12 @@ def test_signed_stddev_smoothness():
     ts = np.linspace(-0.15, 0.15, 31)
     ts = ts[ts != 0.0]
     scale = max(1.0, frobenius_norm(h0))
-    residual = signed_stddev_fit_residual(fam, r, ts)
-    assert residual <= 1e-6 * scale
-    # the wrong parity leaves a kink at 0 that the fit cannot absorb
-    kinked = signed_stddev_fit_residual(fam, r - 1, ts, degree=r + 3)
-    assert kinked > 1e-6 * scale
+    # A degree r + 3 polynomial fits sgn(t)^r std(t) through t = 0; the
+    # wrong parity leaves a kink at 0 that the fit cannot absorb.
+    for parity, fits in ((r, True), (r - 1, False)):
+        vals = signed_stddev(fam, parity, ts)
+        fit = np.polynomial.Polynomial.fit(ts, vals, r + 3)
+        assert (np.max(np.abs(fit(ts) - vals)) <= 1e-6 * scale) == fits
 
 
 def test_cascade_single_crossing():

@@ -20,6 +20,7 @@ from degengeo.projection import collapse_projection, distance_to_sigma
 from degengeo.splitting import estimate_order, family, linear_family
 from degengeo.swtransform import Anchor
 from degengeo.weyl import (
+    MonomialTable,
     _newton_refine,
     _window_distance_at,
     classify_point,
@@ -1167,7 +1168,7 @@ def _dict_order_sum(terms, p):
 
 
 def test_values_are_the_dict_order_sum():
-    # __call__, stack and polynomial_value give the reference's bits at
+    # __call__, stack and MonomialTable.value give the reference's bits at
     # every sign pattern of zero and at random points, for the built-in
     # model and for random cubic families.
     rng = np.random.default_rng(23)
@@ -1179,8 +1180,8 @@ def test_values_are_the_dict_order_sum():
         fam = polynomial_family(terms)
         want = np.stack([_dict_order_sum(terms, p) for p in points])
         got = [fam.stack(points), np.stack([fam(p) for p in points]),
-               weyl.polynomial_value(terms, points),
-               np.stack([weyl.polynomial_value(terms, p) for p in points])]
+               MonomialTable.of(terms).value(points),
+               np.stack([MonomialTable.of(terms).value(p) for p in points])]
         for mats in got:
             assert mats.dtype == want.dtype
             assert mats.tobytes() == want.tobytes()
