@@ -3,7 +3,7 @@
 A matrix document is JSON text with two fields: "n" (the dimension) and
 "entries", the row-major list of n^2 [re, im] pairs of JSON numbers.
 Writers emit 17 significant digits, which round-trips IEEE doubles
-exactly, but for -0.0: its "-0" reads back as +0.0. The reader takes a
+exactly; negative zero is written "-0.0". The reader takes a
 document in the canonical layout
 `{"n": N, "entries": [[re, im], [re, im], ...]}` (the layout of
 `matrix_text`, and of `json.dumps` with its default separators; a final
@@ -61,10 +61,14 @@ def format_float(x):
 
 def matrix_text(h):
     """Serialize a matrix to interchange-format text: every [re, im] pair
-    in one %-format pass, each part the text `format_float` gives it."""
+    in one %-format pass, each part the text `format_float` gives it but
+    negative zero, which is written "-0.0"."""
     h = np.asarray(h, dtype=complex)
     parts = np.stack((h.real, h.imag), axis=-1).ravel().tolist()
     entries = ", ".join(["[%.17g, %.17g]"] * h.size) % tuple(parts)
+    # %g writes -0.0 as "-0", which JSON reads as the integer 0; no other
+    # part's text is "-0".
+    entries = entries.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
     return f'{{"n": {h.shape[0]}, "entries": [{entries}]}}\n'
 
 
@@ -112,14 +116,11 @@ def _matrix_from_document(doc):
 
 
 def _matrix_from_pairs(pairs):
-    """The Hermitian n x n matrix of the (n^2, 2) array of [re, im] leaves,
-    by the same arithmetic as a per-entry float(re) + 1j * float(im),
+    """The Hermitian n x n matrix of the C-contiguous (n^2, 2) array of
+    [re, im] leaves, each entry complex(re, im): both parts keep their bits,
     signed zeros included."""
     n = math.isqrt(len(pairs))
-    # 0 * inf is NaN, which `hermitian` refuses next; no warning on the way.
-    with np.errstate(invalid="ignore"):
-        h = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
-    return hermitian(h)
+    return hermitian(pairs.view(complex).reshape(n, n))
 
 
 #: The text before the entries of a canonical document, and the characters

@@ -13,9 +13,11 @@ with the index permutation that makes the eigenvalue branches analytic
 through t = 0. A family is a `weyl.ParamFamily` with m = 1. A ladder's
 eigenvalues come from one stacked eigvalsh, its effective blocks from one
 stacked `Anchor.heff_block`, and a cascade level is held as its values at
-the four probe points. The spectrum of H(0) that `family` checks is kept on
-the family, and the heff samples and the cascade build their start anchor
-from it.
+the four probe points. `estimate_order(fam, "heff")` fits the effective-
+block norms alone: one stacked eigh and one k x k SVD per ladder, with no
+eigvalsh of the ladder's spectra and no uniqueness-ball test. The spectrum
+of H(0) that `family` checks is kept on the family, and the heff samples,
+the heff order and the cascade build their start anchor from it.
 """
 
 from __future__ import annotations
@@ -134,28 +136,43 @@ def _stacked_ladder(fam, ts):
     return hs, np.linalg.eigvalsh(hs)
 
 
+def _ladder_points(ts):
+    """The sample points ts as a sorted float array; ValueError unless they
+    are nonzero and distinct."""
+    ts = np.sort(np.asarray(ts, dtype=float))
+    if np.any(ts == 0.0):
+        raise ValueError("sample points must be nonzero")
+    if np.any(np.diff(ts) == 0.0):
+        raise ValueError("sample points must be distinct")
+    return ts
+
+
 def splitting_samples(fam, ts, with_heff=True):
     """Evaluate all splitting measures of the family on the given nonzero,
     distinct parameter values, in ascending order of t.
 
     The ladder's eigenvalues come from one stacked eigvalsh. With heff, the
     whole ladder, taken once into the gauge of the family's start anchor,
-    goes through one stacked `Anchor.heff_block` call; its uniqueness-ball
-    test takes Frobenius bounds, and one eigvalsh over only the samples
-    they leave open. When a sample's decomposition fails, the ladder is
-    decomposed again one sample at a time, so that each failing sample gets
-    its own note and the others their values."""
-    ts = np.sort(np.asarray(ts, dtype=float))
-    if np.any(ts == 0.0):
-        raise ValueError("sample points must be nonzero")
-    if np.any(np.diff(ts) == 0.0):
-        raise ValueError("sample points must be distinct")
+    goes through `_heff_norms`; the uniqueness-ball test of the notes takes
+    Frobenius bounds, and one eigvalsh over only the samples they leave
+    open."""
+    ts = _ladder_points(ts)
     a, k = fam.offset, fam.k
     hs, ladder_vals = _stacked_ladder(fam, ts)
     _, mean_devs, stds = window_spread(ladder_vals, k, a)
     heff_norms = notes = [None] * len(ts)
     if with_heff:
-        heff_norms, notes = _heff_norms(fam.start_anchor(), hs)
+        anchor = fam.start_anchor()
+        local = anchor.local(hs)
+        r0 = window_half_gap(np.diag(anchor.base).real, k, a)
+        # Exactly Hermitian, as the square bound of `_within_ball` needs:
+        # `local` comes from `conjugate` (`_hermitian_part`), and the base is
+        # a real diagonal.
+        inside = _within_ball(local - anchor.base, r0)
+        heff_norms, failures = _heff_norms(anchor, local)
+        notes = [failure or (None if ok else
+                             "outside the uniqueness ball of the start point")
+                 for failure, ok in zip(failures, inside)]
     out = []
     for sample, (t, vals) in enumerate(zip(ts, ladder_vals)):
         win = vals[a : a + k]
@@ -174,36 +191,29 @@ def splitting_samples(fam, ts, with_heff=True):
     return out
 
 
-def _heff_norms(anchor, hs):
-    """||H_eff||_F of each matrix of the finite stack hs against the anchor,
-    and its note: why its decomposition failed (the norm is then None), or
-    that ||H(t) - G||_2 >= r0 in the anchor gauge. The stack is taken into
-    the gauge once, for the blocks and for `_within_ball`. A stacked
-    `heff_block` raises on its first bad matrix; only then is each matrix
-    decomposed on its own."""
-    local = anchor.local(hs)
-    r0 = window_half_gap(np.diag(anchor.base).real, anchor.k, anchor.offset)
-    # Exactly Hermitian, as the square bound of `_within_ball` needs: `local`
-    # comes from `conjugate` (`_hermitian_part`), and the base is a real
-    # diagonal.
-    inside = _within_ball(local - anchor.base, r0)
+def _heff_norms(anchor, local):
+    """||H_eff||_F of each matrix of the finite stack `local`, already in the
+    anchor's gauge, and for each, the note on its failed decomposition (its
+    norm is then None) or None. One stacked `heff_block` takes the whole
+    stack: one eigh and one k x k SVD. It raises on its first bad matrix;
+    only then is each matrix decomposed on its own, so that each failing
+    one gets its own note and the others their values."""
     try:
         blocks = anchor._heff_block_local(local)
     except (DegenError, np.linalg.LinAlgError):
         blocks = None
-    norms, notes = [], []
+    norms, failures = [], []
     for sample, h in enumerate(local):
         try:
             block = (anchor._heff_block_local(h) if blocks is None
                      else blocks[sample])
         except (DegenError, np.linalg.LinAlgError) as exc:
             norms.append(None)
-            notes.append(f"decomposition failed: {exc}")
+            failures.append(f"decomposition failed: {exc}")
             continue
         norms.append(frobenius_norm(block))
-        notes.append(None if inside[sample] else
-                     "outside the uniqueness ball of the start point")
-    return norms, notes
+        failures.append(None)
+    return norms, failures
 
 
 @dataclass(frozen=True)
@@ -219,17 +229,17 @@ class OrderEstimate:
     method: str
 
 
-def _zero_floor(fam, samples, label):
+def _zero_floor(fam, ts, label):
     """ZERO_FLOOR_RTOL * max(1, ||H(0)||, ||H'(0)||), with H'(0) differenced
-    at the sample closest to 0: central, or one-sided for evaluators defined
-    only on the sampled side (tabulated families raise KeyError off their
-    ladder). Three evaluations; every measure of a sample set shares it.
-    Without samples there is nothing to fit, nor with an H'(0) estimate that
-    is not finite (a subnormal t overflows the quotient), and
-    InconclusiveFit says so under `label`."""
-    if not samples:
+    at the sample point of ts closest to 0: central, or one-sided for
+    evaluators defined only on the sampled side (tabulated families raise
+    KeyError off their ladder). Three evaluations; every measure of a sample
+    set shares it. Without samples there is nothing to fit, nor with an
+    H'(0) estimate that is not finite (a subnormal t overflows the
+    quotient), and InconclusiveFit says so under `label`."""
+    if not ts:
         raise InconclusiveFit(f"{label}: no usable samples")
-    t1 = min(abs(s.t) for s in samples)
+    t1 = min(abs(t) for t in ts)
     h0, above = fam(0.0), fam(t1)
     try:
         below, step = fam(-t1), 2.0 * t1
@@ -332,14 +342,26 @@ def estimate_order(fam, method="stddev", ladder=None, samples=None,
     0.2 of a positive integer.
 
     Precomputed `samples` (from `splitting_samples`) are reused when given.
+    Without them, "heff" fits the norms alone: the ladder, taken once into
+    the gauge of the family's start anchor, goes through one stacked eigh
+    and one stacked k x k SVD (see `_heff_norms`), with no eigvalsh of the
+    ladder's spectra and no uniqueness-ball test; the estimate and every
+    error are those of the fit on `splitting_samples(fam, ladder)`.
     """
     if ladder is None:
         ladder = default_ladder()
+    if samples is None and method == "heff":
+        ts = _ladder_points(ladder)
+        hs = fam.stack(ts[:, None])
+        anchor = fam.start_anchor()
+        norms = _heff_norms(anchor, anchor.local(hs))[0]
+        ts = ts.tolist()
+        return _fit_order(ts, norms, _zero_floor(fam, ts, method), method)
     if samples is None:
-        samples = splitting_samples(fam, ladder, with_heff=(method == "heff"))
-    return _estimate(samples, _zero_floor(fam, samples, method), fam.k,
-                     method, _LogAbscissae([s.t for s in samples]), pair,
-                     index)
+        samples = splitting_samples(fam, ladder, with_heff=False)
+    ts = [s.t for s in samples]
+    return _estimate(samples, _zero_floor(fam, ts, method), fam.k, method,
+                     _LogAbscissae(ts), pair, index)
 
 
 def _estimate(samples, floor, k, method, abscissae, pair=None, index=None):
@@ -405,8 +427,9 @@ def estimate_all_orders(fam, ladder=None):
     if ladder is None:
         ladder = default_ladder()
     samples = splitting_samples(fam, ladder, with_heff=False)
-    floor = _zero_floor(fam, samples, "all orders")
-    abscissae = _LogAbscissae([s.t for s in samples])
+    ts = [s.t for s in samples]
+    floor = _zero_floor(fam, ts, "all orders")
+    abscissae = _LogAbscissae(ts)
     estimates = {m: _estimate(samples, floor, fam.k, m, abscissae)
                  for m in FIVE_METHODS}
     orders = {e.r for e in estimates.values()}

@@ -220,8 +220,8 @@ class ParamFamily:
                 return np.empty(points.shape[:-1] + (self.n, self.n))
             mats = np.stack([self.evaluator(np.array(p)) for p in flat])
             mats = mats.reshape(points.shape[:-1] + mats.shape[1:])
-        finite = np.isfinite(mats).all(axis=(-2, -1))
-        if not finite.all():
+        if not np.isfinite(mats).all():
+            finite = np.isfinite(mats).all(axis=(-2, -1))
             p = points.reshape(-1, self.m)[np.argmin(finite)].tolist()
             at = f"t = {p[0]!r}" if self.m == 1 else f"p = {p!r}"
             raise np.linalg.LinAlgError(f"the family is not finite at {at}")

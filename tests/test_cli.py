@@ -66,7 +66,7 @@ def test_parse_rejects_malformed():
 
 def test_parse_matches_entrywise_loop():
     # Signed zeros in both parts and integer entries: the bytes of the
-    # per-entry float(re) + 1j * float(im) conversion.
+    # per-entry complex(float(re), float(im)) conversion.
     n = 4
     diagonal = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]
     upper = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [1.5, -0.0],
@@ -77,7 +77,7 @@ def test_parse_matches_entrywise_loop():
     for (a, m), (re, im) in zip(zip(*np.triu_indices(n, 1)), upper):
         pairs[a * n + m] = [re, im]
         pairs[m * n + a] = [re, -im]
-    loop = np.array([float(re) + 1j * float(im) for re, im in pairs])
+    loop = np.array([complex(float(re), float(im)) for re, im in pairs])
     parsed = parse_matrix(json.dumps({"n": n, "entries": pairs}))
     assert parsed.tobytes() == hermitian(loop.reshape(n, n)).tobytes()
     with pytest.raises(ValueError, match="entry 1 is not an"):
@@ -87,7 +87,7 @@ def test_parse_matches_entrywise_loop():
 def test_parse_matches_the_nested_list_conversion():
     # Integers beyond 2**53 (2**60 + 1 rounds to 2**60), huge and tiny
     # floats, signed zeros and mixed pairs: the one flat pass gives the bits
-    # that np.asarray gives for the nested lists.
+    # that np.asarray gives for the nested lists, each pair one complex.
     n = 4
     leaves = [2**60, 2**60 + 1, -(2**61) - 3, -0.0, 0.0, 3, -7, 1.5,
               -2.25, 10**20, 1e-300, -1e300]
@@ -101,7 +101,7 @@ def test_parse_matches_the_nested_list_conversion():
         pairs[a * n + m] = [re, im]
         pairs[m * n + a] = [re, -im]
     old = np.asarray(pairs, dtype=float)
-    want = hermitian((old[:, 0] + 1j * old[:, 1]).reshape(n, n))
+    want = hermitian(old.view(complex).reshape(n, n))
     assert parse_matrix(json.dumps({"n": n, "entries": pairs})).tobytes() \
         == want.tobytes()
 
@@ -1227,10 +1227,13 @@ _MATRICES = st.one_of(
 
 
 def _reference_matrix_text(h):
-    """`matrix_text` by one `format_float` call per part."""
+    """`matrix_text` by one `format_float` call per part, but "-0.0" for
+    negative zero."""
+    def part(x):
+        return "-0.0" if x == 0.0 and np.signbit(x) else format_float(x)
+
     h = np.asarray(h, dtype=complex)
-    pairs = ", ".join(f"[{format_float(z.real)}, {format_float(z.imag)}]"
-                      for z in h.ravel())
+    pairs = ", ".join(f"[{part(z.real)}, {part(z.imag)}]" for z in h.ravel())
     return f'{{"n": {h.shape[0]}, "entries": [{pairs}]}}\n'
 
 
@@ -1242,12 +1245,13 @@ _SQUARES = st.integers(1, 5).flatmap(lambda n: st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(matrix=_SQUARES)
+@example(matrix=np.array([[-0.0, complex(-0.0, -0.0)],
+                          [complex(0.0, -0.0), complex(-0.0, 1.0)]]))
 def test_matrix_text_formats_each_part_and_reads_back(matrix):
     assert matrix_text(matrix) == _reference_matrix_text(matrix)
     # The mirrored upper triangle with a real diagonal: Hermitian, so it
-    # reads back as `hermitian` makes it, or fails as `hermitian` does. A
-    # signed zero reads back as +0 (JSON's "-0" is the integer 0), so the
-    # bits are compared after adding +0.
+    # reads back as `hermitian` makes it, bit for bit and signed zeros
+    # included, or fails as `hermitian` does.
     h = np.where(np.triu(np.ones(matrix.shape, bool)), matrix,
                  matrix.conj().T)
     np.fill_diagonal(h, h.diagonal().real)
@@ -1259,7 +1263,7 @@ def test_matrix_text_formats_each_part_and_reads_back(matrix):
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             parse_matrix(matrix_text(h))
         return
-    assert parse_matrix(matrix_text(h)).tobytes() == (want + 0.0).tobytes()
+    assert parse_matrix(matrix_text(h)).tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -806,6 +806,16 @@ def per_sample_heff(fam, ts):
     return out
 
 
+def outcome(call):
+    """repr of what call() returns, or the type and message of the error it
+    raises, with the estimate an InconclusiveFit carries."""
+    try:
+        return repr(call())
+    except (DegenError, ValueError, np.linalg.LinAlgError) as exc:
+        return (type(exc).__name__, str(exc),
+                repr(getattr(exc, "estimate", None)))
+
+
 def assert_samples_match_per_sample(fam, ts):
     samples = splitting_samples(fam, ts, with_heff=True)
     assert [(s.heff_norm, s.note) for s in samples] == per_sample_heff(fam, ts)
@@ -814,6 +824,10 @@ def assert_samples_match_per_sample(fam, ts):
                                          fam.offset)
         assert s.std_dev == std
         assert s.mean_dev.tobytes() == mean_dev.tobytes()
+    # The heff order fitted on the norms alone is the one fitted on the
+    # samples, or fails with the same message.
+    assert outcome(lambda: estimate_order(fam, "heff", ts)) == outcome(
+        lambda: estimate_order(fam, "heff", ts, samples=samples))
     return samples
 
 
@@ -826,6 +840,33 @@ def test_stacked_heff_ladder_matches_per_sample_bits(model, size, seed):
     fam = model_family(model, size, seed)
     for ts in (default_ladder(), np.geomspace(0.05, 4.0, 9)):
         assert_samples_match_per_sample(fam, ts)
+
+
+@pytest.mark.parametrize("model, size", [("ising", 4), ("five-qubit", 5)])
+def test_heff_order_takes_one_stacked_eigh_and_svd(model, size, linalg_calls):
+    # The heff order fits the effective-block norms alone: no eigvalsh of
+    # the ladder's spectra or for the uniqueness-ball test, and no eigh of
+    # H(0), whose spectrum `family` kept.
+    fam = model_family(model, size, 0)
+    linalg_calls.clear()
+    estimate_order(fam, method="heff")
+    assert linalg_calls == [("eigh", (14, fam.n, fam.n)), ("svd", (14, 2, 2))]
+
+
+@pytest.mark.parametrize("ladder, error, message", [
+    ([0.1, 0.0, 0.2], "ValueError", "sample points must be nonzero"),
+    ([0.2, 0.1, 0.2], "ValueError", "sample points must be distinct"),
+    ([0.1, np.nan], "LinAlgError", "the family is not finite at t = nan"),
+    ([np.inf, 0.1], "LinAlgError", "the family is not finite at t = inf"),
+    ([], "InconclusiveFit", "heff: no usable samples"),
+])
+def test_heff_order_refuses_bad_ladders_as_the_samples_do(ladder, error,
+                                                         message):
+    fam = family(lambda t: np.diag([0.0, t, 1.0]).astype(complex), 2)
+    want = (error, message, "None")
+    assert outcome(lambda: estimate_order(fam, "heff", ladder)) == want
+    assert outcome(lambda: estimate_order(
+        fam, "heff", ladder, samples=splitting_samples(fam, ladder))) == want
 
 
 def test_one_failing_sample_keeps_per_sample_notes_and_values():

@@ -339,6 +339,8 @@ def _calls(cases):
               ["model", "one-local", "--qubits", "6", "--seed", "4"],
               ["model", "example-3x3", "--v3", "0.1", "--x", "0.2", "--w3",
                "0.3"],
+              # Negative zero parts, written "-0.0".
+              ["model", "example-3x3", "--v3", "-0.0", "--z", "-0.0"],
               ["model", "example-pr", "--p", "0.3", "--r", "0.1"],
               ["model", "weyl-example", "--x", "0.1", "--y", "-0.2"],
               ["model", "weyl-example"]]
