@@ -65,10 +65,11 @@ print(f"five-qubit code Hamiltonian, single-qubit noise: "
 # --- what the raw samples look like -----------------------------------------
 print("raw splitting samples of the Ising family (stddev of the window):")
 ts = np.array([2.0 ** -e for e in range(3, 9)])[::-1]
-for s in splitting_samples(fam_ising, ts, with_heff=True):
+heff = estimate_order(fam_ising, "heff", ts)
+for s, (_, norm) in zip(splitting_samples(fam_ising, ts), heff.samples):
     print(f"  t = {s.t:9.6f}  stddev = {s.std_dev:.3e}  "
           f"sqrt(2)*stddev = {np.sqrt(2) * s.std_dev:.3e}  "
-          f"||H_eff|| = {s.heff_norm:.3e}")
+          f"||H_eff|| = {norm:.3e}")
 
 # --- the signed splitting is smooth through t = 0 ---------------------------
 ts = np.array([-0.02, -0.01, -0.005, 0.005, 0.01, 0.02])

@@ -61,8 +61,16 @@ def _freeze(a):
 def _hermitian_part(a):
     """(A + A^dagger)/2 of one matrix, or of each matrix of a stack
     (..., n, n). Exactly Hermitian: entries (a, b) and (b, a) add the same
-    two numbers."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    two numbers. A complex sum is halved part by part, as reals: dividing it
+    by 2 as a complex number flips the sign of some zero parts, and
+    `hermitian` would not return its own input to the bit."""
+    # C order: a float view needs a contiguous last axis.
+    s = np.add(a, a.conj().swapaxes(-1, -2), order="C")
+    if s.dtype.kind != "c":
+        return s / 2.0
+    parts = s.view(s.real.dtype)
+    parts /= 2.0
+    return s
 
 
 def _from_eigenpairs(u, vals):
@@ -184,19 +192,18 @@ def operator_2_norm(h):
 
 
 def _within_ball(x, r0):
-    """operator_2_norm(x) < r0 for an exactly Hermitian x: a bool for one
-    n x n x and a bool array of shape (...) for a stack (..., n, n).
+    """operator_2_norm(x) < r0, as a bool, for one exactly Hermitian n x n x.
 
-    Cheapest first, each bound decides the matrices for which it clears r0
-    by a relative 1e-12, far above the rounding of the norms:
+    Cheapest first, each bound decides when it clears r0 by a relative
+    1e-12, far above the rounding of the norms:
     - ||X||_F / sqrt(n) <= ||X||_2 <= ||X||_F;
-    - then, over the matrices left open, ||X||_2 <= ||X^2||_F^(1/2)
-      <= n^(1/4) ||X||_2, since ||X^2||_F^2 is the sum of |lambda_i|^4. That
-      holds for a normal X only: a nilpotent X has X^2 = 0. fl(X X) differs
-      from X^2 by at most sqrt(2) gamma_(n+2) |X| |X| entrywise (complex
-      products, Higham, Accuracy and Stability of Numerical Algorithms, 3.6),
-      so the computed ||X^2||_F is taken within that times ||X||_F^2;
-    - one eigvalsh over the matrices still open decides the rest.
+    - then ||X||_2 <= ||X^2||_F^(1/2) <= n^(1/4) ||X||_2, since ||X^2||_F^2
+      is the sum of |lambda_i|^4. That holds for a normal X only: a
+      nilpotent X has X^2 = 0. fl(X X) differs from X^2 by at most
+      sqrt(2) gamma_(n+2) |X| |X| entrywise (complex products, Higham,
+      Accuracy and Stability of Numerical Algorithms, 3.6), so the computed
+      ||X^2||_F is taken within that times ||X||_F^2;
+    - one eigvalsh decides when neither does.
     For r0 > 1, x and r0 are first divided by the power of two at or below
     r0 (exact), so r0^2 cannot overflow; ||X||_F overflows only for entries
     past about 1e154 max(1, r0), and the first bound puts such an x outside."""
@@ -205,20 +212,18 @@ def _within_ball(x, r0):
         x, r0 = x / scale, r0 / scale
     n = x.shape[-1]
     fro = np.linalg.norm(x, axis=(-2, -1))
-    inside = np.asarray(fro < r0 * (1.0 - 1e-12))
-    undecided = ~inside & ~(fro / np.sqrt(n) > r0 * (1.0 + 1e-12))
-    if undecided.any():
-        y = x[undecided]
-        square = np.linalg.norm(y @ y, axis=(-2, -1))
-        slack = np.sqrt(2.0) * _gamma(n + 2) * fro[undecided] ** 2
-        r2 = r0 * r0
-        within = square + slack < r2 * (1.0 - 1e-12)
-        still_open = ~within & ~(square - slack
-                                 > np.sqrt(n) * r2 * (1.0 + 1e-12))
-        if still_open.any():
-            within[still_open] = operator_2_norm(y[still_open]) < r0
-        inside[undecided] = within
-    return inside if inside.ndim else bool(inside)
+    if fro < r0 * (1.0 - 1e-12):
+        return True
+    if fro / np.sqrt(n) > r0 * (1.0 + 1e-12):
+        return False
+    square = np.linalg.norm(x @ x, axis=(-2, -1))
+    slack = np.sqrt(2.0) * _gamma(n + 2) * fro ** 2
+    r2 = r0 * r0
+    if square + slack < r2 * (1.0 - 1e-12):
+        return True
+    if square - slack > np.sqrt(n) * r2 * (1.0 + 1e-12):
+        return False
+    return bool(operator_2_norm(x) < r0)
 
 
 def _gamma(m):

@@ -11,13 +11,13 @@ of the effective-Hamiltonian norm. The estimators here recover that integer
 from log-log slopes; the cascade recovers it per eigenvalue pair together
 with the index permutation that makes the eigenvalue branches analytic
 through t = 0. A family is a `weyl.ParamFamily` with m = 1. A ladder's
-eigenvalues come from one stacked eigvalsh, its effective blocks from one
-stacked `Anchor.heff_block`, and a cascade level is held as its values at
-the four probe points. `estimate_order(fam, "heff")` fits the effective-
-block norms alone: one stacked eigh and one k x k SVD per ladder, with no
-eigvalsh of the ladder's spectra and no uniqueness-ball test. The spectrum
-of H(0) that `family` checks is kept on the family, and the heff samples,
-the heff order and the cascade build their start anchor from it.
+eigenvalues come from one stacked eigvalsh, and a cascade level is held as
+its values at the four probe points. `estimate_order(fam, "heff")` fits the
+effective-block norms alone: the ladder, taken once into the gauge of the
+family's start anchor, goes through one stacked `Anchor.heff_block`, one
+eigh and one k x k SVD. The spectrum of H(0) that `family` checks is kept
+on the family, and the heff order and the cascade build their start anchor
+from it.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from itertools import accumulate, combinations, product
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit
-from .hermitian import _hermitian_part, _within_ball, frobenius_norm
+from .hermitian import _hermitian_part, frobenius_norm
 from .spectra import (
     check_degenerate,
     check_separated,
     classify_stratum,
     eigh,
-    window_half_gap,
     window_spread,
 )
 from .swtransform import Anchor
@@ -112,28 +111,21 @@ class SplittingSample:
     """Window splitting measures of one family sample H(t).
 
     pairwise maps 1-based window index pairs (i, j), i < j, to
-    lambda_i - lambda_j; mean_dev holds lambda_i minus the window mean;
-    heff_norm is ||H_eff(t)||_F from the effective block against the
-    collapsed start point (None with a note when the decomposition fails
-    there), and the note also marks a sample with ||H(t) - H_0||_2 >= r0,
-    outside the start point's uniqueness ball."""
+    lambda_i - lambda_j; mean_dev holds lambda_i minus the window mean."""
 
     t: float
     std_dev: float
     pairwise: dict
     mean_dev: np.ndarray
-    heff_norm: float | None
-    note: str | None = None
 
 
 def _stacked_ladder(fam, ts):
-    """The family's matrices at ts, stacked, and their eigenvalues from one
-    eigvalsh over the stack. Every evaluation of a family goes through
+    """The eigenvalues of the family's matrices at ts, from one eigvalsh over
+    their stack. Every evaluation of a family goes through
     `ParamFamily.stack`, one point or many, and it refuses a matrix with a
     non-finite entry, which eigvalsh alone does not always do (see
     `hermitian._finite_eigvalsh`)."""
-    hs = fam.stack(ts[:, None])
-    return hs, np.linalg.eigvalsh(hs)
+    return np.linalg.eigvalsh(fam.stack(ts[:, None]))
 
 
 def _ladder_points(ts):
@@ -147,32 +139,14 @@ def _ladder_points(ts):
     return ts
 
 
-def splitting_samples(fam, ts, with_heff=True):
+def splitting_samples(fam, ts):
     """Evaluate all splitting measures of the family on the given nonzero,
-    distinct parameter values, in ascending order of t.
-
-    The ladder's eigenvalues come from one stacked eigvalsh. With heff, the
-    whole ladder, taken once into the gauge of the family's start anchor,
-    goes through `_heff_norms`; the uniqueness-ball test of the notes takes
-    Frobenius bounds, and one eigvalsh over only the samples they leave
-    open."""
+    distinct parameter values, in ascending order of t. The ladder's
+    eigenvalues come from one stacked eigvalsh."""
     ts = _ladder_points(ts)
     a, k = fam.offset, fam.k
-    hs, ladder_vals = _stacked_ladder(fam, ts)
+    ladder_vals = _stacked_ladder(fam, ts)
     _, mean_devs, stds = window_spread(ladder_vals, k, a)
-    heff_norms = notes = [None] * len(ts)
-    if with_heff:
-        anchor = fam.start_anchor()
-        local = anchor.local(hs)
-        r0 = window_half_gap(np.diag(anchor.base).real, k, a)
-        # Exactly Hermitian, as the square bound of `_within_ball` needs:
-        # `local` comes from `conjugate` (`_hermitian_part`), and the base is
-        # a real diagonal.
-        inside = _within_ball(local - anchor.base, r0)
-        heff_norms, failures = _heff_norms(anchor, local)
-        notes = [failure or (None if ok else
-                             "outside the uniqueness ball of the start point")
-                 for failure, ok in zip(failures, inside)]
     out = []
     for sample, (t, vals) in enumerate(zip(ts, ladder_vals)):
         win = vals[a : a + k]
@@ -184,8 +158,6 @@ def splitting_samples(fam, ts, with_heff=True):
                 std_dev=float(stds[sample]),
                 pairwise=pairwise,
                 mean_dev=mean_devs[sample],
-                heff_norm=heff_norms[sample],
-                note=notes[sample],
             )
         )
     return out
@@ -193,27 +165,23 @@ def splitting_samples(fam, ts, with_heff=True):
 
 def _heff_norms(anchor, local):
     """||H_eff||_F of each matrix of the finite stack `local`, already in the
-    anchor's gauge, and for each, the note on its failed decomposition (its
-    norm is then None) or None. One stacked `heff_block` takes the whole
-    stack: one eigh and one k x k SVD. It raises on its first bad matrix;
-    only then is each matrix decomposed on its own, so that each failing
-    one gets its own note and the others their values."""
+    anchor's gauge, or None for a matrix whose decomposition fails. One
+    stacked `heff_block` takes the whole stack: one eigh and one k x k SVD.
+    It raises on its first bad matrix; only then is each matrix decomposed
+    on its own, so that the others keep their values."""
     try:
         blocks = anchor._heff_block_local(local)
     except (DegenError, np.linalg.LinAlgError):
-        blocks = None
-    norms, failures = [], []
-    for sample, h in enumerate(local):
+        pass
+    else:
+        return [frobenius_norm(block) for block in blocks]
+    norms = []
+    for h in local:
         try:
-            block = (anchor._heff_block_local(h) if blocks is None
-                     else blocks[sample])
-        except (DegenError, np.linalg.LinAlgError) as exc:
+            norms.append(frobenius_norm(anchor._heff_block_local(h)))
+        except (DegenError, np.linalg.LinAlgError):
             norms.append(None)
-            failures.append(f"decomposition failed: {exc}")
-            continue
-        norms.append(frobenius_norm(block))
-        failures.append(None)
-    return norms, failures
+    return norms
 
 
 @dataclass(frozen=True)
@@ -293,15 +261,18 @@ def _fit_order(ts, vals, floor, method, abscissae=None):
     integer. A value None is no sample; the slope is the closed-form least-
     squares one, its log|t| moments from `abscissae` (a `_LogAbscissae` of
     ts, built here when not given)."""
+
+    def estimate(r, slope, slope_dev, used):
+        # The (t, value) pairs of the sample indices used.
+        return OrderEstimate(r, slope, slope_dev,
+                             tuple((ts[i], vals[i]) for i in used), method)
+
     usable = [i for i, v in enumerate(vals) if v is not None]
     if not usable:
         raise InconclusiveFit(f"{method}: no usable samples")
     rows = [i for i in usable if abs(vals[i]) > floor]
     if not rows:
-        return OrderEstimate(
-            r=math.inf, slope=math.nan, slope_dev=0.0,
-            samples=tuple((ts[i], vals[i]) for i in usable), method=method,
-        )
+        return estimate(math.inf, math.nan, 0.0, usable)
     if len(rows) < 4:
         raise InconclusiveFit(
             f"{method}: only {len(rows)} samples above the zero floor"
@@ -314,10 +285,7 @@ def _fit_order(ts, vals, floor, method, abscissae=None):
                               f"log-log slope")
     r = int(round(slope))
     dev = abs(slope - r)
-    est = OrderEstimate(
-        r=r, slope=slope, slope_dev=dev,
-        samples=tuple((ts[i], vals[i]) for i in rows), method=method,
-    )
+    est = estimate(r, slope, dev, rows)
     if dev > SLOPE_TOL or r < 1:
         raise InconclusiveFit(
             f"{method}: slope {slope:.3f} is not near a positive integer",
@@ -326,8 +294,7 @@ def _fit_order(ts, vals, floor, method, abscissae=None):
     return est
 
 
-def estimate_order(fam, method="stddev", ladder=None, samples=None,
-                   pair=None, index=None):
+def estimate_order(fam, method="stddev", ladder=None, pair=None, index=None):
     """Log-log slope of one splitting measure on a geometric ladder, the
     ordinary least-squares slope in closed form, rounded to the nearest
     integer.
@@ -341,24 +308,23 @@ def estimate_order(fam, method="stddev", ladder=None, samples=None,
     order is infinite. Raises InconclusiveFit when the slope is not within
     0.2 of a positive integer.
 
-    Precomputed `samples` (from `splitting_samples`) are reused when given.
-    Without them, "heff" fits the norms alone: the ladder, taken once into
-    the gauge of the family's start anchor, goes through one stacked eigh
-    and one stacked k x k SVD (see `_heff_norms`), with no eigvalsh of the
-    ladder's spectra and no uniqueness-ball test; the estimate and every
-    error are those of the fit on `splitting_samples(fam, ladder)`.
+    "heff" fits ||H_eff(t)||_F, the distance of H(t) from the degeneracy
+    manifold, with None (no sample) where the decomposition fails: the
+    ladder, taken once into the gauge of the family's start anchor, goes
+    through one stacked eigh and one stacked k x k SVD (see `_heff_norms`),
+    with no eigvalsh of the ladder's spectra. The other methods fit the
+    measures of `splitting_samples(fam, ladder)`.
     """
     if ladder is None:
         ladder = default_ladder()
-    if samples is None and method == "heff":
+    if method == "heff":
         ts = _ladder_points(ladder)
         hs = fam.stack(ts[:, None])
         anchor = fam.start_anchor()
-        norms = _heff_norms(anchor, anchor.local(hs))[0]
+        norms = _heff_norms(anchor, anchor.local(hs))
         ts = ts.tolist()
         return _fit_order(ts, norms, _zero_floor(fam, ts, method), method)
-    if samples is None:
-        samples = splitting_samples(fam, ladder, with_heff=False)
+    samples = splitting_samples(fam, ladder)
     ts = [s.t for s in samples]
     return _estimate(samples, _zero_floor(fam, ts, method), fam.k, method,
                      _LogAbscissae(ts), pair, index)
@@ -378,8 +344,6 @@ def _estimate(samples, floor, k, method, abscissae, pair=None, index=None):
         return single([np.sqrt(k) * s.std_dev for s in samples], "distance")
     if method == "extreme":
         return single([s.pairwise[(1, k)] for s in samples], "extreme")
-    if method == "heff":
-        return single([s.heff_norm for s in samples], "heff")
     if method == "pairwise" and pair is not None:
         return single([s.pairwise[tuple(pair)] for s in samples],
                       f"pairwise{tuple(pair)}")
@@ -426,7 +390,7 @@ def estimate_all_orders(fam, ladder=None):
     """All five splitting-measure orders, as a dict, plus their agreement."""
     if ladder is None:
         ladder = default_ladder()
-    samples = splitting_samples(fam, ladder, with_heff=False)
+    samples = splitting_samples(fam, ladder)
     ts = [s.t for s in samples]
     floor = _zero_floor(fam, ts, "all orders")
     abscissae = _LogAbscissae(ts)
@@ -440,7 +404,7 @@ def signed_stddev(fam, r, ts):
     """sgn(t)^r times the standard deviation of the window eigenvalues: the
     analytic extension of the splitting function through t = 0."""
     ts = np.asarray(ts, dtype=float)
-    std = window_spread(_stacked_ladder(fam, ts)[1], fam.k, fam.offset)[2]
+    std = window_spread(_stacked_ladder(fam, ts), fam.k, fam.offset)[2]
     return np.sign(ts) ** r * std
 
 

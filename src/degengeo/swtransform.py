@@ -49,12 +49,12 @@ is the closest point of the manifold to G; it is the base of every
 decomposition against the anchor, which validated it once, when it was made.
 When H is G itself, the anchor's spectrum is H's, and no second
 eigendecomposition runs.
-The heff splitting samples, every level of the cascade and the exact
+The heff order of a family, every level of the cascade and the exact
 effective map of the Weyl analysis need only the window block of H_eff:
 `Anchor.heff_block` reads it off one eigendecomposition and the polar factor
 of a k x k SVD, as U Lambda_w U^dagger, without building S or e^{iS}, and
-takes a stack of matrices (a cascade level's four probes, or a whole heff
-ladder) in one call.
+takes a stack of matrices (a cascade level's four probes, or a whole ladder
+of the heff order) in one call.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ import numpy as np
 from .errors import BasePointNotCanonical, DegenerateBoundary, SubspacesTooFar
 from .hermitian import (
     _check_same_dimension,
+    _freeze,
     _from_eigenpairs,
     _hermitian_part,
     _overflow_safe,
@@ -328,7 +329,7 @@ def _decompose(h, spec, h0, u_w, mu, r0, k, offset, gauge=None,
     if within_r0 is None:
         # delta is exactly Hermitian (`_hermitian_part`), as the square
         # bound of `_within_ball` needs.
-        within_r0 = bool(_within_ball(delta, r0))
+        within_r0 = _within_ball(delta, r0)
     return SWDecomposition(
         k=k,
         offset=offset,
@@ -396,19 +397,19 @@ def sw_decompose_general(h, g0, k, *, offset=0):
 @dataclass(frozen=True)
 class Anchor:
     """The chart origin of every decomposition against one base: the
-    spectrum of a matrix G near the degeneracy manifold, and `base`, its
-    eigenvalues with the window collapsed to their mean as a diagonal matrix.
+    spectrum of a matrix G near the degeneracy manifold, and `levels`, its
+    eigenvalues with the window collapsed to their mean, read-only.
 
-    `base` is the closest point of the manifold to G written in the gauge
-    (the eigenbasis of G). That base is canonical by construction once its
-    window gaps are checked, which happens once, when the anchor is made;
-    `decompose` does not check it again. `matrix` is G itself, which
+    diag(levels) is the closest point of the manifold to G written in the
+    gauge (the eigenbasis of G). That base is canonical by construction once
+    its window gaps are checked, which happens once, when the anchor is
+    made; `decompose` does not check it again. `matrix` is G itself, which
     `decompose` needs; anchors made from a spectrum alone serve the window
     blocks.
     """
 
     spectrum: Spectrum
-    base: np.ndarray
+    levels: np.ndarray
     k: int
     offset: int = 0
     matrix: np.ndarray | None = None
@@ -427,7 +428,7 @@ class Anchor:
         vals = spectrum.eigenvalues.copy()
         vals[offset : offset + k] = window_mean(vals, k, offset)
         check_separated(vals, k, offset, BasePointNotCanonical)
-        return cls(spectrum, np.diag(vals).astype(complex), k, offset, matrix)
+        return cls(spectrum, _freeze(vals), k, offset, matrix)
 
     @property
     def gauge(self):
@@ -457,12 +458,11 @@ class Anchor:
         h = np.asarray(h)
         _check_same_dimension(h, self.matrix)
         w = slice(self.offset, self.offset + self.k)
-        vals = np.diag(self.base).real
-        mu = float(vals[self.offset])
+        mu = float(self.levels[self.offset])
         dev = self.spectrum.eigenvalues[w] - mu
         u_w = self.gauge[:, w]
         h0 = _hermitian_part(self.matrix - (u_w * dev) @ u_w.conj().T)
-        r0 = window_half_gap(vals, self.k, self.offset)
+        r0 = window_half_gap(self.levels, self.k, self.offset)
         own = h is self.matrix
         return _decompose(
             h, self.spectrum if own else eigh(h), h0, u_w, mu, r0, self.k,

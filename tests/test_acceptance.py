@@ -36,10 +36,10 @@ from degengeo.spectra import window_half_gap
 from degengeo.splitting import (
     FIVE_METHODS,
     cascade,
+    estimate_all_orders,
     estimate_order,
     family,
     linear_family,
-    splitting_samples,
 )
 from degengeo.swtransform import sw_decompose
 from degengeo.weyl import (
@@ -201,12 +201,12 @@ def test_criterion_6_order_equalities():
         k = int(rng.integers(2, min(n, 5)))
         order = int(rng.integers(1, 4))
         fam = _polynomial_family(n, k, order, rng)
-        samples = splitting_samples(fam, np.sort(
-            np.array([2.0 ** -e for e in range(3, 17)])), with_heff=False)
+        ladder = np.sort(np.array([2.0 ** -e for e in range(3, 17)]))
+        estimates, _ = estimate_all_orders(fam, ladder)
         for method in FIVE_METHODS:
-            est = estimate_order(fam, method=method, samples=samples)
+            est = estimates[method]
             assert est.r == order, (case, method, est)
-        dist = estimate_order(fam, method="distance", samples=samples)
+        dist = estimate_order(fam, "distance", ladder)
         assert dist.r == order
         assert abs(dist.slope - order) <= 0.2
     elapsed = time.monotonic() - start

@@ -9,7 +9,6 @@ import pytest
 from degengeo.errors import DegenError, InconclusiveFit
 from degengeo.hermitian import (
     frobenius_norm,
-    operator_2_norm,
     random_hermitian,
     random_unitary,
 )
@@ -26,14 +25,16 @@ from degengeo.spectra import (
     classify_stratum,
     eigh,
     window_distance,
-    window_half_gap,
     window_spread,
 )
 from degengeo.splitting import (
     CLUSTER_RTOL,
     FIVE_METHODS,
     CascadeResult,
+    _fit_order,
+    _heff_norms,
     _negative_permutation,
+    _zero_floor,
     cascade,
     default_ladder,
     estimate_all_orders,
@@ -76,6 +77,14 @@ def polynomial_spectrum_family(n, k, order, rng, conjugate=True):
     return family(evaluator, k)
 
 
+def heff_norms(fam, ts):
+    """||H_eff(t)||_F at the ts in ascending order, None where the
+    decomposition fails: the norms `estimate_order(fam, "heff", ts)` fits."""
+    anchor = fam.start_anchor()
+    ts = np.sort(np.asarray(ts, dtype=float))
+    return _heff_norms(anchor, anchor.local(fam.stack(ts[:, None])))
+
+
 def test_family_rejects_nondegenerate_start():
     with pytest.raises(ValueError, match="degenerate"):
         linear_family(np.diag([0.0, 0.1, 1.0]).astype(complex),
@@ -92,21 +101,20 @@ def test_family_rejects_a_single_level_window():
 def test_samples_linear_family_explicit():
     fam = sz_block_family()
     ts = np.array([0.01, 0.1, 0.25])
-    for s in splitting_samples(fam, ts):
+    for s, norm in zip(splitting_samples(fam, ts), heff_norms(fam, ts)):
         assert s.std_dev == pytest.approx(s.t, rel=1e-12)
         assert s.pairwise[(1, 2)] == pytest.approx(-2.0 * s.t, rel=1e-12)
-        assert s.heff_norm == pytest.approx(
-            np.sqrt(2) * s.std_dev, rel=1e-9
-        )
+        assert norm == pytest.approx(np.sqrt(2) * s.std_dev, rel=1e-9)
 
 
 def test_samples_distance_identity():
     # sqrt(k) * stddev(t) = ||H_eff(t)|| for every sample
     rng = np.random.default_rng(0)
     fam = polynomial_spectrum_family(5, 3, 2, rng)
-    for s in splitting_samples(fam, default_ladder(3, 8)[::-1]):
+    ts = default_ladder(3, 8)[::-1]
+    for s, norm in zip(splitting_samples(fam, ts), heff_norms(fam, ts)):
         assert np.sqrt(3) * s.std_dev == pytest.approx(
-            s.heff_norm, rel=1e-9, abs=1e-12
+            norm, rel=1e-9, abs=1e-12
         )
 
 
@@ -126,76 +134,43 @@ def test_samples_reject_zero_and_repeated():
 
 def test_samples_sort_a_descending_ladder():
     # default_ladder() runs from 2^-3 down to 2^-16; the samples come back
-    # in ascending t, field by field as for the sorted ladder.
+    # in ascending t, field by field as for the sorted ladder, and the heff
+    # order fits the same norms.
     fam = sz_block_family()
     ladder = default_ladder()
-    for with_heff in (False, True):
-        got = splitting_samples(fam, ladder, with_heff=with_heff)
-        want = splitting_samples(fam, np.sort(ladder), with_heff=with_heff)
-        assert [s.t for s in got] == sorted(ladder.tolist())
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.t, a.std_dev, a.pairwise, a.heff_norm, a.note) == (
-                b.t, b.std_dev, b.pairwise, b.heff_norm, b.note)
-            assert a.mean_dev.tobytes() == b.mean_dev.tobytes()
+    got = splitting_samples(fam, ladder)
+    want = splitting_samples(fam, np.sort(ladder))
+    assert [s.t for s in got] == sorted(ladder.tolist())
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.t, a.std_dev, a.pairwise) == (b.t, b.std_dev, b.pairwise)
+        assert a.mean_dev.tobytes() == b.mean_dev.tobytes()
+    assert repr(estimate_order(fam, "heff", ladder)) == repr(
+        estimate_order(fam, "heff", np.sort(ladder)))
 
 
 def test_heff_samples_note_decomposition_errors_only():
-    # At t = 1 the window touches the third level: a DegenError, reported
-    # as the sample's note. A matrix of the wrong size is an evaluator bug
+    # At t = 1 the window touches the third level: a DegenError, and the
+    # sample has no norm. A matrix of the wrong size is an evaluator bug
     # and propagates.
     fam = family(lambda t: np.diag([0.0, t, 1.0]).astype(complex), 2)
-    near, touching = splitting_samples(fam, [0.25, 1.0], with_heff=True)
-    assert near.note is None and near.heff_norm is not None
-    assert touching.heff_norm is None
-    assert touching.note.startswith("decomposition failed:")
+    near, touching = heff_norms(fam, [0.25, 1.0])
+    assert near is not None
+    assert touching is None
 
     def wrong_size(t):
         return np.diag([0.0, t, 1.0, 2.0][: 3 if t == 0.0 else 4]).astype(complex)
 
     with pytest.raises(ValueError, match="dimension mismatch"):
-        splitting_samples(family(wrong_size, 2), [0.5], with_heff=True)
-
-
-def test_uniqueness_ball_takes_one_stacked_eigvalsh(linalg_calls):
-    # ||H(t) - G||_2 < r0 for a 14-point ladder is decided by one stacked
-    # eigvalsh over the samples that the Frobenius bounds leave open, with
-    # no per-sample one, and the notes follow the per-sample rule. Window
-    # levels (0, t) below 1, 2, 3, 4 in a fixed random basis: the ball has
-    # radius 1/2, and at t = 1 the window touches the next level, so all
-    # three kinds of note occur. H(t) - G has rank one, so both its norms
-    # and ||(H(t) - G)^2||_F^(1/2) are t: the Frobenius bounds leave the 7
-    # samples with t > 1/2 open, and the square bound, which puts
-    # t > 6^(1/4)/2 = 0.78 outside, the 3 of them with t < 0.78.
-    v = random_unitary(6, np.random.default_rng(14))
-    fam = family(lambda t: (v * [0.0, t, 1.0, 2.0, 3.0, 4.0]) @ v.conj().T, 2)
-    ts = np.linspace(0.07, 1.0, 14)
-    anchor = Anchor.at(fam(0.0), fam.k, fam.offset)
-    linalg_calls.clear()
-    samples = splitting_samples(fam, ts, with_heff=True)
-    assert [c for c in linalg_calls if c[0] == "eigvalsh"] == [
-        ("eigvalsh", (14, 6, 6)), ("eigvalsh", (3, 6, 6))]
-    notes = []
-    for t in ts:
-        try:
-            anchor.heff_block(fam(t))
-        except DegenError as exc:
-            notes.append(f"decomposition failed: {exc}")
-            continue
-        inside = operator_2_norm(anchor.local(fam(t)) - anchor.base) < 0.5
-        notes.append(None if inside else
-                     "outside the uniqueness ball of the start point")
-    assert [s.note for s in samples] == notes
-    assert notes[:7] == [None] * 7
-    assert notes[7] == "outside the uniqueness ball of the start point"
-    assert notes[-1].startswith("decomposition failed:")
+        estimate_order(family(wrong_size, 2), "heff", [0.5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("with_heff", [False, True])
-def test_samples_refuse_a_non_finite_family(bad, with_heff):
+@pytest.mark.parametrize("heff", [False, True])
+def test_samples_refuse_a_non_finite_family(bad, heff):
     # eigvalsh raises on NaN but may return NaN eigenvalues on inf; both
-    # are refused before any spectrum is taken.
+    # are refused before any spectrum is taken, by the samples and by the
+    # heff order.
     def evaluator(t):
         h = np.diag([0.0, t, 1.0]).astype(complex)
         if t == 0.5:
@@ -203,8 +178,10 @@ def test_samples_refuse_a_non_finite_family(bad, with_heff):
         return h
 
     with pytest.raises(np.linalg.LinAlgError, match="not finite at t = 0.5"):
-        splitting_samples(family(evaluator, 2), [0.25, 0.5],
-                          with_heff=with_heff)
+        if heff:
+            estimate_order(family(evaluator, 2), "heff", [0.25, 0.5])
+        else:
+            splitting_samples(family(evaluator, 2), [0.25, 0.5])
 
 
 @pytest.mark.parametrize("error", [KeyError, TypeError])
@@ -651,22 +628,22 @@ def test_cascade_factorization_count(linalg_calls):
                             ("svd", (4, 2, 2))] + [("eigh", (2, 2))] * 4
 
 
-@pytest.mark.parametrize("with_heff", [False, True])
-def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
+@pytest.mark.parametrize("heff", [False, True])
+def test_samples_take_one_stacked_eigvalsh(heff, linalg_calls):
     fam = model_family("ssh", 4, 1)
     ts = np.sort(default_ladder(3, 12))
     linalg_calls.clear()
-    samples = splitting_samples(fam, ts, with_heff=with_heff)
+    samples = splitting_samples(fam, ts)
+    norms = heff_norms(fam, ts) if heff else None
     eigvalsh = [call for call in linalg_calls if call[0] == "eigvalsh"]
-    # The ladder's spectra; with heff, the Frobenius bounds decide every
-    # uniqueness-ball test here, and the effective blocks come from one
+    # The ladder's spectra; with heff, the effective blocks come from one
     # stacked eigh and one stacked k x k SVD, with no n x n eigh of H(0) or
     # of a single sample.
     assert eigvalsh == [("eigvalsh", (len(ts), fam.n, fam.n))]
     others = [call for call in linalg_calls if call[0] != "eigvalsh"]
     assert others == ([("eigh", (len(ts), fam.n, fam.n)),
-                       ("svd", (len(ts), fam.k, fam.k))] if with_heff else [])
-    for s, t in zip(samples, ts):
+                       ("svd", (len(ts), fam.k, fam.k))] if heff else [])
+    for sample, (s, t) in enumerate(zip(samples, ts)):
         vals = np.linalg.eigvalsh(fam(t))
         _, mean_dev, std = window_spread(vals, fam.k, fam.offset)
         win = vals[fam.offset : fam.offset + fam.k]
@@ -674,14 +651,14 @@ def test_samples_take_one_stacked_eigvalsh(with_heff, linalg_calls):
         assert s.std_dev == std
         assert np.array_equal(s.mean_dev, mean_dev)
         assert s.pairwise == {(1, 2): float(win[0] - win[1])}
-        if with_heff:
+        if heff:
             # The short path and the full decomposition round differently;
             # both agree with the distance theorem at rounding level.
             bound = 1e-13 * max(1.0, frobenius_norm(fam(t)))
             dec = Anchor.at(fam(0.0), fam.k, fam.offset).decompose(fam(t))
-            assert abs(s.heff_norm - frobenius_norm(dec.h_eff)) <= bound
+            assert abs(norms[sample] - frobenius_norm(dec.h_eff)) <= bound
             distance = window_distance(vals, fam.k, fam.offset)
-            assert abs(s.heff_norm - distance) <= bound
+            assert abs(norms[sample] - distance) <= bound
 
 
 def test_signed_stddev_takes_one_stacked_eigvalsh(linalg_calls):
@@ -701,7 +678,7 @@ def test_signed_stddev_takes_one_stacked_eigvalsh(linalg_calls):
 def test_empty_ladders():
     fam = sz_block_family()
     assert splitting_samples(fam, []) == []
-    assert splitting_samples(fam, [], with_heff=False) == []
+    assert heff_norms(fam, []) == []
     empty = signed_stddev(fam, 1, [])
     assert empty.shape == (0,) and empty.dtype == np.float64
 
@@ -724,10 +701,9 @@ def test_all_orders_share_one_floor_with_estimate_order():
     # The shared floor is the one estimate_order takes per measure.
     fam = model_family("ssh", 4, 1)
     ladder = default_ladder()
-    samples = splitting_samples(fam, ladder, with_heff=False)
     estimates, _ = estimate_all_orders(fam, ladder)
     for method in FIVE_METHODS:
-        alone = estimate_order(fam, method=method, samples=samples)
+        alone = estimate_order(fam, method, ladder)
         assert repr(alone) == repr(estimates[method])
 
 
@@ -787,22 +763,16 @@ def test_all_orders_of_an_empty_ladder_have_no_usable_samples():
 
 
 def per_sample_heff(fam, ts):
-    """(heff_norm, note) of each sample as one decomposition per sample
-    against a fresh anchor at H(0) gives them: the reference for the
-    stacked ladder of `splitting_samples`."""
+    """||H_eff||_F of each sample as one decomposition per sample against a
+    fresh anchor at H(0) gives it, None where it raises: the reference for
+    the stacked ladder of `_heff_norms`."""
     anchor = Anchor.at(fam(0.0), fam.k, fam.offset)
-    r0 = window_half_gap(np.diag(anchor.base).real, fam.k, fam.offset)
     out = []
     for t in np.sort(ts):
-        h = fam(t)
         try:
-            norm = frobenius_norm(anchor.heff_block(h))
-        except (DegenError, np.linalg.LinAlgError) as exc:
-            out.append((None, f"decomposition failed: {exc}"))
-            continue
-        inside = operator_2_norm(anchor.local(h) - anchor.base) < r0
-        out.append((norm, None if inside else
-                    "outside the uniqueness ball of the start point"))
+            out.append(frobenius_norm(anchor.heff_block(fam(t))))
+        except (DegenError, np.linalg.LinAlgError):
+            out.append(None)
     return out
 
 
@@ -817,18 +787,19 @@ def outcome(call):
 
 
 def assert_samples_match_per_sample(fam, ts):
-    samples = splitting_samples(fam, ts, with_heff=True)
-    assert [(s.heff_norm, s.note) for s in samples] == per_sample_heff(fam, ts)
-    for s in samples:
+    norms = per_sample_heff(fam, ts)
+    assert heff_norms(fam, ts) == norms
+    for s in splitting_samples(fam, ts):
         _, mean_dev, std = window_spread(np.linalg.eigvalsh(fam(s.t)), fam.k,
                                          fam.offset)
         assert s.std_dev == std
         assert s.mean_dev.tobytes() == mean_dev.tobytes()
-    # The heff order fitted on the norms alone is the one fitted on the
-    # samples, or fails with the same message.
+    # The heff order is the fit on the per-sample norms, or fails with the
+    # same message.
+    ts = np.sort(ts).tolist()
     assert outcome(lambda: estimate_order(fam, "heff", ts)) == outcome(
-        lambda: estimate_order(fam, "heff", ts, samples=samples))
-    return samples
+        lambda: _fit_order(ts, norms, _zero_floor(fam, ts, "heff"), "heff"))
+    return norms
 
 
 @pytest.mark.parametrize("model, size", [("ising", 3), ("ising", 4),
@@ -845,8 +816,8 @@ def test_stacked_heff_ladder_matches_per_sample_bits(model, size, seed):
 @pytest.mark.parametrize("model, size", [("ising", 4), ("five-qubit", 5)])
 def test_heff_order_takes_one_stacked_eigh_and_svd(model, size, linalg_calls):
     # The heff order fits the effective-block norms alone: no eigvalsh of
-    # the ladder's spectra or for the uniqueness-ball test, and no eigh of
-    # H(0), whose spectrum `family` kept.
+    # the ladder's spectra, and no eigh of H(0), whose spectrum `family`
+    # kept.
     fam = model_family(model, size, 0)
     linalg_calls.clear()
     estimate_order(fam, method="heff")
@@ -865,22 +836,26 @@ def test_heff_order_refuses_bad_ladders_as_the_samples_do(ladder, error,
     fam = family(lambda t: np.diag([0.0, t, 1.0]).astype(complex), 2)
     want = (error, message, "None")
     assert outcome(lambda: estimate_order(fam, "heff", ladder)) == want
-    assert outcome(lambda: estimate_order(
-        fam, "heff", ladder, samples=splitting_samples(fam, ladder))) == want
+    # The measures of the samples refuse it alike, under their own label.
+    assert outcome(lambda: estimate_order(fam, "stddev", ladder)) == (
+        error, message.replace("heff", "stddev"), "None")
 
 
 def test_one_failing_sample_keeps_per_sample_notes_and_values():
     # Window levels (0, t) below 1, 2, 3, 4 in a fixed random basis: at
     # t = 1 the window touches the next level, the only sample whose
-    # decomposition fails, and the stacked call fails with it.
+    # decomposition fails, and the stacked call fails with it. The sample
+    # at t = 0.6, outside the uniqueness ball of radius 1/2, keeps its norm.
     v = random_unitary(6, np.random.default_rng(14))
     fam = family(lambda t: (v * [0.0, t, 1.0, 2.0, 3.0, 4.0]) @ v.conj().T, 2)
-    samples = assert_samples_match_per_sample(
-        fam, [0.1, 0.2, 0.3, 0.4, 0.6, 1.0])
-    assert [s.heff_norm is None for s in samples] == [False] * 5 + [True]
-    assert samples[-1].note.startswith(
-        "decomposition failed: eigenvalues 2 and 3 coincide")
-    assert samples[-2].note == "outside the uniqueness ball of the start point"
+    ts = [0.1, 0.2, 0.3, 0.4, 0.6, 1.0]
+    norms = assert_samples_match_per_sample(fam, ts)
+    assert [norm is None for norm in norms] == [False] * 5 + [True]
+    anchor = fam.start_anchor()
+    with pytest.raises(DegenError, match="eigenvalues 2 and 3 coincide"):
+        anchor.heff_block(fam(1.0))
+    with pytest.raises(DegenError, match="eigenvalues 2 and 3 coincide"):
+        anchor.heff_block(fam.stack(np.array(ts)[:, None]))
 
 
 def test_hand_built_family_diagonalizes_h0_itself(linalg_calls):

@@ -661,7 +661,8 @@ def test_anchor_refuses_unseparated_window_when_made():
     # The check is on the collapsed base: the mean 0.5 of the window
     # (0, 1) is separated from the 1 above it.
     anchor = Anchor.at(np.diag([0.0, 1.0, 1.0]).astype(complex), 2)
-    np.testing.assert_array_equal(np.diag(anchor.base).real, [0.5, 0.5, 1.0])
+    np.testing.assert_array_equal(anchor.levels, [0.5, 0.5, 1.0])
+    assert not anchor.levels.flags.writeable
 
 
 def test_anchor_decompositions_skip_base_validation(monkeypatch):
