@@ -153,6 +153,9 @@ def frobenius_norm(h):
                                 np.asarray(h), (-2, -1)))
 
 
+# The decorator form keeps its error state per call on numpy >= 2, so the
+# Weyl scan's worker thread may share it.
+@np.errstate(over="ignore", invalid="ignore")
 def _overflow_safe(f, x, axis):
     """f(x), for an f positively homogeneous of degree 1 along axis (a mean,
     or a root of a sum of squares: f(s x) = s f(x) for s > 0), with each
@@ -161,14 +164,13 @@ def _overflow_safe(f, x, axis):
     along axis, so x / s is exact and its largest part is in [1, 2): the
     value is 2^j f(2^-j x), bit for bit, and overflows only when f(x) itself
     exceeds the largest double. Every other value keeps its bits."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = f(x)
-        if np.count_nonzero(np.isinf(out)):
-            top = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
-            redo = np.isinf(out) & np.isfinite(top)
-            scale = np.ldexp(1.0, np.frexp(np.where(redo, top, 1.0))[1] - 1)
-            again = scale * f(x / np.expand_dims(scale, axis))
-            out = np.where(redo, again, out)[()]
+    out = f(x)
+    if np.count_nonzero(np.isinf(out)):
+        top = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
+        redo = np.isinf(out) & np.isfinite(top)
+        scale = np.ldexp(1.0, np.frexp(np.where(redo, top, 1.0))[1] - 1)
+        again = scale * f(x / np.expand_dims(scale, axis))
+        out = np.where(redo, again, out)[()]
     return out
 
 

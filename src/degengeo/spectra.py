@@ -104,7 +104,9 @@ def checked_eigvals(h):
     nothing else: the same `np.linalg.eigh` call and the same residual
     check, which refuses the same matrices with the same message (NaN and
     infinite entries included). It skips the phase fix of the vectors and
-    the read-only Spectrum, so it costs less."""
+    the read-only Spectrum, so it costs less. Its callers are the Weyl
+    scan's distance field and the cascade's start value of a block of two
+    levels, whose clusters never need eigenvectors."""
     h = np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
     if vals.shape[-1]:
@@ -112,6 +114,9 @@ def checked_eigvals(h):
     return vals
 
 
+# The decorator form keeps its error state per call on numpy >= 2, so the
+# Weyl scan's worker thread may share it.
+@np.errstate(all="ignore")
 def _checked_residual(h, vals, vecs):
     """The residual ||H U - U diag(vals)||_F of each matrix of h (n >= 1);
     LinAlgError names the first matrix whose residual is not within
@@ -122,8 +127,7 @@ def _checked_residual(h, vals, vecs):
     # A non-finite matrix gives a NaN residual, and `~(residual <= bound)`,
     # unlike `residual > bound`, refuses it; the invalid values on the way
     # there (inf * 0, in the products and in the squares) are expected.
-    with np.errstate(all="ignore"):
-        r = h @ vecs - vecs * vals[..., None, :]
+    r = h @ vecs - vecs * vals[..., None, :]
     residual = _overflow_safe(_frobenius, r, (-2, -1))
     # No bound is below RESIDUAL_RTOL, and a residual within it has finite H.
     if np.count_nonzero(residual <= RESIDUAL_RTOL) == residual.size:
@@ -288,7 +292,9 @@ def check_degenerate(vals, k, offset, exc):
 
 def window_half_gap(vals, k, offset):
     """Half the smaller gap from the window to a neighbouring eigenvalue,
-    the radius r0 of the uniqueness ball; inf without neighbours."""
+    the radius r0 of the uniqueness ball; inf without neighbours. Raises
+    ValueError for an invalid window."""
+    check_window(len(vals), k, offset)
     gaps = [vals[i] - vals[i - 1] for i in (offset, offset + k)
             if 0 < i < len(vals)]
     return min(gaps, default=np.inf) / 2.0
@@ -303,13 +309,19 @@ def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    vals = np.asarray(spec.eigenvalues)
+    parts, tol = _coincidence_parts(np.asarray(spec.eigenvalues), rel_tol)
+    return StratumPartition(parts=parts, tolerance=tol)
+
+
+def _coincidence_parts(vals, rel_tol):
+    """The grouping of `classify_stratum` on ascending 1-D eigenvalues vals:
+    the tuple of part sizes, and the tolerance the gaps were held to."""
     tol = coincidence_tolerance(vals, rel_tol)
     # A part ends after every gap that is not within tol (NaN included).
     cuts = (~(vals[1:] - vals[:-1] <= tol)).nonzero()[0] + 1
     bounds = np.concatenate(([0], cuts, [max(len(vals), 1)]))
     parts = bounds[1:] - bounds[:-1]
-    return StratumPartition(parts=tuple(parts.tolist()), tolerance=tol)
+    return tuple(parts.tolist()), tol
 
 
 def stratum_codimension(partition):

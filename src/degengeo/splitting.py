@@ -12,12 +12,15 @@ from log-log slopes; the cascade recovers it per eigenvalue pair together
 with the index permutation that makes the eigenvalue branches analytic
 through t = 0. A family is a `weyl.ParamFamily` with m = 1. A ladder's
 eigenvalues come from one stacked eigvalsh, and a cascade level is held as
-its values at the four probe points. `estimate_order(fam, "heff")` fits the
-effective-block norms alone: the ladder, taken once into the gauge of the
-family's start anchor, goes through one stacked `Anchor.heff_block`, one
-eigh and one k x k SVD. The spectrum of H(0) that `family` checks is kept
-on the family, and the heff order and the cascade build their start anchor
-from it.
+its values at the four probe points. A cascade level whose cluster fills
+its block needs no anchor: the Schrieffer-Wolff chart of a whole block is
+the identity, so its effective block is the traceless part in any basis,
+and only a cluster that is a proper sub-block is rotated away through an
+`Anchor`. `estimate_order(fam, "heff")` fits the effective-block norms
+alone: the ladder, taken once into the gauge of the family's start anchor,
+goes through one stacked `Anchor.heff_block`, one eigh and one k x k SVD.
+The spectrum of H(0) that `family` checks is kept on the family, and the
+heff order and the cascade build their start anchor from it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ import numpy as np
 from .errors import DegenError, InconclusiveFit
 from .hermitian import _hermitian_part, frobenius_norm
 from .spectra import (
+    _coincidence_parts,
     check_degenerate,
     check_separated,
-    classify_stratum,
+    checked_eigvals,
     eigh,
     window_spread,
 )
-from .swtransform import Anchor
+from .swtransform import Anchor, _traceless
 from .weyl import ParamFamily
 
 __all__ = [
@@ -478,10 +482,20 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
 
     A level is held as its values at the probe points t_probe, -t_probe,
     t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
-    level is made from them: each level takes its four probe matrices, as
-    one (4, n, n) stack, through one `Anchor.heff_block` call. The start
-    anchor is the family's (`ParamFamily.start_anchor`), so H(0) is not
-    evaluated again when `family` made the family.
+    level is made from them. Level 1 takes its four probe matrices, as one
+    (4, n, n) stack, through one `Anchor.heff_block` call against the
+    family's start anchor (`ParamFamily.start_anchor`), so H(0) is not
+    evaluated again when `family` made the family. A deeper level whose
+    cluster is a proper sub-block of the level above takes that level's four
+    blocks through one `heff_block` call against the anchor on the cluster.
+    A cluster that fills its block takes no anchor, since the chart of a
+    whole block is the identity: its blocks are the traceless parts of those
+    above, divided by t. That is exact, because the traceless part commutes
+    with unitary conjugation, so the eigenvalues, the clusters and every
+    deeper level match those in the anchor's gauge. A block of two levels
+    thus needs only the eigenvalues of its start value
+    (`spectra.checked_eigvals`, with the residual check of `eigh`), and a
+    block of three or more takes one `eigh`.
 
     t_probe must be positive and finite and depth_cap at least 1, or
     ValueError is raised. t_probe must also be small enough that the
@@ -503,10 +517,19 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     capped = []
     while queue:
         idx, above, anchor, level = queue.pop()
-        g = anchor.heff_block(above) / scale
-        g0 = _extrapolate_zero(g)
-        spec0 = eigh(_hermitian_part(g0))
-        parts = classify_stratum(spec0, CLUSTER_RTOL).parts
+        if anchor is None:
+            g = _traceless(above) / scale
+        else:
+            g = anchor.heff_block(above) / scale
+        g0 = _hermitian_part(_extrapolate_zero(g))
+        # Only a block of three or more levels can leave a cluster that is a
+        # proper sub-block, the one case that needs the eigenvectors.
+        if len(idx) == 2:
+            vals0 = checked_eigvals(g0)
+        else:
+            spec0 = eigh(g0)
+            vals0 = spec0.eigenvalues
+        parts = _coincidence_parts(vals0, CLUSTER_RTOL)[0]
         clusters = [(stop - size, stop)
                     for size, stop in zip(parts, accumulate(parts))]
         for ci, (lo, hi) in enumerate(clusters):
@@ -520,7 +543,8 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
             if level >= depth_cap:
                 capped.extend(combinations(sub_idx, 2))
                 continue
-            sub = Anchor.from_spectrum(spec0, hi - lo, lo)
+            sub = (None if hi - lo == len(idx)
+                   else Anchor.from_spectrum(spec0, hi - lo, lo))
             queue.append((sub_idx, g, sub, level + 1))
     notes = []
     if capped:

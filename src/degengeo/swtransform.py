@@ -49,12 +49,16 @@ is the closest point of the manifold to G; it is the base of every
 decomposition against the anchor, which validated it once, when it was made.
 When H is G itself, the anchor's spectrum is H's, and no second
 eigendecomposition runs.
-The heff order of a family, every level of the cascade and the exact
-effective map of the Weyl analysis need only the window block of H_eff:
+The heff order of a family, the cascade's levels and the exact effective
+map of the Weyl analysis need only the window block of H_eff:
 `Anchor.heff_block` reads it off one eigendecomposition and the polar factor
 of a k x k SVD, as U Lambda_w U^dagger, without building S or e^{iS}, and
 takes a stack of matrices (a cascade level's four probes, or a whole ladder
-of the heff order) in one call.
+of the heff order) in one call. The cascade calls it at level 1 and at each
+level whose cluster is a proper sub-block of the level above. A cluster
+that fills its block has the identity as its chart, and its effective block
+is the traceless part of the block in any basis, so that level takes no
+anchor.
 """
 
 from __future__ import annotations

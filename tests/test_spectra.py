@@ -482,6 +482,34 @@ def test_half_gap():
     assert window_half_gap(np.array([0.0, 1.0]), 2, 0) == np.inf
 
 
+@pytest.mark.parametrize("k, offset", [(5, 0), (2, -1), (0, 0), (2, 2)])
+@pytest.mark.parametrize("helper", [
+    "window_half_gap", "window_width", "window_mean", "window_spread",
+    "window_distance", "unseparated_edge", "check_separated",
+    "check_degenerate", "window_members",
+])
+def test_window_helpers_refuse_an_invalid_window(helper, k, offset):
+    # Every window helper refuses a window outside the spectrum;
+    # window_half_gap once answered inf for k = 5 on three eigenvalues and
+    # 0.5 for offset -1.
+    vals = np.array([0.0, 1.0, 2.0])
+    call = {
+        "window_half_gap": lambda: window_half_gap(vals, k, offset),
+        "window_width": lambda: window_width(vals, k, offset),
+        "window_mean": lambda: window_mean(vals, k, offset),
+        "window_spread": lambda: window_spread(vals, k, offset),
+        "window_distance": lambda: window_distance(vals, k, offset),
+        "unseparated_edge": lambda: unseparated_edge(vals, k, offset),
+        "check_separated": lambda: check_separated(vals, k, offset,
+                                                   DegenerateBoundary),
+        "check_degenerate": lambda: check_degenerate(vals, k, offset,
+                                                     DegenerateBoundary),
+        "window_members": lambda: window_members(len(vals), k, offset),
+    }[helper]
+    with pytest.raises(ValueError, match="^invalid window: n=3, "):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # window rules
 # ---------------------------------------------------------------------------

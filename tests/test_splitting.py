@@ -363,8 +363,8 @@ def test_cascade_ising_ground_pair():
 def test_cascade_factorization_plan(linalg_calls):
     # A k = 2 cascade of ising(4) reaches level 4. The first level takes
     # its four probes through one (4, 16, 16) eigh and one (4, 2, 2) SVD;
-    # every level diagonalizes its extrapolated 2 x 2 start once. Deeper
-    # levels anchor a whole-spectrum window, whose blocks need no
+    # every level takes the eigenvalues of its extrapolated 2 x 2 start
+    # once. Deeper levels are whole blocks, whose effective blocks need no
     # factorization. Any new factorization on this path shows here.
     fam = model_family("ising", 4, 0)
     linalg_calls.clear()
@@ -588,11 +588,55 @@ def test_cascade_matches_closure_tower_special_families(make, kwargs):
                         closure_tower_cascade(fam, **kwargs))
 
 
+def pair_and_single_family():
+    """A k = 3 window whose level-1 start value has eigenvalues -4/3, 2/3
+    and 2/3: branches -t, t and t + 2t^2, plus a t^2 coupling X, all in a
+    random frame. The pair splits at level 2 against an anchor on a proper
+    sub-block of the 3 x 3 level."""
+    rng = np.random.default_rng(12)
+    v = random_unitary(5, rng)
+    x = np.zeros((5, 5), dtype=complex)
+    x[:3, :3] = random_hermitian(3, rng, scale=0.5)
+
+    def evaluator(t):
+        lam = np.diag([-t, t, t + 2.0 * t ** 2, 2.0, 3.0])
+        return v @ (lam + t ** 2 * x) @ v.conj().T
+
+    return family(evaluator, 3)
+
+
+def test_cascade_anchors_a_proper_sub_block(linalg_calls, monkeypatch):
+    fam = pair_and_single_family()
+    calls = []
+    real = Anchor.heff_block
+
+    def counted(self, h):
+        calls.append((self.k, h.shape))
+        return real(self, h)
+
+    monkeypatch.setattr(Anchor, "heff_block", counted)
+    linalg_calls.clear()
+    res = cascade(fam)
+    assert res.pair_levels == {(1, 2): 1, (1, 3): 1, (2, 3): 2}
+    assert res.negative_permutation == (3, 1, 2)
+    # Level 1 against the start anchor, level 2 against an anchor on the
+    # pair, a 2-level window of the 3 x 3 level. The 3-level start value
+    # takes one eigh, the 2-level one an eigh through checked_eigvals.
+    assert calls == [(3, (4, 5, 5)), (2, (4, 3, 3))]
+    assert linalg_calls == [("eigh", (4, 5, 5)), ("svd", (4, 3, 3)),
+                            ("eigh", (3, 3)), ("eigh", (4, 3, 3)),
+                            ("svd", (4, 2, 2)), ("eigh", (2, 2))]
+    assert_same_cascade(res, closure_tower_cascade(fam))
+
+
 @pytest.mark.parametrize("order", [3, 4, 5])
 def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
-    # The pair of ising(r) splits at order r: r levels of four probes each,
-    # one stacked heff_block call per level, and H(t) at the four probes
-    # only: the start anchor comes from the spectrum `family` checked.
+    # The pair of ising(r) splits at order r: r levels of four probes each.
+    # Level 1 takes them through one stacked heff_block call; each deeper
+    # level's cluster is its whole 2 x 2 block, whose effective block is
+    # the traceless part in any basis, so it takes none. H(t) is evaluated
+    # at the four probes only: the start anchor comes from the spectrum
+    # `family` checked.
     evaluations = []
     fam = model_family("ising", order, 0, evaluations)
     calls = []
@@ -606,8 +650,7 @@ def test_cascade_decomposes_each_probe_once_per_level(order, monkeypatch):
     evaluations.clear()
     res = cascade(fam)
     assert res.pair_levels == {(1, 2): order}
-    assert calls == [(4, fam.n, fam.n)] + [(4, 2, 2)] * (order - 1)
-    assert sum(shape[0] for shape in calls) == 4 * order
+    assert calls == [(4, fam.n, fam.n)]
     assert len(evaluations) == 4
     t = 2.0 ** -6
     assert sorted(evaluations) == sorted([t, -t, t / 2.0, -t / 2.0])
@@ -617,8 +660,8 @@ def test_cascade_factorization_count(linalg_calls):
     # ising(4): one stacked eigh of the four level-1 probes and one stacked
     # k x k SVD of their window rows; no eigvalsh, and no eigh of H(0), whose
     # spectrum `family` kept.
-    # Each of the four levels diagonalizes its 2 x 2 start value, and the
-    # deeper levels anchor whole 2 x 2 windows, which need no factorization.
+    # Each of the four levels takes the eigenvalues of its 2 x 2 start
+    # value, and the deeper levels, whole 2 x 2 blocks, need no anchor.
     fam = model_family("ising", 4, 0)
     n = fam.n
     linalg_calls.clear()
