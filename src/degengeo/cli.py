@@ -3,9 +3,11 @@
 Subcommands: decompose, project, distance, order, weyl-scan, model. Reports
 go to stdout, line-oriented by default or as versioned JSON with --json;
 wall time goes to stderr so that reports stay byte-identical for identical
-inputs and seed. Exit codes: 0 success, 2 parse error, 3 precondition
-violation (also a `weyl-scan` plugin that raises), 4 numerical failure, 5
-inconclusive order fit. `model` and `order` build models from one table:
+inputs and seed. Exit codes: 0 success, 2 parse error (also an input that
+cannot be read, an output file that cannot be written and a `weyl-scan`
+plugin module that cannot be loaded), 3 precondition violation (also a
+`weyl-scan` plugin that raises), 4 numerical failure, 5 inconclusive order
+fit. `model` and `order` build models from one table:
 `order F --seed S` moves along the matrix that `model D --seed S` prints,
 where (F, D) is (ising, transverse), (ssh, ssh-disorder) or (five-qubit,
 one-local --qubits 5).
@@ -256,6 +258,9 @@ def _load_plugin(spec):
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot load plugin module {path}: "
                                     f"{exc}") from exc
+    except Exception as exc:  # the plugin's own code raised at import
+        raise _CliError(EXIT_PARSE, f"cannot load plugin module {path}: "
+                                    f"{type(exc).__name__}: {exc}") from exc
     try:
         return functools.partial(_call_plugin, getattr(module, attr), spec)
     except AttributeError as exc:
@@ -346,7 +351,11 @@ _MODELS = {
 def _cmd_model(args):
     h = _MODELS[args.name](args, np.random.default_rng(args.seed))
     if args.output:
-        write_matrix(args.output, h)
+        try:
+            write_matrix(args.output, h)
+        except OSError as exc:
+            raise _CliError(EXIT_PARSE, f"cannot write {args.output}: "
+                                        f"{exc}") from exc
     else:
         sys.stdout.write(matrix_text(h))
     return EXIT_OK

@@ -37,7 +37,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -93,25 +92,14 @@ def _matrix_from_document(doc):
         raise ValueError(
             f"'entries' must hold {n * n} [re, im] pairs, got {got}"
         )
+    for i, pair in enumerate(entries):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and set(map(type, pair)) <= _NUMBER_TYPES):
+            raise ValueError(f"entry {i} is not an [re, im] pair of numbers")
     try:
-        # Every entry has two items, and one scan over the types of all
-        # leaves admits JSON numbers only; the leaves then go to one flat
-        # array in one pass.
-        pairs = None
-        if (set(map(len, entries)) == {2} and set(map(
-                type, chain.from_iterable(entries))) <= _NUMBER_TYPES):
-            pairs = np.fromiter(chain.from_iterable(entries), float,
-                                2 * n * n).reshape(n * n, 2)
-    except (TypeError, OverflowError):
-        pairs = None
-    if pairs is None:
-        for i, pair in enumerate(entries):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and set(map(type, pair)) <= _NUMBER_TYPES):
-                raise ValueError(
-                    f"entry {i} is not an [re, im] pair of numbers"
-                )
-        raise ValueError("an entry exceeds the floating-point range")
+        pairs = np.array(entries, dtype=float)
+    except OverflowError:
+        raise ValueError("an entry exceeds the floating-point range") from None
     return _matrix_from_pairs(pairs)
 
 

@@ -12,11 +12,10 @@ nonzero per row r, at column r XOR xmask, and since Y = iXZ its value there
 is i^{#Y} (-1)^{popcount(column & zmask)}. All words of a sum are read in
 one array pass: a letter table gives each letter's two bits, so xmask,
 zmask and #Y of every word come from one lookup, and the parity of
-column & zmask from bit folds (x ^= x >> s for the powers of two s below
-q, largest first) over the (words x 2^q) array of columns. A Pauli sum
-adds c_j times these 2^q values to a zero matrix, in term order
-(`np.add.at`); every nonzero is an exact +-c_j or +-i c_j, so the sum has
-the bytes of the sum of the tensor products.
+column & zmask from one `np.bitwise_count` over the (words x 2^q) array of
+columns. A Pauli sum adds c_j times these 2^q values to a zero matrix, in
+term order (`np.add.at`); every nonzero is an exact +-c_j or +-i c_j, so the
+sum has the bytes of the sum of the tensor products.
 """
 
 from __future__ import annotations
@@ -67,14 +66,9 @@ def _pauli_entries(words, n_qubits):
     bits = _LETTER_BITS[codes.reshape(len(words), n_qubits)]
     xmask, zmask = (1 << np.arange(n_qubits - 1, -1, -1)) @ bits.T
     cols = np.arange(2 ** n_qubits) ^ xmask[:, None]
-    # popcount mod 2, by folding the bits: shifts ..., 4, 2, 1 below q.
-    parity = cols & zmask[:, None]
-    shift = 1 << (n_qubits - 1).bit_length()
-    while shift > 1:
-        shift >>= 1
-        parity ^= parity >> shift
+    parity = np.bitwise_count(cols & zmask[:, None]) & 1
     n_y = (bits[..., 0] & bits[..., 1]).sum(axis=1)
-    return cols, _PHASES[n_y[:, None] & 3, parity & 1]
+    return cols, _PHASES[n_y[:, None] & 3, parity]
 
 
 def pauli_matrix(letters, coefficient=1.0):

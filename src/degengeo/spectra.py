@@ -305,10 +305,12 @@ def classify_stratum(spec, rel_tol=DEGENERACY_RTOL):
     rel_tol * max(1, ||H||_2); grouping is chained (transitive).
 
     Near-threshold spectra may classify unstably; that is inherent in
-    cutting a continuum with a tolerance.
+    cutting a continuum with a tolerance. rel_tol must be positive and
+    finite, or ValueError is raised.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not (0.0 < rel_tol < np.inf):
+        raise ValueError(f"rel_tol must be positive and finite, got "
+                         f"{rel_tol!r}")
     parts, tol = _coincidence_parts(np.asarray(spec.eigenvalues), rel_tol)
     return StratumPartition(parts=parts, tolerance=tol)
 

@@ -8,7 +8,8 @@ pairwise differences, neighbouring differences, the extreme difference, and
 deviations from the mean) vanish at t = 0 with one common integer order,
 which also equals the order of the distance from the degeneracy manifold and
 of the effective-Hamiltonian norm. The estimators here recover that integer
-from log-log slopes; the cascade recovers it per eigenvalue pair together
+from log-log slopes, one per component series of a measure (an aggregate
+takes the least); the cascade recovers it per eigenvalue pair together
 with the index permutation that makes the eigenvalue branches analytic
 through t = 0. A family is a `weyl.ParamFamily` with m = 1. A ladder's
 eigenvalues come from one stacked eigvalsh, and a cascade level is held as
@@ -225,46 +226,24 @@ def _zero_floor(fam, ts, label):
     return ZERO_FLOOR_RTOL * max(1.0, frobenius_norm(h0), derivative)
 
 
-class _LogAbscissae:
-    """The abscissae log|t| of the log-log fits on one sample set, with the
-    moments every series fitted on all of them shares: the centred values
-    x - mean(x) and their sum of squares."""
-
-    __slots__ = ("log_t", "centred", "sxx")
-
-    def __init__(self, ts):
-        self.log_t = [math.log(abs(t)) for t in ts]
-        self.centred, self.sxx = _centred(self.log_t)
-
-    def slope(self, rows, log_v):
-        """The ordinary least-squares slope of log_v on log|t| over the
-        sample indices rows, in closed form:
-        sum((x - mean x) (y - mean y)) / sum((x - mean x)^2); NaN when the
-        x do not spread or a y is infinite."""
-        if len(rows) == len(self.log_t):
-            x, sxx = self.centred, self.sxx
-        else:
-            x, sxx = _centred([self.log_t[i] for i in rows])
-        # Four distinct ts whose logs round to one value have no slope.
-        if not sxx:
-            return math.nan
-        y = _centred(log_v)[0]
-        return sum(a * b for a, b in zip(x, y)) / sxx
+def _slope(x, y):
+    """The ordinary least-squares slope of the floats y on the floats x, in
+    closed form: sum((x - mean x) (y - mean y)) / sum((x - mean x)^2); NaN
+    when the x do not spread or a y is infinite."""
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    x = [v - mean_x for v in x]
+    sxx = sum(v * v for v in x)
+    # Four distinct ts whose logs round to one value have no slope.
+    if not sxx:
+        return math.nan
+    return sum(a * (b - mean_y) for a, b in zip(x, y)) / sxx
 
 
-def _centred(x):
-    """The floats x minus their mean, and the sum of squares of that."""
-    mean = sum(x) / len(x)
-    x = [v - mean for v in x]
-    return x, sum(v * v for v in x)
-
-
-def _fit_order(ts, vals, floor, method, abscissae=None):
+def _fit_order(ts, vals, floor, method):
     """The order of one series of sampled values vals at ts: the log-log
     slope through the samples above the zero floor, rounded to the nearest
     integer. A value None is no sample; the slope is the closed-form least-
-    squares one, its log|t| moments from `abscissae` (a `_LogAbscissae` of
-    ts, built here when not given)."""
+    squares one (`_slope`) of log|value| on log|t| over those samples."""
 
     def estimate(r, slope, slope_dev, used):
         # The (t, value) pairs of the sample indices used.
@@ -281,9 +260,8 @@ def _fit_order(ts, vals, floor, method, abscissae=None):
         raise InconclusiveFit(
             f"{method}: only {len(rows)} samples above the zero floor"
         )
-    if abscissae is None:
-        abscissae = _LogAbscissae(ts)
-    slope = abscissae.slope(rows, [math.log(abs(vals[i])) for i in rows])
+    slope = _slope([math.log(abs(ts[i])) for i in rows],
+                   [math.log(abs(vals[i])) for i in rows])
     if math.isnan(slope):
         raise InconclusiveFit(f"{method}: the samples give no finite "
                               f"log-log slope")
@@ -298,7 +276,7 @@ def _fit_order(ts, vals, floor, method, abscissae=None):
     return est
 
 
-def estimate_order(fam, method="stddev", ladder=None, pair=None, index=None):
+def estimate_order(fam, method="stddev", ladder=None):
     """Log-log slope of one splitting measure on a geometric ladder, the
     ordinary least-squares slope in closed form, rounded to the nearest
     integer.
@@ -306,11 +284,10 @@ def estimate_order(fam, method="stddev", ladder=None, pair=None, index=None):
     method is one of "stddev", "pairwise", "neighbor", "extreme", "mean",
     "heff", "distance". The aggregate methods ("pairwise", "neighbor",
     "mean") fit each component function and return the smallest finite
-    order, which is the measure's order of vanishing; pass `pair=(i, j)` or
-    `index=i` to fit a single component instead. Samples whose value sits at
-    the zero floor are censored from the fit; if everything is censored the
-    order is infinite. Raises InconclusiveFit when the slope is not within
-    0.2 of a positive integer.
+    order, which is the measure's order of vanishing. Samples whose value
+    sits at the zero floor are censored from the fit; if everything is
+    censored the order is infinite. Raises InconclusiveFit when the slope is
+    not within 0.2 of a positive integer.
 
     "heff" fits ||H_eff(t)||_F, the distance of H(t) from the degeneracy
     manifold, with None (no sample) where the decomposition fails: the
@@ -329,56 +306,49 @@ def estimate_order(fam, method="stddev", ladder=None, pair=None, index=None):
         ts = ts.tolist()
         return _fit_order(ts, norms, _zero_floor(fam, ts, method), method)
     samples = splitting_samples(fam, ladder)
-    ts = [s.t for s in samples]
-    return _estimate(samples, _zero_floor(fam, ts, method), fam.k, method,
-                     _LogAbscissae(ts), pair, index)
+    return _estimate(samples, _zero_floor(fam, [s.t for s in samples], method),
+                     fam.k, method)
 
 
-def _estimate(samples, floor, k, method, abscissae, pair=None, index=None):
-    """estimate_order on precomputed samples and zero floor; every series
-    fitted shares the log|t| moments `abscissae` of the samples."""
-    ts = [s.t for s in samples]
-
-    def single(vals, label):
-        return _fit_order(ts, vals, floor, label, abscissae)
-
+def _components(samples, k, method):
+    """The component series {label: values} of a splitting measure on the
+    samples: one series named after the method for "stddev", "distance" and
+    "extreme", the window pairs for "pairwise" and "neighbor", and the k
+    deviations from the mean for "mean"."""
     if method == "stddev":
-        return single([s.std_dev for s in samples], "stddev")
+        return {method: [s.std_dev for s in samples]}
     if method == "distance":
-        return single([np.sqrt(k) * s.std_dev for s in samples], "distance")
+        return {method: [np.sqrt(k) * s.std_dev for s in samples]}
     if method == "extreme":
-        return single([s.pairwise[(1, k)] for s in samples], "extreme")
-    if method == "pairwise" and pair is not None:
-        return single([s.pairwise[tuple(pair)] for s in samples],
-                      f"pairwise{tuple(pair)}")
-    if method == "mean" and index is not None:
-        return single([s.mean_dev[index - 1] for s in samples],
-                      f"mean({index})")
+        return {method: [s.pairwise[(1, k)] for s in samples]}
+    if method == "mean":
+        return {f"mean({i + 1})": [s.mean_dev[i] for s in samples]
+                for i in range(k)}
     if method == "pairwise":
-        series = {
-            f"pairwise{key}": [s.pairwise[key] for s in samples]
-            for key in combinations(range(1, k + 1), 2)
-        }
+        pairs = combinations(range(1, k + 1), 2)
     elif method == "neighbor":
-        series = {
-            f"pairwise({i}, {i + 1})": [s.pairwise[(i, i + 1)]
-                                        for s in samples]
-            for i in range(1, k)
-        }
-    elif method == "mean":
-        series = {
-            f"mean({i + 1})": [s.mean_dev[i] for s in samples]
-            for i in range(k)
-        }
+        pairs = ((i, i + 1) for i in range(1, k))
     else:
         raise ValueError(f"unknown method {method!r}")
+    return {f"pairwise{pair}": [s.pairwise[pair] for s in samples]
+            for pair in pairs}
+
+
+def _estimate(samples, floor, k, method):
+    """estimate_order on precomputed samples and zero floor: the fit of a
+    one-series measure, or the smallest order over the components of an
+    aggregate that fit."""
+    ts = [s.t for s in samples]
+    series = _components(samples, k, method)
+    if method in series:
+        return _fit_order(ts, series[method], floor, method)
     comps = []
     failures = []
     for label, vals in series.items():
         # A component that cannot be fitted (censored by the zero floor)
         # cannot be the minimum-order one; skip it unless nothing fits.
         try:
-            comps.append(single(vals, label))
+            comps.append(_fit_order(ts, vals, floor, label))
         except InconclusiveFit as exc:
             failures.append(exc)
     if not comps:
@@ -395,11 +365,8 @@ def estimate_all_orders(fam, ladder=None):
     if ladder is None:
         ladder = default_ladder()
     samples = splitting_samples(fam, ladder)
-    ts = [s.t for s in samples]
-    floor = _zero_floor(fam, ts, "all orders")
-    abscissae = _LogAbscissae(ts)
-    estimates = {m: _estimate(samples, floor, fam.k, m, abscissae)
-                 for m in FIVE_METHODS}
+    floor = _zero_floor(fam, [s.t for s in samples], "all orders")
+    estimates = {m: _estimate(samples, floor, fam.k, m) for m in FIVE_METHODS}
     orders = {e.r for e in estimates.values()}
     return estimates, len(orders) == 1
 

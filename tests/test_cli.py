@@ -775,14 +775,21 @@ def test_cli_weyl_scan_plugin(tmp_path, capsys, function, mirror):
     ("plugin:{dir}/absent.py:weyl", "cannot load plugin module"),
     ("plugin:{dir}/plugin.py:absent", "has no absent"),
     ("weyl-sample", "unknown model 'weyl-sample'"),
+    # Plugin modules that raise while they are imported.
+    ("plugin:{dir}/syntax.py:weyl",
+     "cannot load plugin module {dir}/syntax.py: SyntaxError: "),
+    ("plugin:{dir}/raising.py:weyl",
+     "cannot load plugin module {dir}/raising.py: RuntimeError: no module"),
 ])
 def test_cli_weyl_scan_model_errors_exit2(tmp_path, capsys, model, message):
     (tmp_path / "plugin.py").write_text(_PLUGIN)
     (tmp_path / "plugin.txt").write_text(_PLUGIN)
+    (tmp_path / "syntax.py").write_text("def weyl(p:\n")
+    (tmp_path / "raising.py").write_text('raise RuntimeError("no module")\n')
     code = main(["weyl-scan", "--model", model.format(dir=tmp_path),
                  "--box", "0.5", "--res", "5"])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert message.format(dir=tmp_path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("function, message", [
@@ -1009,6 +1016,12 @@ def test_cli_model_seeded_deterministic(capsys):
         assert code == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
+
+
+def test_cli_model_unwritable_output_exit2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["model", "ising", "-o", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -1513,17 +1526,17 @@ def test_cli_order_outcomes_match_the_least_squares_fit(tmp_path, monkeypatch,
                                                        capsys):
     # On every `order` call of the digest list, the closed-form slopes give
     # the orders, agreement and exit code that np.polyfit's slopes give.
-    from degengeo.splitting import _LogAbscissae
+    from degengeo import splitting
 
     calls = [argv for argv in _digest_calls(tmp_path, monkeypatch)
              if argv[0] == "order" and "--help" not in argv]
     assert len(calls) > 30
     closed_form = [_order_outcome(argv, capsys) for argv in calls]
 
-    def polyfit_slope(self, rows, log_v):
-        return float(np.polyfit([self.log_t[i] for i in rows], log_v, 1)[0])
+    def polyfit_slope(x, y):
+        return float(np.polyfit(x, y, 1)[0])
 
-    monkeypatch.setattr(_LogAbscissae, "slope", polyfit_slope)
+    monkeypatch.setattr(splitting, "_slope", polyfit_slope)
     least_squares = [_order_outcome(argv, capsys) for argv in calls]
     assert closed_form == least_squares
     codes = {code for code, _ in closed_form}

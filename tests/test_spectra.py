@@ -414,6 +414,14 @@ def test_classify_groups():
     assert classify_stratum(_spec_of([0, 0.5, 1, 2])).parts == (1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, np.nan, np.inf])
+def test_classify_refuses_a_tolerance_not_positive_and_finite(rel_tol):
+    # NaN would split diag(0, 0, 1) into (1, 1, 1), and inf join it into (3,).
+    with pytest.raises(ValueError,
+                       match="rel_tol must be positive and finite"):
+        classify_stratum(_spec_of([0, 0, 1]), rel_tol=rel_tol)
+
+
 def test_classify_chained_grouping():
     # a~b and b~c group all three even though a-c exceeds the tolerance
     spec = _spec_of([0.0, 5e-9, 1e-8, 1.0])

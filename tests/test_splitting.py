@@ -31,6 +31,7 @@ from degengeo.splitting import (
     CLUSTER_RTOL,
     FIVE_METHODS,
     CascadeResult,
+    _components,
     _fit_order,
     _heff_norms,
     _negative_permutation,
@@ -247,11 +248,20 @@ def test_heff_and_distance_match_stddev_order():
     assert estimate_order(fam, "distance").r == 2
 
 
+def _component_fit(fam, method, label):
+    """The fit of the component series `label` of `method` on the default
+    ladder, against the zero floor that estimate_order uses."""
+    samples = splitting_samples(fam, default_ladder())
+    ts = [s.t for s in samples]
+    return _fit_order(ts, _components(samples, fam.k, method)[label],
+                      _zero_floor(fam, ts, method), label)
+
+
 def test_single_component_methods():
     rng = np.random.default_rng(4)
     fam = polynomial_spectrum_family(5, 3, 2, rng)
-    assert estimate_order(fam, "pairwise", pair=(1, 3)).r == 2
-    assert estimate_order(fam, "mean", index=1).r == 2
+    assert _component_fit(fam, "pairwise", "pairwise(1, 3)").r == 2
+    assert _component_fit(fam, "mean", "mean(1)").r == 2
 
 
 def test_order_via_heff_independent_of_base_point():
@@ -774,13 +784,13 @@ def test_aggregate_methods_skip_components_that_do_not_fit():
     # differences are of order one, so the aggregates take those.
     fam = _diagonal_window_family(lambda t: (-t, -t + t ** 2.5, t))
     assert repr(estimate_order(fam, "pairwise")) == repr(replace(
-        estimate_order(fam, "pairwise", pair=(1, 3)),
+        _component_fit(fam, "pairwise", "pairwise(1, 3)"),
         method="pairwise:min via pairwise(1, 3)"))
     neighbor = estimate_order(fam, "neighbor")
     assert (neighbor.r, neighbor.method) == (
         1, "neighbor:min via pairwise(2, 3)")
     with pytest.raises(InconclusiveFit):
-        estimate_order(fam, "pairwise", pair=(1, 2))
+        _component_fit(fam, "pairwise", "pairwise(1, 2)")
 
 
 def test_aggregate_methods_refuse_when_no_component_fits():
@@ -953,8 +963,6 @@ def test_closed_form_slope_matches_polyfit(seed):
     # Random geometric ladders, one-sided and +-, with real slopes (most
     # not near an integer, so the fit raises with its estimate), samples
     # censored by the zero floor and samples missing (None).
-    from degengeo.splitting import _LogAbscissae, _fit_order
-
     rng = np.random.default_rng(seed)
     for trial in range(25):
         exps = rng.uniform(2.0, 20.0, size=rng.integers(4, 16))
@@ -977,13 +985,12 @@ def test_closed_form_slope_matches_polyfit(seed):
             continue
         expected = _polyfit_slope([ts[i] for i in keep],
                                   [vals[i] for i in keep])
-        for abscissae in (None, _LogAbscissae(ts)):
-            try:
-                est = _fit_order(ts, vals, floor, "stddev", abscissae)
-            except InconclusiveFit as exc:
-                est = exc.estimate
-            assert est.slope == pytest.approx(expected, rel=1e-12, abs=0.0)
-            assert est.samples == tuple((ts[i], vals[i]) for i in keep)
+        try:
+            est = _fit_order(ts, vals, floor, "stddev")
+        except InconclusiveFit as exc:
+            est = exc.estimate
+        assert est.slope == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert est.samples == tuple((ts[i], vals[i]) for i in keep)
 
 
 def test_closed_form_slope_refuses_no_spread_and_infinite_values():
@@ -1023,5 +1030,5 @@ def test_orders_need_no_least_squares_solver(monkeypatch):
     assert repr(estimates) == repr(expected[0])
     for method in (*FIVE_METHODS, "heff", "distance"):
         assert estimate_order(fam, method).r == 3
-    assert estimate_order(fam, "pairwise", pair=(1, 2)).r == 3
-    assert estimate_order(fam, "mean", index=2).r == 3
+    assert _component_fit(fam, "pairwise", "pairwise(1, 2)").r == 3
+    assert _component_fit(fam, "mean", "mean(2)").r == 3

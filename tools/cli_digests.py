@@ -214,6 +214,8 @@ def exclusive(p):
     Path("boom_plugin.py").write_text(
         'def boom(p):\n    raise RuntimeError("no matrix")\n',
         encoding="utf-8")
+    # A weyl-scan plugin module that does not parse.
+    Path("syntax_plugin.py").write_text("def weyl(p:\n", encoding="utf-8")
     # Finite entries above half the largest double, where (A + A^dagger)/2
     # overflows.
     _write("half_max.json", np.diag([0.0, 1.6e308, 1.7e308]))
@@ -379,6 +381,11 @@ def _calls(cases):
     calls.append(["weyl-scan", "--model",
                   "plugin:nan_past_plugin.py:nan_past_half", "--box", "0.3",
                   "--res", "5", "--json"])
+    # Refused: an output file in a directory that does not exist, and a
+    # plugin module that raises while it is imported.
+    calls += [["model", "ising", "-o", "missing/ising.json"],
+              ["weyl-scan", "--model", "plugin:syntax_plugin.py:weyl",
+               "--box", "0.5", "--res", "5"]]
     return calls
 
 
