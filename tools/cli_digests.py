@@ -266,6 +266,9 @@ def _calls(cases):
                "--k", "2", "--json"] for tag in ("13", "9")]
     calls.append(["decompose", "blockdiag.json", "--base",
                   "blockdiag_base.json", "--k", "2", "--json"])
+    # The same pair as a text report, whose H_eff cells print "-0+0i".
+    calls.append(["decompose", "blockdiag.json", "--base",
+                  "blockdiag_base.json", "--k", "2"])
     for seed in ("0", "1", "2"):
         calls += [["order", "ising", "--qubits", q, "--seed", seed, "--json"]
                   for q in ("3", "4", "5")]
@@ -348,6 +351,8 @@ def _calls(cases):
               ["model", "weyl-example"]]
     calls += [[command, "huge.json", "--k", "2", "--json"]
               for command in ("decompose", "distance", "project")]
+    # Text cells near 1e200.
+    calls.append(["project", "huge.json", "--k", "2"])
     # Ladder exponents whose 2^-e overflows or underflows to 0.
     calls += [["order", "ising", "--ladder-start", "-1100", "--ladder-stop",
                "5"],
