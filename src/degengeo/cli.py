@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: decompose, project, distance, order, weyl-scan, model. Reports
-go to stdout, line-oriented by default or as versioned JSON with --json;
-wall time goes to stderr so that reports stay byte-identical for identical
-inputs and seed. Exit codes: 0 success, 2 parse error (also an input that
+Subcommands: decompose, project, distance, order, weyl-scan, model. Each
+command but `model` returns its `RunReport`, and `main` writes it to
+stdout, line-oriented by default or as versioned JSON with --json; `model`
+writes its matrix text itself. Wall time goes to stderr, last, so that
+reports stay byte-identical for identical inputs and seed. Exit codes: 0 success, 2 parse error (also an input that
 cannot be read, an output file that cannot be written and a `weyl-scan`
 plugin module that cannot be loaded), 3 precondition violation (also a
 `weyl-scan` plugin that raises), 4 numerical failure, 5 inconclusive order
@@ -57,10 +58,6 @@ EXIT_INCONCLUSIVE = 5
 MAX_SCAN_RES = 101
 
 
-def _emit(report, as_json):
-    sys.stdout.write(report.to_json() if as_json else report.to_text())
-
-
 def _read_or_fail(path, read=read_matrix, kind="matrix"):
     """read(path), with unreadable and malformed files as parse errors."""
     try:
@@ -94,7 +91,7 @@ def _cmd_decompose(args):
                      else sw_decompose_general)
         dec = decompose(h, base, args.k, offset=args.offset)
     s_norm = dec.max_angle
-    report = RunReport(
+    return RunReport(
         command="decompose",
         inputs={"matrix": args.matrix, "base": args.base, "k": args.k,
                 "offset": args.offset},
@@ -113,14 +110,12 @@ def _cmd_decompose(args):
             "s_norm_ok": s_norm < np.pi / 2.0,
         },
     )
-    _emit(report, args.json)
-    return EXIT_OK
 
 
 def _cmd_project(args):
     h = _read_or_fail(args.matrix)
     pr = collapse_projection(h, args.k, offset=args.offset)
-    report = RunReport(
+    return RunReport(
         command="project",
         inputs={"matrix": args.matrix, "k": args.k, "offset": args.offset},
         outputs={
@@ -131,8 +126,6 @@ def _cmd_project(args):
             "unique": pr.unique,
         },
     )
-    _emit(report, args.json)
-    return EXIT_OK
 
 
 def _cmd_distance(args):
@@ -155,14 +148,12 @@ def _cmd_distance(args):
         dec = anchor.decompose(h)
         outputs["heff_norm"] = frobenius_norm(dec.h_eff)
         diagnostics["heff_residual"] = dec.residual
-    report = RunReport(
+    return RunReport(
         command="distance",
         inputs={"matrix": args.matrix, "k": args.k, "offset": args.offset},
         outputs=outputs,
         diagnostics=diagnostics,
     )
-    _emit(report, args.json)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +217,7 @@ def _cmd_order(args):
         }
         for method, est in fits.items()
     }
-    report = RunReport(
+    return RunReport(
         command="order",
         inputs={**meta, "seed": args.seed,
                 "ladder": [format_float(t) for t in ladder]},
@@ -235,8 +226,6 @@ def _cmd_order(args):
                  "order": estimates["stddev"]["r"] if agreement else None},
         diagnostics={"k": fam.k, "offset": fam.offset},
     )
-    _emit(report, args.json)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +301,12 @@ def _cmd_weyl_scan(args):
         }
         for rep in scan_grid(fam, box, args.res)
     ]
-    report = RunReport(
+    return RunReport(
         command="weyl-scan",
         inputs={"model": args.model, "box": args.box,
                 "center": list(args.center), "res": args.res},
         outputs={"count": len(rows), "points": rows},
     )
-    _emit(report, args.json)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +345,6 @@ def _cmd_model(args):
                                         f"{exc}") from exc
     else:
         sys.stdout.write(matrix_text(h))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +467,15 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    """Run one command and return its exit code. The parser is built once
-    per process and shared by every later call."""
+    """Run one command, write its report, and return the exit code. The
+    parser is built once per process and shared by every later call."""
     args = _shared_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        report = args.func(args)
+        if report is not None:
+            sys.stdout.write(report.to_json() if args.json
+                             else report.to_text())
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
@@ -508,7 +497,7 @@ def main(argv=None):
         sys.stderr.write(
             f"wall time: {time.monotonic() - start:.3f} s\n"
         )
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -229,20 +229,6 @@ def _write(value, pad, out):
     out.append("\n" + pad + brackets[1])
 
 
-def _signed_texts(flat, texts_of, plus=""):
-    """(table, index) with table[index] the text of each value of the float
-    array flat. texts_of formats the list of distinct magnitudes, once each,
-    and table holds those texts prefixed by `plus`, followed by their
-    "-"-prefixed twins, which index picks by signbit (so -0.0 gets the "-"),
-    but not for NaN, which `format` writes unsigned. Right for every format
-    that writes -x as "-" followed by the text of x."""
-    mags, inverse = np.unique(np.abs(flat), return_inverse=True)
-    texts = texts_of(mags.tolist())
-    table = np.array([plus + t for t in texts] + ["-" + t for t in texts],
-                     dtype=object)
-    return table, inverse + len(texts) * (np.signbit(flat) & ~np.isnan(flat))
-
-
 def _array_json(a, pad, out):
     """Append one array in the indent=2 layout: its leaves interleaved with
     the separator for the number of axes that wrap after each leaf (closing
@@ -326,15 +312,12 @@ class RunReport:
         return "".join(out)
 
     def to_text(self):
-        lines = [f"command: {self.command}"]
+        lines = _text_lines("command", self.command, 0)
         for section, data in (("inputs", self.inputs),
                               ("outputs", self.outputs),
                               ("diagnostics", self.diagnostics)):
-            if not data:
-                continue
-            lines.append(f"{section}:")
-            for key, value in data.items():
-                lines.extend(_text_lines(key, value, indent=2))
+            if data:
+                lines += _text_lines(section, data, 0)
         return "\n".join(lines) + "\n"
 
 
@@ -348,25 +331,25 @@ def _fmt_scalar(v):
     return str(v)
 
 
-def _texts_12g(values):
-    """format(x, ".12g") of each float of the list values, by one %-format
-    of them all."""
-    return ("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+def _texts(values, fmt):
+    """fmt % x for each x of the float array values (taken as float64), in C
+    order, as a 1-D object array: one %-format of the distinct values, told
+    apart by their bit patterns, so -0.0 keeps its own text. % writes NaN
+    unsigned, as `_fmt_scalar` does."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    bits, index = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = "\n".join([fmt] * len(bits)) % tuple(bits.view(float).tolist())
+    return np.array(texts.split("\n"), dtype=object)[index]
 
 
 def _matrix_cells(value):
-    """The text of `_fmt_scalar` for every entry of a 2-D array, in C order.
-    The real parts are formatted once per distinct magnitude, and so are the
-    imaginary parts (`_signed_texts`), and a complex cell joins its two
-    texts in one object array addition."""
+    """The text of `_fmt_scalar` for every entry of a 2-D array, in C order:
+    the real and the imaginary parts each formatted once per distinct bit
+    pattern (`_texts`), and joined by one object array addition."""
     if not np.iscomplexobj(value):
-        table, index = _signed_texts(np.asarray(value, dtype=float).ravel(),
-                                     _texts_12g)
-        return table[index].tolist()
-    re_table, re_index = _signed_texts(value.real.ravel(), _texts_12g)
-    im_table, im_index = _signed_texts(value.imag.ravel(), _texts_12g,
-                                       plus="+")
-    return (re_table[re_index] + (im_table + "i")[im_index]).tolist()
+        return _texts(value, "%.12g").tolist()
+    return (_texts(value.real, "%.12g")
+            + _texts(value.imag, "%+.12gi")).tolist()
 
 
 def _text_lines(key, value, indent):

@@ -1314,6 +1314,12 @@ _SIGNED_NAN = np.copysign(np.nan, -1.0)
     np.array([[_SIGNED_NAN, np.nan], [-np.inf, -1.0]]),
     np.array([[complex(_SIGNED_NAN, _SIGNED_NAN), complex(-np.inf, np.nan)],
               [complex(np.nan, -np.inf), complex(-0.0, _SIGNED_NAN)]]),
+    # Single precision, whose parts are formatted as the doubles they equal.
+    np.array([[complex(-0.0, 1 / 3), complex(1e30, -0.0)],
+              [complex(_SIGNED_NAN, -np.inf), complex(0.1, -1e-30)],
+              [complex(0.0, 0.0), complex(-0.1, 3e38)]], dtype=np.complex64),
+    np.array([[-0.0, 1 / 3, 3e38], [_SIGNED_NAN, 0.1, -1e-30]],
+             dtype=np.float32),
 ])
 def test_report_text_signed_zeros_extremes_and_empty(matrix):
     report = RunReport("decompose", outputs={"S": matrix})
