@@ -106,8 +106,9 @@ def _check_hermitian(a):
     the largest entry magnitude."""
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    with np.errstate(over="ignore"):  # an overflow is an asymmetry of inf
+        scale = np.max(np.abs(a)) if a.size else 0.0
+        asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if asym > ASYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(
             f"input is not Hermitian: asymmetry {asym:.3e} exceeds "

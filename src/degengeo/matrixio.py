@@ -61,7 +61,10 @@ def format_float(x):
 def matrix_text(h):
     """Serialize a matrix to interchange-format text: every [re, im] pair
     in one %-format pass, each part the text `format_float` gives it but
-    negative zero, which is written "-0.0"."""
+    negative zero, which is written "-0.0". A matrix that `hermitian`, and
+    so the reader, refuses is refused with its ValueError; any other is
+    written as given."""
+    hermitian(h)
     h = np.asarray(h, dtype=complex)
     parts = np.stack((h.real, h.imag), axis=-1).ravel().tolist()
     entries = ", ".join(["[%.17g, %.17g]"] * h.size) % tuple(parts)
@@ -72,8 +75,10 @@ def matrix_text(h):
 
 
 def write_matrix(path, h):
+    """Write `matrix_text(h)` to path; a refused matrix opens no file."""
+    text = matrix_text(h)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_text(h))
+        fh.write(text)
 
 
 #: JSON numbers as the standard decoder returns them (bool is excluded).
@@ -313,10 +318,8 @@ class RunReport:
 
     def to_text(self):
         lines = _text_lines("command", self.command, 0)
-        for section, data in (("inputs", self.inputs),
-                              ("outputs", self.outputs),
-                              ("diagnostics", self.diagnostics)):
-            if data:
+        for section in ("inputs", "outputs", "diagnostics"):
+            if data := getattr(self, section):
                 lines += _text_lines(section, data, 0)
         return "\n".join(lines) + "\n"
 

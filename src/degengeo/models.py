@@ -3,7 +3,8 @@ bipartite hopping chains (SSH), the transverse-field-perturbed Ising chain,
 the five-qubit stabilizer-code Hamiltonian, and small closed-form matrices
 with known exact decompositions and a Weyl point. The spin models (Ising,
 its transverse and one-local directions, the code) are Pauli sums, all
-built by one private helper.
+built by one private helper, of at most MAX_QUBITS = 6 qubits; hopping
+chains have at most MAX_CELLS = 128 cells (n = 256).
 
 Pauli words are written in closed form, with no tensor products. Read the
 letters as bits, the first letter the most significant: xmask marks the X
@@ -45,6 +46,9 @@ __all__ = [
 #: would silently turn every eigendecomposition into a wait.
 MAX_QUBITS = 6
 
+#: Hopping chains are capped at 128 cells, n = 256 dimensions.
+MAX_CELLS = 128
+
 #: Pauli letter -> (flips the bit, reads the bit's sign); Y = iXZ does both.
 _PAULI = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -84,10 +88,10 @@ def pauli_matrix(letters, coefficient=1.0):
     return _freeze(out)
 
 
-def _check_qubits(n_qubits):
-    if not 1 <= n_qubits <= MAX_QUBITS:
+def _check_count(what, count, least, most):
+    if not least <= count <= most:
         raise ValueError(
-            f"qubit count must be between 1 and {MAX_QUBITS}, got {n_qubits}"
+            f"{what} count must be between {least} and {most}, got {count}"
         )
 
 
@@ -115,8 +119,7 @@ def ssh(n_cells, v, w):
     """Open hopping chain with alternating amplitudes on 2*n_cells sites:
     v inside each cell, w between cells. ssh(N, 0, 1) has a twofold zero
     eigenvalue between (N-1)-fold levels at -1 and +1."""
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
+    _check_count("cell", n_cells, 2, MAX_CELLS)
     n = 2 * n_cells
     h = np.zeros((n, n), dtype=complex)
     i = np.arange(n - 1)
@@ -128,6 +131,7 @@ def ssh_hopping_disorder(n_cells, amplitudes):
     """Hopping-disorder direction for the chain: tridiagonal, zero diagonal,
     one complex amplitude per bond (2*n_cells - 1 bonds, hence 4*n_cells - 2
     real parameters)."""
+    _check_count("cell", n_cells, 1, MAX_CELLS)
     n = 2 * n_cells
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (n - 1,):
@@ -143,7 +147,7 @@ def ising(n_qubits):
     """Ferromagnetic Ising chain -sum_i Z_i Z_{i+1} with open ends.
     Its ground energy -(n_qubits - 1) is twofold degenerate, spanned by the
     all-0 and all-1 states."""
-    _check_qubits(n_qubits)
+    _check_count("qubit", n_qubits, 1, MAX_QUBITS)
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
     return _pauli_sum(n_qubits,
@@ -152,7 +156,7 @@ def ising(n_qubits):
 
 def transverse_perturbation(n_qubits, xs, ys):
     """Disordered transverse field sum_i (x_i X_i + y_i Y_i)."""
-    _check_qubits(n_qubits)
+    _check_count("qubit", n_qubits, 1, MAX_QUBITS)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != (n_qubits,) or ys.shape != (n_qubits,):
@@ -173,7 +177,7 @@ def five_qubit_code():
 def one_local(n_qubits, coeffs):
     """Sum over sites of arbitrary single-qubit operators: coeffs holds
     (x_i, y_i, z_i) triples, 3*n_qubits reals in site order."""
-    _check_qubits(n_qubits)
+    _check_count("qubit", n_qubits, 1, MAX_QUBITS)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (3 * n_qubits,):
         raise ValueError(f"need {3 * n_qubits} coefficients")

@@ -11,6 +11,7 @@ holds for a k-fold window anywhere in the spectrum via the `offset` argument.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,24 +96,26 @@ def distance_to_sigma(h, k, offset=0):
     return window_distance(_finite_eigvalsh(h), k, offset)
 
 
-def project_with_index_set(h, indices, gauge=None):
-    """Merge an arbitrary set of k eigenvalues (1-based indices) to their
-    mean in the eigenbasis of H.
+def project_with_index_set(h, indices):
+    """Merge an arbitrary set of k eigenvalues (1-based integer indices) to
+    their mean in the eigenbasis of H that `eigh` returns.
 
     The result lies on the k-fold ground-degeneracy manifold only when the
     mean stays strictly below the lowest omitted eigenvalue; otherwise
     NotInSigmaK is raised. If eigenvalues of H inside and outside the index
-    set coincide, the outcome depends on the eigenbasis; pass a precomputed
-    spectrum as `gauge` to pin it down.
+    set coincide, the outcome depends on that eigenbasis.
     """
     h = np.asarray(h)
     n = h.shape[0]
-    idx = sorted(set(int(i) for i in indices))
+    try:
+        idx = sorted(set(map(operator.index, indices)))
+    except TypeError:
+        raise ValueError(f"indices must be integers, got {indices}") from None
     if not idx or idx[0] < 1 or idx[-1] > n:
         raise ValueError(f"indices must be within 1..{n}")
     if len(idx) == n:
         raise ValueError("index set must omit at least one eigenvalue")
-    spec = gauge if gauge is not None else eigh(h)
+    spec = eigh(h)
     vals = spec.eigenvalues.copy()
     sel = np.array([i - 1 for i in idx])
     mean = window_mean(vals[sel], len(sel))

@@ -452,9 +452,11 @@ def test_cli_project_prints_the_distance_of_distance(tmp_path, capsys, h,
 def test_cli_refuses_entries_above_half_the_largest_double(tmp_path, capsys):
     # (A + A^dagger)/2 of these diagonal entries overflows: the file is
     # refused as a parse error, with no warning, where the decomposition
-    # once failed on NaN residuals.
-    mfile = _write(tmp_path, "h.json",
-                   np.diag([0.0, 1.6e308, 1.7e308]).astype(complex))
+    # once failed on NaN residuals. `matrix_text` refuses these entries, so
+    # the file is written by the test's reference writer.
+    path = tmp_path / "h.json"
+    path.write_text(_reference_matrix_text(np.diag([0.0, 1.6e308, 1.7e308])))
+    mfile = str(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for command in ("decompose", "distance", "project"):
@@ -1024,6 +1026,36 @@ def test_cli_model_unwritable_output_exit2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
+def test_cli_model_refuses_what_its_reader_refuses(tmp_path, capsys):
+    # A NaN part, and parts above half the largest double: `read_matrix`
+    # refuses both, so `model` writes neither, not even an empty file, and
+    # exits 3 with one line.
+    path = tmp_path / "f.json"
+    for argv, message in (
+            (["model", "example-3x3", "--x", "nan"],
+             "matrix entries must be finite"),
+            (["model", "ssh", "--cells", "2", "--v", "1.7e308", "-o",
+              str(path)], "matrix entries must have real and imaginary "
+                          "parts of at most")):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"precondition violated: {message}")
+        assert err.count("\n") == 2  # and the wall time
+    assert not path.exists()
+
+
+def test_cli_chains_past_the_cell_cap_exit3(capsys):
+    for argv in (["model", "ssh", "--cells", "129"],
+                 ["model", "ssh-disorder", "--cells", "129"],
+                 ["order", "ssh", "--cells", "129"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition violated: cell count must be "
+                              "between ")
+
+
 # ---------------------------------------------------------------------------
 # report serialization against the standard encoder
 # ---------------------------------------------------------------------------
@@ -1260,22 +1292,30 @@ _SQUARES = st.integers(1, 5).flatmap(lambda n: st.one_of(
 @given(matrix=_SQUARES)
 @example(matrix=np.array([[-0.0, complex(-0.0, -0.0)],
                           [complex(0.0, -0.0), complex(-0.0, 1.0)]]))
+@example(matrix=np.array([[1.6e308j]]))
 def test_matrix_text_formats_each_part_and_reads_back(matrix):
-    assert matrix_text(matrix) == _reference_matrix_text(matrix)
+    # `matrix_text` refuses what `hermitian`, and so the reader, refuses,
+    # with its message, and writes every other matrix as given.
+    try:
+        hermitian(matrix)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            matrix_text(matrix)
+    else:
+        assert matrix_text(matrix) == _reference_matrix_text(matrix)
     # The mirrored upper triangle with a real diagonal: Hermitian, so it
-    # reads back as `hermitian` makes it, bit for bit and signed zeros
-    # included, or fails as `hermitian` does.
+    # is written as given and reads back as `hermitian` makes it, bit for
+    # bit and signed zeros included, or fails as `hermitian` does.
     h = np.where(np.triu(np.ones(matrix.shape, bool)), matrix,
                  matrix.conj().T)
     np.fill_diagonal(h, h.diagonal().real)
-    if not np.isfinite(h).all():
-        return
     try:
         want = hermitian(h)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             parse_matrix(matrix_text(h))
         return
+    assert matrix_text(h) == _reference_matrix_text(h)
     assert parse_matrix(matrix_text(h)).tobytes() == want.tobytes()
 
 

@@ -60,6 +60,9 @@ def test_construction_keeps_the_signs_of_zero_parts(tmp_path):
 def test_construction_rejects_asymmetry():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian([[1.0, 2.0], [2.1, 3.0]])
+    # A - A^dagger overflows: an asymmetry of inf, with no RuntimeWarning.
+    with pytest.raises(ValueError, match="not Hermitian: asymmetry inf"):
+        hermitian([[1.6e308j]])
 
 
 def test_construction_rejects_nonfinite_and_nonsquare():

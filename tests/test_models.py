@@ -7,6 +7,7 @@ import pytest
 
 from degengeo.hermitian import frobenius_norm
 from degengeo.models import (
+    MAX_CELLS,
     MAX_QUBITS,
     WEYL_EXAMPLE_TERMS,
     _pauli_sum,
@@ -118,6 +119,17 @@ def test_transverse_perturbation_structure():
 def test_qubit_cap():
     with pytest.raises(ValueError, match="qubit count"):
         ising(7)
+
+
+def test_cell_cap():
+    # Chains stop at n = 2 MAX_CELLS = 256; one cell more is refused before
+    # any matrix is built.
+    assert ssh(MAX_CELLS, 0.0, 1.0).shape == (2 * MAX_CELLS, 2 * MAX_CELLS)
+    over = f"between [12] and {MAX_CELLS}, got {MAX_CELLS + 1}"
+    with pytest.raises(ValueError, match=over):
+        ssh(MAX_CELLS + 1, 0.0, 1.0)
+    with pytest.raises(ValueError, match=over):
+        ssh_hopping_disorder(MAX_CELLS + 1, np.ones(2 * MAX_CELLS + 1))
 
 
 def test_five_qubit_ground_pair():

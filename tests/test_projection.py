@@ -127,8 +127,7 @@ def test_distance_refuses_non_finite_entries(bad):
 def test_index_set_matches_collapse():
     rng = np.random.default_rng(5)
     h = random_hermitian(5, rng)
-    spec = eigh(h)
-    g = project_with_index_set(h, {1, 2}, gauge=spec)
+    g = project_with_index_set(h, {1, 2})
     pr = collapse_projection(h, 2)
     assert frobenius_norm(g - pr.h_sigma) <= 1e-12
 
@@ -137,6 +136,16 @@ def test_index_set_precondition():
     h = np.diag([0.0, 1.0, 10.0]).astype(complex)
     with pytest.raises(NotInSigmaK):
         project_with_index_set(h, {1, 3})
+
+
+def test_index_set_refuses_non_integer_indices():
+    # 1.5 is no eigenvalue index; it is not rounded onto 1.
+    h = np.diag([0.0, 1.0, 10.0]).astype(complex)
+    for indices in ([1.5, 2], [np.float64(1.0), 2], ["1", 2]):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            project_with_index_set(h, indices)
+    assert (project_with_index_set(h, [np.int64(1), 2]).tobytes()
+            == project_with_index_set(h, [1, 2]).tobytes())
 
 
 def test_index_set_mean_does_not_overflow():
@@ -259,7 +268,7 @@ def test_constructors_rebuild_bit_for_bit_and_read_only():
     vals[1:4] = pr.mean_lambda
     assert pr.h_sigma.tobytes() == _rebuilt_inline(pr.spectrum.vectors,
                                                    vals).tobytes()
-    g = project_with_index_set(h, [1, 2], gauge=pr.spectrum)
+    g = project_with_index_set(h, [1, 2])
     vals = pr.spectrum.eigenvalues.copy()
     vals[:2] = np.mean(vals[:2])
     assert g.tobytes() == _rebuilt_inline(pr.spectrum.vectors,

@@ -346,6 +346,9 @@ def _calls(cases):
                "0.3"],
               # Negative zero parts, written "-0.0".
               ["model", "example-3x3", "--v3", "-0.0", "--z", "-0.0"],
+              # Refused: a NaN part, and a chain past the cell cap.
+              ["model", "example-3x3", "--x", "nan"],
+              ["model", "ssh", "--cells", "129"],
               ["model", "example-pr", "--p", "0.3", "--r", "0.1"],
               ["model", "weyl-example", "--x", "0.1", "--y", "-0.2"],
               ["model", "weyl-example"]]
