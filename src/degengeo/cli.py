@@ -1,15 +1,14 @@
 """Command-line interface.
 
 Subcommands: decompose, project, distance, order, weyl-scan, model. Each
-command but `model` (which prints its matrix text) returns its `RunReport`,
-and `main` writes it to stdout, line-oriented by default or as versioned
-JSON with --json; wall time goes to stderr, last, so that reports stay
-byte-identical for identical inputs and seed. Exit codes: 0 success, 2
-parse error (also an input that cannot be read, an output file that cannot
-be written and a `weyl-scan` plugin module that cannot be loaded), 3
-precondition violation (also a `weyl-scan` plugin that raises), 4
-numerical failure, 5 inconclusive order fit. `model` and `order` build
-models from one table:
+command but `model` (which prints a matrix) returns a `RunReport`, which
+`main` writes to stdout, line-oriented by default or as versioned JSON with
+--json; wall time goes to stderr, last, so that reports stay byte-identical
+for identical inputs and seed. Exit codes: 0 success, 2 parse error (also
+an input that cannot be read, an output file that cannot be written and a
+`weyl-scan` plugin module that cannot be loaded), 3 precondition violation
+(also a `weyl-scan` plugin that raises), 4 numerical failure, 5
+inconclusive order fit. `model` and `order` build models from one table:
 `order F --seed S` moves along the matrix that `model D --seed S` prints,
 where (F, D) is (ising, transverse), (ssh, ssh-disorder) or (five-qubit,
 one-local --qubits 5).
