@@ -34,10 +34,10 @@ from .matrixio import (
     read_matrix,
     write_matrix,
 )
-from .models import (WEYL_EXAMPLE_TERMS, example_3x3, example_pr,
-                     five_qubit_code, ising, one_local, ssh,
-                     ssh_hopping_disorder, transverse_perturbation,
-                     weyl_example)
+from .models import (MAX_CELLS, MAX_QUBITS, WEYL_EXAMPLE_TERMS, _check_count,
+                     example_3x3, example_pr, five_qubit_code, ising,
+                     one_local, ssh, ssh_hopping_disorder,
+                     transverse_perturbation, weyl_example)
 from .projection import collapse_projection
 from .spectra import eigh, unseparated_edge, window_distance, window_spread
 from .splitting import (default_ladder, estimate_all_orders, family,
@@ -315,19 +315,22 @@ def _cmd_weyl_scan(args):
 
 
 #: `model` names, in the order `model --help` lists them, and their
-#: builders: each takes the parsed flags and the generator seeded by --seed.
+#: builders: each takes the parsed flags and the generator seeded by --seed,
+#: and checks a count as its model would before drawing that many numbers.
 _MODELS = {
     "ssh": lambda a, rng: ssh(a.cells, a.v, a.w),
     "ssh-disorder": lambda a, rng: ssh_hopping_disorder(
-        a.cells, rng.standard_normal(2 * a.cells - 1)
+        a.cells, rng.standard_normal(
+            2 * _check_count("cell", a.cells, 1, MAX_CELLS) - 1)
         + 1j * rng.standard_normal(2 * a.cells - 1)),
     "ising": lambda a, rng: ising(a.qubits),
     "transverse": lambda a, rng: transverse_perturbation(
-        a.qubits, rng.standard_normal(a.qubits),
+        a.qubits,
+        rng.standard_normal(_check_count("qubit", a.qubits, 1, MAX_QUBITS)),
         rng.standard_normal(a.qubits)),
     "five-qubit": lambda a, rng: five_qubit_code(),
-    "one-local": lambda a, rng: one_local(a.qubits,
-                                          rng.standard_normal(3 * a.qubits)),
+    "one-local": lambda a, rng: one_local(a.qubits, rng.standard_normal(
+        3 * _check_count("qubit", a.qubits, 1, MAX_QUBITS))),
     "example-3x3": lambda a, rng: example_3x3(a.v3, a.x, a.y, a.z, a.p, a.q,
                                               a.r, a.s, a.w3),
     "example-pr": lambda a, rng: example_pr(a.p, a.r),

@@ -91,9 +91,9 @@ def pauli_matrix(letters, coefficient=1.0):
 
 def _check_count(what, count, least, most):
     if not least <= count <= most:
-        raise ValueError(
-            f"{what} count must be between {least} and {most}, got {count}"
-        )
+        raise ValueError(f"{what} count must be between {least} and "
+                         f"{most}, got {count}")
+    return count
 
 
 def _site_words(n_qubits, blocks):
@@ -148,9 +148,7 @@ def ising(n_qubits):
     """Ferromagnetic Ising chain -sum_i Z_i Z_{i+1} with open ends.
     Its ground energy -(n_qubits - 1) is twofold degenerate, spanned by the
     all-0 and all-1 states."""
-    _check_count("qubit", n_qubits, 1, MAX_QUBITS)
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
+    _check_count("qubit", n_qubits, 2, MAX_QUBITS)
     return _pauli_sum(n_qubits,
                       [(-1.0, w) for w in _site_words(n_qubits, ["ZZ"])])
 

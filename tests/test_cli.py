@@ -1046,13 +1046,31 @@ def test_cli_model_refuses_what_its_reader_refuses(tmp_path, capsys):
 
 
 def test_cli_chains_past_the_cell_cap_exit3(capsys):
+    # The counts are refused before any draw: a billion cells would ask
+    # numpy for gigabytes, and no cells for a negative draw count.
     for argv in (["model", "ssh", "--cells", "129"],
                  ["model", "ssh-disorder", "--cells", "129"],
-                 ["order", "ssh", "--cells", "129"]):
+                 ["model", "ssh-disorder", "--cells", "1000000000"],
+                 ["model", "ssh-disorder", "--cells", "0"],
+                 ["order", "ssh", "--cells", "129"],
+                 ["order", "ssh", "--cells", "1000000000"]):
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("precondition violated: cell count must be "
+                              "between ")
+
+
+def test_cli_drawn_qubit_counts_are_refused_before_any_draw(capsys):
+    for argv in (["model", "transverse", "--qubits", "1000000000"],
+                 ["model", "transverse", "--qubits", "-1"],
+                 ["model", "one-local", "--qubits", "1000000000"],
+                 ["model", "one-local", "--qubits", "-1"],
+                 ["model", "ising", "--qubits", "1"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition violated: qubit count must be "
                               "between ")
 
 
@@ -1293,6 +1311,7 @@ _SQUARES = st.integers(1, 5).flatmap(lambda n: st.one_of(
 @example(matrix=np.array([[-0.0, complex(-0.0, -0.0)],
                           [complex(0.0, -0.0), complex(-0.0, 1.0)]]))
 @example(matrix=np.array([[1.6e308j]]))
+@example(matrix=np.array([[1.7e308]]))
 def test_matrix_text_formats_each_part_and_reads_back(matrix):
     # `matrix_text` refuses what `hermitian`, and so the reader, refuses,
     # with its message, and writes every other matrix as given.
@@ -1305,15 +1324,20 @@ def test_matrix_text_formats_each_part_and_reads_back(matrix):
         assert matrix_text(matrix) == _reference_matrix_text(matrix)
     # The mirrored upper triangle with a real diagonal: Hermitian, so it
     # is written as given and reads back as `hermitian` makes it, bit for
-    # bit and signed zeros included, or fails as `hermitian` does.
+    # bit and signed zeros included, or is refused as `hermitian` refuses
+    # it, by `matrix_text` and, on finite text, by the reader.
     h = np.where(np.triu(np.ones(matrix.shape, bool)), matrix,
                  matrix.conj().T)
     np.fill_diagonal(h, h.diagonal().real)
     try:
         want = hermitian(h)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            parse_matrix(matrix_text(h))
+        refusal = f"^{re.escape(str(exc))}$"
+        with pytest.raises(ValueError, match=refusal):
+            matrix_text(h)
+        if np.isfinite(h).all():
+            with pytest.raises(ValueError, match=refusal):
+                parse_matrix(_reference_matrix_text(h))
         return
     assert matrix_text(h) == _reference_matrix_text(h)
     assert parse_matrix(matrix_text(h)).tobytes() == want.tobytes()
