@@ -35,6 +35,11 @@ def test_cli_digests_runs_every_call_and_repeats():
     assert not moved, f"CLI digest lines differ:\n{moved}"
     assert len(lines) > 100
     line = re.compile(r"[0-9a-f]{64} (\d) (decompose|distance|project|order"
-                      r"|weyl-scan|model) .* \| .*")
+                      r"|weyl-scan|model|demo) .* \| .*")
     codes = [int(line.fullmatch(text).group(1)) for text in lines]
     assert sorted(set(codes)) == [0, 2, 3, 4, 5]
+    # The last lines digest the stdout of every demo script, which ran to
+    # its end.
+    demos = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
+    assert [text.split()[1:4] for text in lines[-len(demos):]] == [
+        ["0", "demo", name] for name in demos]

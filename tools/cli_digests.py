@@ -10,8 +10,11 @@ the Python version (argparse's --help layout changes between versions), the
 numpy version, and the BLAS and LAPACK libraries numpy was built against.
 Then one line per call: the SHA-256 of stdout, the exit code (or "raised
 Type: message" for an exception that escapes `main`), the argv, and the
-first stderr line that is not the wall time.
-Two checkouts give the same CLI bytes on these calls when
+first stderr line that is not the wall time. Last, one line per script of
+CHECKOUT/demos in the same form, with the argv "demo NAME": each script is
+run in-process as `__main__`, as the demo test runs it, so its exit code
+is 0 unless it raises.
+Two checkouts give the same CLI and demo bytes on these calls when
 
     diff <(python3 tools/cli_digests.py OLD) <(python3 tools/cli_digests.py NEW)
 
@@ -33,6 +36,7 @@ import io
 import json
 import os
 import platform
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -412,6 +416,17 @@ def _run(main, argv):
     return f"{digest} {code} {' '.join(argv)} | {lines[0] if lines else ''}"
 
 
+def _demo(path):
+    """A `main` for `_run` that runs the demo script at path as `__main__`
+    and returns 0."""
+
+    def main(argv):
+        runpy.run_path(str(path), run_name="__main__")
+        return 0
+
+    return main
+
+
 def environment():
     """The header line: Python, numpy, and numpy's BLAS and LAPACK."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
@@ -436,6 +451,8 @@ def main():
             print(environment())
             for argv in calls:
                 print(_run(cli.main, argv))
+            for demo in sorted((checkout / "demos").glob("*.py")):
+                print(_run(_demo(demo), ["demo", demo.stem]))
         finally:
             os.chdir(home)
 
