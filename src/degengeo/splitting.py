@@ -18,8 +18,8 @@ its block needs no anchor: the Schrieffer-Wolff chart of a whole block is
 the identity, so its effective block is the traceless part in any basis,
 and only a cluster that is a proper sub-block is rotated away through an
 `Anchor`. `estimate_order(fam, "heff")` fits the effective-block norms
-alone: the ladder, taken once into the gauge of the family's start anchor,
-goes through one stacked `Anchor.heff_block`, one eigh and one k x k SVD.
+alone: the ladder, as sampled, goes through one stacked `Anchor.heff_block`
+against the family's start anchor, one eigh and one k x k SVD.
 The spectrum of H(0) that `family` checks is kept on the family, and the
 heff order and the cascade build their start anchor from it.
 """
@@ -168,22 +168,22 @@ def splitting_samples(fam, ts):
     return out
 
 
-def _heff_norms(anchor, local):
-    """||H_eff||_F of each matrix of the finite stack `local`, already in the
-    anchor's gauge, or None for a matrix whose decomposition fails. One
-    stacked `heff_block` takes the whole stack: one eigh and one k x k SVD.
-    It raises on its first bad matrix; only then is each matrix decomposed
-    on its own, so that the others keep their values."""
+def _heff_norms(anchor, hs):
+    """||H_eff||_F of each matrix of the finite stack hs, or None for a
+    matrix whose decomposition fails. One stacked `heff_block` takes the
+    whole stack: one eigh and one k x k SVD. It raises on its first bad
+    matrix; only then is each matrix decomposed on its own, so that the
+    others keep their values."""
     try:
-        blocks = anchor._heff_block_local(local)
+        blocks = anchor.heff_block(hs)
     except (DegenError, np.linalg.LinAlgError):
         pass
     else:
         return [frobenius_norm(block) for block in blocks]
     norms = []
-    for h in local:
+    for h in hs:
         try:
-            norms.append(frobenius_norm(anchor._heff_block_local(h)))
+            norms.append(frobenius_norm(anchor.heff_block(h)))
         except (DegenError, np.linalg.LinAlgError):
             norms.append(None)
     return norms
@@ -291,18 +291,16 @@ def estimate_order(fam, method="stddev", ladder=None):
 
     "heff" fits ||H_eff(t)||_F, the distance of H(t) from the degeneracy
     manifold, with None (no sample) where the decomposition fails: the
-    ladder, taken once into the gauge of the family's start anchor, goes
-    through one stacked eigh and one stacked k x k SVD (see `_heff_norms`),
-    with no eigvalsh of the ladder's spectra. The other methods fit the
+    ladder, as sampled, goes through one stacked eigh and one stacked k x k
+    SVD against the family's start anchor (see `_heff_norms`), with no
+    eigvalsh of the ladder's spectra. The other methods fit the
     measures of `splitting_samples(fam, ladder)`.
     """
     if ladder is None:
         ladder = default_ladder()
     if method == "heff":
         ts = _ladder_points(ladder)
-        hs = fam.stack(ts[:, None])
-        anchor = fam.start_anchor()
-        norms = _heff_norms(anchor, anchor.local(hs))
+        norms = _heff_norms(fam.start_anchor(), fam.stack(ts[:, None]))
         ts = ts.tolist()
         return _fit_order(ts, norms, _zero_floor(fam, ts, method), method)
     samples = splitting_samples(fam, ladder)

@@ -51,8 +51,9 @@ When H is G itself, the anchor's spectrum is H's, and no second
 eigendecomposition runs.
 The heff order of a family, the cascade's levels and the exact effective
 map of the Weyl analysis need only the window block of H_eff:
-`Anchor.heff_block` reads it off one eigendecomposition and the polar factor
-of a k x k SVD, as U Lambda_w U^dagger, without building S or e^{iS}, and
+`Anchor.heff_block` reads it as the decomposition does, in H's frame: off
+one eigendecomposition and the polar factor U of the window rows
+U_w^dagger V, as U Lambda_w U^dagger, without building S or e^{iS}. It
 takes a stack of matrices (a cascade level's four probes, or a whole ladder
 of the heff order) in one call. The cascade calls it at level 1 and at each
 level whose cluster is a proper sub-block of the level above. A cluster
@@ -475,30 +476,28 @@ class Anchor:
 
     def heff_block(self, h):
         """The effective Hamiltonian of h as a dense traceless k x k block in
-        the anchor's eigenbasis, equal to `decompose(h)`'s window block; for
-        a stack (..., n, n) the blocks come back as (..., k, k).
+        the anchor's eigenbasis, bit for bit `decompose(h)`'s window block;
+        for a stack (..., n, n) the blocks come back as (..., k, k).
 
-        With V the window eigenvectors of h in the gauge and U = X Y^dagger
-        the polar factor of their window rows, the direct rotation sends the
-        window columns to V U^dagger, so the block is U Lambda_w U^dagger
-        (Lambda_w the window eigenvalues) minus its mean: one
-        eigendecomposition and one k x k SVD per matrix, and no n x n
-        rotation. Each matrix gets `decompose`'s checks: the eigensolver
+        With V the window eigenvectors of h as given and U = X Y^dagger the
+        polar factor of U_w^dagger V (U_w the anchor's window vectors), the
+        direct rotation sends the window columns to V U^dagger, so the block
+        is U Lambda_w U^dagger (Lambda_w the window eigenvalues) minus its
+        mean: one eigendecomposition and one k x k SVD per matrix, and no
+        n x n product. Each matrix gets `decompose`'s checks: the eigensolver
         residual, DegenerateBoundary for an unseparated window, and
         SubspacesTooFar. When the window covers the whole space there is
         nothing to rotate away and this is the traceless part of h."""
-        return self._heff_block_local(self.local(h))
-
-    def _heff_block_local(self, h):
-        """`heff_block` of h, or of each matrix of a stack, already in the
-        anchor's eigenbasis."""
         w = slice(self.offset, self.offset + self.k)
         if self.k == self.spectrum.n:
-            return _traceless(h[..., w, w])
+            return _traceless(self.local(h)[..., w, w])
+        h, u = np.asarray(h), self.gauge
+        if h.shape[-2:] != u.shape:
+            raise ValueError(f"dimension mismatch: {h.shape} vs {u.shape}")
         spec = eigh(h)
         check_separated(spec.eigenvalues, self.k, self.offset,
                         DegenerateBoundary)
-        x, _, yh = _principal_angles(spec.vectors[..., w, w])
+        x, _, yh = _principal_angles(u[:, w].conj().T @ spec.vectors[..., w])
         return _traceless(_from_eigenpairs(x @ yh, spec.eigenvalues[..., w]))
 
 

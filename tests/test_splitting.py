@@ -6,6 +6,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from degengeo import swtransform
 from degengeo.errors import DegenError, InconclusiveFit
 from degengeo.hermitian import (
     frobenius_norm,
@@ -81,9 +82,8 @@ def polynomial_spectrum_family(n, k, order, rng, conjugate=True):
 def heff_norms(fam, ts):
     """||H_eff(t)||_F at the ts in ascending order, None where the
     decomposition fails: the norms `estimate_order(fam, "heff", ts)` fits."""
-    anchor = fam.start_anchor()
     ts = np.sort(np.asarray(ts, dtype=float))
-    return _heff_norms(anchor, anchor.local(fam.stack(ts[:, None])))
+    return _heff_norms(fam.start_anchor(), fam.stack(ts[:, None]))
 
 
 def test_family_rejects_nondegenerate_start():
@@ -875,6 +875,27 @@ def test_heff_order_takes_one_stacked_eigh_and_svd(model, size, linalg_calls):
     linalg_calls.clear()
     estimate_order(fam, method="heff")
     assert linalg_calls == [("eigh", (14, fam.n, fam.n)), ("svd", (14, 2, 2))]
+
+
+@pytest.mark.parametrize("make", [lambda: model_family("ising", 4, 0),
+                                  pair_and_single_family],
+                         ids=["ising4", "pair_and_single"])
+def test_heff_route_conjugates_no_matrix(make, monkeypatch):
+    # The heff order and the cascade, a sub-block anchor at level 2
+    # included, read every effective block off the matrices as given: no
+    # matrix is conjugated into an anchor's gauge.
+    calls = []
+    real = swtransform.conjugate
+
+    def counted(h, u):
+        calls.append(np.shape(h))
+        return real(h, u)
+
+    monkeypatch.setattr(swtransform, "conjugate", counted)
+    fam = make()
+    estimate_order(fam, "heff")
+    cascade(fam)
+    assert calls == []
 
 
 @pytest.mark.parametrize("ladder, error, message", [

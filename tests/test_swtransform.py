@@ -709,7 +709,9 @@ def test_heff_block_is_the_decomposition_window_block(n):
             bound = 1e-13 * max(1.0, frobenius_norm(h))
             block = anchor.heff_block(h)
             w = slice(offset, offset + k)
-            want = anchor.local(anchor.decompose(h).h_eff)[w, w]
+            dec = anchor.decompose(h)
+            want = anchor.local(dec.h_eff)[w, w]
+            assert block.tobytes() == dec.heff_window.tobytes()
             assert block.shape == (k, k)
             assert np.array_equal(block, block.conj().T)
             assert np.max(np.abs(block - want)) <= bound
