@@ -436,29 +436,34 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     """Resolve the window's eigenvalue branches level by level.
 
     The first-level family is the effective block of H(t) against the
-    collapsed start point, divided by t; each level's start value is
-    extrapolated to t = 0, its eigenvalues are clustered, pairs falling in
-    distinct clusters separate at the current level, and every surviving
-    cluster spawns a deeper family the same way, against the anchor at the
-    extrapolated start with that cluster as its window. Eigenvalue branches
-    get strictly less degenerate at each level, so the recursion terminates
-    unless branches coincide beyond the depth cap. The negative-side
-    permutation follows from the parities of the levels.
+    collapsed start point, divided by t and by a power of two u in (s/2, s]
+    for the spread s of H(0)'s eigenvalues (u = 1 when s is 0 or overflows).
+    Clusters are held to CLUSTER_RTOL times the larger of 1 and the largest
+    |eigenvalue|, whose floor of 1 is absolute; in the unit u they, and so
+    the results, are the same for a H(t) as for H(t), a > 0, and dividing by
+    u is exact. Each level's start value is extrapolated to t = 0, its
+    eigenvalues are clustered, pairs falling in distinct clusters separate
+    at the current level, and every surviving cluster spawns a deeper family
+    the same way, against the anchor at the extrapolated start with that
+    cluster as its window. Eigenvalue branches get strictly less degenerate
+    at each level, so the recursion terminates unless branches coincide
+    beyond the depth cap. The negative-side permutation follows from the
+    parities of the levels.
 
     A level is held as its values at the probe points t_probe, -t_probe,
     t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
-    level is made from them. Level 1 takes its four probe matrices, as one
-    (4, n, n) stack, through one `Anchor.heff_block` call against the
-    family's start anchor (`ParamFamily.start_anchor`), so H(0) is not
-    evaluated again when `family` made the family. A deeper level whose
-    cluster is a proper sub-block of the level above takes that level's four
-    blocks through one `heff_block` call against the anchor on the cluster.
-    A cluster that fills its block takes no anchor, since the chart of a
-    whole block is the identity: its blocks are the traceless parts of those
-    above, divided by t. That is exact, because the traceless part commutes
-    with unitary conjugation, so the eigenvalues, the clusters and every
-    deeper level match those in the anchor's gauge. A block of two levels
-    thus needs only the eigenvalues of its start value
+    level is made from them. Level 1 takes its four probe matrices as
+    sampled, one (4, n, n) stack, through one `Anchor.heff_block` call
+    against the family's start anchor (`ParamFamily.start_anchor`), so H(0)
+    is not evaluated again when `family` made the family. A deeper level
+    whose cluster is a proper sub-block of the level above takes that
+    level's four blocks through one `heff_block` call against the anchor on
+    the cluster. A cluster that fills its block takes no anchor, since the
+    chart of a whole block is the identity: its blocks are the traceless
+    parts of those above, divided by t. That is exact, because the traceless
+    part commutes with unitary conjugation, so the eigenvalues, the clusters
+    and every deeper level match those in the anchor's gauge. A block of two
+    levels thus needs only the eigenvalues of its start value
     (`spectra.checked_eigvals`, with the residual check of `eigh`), and a
     block of three or more takes one `eigh`.
 
@@ -476,6 +481,10 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     ts = np.array([t_probe, -t_probe, t_probe / 2.0, -t_probe / 2.0])
     scale = ts[:, None, None]
     start = fam.start_anchor()
+    # The level-1 unit u; every deeper level inherits it.
+    spread = float(start.levels[-1] - start.levels[0])
+    unit = (math.ldexp(1.0, math.frexp(spread)[1] - 1)
+            if 0.0 < spread < math.inf else 1.0)
     probes = fam.stack(ts[:, None])
     queue = [(tuple(range(1, k + 1)), probes, start, 1)]
     pair_levels = {}
@@ -484,6 +493,8 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
         idx, above, anchor, level = queue.pop()
         if anchor is None:
             g = _traceless(above) / scale
+        elif level == 1:
+            g = anchor.heff_block(above) / (scale * unit)
         else:
             g = anchor.heff_block(above) / scale
         g0 = _hermitian_part(_extrapolate_zero(g))

@@ -5,6 +5,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degengeo import swtransform
 from degengeo.errors import DegenError, InconclusiveFit
@@ -584,6 +586,30 @@ def assert_same_cascade(res, ref):
 def test_cascade_matches_closure_tower(model, size, seed):
     fam = model_family(model, size, seed)
     assert_same_cascade(cascade(fam), closure_tower_cascade(fam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([("ising", 3), ("ising", 4), ("ising", 5),
+                             ("ssh", 3), ("ssh", 4), ("ssh", 5),
+                             ("five-qubit", 5), ("ssh-ground", 3),
+                             ("ssh-ground", 4), ("ssh-ground", 5)]),
+       seed=st.integers(0, 999),
+       a=st.one_of(st.integers(-20, 800).map(lambda e: 2.0 ** e),
+                   st.floats(1e-6, 1e250)))
+@example(case=("ising", 3), seed=7, a=1e4)
+@example(case=("five-qubit", 5), seed=0, a=1e6)
+def test_cascade_is_scale_covariant(case, seed, a):
+    # The splitting orders of a H(t) are those of H(t) for every a > 0, and
+    # so are the cascade's results. "ssh-ground" is the ground window of the
+    # dimerized chain, of cells - 1 levels.
+    model, size = case
+    h = model_family(model.removesuffix("-ground"), size, seed)
+    k, offset = (size - 1, 0) if model == "ssh-ground" else (2, h.offset)
+
+    def scaled(b):
+        return family(lambda t: b * h(t), k, offset=offset)
+
+    assert_same_cascade(cascade(scaled(a)), cascade(scaled(1.0)))
 
 
 @pytest.mark.parametrize("make, kwargs", [
