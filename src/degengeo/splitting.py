@@ -452,18 +452,18 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
 
     A level is held as its values at the probe points t_probe, -t_probe,
     t_probe/2 and -t_probe/2, all the extrapolation reads, and the next
-    level is made from them. Level 1 takes its four probe matrices as
-    sampled, one (4, n, n) stack, through one `Anchor.heff_block` call
-    against the family's start anchor (`ParamFamily.start_anchor`), so H(0)
-    is not evaluated again when `family` made the family. A deeper level
-    whose cluster is a proper sub-block of the level above takes that
-    level's four blocks through one `heff_block` call against the anchor on
-    the cluster. A cluster that fills its block takes no anchor, since the
-    chart of a whole block is the identity: its blocks are the traceless
-    parts of those above, divided by t. That is exact, because the traceless
-    part commutes with unitary conjugation, so the eigenvalues, the clusters
-    and every deeper level match those in the anchor's gauge. A block of two
-    levels thus needs only the eigenvalues of its start value
+    level is made from them. Level 1 takes its four probe matrices, as one
+    (4, n, n) stack, through one `Anchor.heff_block` call against the
+    family's start anchor (`ParamFamily.start_anchor`), so H(0) is not
+    evaluated again when `family` made the family. A deeper level whose
+    cluster is a proper sub-block of the level above takes that level's four
+    blocks through one `heff_block` call against the anchor on the cluster.
+    A cluster that fills its block takes no anchor, since the chart of a
+    whole block is the identity: its blocks are the traceless parts of those
+    above, divided by t. That is exact, because the traceless part commutes
+    with unitary conjugation, so the eigenvalues, the clusters and every
+    deeper level match those in the anchor's gauge. A block of two levels
+    thus needs only the eigenvalues of its start value
     (`spectra.checked_eigvals`, with the residual check of `eigh`), and a
     block of three or more takes one `eigh`.
 

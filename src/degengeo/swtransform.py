@@ -483,11 +483,12 @@ class Anchor:
         polar factor of U_w^dagger V (U_w the anchor's window vectors), the
         direct rotation sends the window columns to V U^dagger, so the block
         is U Lambda_w U^dagger (Lambda_w the window eigenvalues) minus its
-        mean: one eigendecomposition and one k x k SVD per matrix, and no
-        n x n product. Each matrix gets `decompose`'s checks: the eigensolver
-        residual, DegenerateBoundary for an unseparated window, and
-        SubspacesTooFar. When the window covers the whole space there is
-        nothing to rotate away and this is the traceless part of h."""
+        mean: one eigendecomposition and one k x k SVD per matrix, and h is
+        not conjugated into the anchor's eigenbasis. Each matrix gets
+        `decompose`'s checks: the eigensolver residual, DegenerateBoundary
+        for an unseparated window, and SubspacesTooFar. When the window
+        covers the whole space there is nothing to rotate away and this is
+        the traceless part of h."""
         w = slice(self.offset, self.offset + self.k)
         if self.k == self.spectrum.n:
             return _traceless(self.local(h)[..., w, w])
