@@ -17,7 +17,6 @@ from degengeo import (
     estimate_order,
     family,
     signed_stddev,
-    splitting_samples,
 )
 from degengeo.models import (
     five_qubit_code,
@@ -66,9 +65,12 @@ print(f"five-qubit code Hamiltonian, single-qubit noise: "
 print("raw splitting samples of the Ising family (stddev of the window):")
 ts = np.array([2.0 ** -e for e in range(3, 9)])[::-1]
 heff = estimate_order(fam_ising, "heff", ts)
-for s, (_, norm) in zip(splitting_samples(fam_ising, ts), heff.samples):
-    print(f"  t = {s.t:9.6f}  stddev = {s.std_dev:.3e}  "
-          f"sqrt(2)*stddev = {np.sqrt(2) * s.std_dev:.3e}  "
+# sgn(t)^0 = 1: the plain standard deviations, in ascending t as the fit
+# keeps its (t, ||H_eff||) pairs.
+stds = signed_stddev(fam_ising, 0, np.sort(ts))
+for std, (t, norm) in zip(stds, heff.samples):
+    print(f"  t = {t:9.6f}  stddev = {std:.3e}  "
+          f"sqrt(2)*stddev = {np.sqrt(2) * std:.3e}  "
           f"||H_eff|| = {norm:.3e}")
 
 # --- the signed splitting is smooth through t = 0 ---------------------------

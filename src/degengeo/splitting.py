@@ -9,19 +9,20 @@ deviations from the mean) vanish at t = 0 with one common integer order,
 which also equals the order of the distance from the degeneracy manifold and
 of the effective-Hamiltonian norm. The estimators here recover that integer
 from log-log slopes, one per component series of a measure (an aggregate
-takes the least); the cascade recovers it per eigenvalue pair together
-with the index permutation that makes the eigenvalue branches analytic
-through t = 0. A family is a `weyl.ParamFamily` with m = 1. A ladder's
-eigenvalues come from one stacked eigvalsh, and a cascade level is held as
-its values at the four probe points. A cascade level whose cluster fills
-its block needs no anchor: the Schrieffer-Wolff chart of a whole block is
-the identity, so its effective block is the traceless part in any basis,
-and only a cluster that is a proper sub-block is rotated away through an
-`Anchor`. `estimate_order(fam, "heff")` fits the effective-block norms
-alone: the ladder, as sampled, goes through one stacked `Anchor.heff_block`
-against the family's start anchor, one eigh and one k x k SVD.
-The spectrum of H(0) that `family` checks is kept on the family, and the
-heff order and the cascade build their start anchor from it.
+takes the least), each series a column expression of the ladder's window
+eigenvalues, one (samples, k) array from one stacked eigvalsh; the cascade
+recovers it per eigenvalue pair together with the index permutation that
+makes the eigenvalue branches analytic through t = 0. A family is a
+`weyl.ParamFamily` with m = 1. A cascade level is held as its values at the
+four probe points. A cascade level whose cluster fills its block needs no
+anchor: the Schrieffer-Wolff chart of a whole block is the identity, so its
+effective block is the traceless part in any basis, and only a cluster that
+is a proper sub-block is rotated away through an `Anchor`.
+`estimate_order(fam, "heff")` fits the effective-block norms alone: the
+ladder, as sampled, goes through one stacked `Anchor.heff_block` against the
+family's start anchor, one eigh and one k x k SVD. The spectrum of H(0) that
+`family` checks is kept on the family, and the heff order and the cascade
+build their start anchor from it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .weyl import ParamFamily
 __all__ = [
     "family",
     "linear_family",
-    "SplittingSample",
-    "splitting_samples",
     "OrderEstimate",
     "estimate_order",
     "estimate_all_orders",
@@ -111,19 +110,6 @@ def linear_family(h0, h1, k, offset=0):
     return family(lambda t: h0 + t * h1, k, offset=offset)
 
 
-@dataclass(frozen=True)
-class SplittingSample:
-    """Window splitting measures of one family sample H(t).
-
-    pairwise maps 1-based window index pairs (i, j), i < j, to
-    lambda_i - lambda_j; mean_dev holds lambda_i minus the window mean."""
-
-    t: float
-    std_dev: float
-    pairwise: dict
-    mean_dev: np.ndarray
-
-
 def _stacked_ladder(fam, ts):
     """The eigenvalues of the family's matrices at ts, from one eigvalsh over
     their stack. Every evaluation of a family goes through
@@ -144,28 +130,12 @@ def _ladder_points(ts):
     return ts
 
 
-def splitting_samples(fam, ts):
-    """Evaluate all splitting measures of the family on the given nonzero,
-    distinct parameter values, in ascending order of t. The ladder's
-    eigenvalues come from one stacked eigvalsh."""
-    ts = _ladder_points(ts)
-    a, k = fam.offset, fam.k
-    ladder_vals = _stacked_ladder(fam, ts)
-    _, mean_devs, stds = window_spread(ladder_vals, k, a)
-    out = []
-    for sample, (t, vals) in enumerate(zip(ts, ladder_vals)):
-        win = vals[a : a + k]
-        pairwise = {(i + 1, j + 1): float(win[i] - win[j])
-                    for i, j in combinations(range(k), 2)}
-        out.append(
-            SplittingSample(
-                t=float(t),
-                std_dev=float(stds[sample]),
-                pairwise=pairwise,
-                mean_dev=mean_devs[sample],
-            )
-        )
-    return out
+def _window_ladder(fam, ladder):
+    """The sorted ladder as floats and the window eigenvalues of the family
+    at it, an array of shape (len(ladder), k) from one stacked eigvalsh."""
+    ts = _ladder_points(ladder)
+    a = fam.offset
+    return ts.tolist(), _stacked_ladder(fam, ts)[:, a : a + fam.k]
 
 
 def _heff_norms(anchor, hs):
@@ -293,8 +263,11 @@ def estimate_order(fam, method="stddev", ladder=None):
     manifold, with None (no sample) where the decomposition fails: the
     ladder, as sampled, goes through one stacked eigh and one stacked k x k
     SVD against the family's start anchor (see `_heff_norms`), with no
-    eigvalsh of the ladder's spectra. The other methods fit the
-    measures of `splitting_samples(fam, ladder)`.
+    eigvalsh of the ladder's spectra. The other methods read their series
+    off the window eigenvalues of the ladder, in ascending t, from one
+    stacked eigvalsh (`_window_ladder`). The ladder must be nonzero and
+    distinct, or ValueError is raised. The (t, value) pairs of the fitted
+    series stay in `OrderEstimate.samples`.
     """
     if ladder is None:
         ladder = default_ladder()
@@ -303,41 +276,41 @@ def estimate_order(fam, method="stddev", ladder=None):
         norms = _heff_norms(fam.start_anchor(), fam.stack(ts[:, None]))
         ts = ts.tolist()
         return _fit_order(ts, norms, _zero_floor(fam, ts, method), method)
-    samples = splitting_samples(fam, ladder)
-    return _estimate(samples, _zero_floor(fam, [s.t for s in samples], method),
-                     fam.k, method)
+    ts, win = _window_ladder(fam, ladder)
+    return _estimate(ts, win, _zero_floor(fam, ts, method), method)
 
 
-def _components(samples, k, method):
+def _components(win, method):
     """The component series {label: values} of a splitting measure on the
-    samples: one series named after the method for "stddev", "distance" and
-    "extreme", the window pairs for "pairwise" and "neighbor", and the k
-    deviations from the mean for "mean"."""
-    if method == "stddev":
-        return {method: [s.std_dev for s in samples]}
-    if method == "distance":
-        return {method: [np.sqrt(k) * s.std_dev for s in samples]}
+    window eigenvalues win, of shape (samples, k): one series named after
+    the method for "stddev", "distance" and "extreme", the window pairs
+    lambda_i - lambda_j (1-based, i < j) for "pairwise" and "neighbor", and
+    the k deviations from the window mean for "mean"."""
+    k = win.shape[1]
+    if method in ("stddev", "distance", "mean"):
+        _, devs, stds = window_spread(win, k)
+        if method == "stddev":
+            return {method: stds.tolist()}
+        if method == "distance":
+            return {method: list(np.sqrt(k) * stds)}
+        return {f"mean({i + 1})": list(devs[:, i]) for i in range(k)}
     if method == "extreme":
-        return {method: [s.pairwise[(1, k)] for s in samples]}
-    if method == "mean":
-        return {f"mean({i + 1})": [s.mean_dev[i] for s in samples]
-                for i in range(k)}
+        return {method: (win[:, 0] - win[:, -1]).tolist()}
     if method == "pairwise":
         pairs = combinations(range(1, k + 1), 2)
     elif method == "neighbor":
         pairs = ((i, i + 1) for i in range(1, k))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return {f"pairwise{pair}": [s.pairwise[pair] for s in samples]
-            for pair in pairs}
+    return {f"pairwise{(i, j)}": (win[:, i - 1] - win[:, j - 1]).tolist()
+            for i, j in pairs}
 
 
-def _estimate(samples, floor, k, method):
-    """estimate_order on precomputed samples and zero floor: the fit of a
-    one-series measure, or the smallest order over the components of an
-    aggregate that fit."""
-    ts = [s.t for s in samples]
-    series = _components(samples, k, method)
+def _estimate(ts, win, floor, method):
+    """estimate_order on the sorted ladder ts, its window eigenvalues win
+    and the zero floor: the fit of a one-series measure, or the smallest
+    order over the components of an aggregate that fit."""
+    series = _components(win, method)
     if method in series:
         return _fit_order(ts, series[method], floor, method)
     comps = []
@@ -359,12 +332,14 @@ def _estimate(samples, floor, k, method):
 
 
 def estimate_all_orders(fam, ladder=None):
-    """All five splitting-measure orders, as a dict, plus their agreement."""
+    """All five splitting-measure orders, as a dict, plus their agreement.
+    The five fits share one ladder, its window eigenvalues from one stacked
+    eigvalsh, and one zero floor."""
     if ladder is None:
         ladder = default_ladder()
-    samples = splitting_samples(fam, ladder)
-    floor = _zero_floor(fam, [s.t for s in samples], "all orders")
-    estimates = {m: _estimate(samples, floor, fam.k, m) for m in FIVE_METHODS}
+    ts, win = _window_ladder(fam, ladder)
+    floor = _zero_floor(fam, ts, "all orders")
+    estimates = {m: _estimate(ts, win, floor, m) for m in FIVE_METHODS}
     orders = {e.r for e in estimates.values()}
     return estimates, len(orders) == 1
 

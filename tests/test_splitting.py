@@ -38,6 +38,7 @@ from degengeo.splitting import (
     _fit_order,
     _heff_norms,
     _negative_permutation,
+    _window_ladder,
     _zero_floor,
     cascade,
     default_ladder,
@@ -46,7 +47,6 @@ from degengeo.splitting import (
     family,
     linear_family,
     signed_stddev,
-    splitting_samples,
 )
 from degengeo.swtransform import Anchor
 from degengeo.weyl import ParamFamily
@@ -88,6 +88,13 @@ def heff_norms(fam, ts):
     return _heff_norms(fam.start_anchor(), fam.stack(ts[:, None]))
 
 
+def ladder_series(fam, ts, method):
+    """The sorted ladder as floats and the component series {label: values}
+    of `method` on it, as estimate_order reads them."""
+    ts, win = _window_ladder(fam, ts)
+    return ts, _components(win, method)
+
+
 def test_family_rejects_nondegenerate_start():
     with pytest.raises(ValueError, match="degenerate"):
         linear_family(np.diag([0.0, 0.1, 1.0]).astype(complex),
@@ -103,11 +110,13 @@ def test_family_rejects_a_single_level_window():
 
 def test_samples_linear_family_explicit():
     fam = sz_block_family()
-    ts = np.array([0.01, 0.1, 0.25])
-    for s, norm in zip(splitting_samples(fam, ts), heff_norms(fam, ts)):
-        assert s.std_dev == pytest.approx(s.t, rel=1e-12)
-        assert s.pairwise[(1, 2)] == pytest.approx(-2.0 * s.t, rel=1e-12)
-        assert norm == pytest.approx(np.sqrt(2) * s.std_dev, rel=1e-9)
+    ts, stds = ladder_series(fam, [0.01, 0.1, 0.25], "stddev")
+    diffs = ladder_series(fam, ts, "pairwise")[1]["pairwise(1, 2)"]
+    for t, std, diff, norm in zip(ts, stds["stddev"], diffs,
+                                  heff_norms(fam, ts), strict=True):
+        assert std == pytest.approx(t, rel=1e-12)
+        assert diff == pytest.approx(-2.0 * t, rel=1e-12)
+        assert norm == pytest.approx(np.sqrt(2) * std, rel=1e-9)
 
 
 def test_samples_distance_identity():
@@ -115,8 +124,9 @@ def test_samples_distance_identity():
     rng = np.random.default_rng(0)
     fam = polynomial_spectrum_family(5, 3, 2, rng)
     ts = default_ladder(3, 8)[::-1]
-    for s, norm in zip(splitting_samples(fam, ts), heff_norms(fam, ts)):
-        assert np.sqrt(3) * s.std_dev == pytest.approx(
+    stds = ladder_series(fam, ts, "stddev")[1]["stddev"]
+    for std, norm in zip(stds, heff_norms(fam, ts), strict=True):
+        assert np.sqrt(3) * std == pytest.approx(
             norm, rel=1e-9, abs=1e-12
         )
 
@@ -129,25 +139,26 @@ def test_degenerate_start_has_zero_splitting():
 
 def test_samples_reject_zero_and_repeated():
     fam = sz_block_family()
-    with pytest.raises(ValueError, match="nonzero"):
-        splitting_samples(fam, np.array([0.0, 0.1]))
-    with pytest.raises(ValueError, match="distinct"):
-        splitting_samples(fam, np.array([0.2, 0.1, 0.2]))
+    for estimate in (estimate_order, estimate_all_orders):
+        with pytest.raises(ValueError, match="nonzero"):
+            estimate(fam, ladder=np.array([0.0, 0.1]))
+        with pytest.raises(ValueError, match="distinct"):
+            estimate(fam, ladder=np.array([0.2, 0.1, 0.2]))
 
 
 def test_samples_sort_a_descending_ladder():
-    # default_ladder() runs from 2^-3 down to 2^-16; the samples come back
-    # in ascending t, field by field as for the sorted ladder, and the heff
-    # order fits the same norms.
+    # default_ladder() runs from 2^-3 down to 2^-16; the window eigenvalues
+    # come back in ascending t, bit for bit as for the sorted ladder, and
+    # every order fits the same values.
     fam = sz_block_family()
     ladder = default_ladder()
-    got = splitting_samples(fam, ladder)
-    want = splitting_samples(fam, np.sort(ladder))
-    assert [s.t for s in got] == sorted(ladder.tolist())
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.t, a.std_dev, a.pairwise) == (b.t, b.std_dev, b.pairwise)
-        assert a.mean_dev.tobytes() == b.mean_dev.tobytes()
+    got_ts, got = _window_ladder(fam, ladder)
+    want_ts, want = _window_ladder(fam, np.sort(ladder))
+    assert got_ts == want_ts == sorted(ladder.tolist())
+    assert got.shape == want.shape == (len(ladder), fam.k)
+    assert got.tobytes() == want.tobytes()
+    assert repr(estimate_all_orders(fam, ladder)) == repr(
+        estimate_all_orders(fam, np.sort(ladder)))
     assert repr(estimate_order(fam, "heff", ladder)) == repr(
         estimate_order(fam, "heff", np.sort(ladder)))
 
@@ -172,8 +183,8 @@ def test_heff_samples_note_decomposition_errors_only():
 @pytest.mark.parametrize("heff", [False, True])
 def test_samples_refuse_a_non_finite_family(bad, heff):
     # eigvalsh raises on NaN but may return NaN eigenvalues on inf; both
-    # are refused before any spectrum is taken, by the samples and by the
-    # heff order.
+    # are refused before any spectrum is taken, by the eigenvalue ladder and
+    # by the heff order.
     def evaluator(t):
         h = np.diag([0.0, t, 1.0]).astype(complex)
         if t == 0.5:
@@ -184,7 +195,7 @@ def test_samples_refuse_a_non_finite_family(bad, heff):
         if heff:
             estimate_order(family(evaluator, 2), "heff", [0.25, 0.5])
         else:
-            splitting_samples(family(evaluator, 2), [0.25, 0.5])
+            estimate_order(family(evaluator, 2), "stddev", [0.25, 0.5])
 
 
 @pytest.mark.parametrize("error", [KeyError, TypeError])
@@ -253,10 +264,8 @@ def test_heff_and_distance_match_stddev_order():
 def _component_fit(fam, method, label):
     """The fit of the component series `label` of `method` on the default
     ladder, against the zero floor that estimate_order uses."""
-    samples = splitting_samples(fam, default_ladder())
-    ts = [s.t for s in samples]
-    return _fit_order(ts, _components(samples, fam.k, method)[label],
-                      _zero_floor(fam, ts, method), label)
+    ts, series = ladder_series(fam, default_ladder(), method)
+    return _fit_order(ts, series[label], _zero_floor(fam, ts, method), label)
 
 
 def test_single_component_methods():
@@ -712,7 +721,7 @@ def test_samples_take_one_stacked_eigvalsh(heff, linalg_calls):
     fam = model_family("ssh", 4, 1)
     ts = np.sort(default_ladder(3, 12))
     linalg_calls.clear()
-    samples = splitting_samples(fam, ts)
+    got_ts, win = _window_ladder(fam, ts)
     norms = heff_norms(fam, ts) if heff else None
     eigvalsh = [call for call in linalg_calls if call[0] == "eigvalsh"]
     # The ladder's spectra; with heff, the effective blocks come from one
@@ -722,14 +731,18 @@ def test_samples_take_one_stacked_eigvalsh(heff, linalg_calls):
     others = [call for call in linalg_calls if call[0] != "eigvalsh"]
     assert others == ([("eigh", (len(ts), fam.n, fam.n)),
                        ("svd", (len(ts), fam.k, fam.k))] if heff else [])
-    for sample, (s, t) in enumerate(zip(samples, ts)):
+    stds = _components(win, "stddev")["stddev"]
+    mean_devs = np.column_stack(list(_components(win, "mean").values()))
+    pairwise = _components(win, "pairwise")
+    assert list(pairwise) == ["pairwise(1, 2)"]
+    for sample, t in enumerate(ts):
         vals = np.linalg.eigvalsh(fam(t))
         _, mean_dev, std = window_spread(vals, fam.k, fam.offset)
-        win = vals[fam.offset : fam.offset + fam.k]
-        assert s.t == t
-        assert s.std_dev == std
-        assert np.array_equal(s.mean_dev, mean_dev)
-        assert s.pairwise == {(1, 2): float(win[0] - win[1])}
+        one = vals[fam.offset : fam.offset + fam.k]
+        assert got_ts[sample] == t
+        assert stds[sample] == std
+        assert np.array_equal(mean_devs[sample], mean_dev)
+        assert pairwise["pairwise(1, 2)"][sample] == float(one[0] - one[1])
         if heff:
             # The short path and the full decomposition round differently;
             # both agree with the distance theorem at rounding level.
@@ -756,7 +769,8 @@ def test_signed_stddev_takes_one_stacked_eigvalsh(linalg_calls):
 
 def test_empty_ladders():
     fam = sz_block_family()
-    assert splitting_samples(fam, []) == []
+    ts, win = _window_ladder(fam, [])
+    assert ts == [] and win.shape == (0, fam.k)
     assert heff_norms(fam, []) == []
     empty = signed_stddev(fam, 1, [])
     assert empty.shape == (0,) and empty.dtype == np.float64
@@ -868,11 +882,14 @@ def outcome(call):
 def assert_samples_match_per_sample(fam, ts):
     norms = per_sample_heff(fam, ts)
     assert heff_norms(fam, ts) == norms
-    for s in splitting_samples(fam, ts):
-        _, mean_dev, std = window_spread(np.linalg.eigvalsh(fam(s.t)), fam.k,
-                                         fam.offset)
-        assert s.std_dev == std
-        assert s.mean_dev.tobytes() == mean_dev.tobytes()
+    got_ts, win = _window_ladder(fam, ts)
+    stds = _components(win, "stddev")["stddev"]
+    mean_devs = np.column_stack(list(_components(win, "mean").values()))
+    for t, std, devs in zip(got_ts, stds, mean_devs, strict=True):
+        _, mean_dev, want = window_spread(np.linalg.eigvalsh(fam(t)), fam.k,
+                                          fam.offset)
+        assert std == want
+        assert devs.tobytes() == mean_dev.tobytes()
     # The heff order is the fit on the per-sample norms, or fails with the
     # same message.
     ts = np.sort(ts).tolist()
@@ -969,8 +986,8 @@ def test_hand_built_family_diagonalizes_h0_itself(linalg_calls):
     hand.start_anchor()
     assert linalg_calls == [("eigh", (fam.n, fam.n))]
     ladder = default_ladder()
-    assert repr(splitting_samples(hand, ladder)) == repr(
-        splitting_samples(fam, ladder))
+    assert outcome(lambda: estimate_all_orders(hand, ladder)) == outcome(
+        lambda: estimate_all_orders(fam, ladder))
     assert repr(estimate_order(hand, method="heff")) == repr(
         estimate_order(fam, method="heff"))
     assert repr(cascade(hand)) == repr(cascade(fam))
@@ -988,8 +1005,8 @@ def test_replaced_evaluator_drops_the_start_spectrum():
     swapped = replace(old, evaluator=new.evaluator)
     assert swapped.start is None
     ladder = default_ladder()
-    assert repr(splitting_samples(swapped, ladder)) == repr(
-        splitting_samples(new, ladder))
+    assert outcome(lambda: estimate_all_orders(swapped, ladder)) == outcome(
+        lambda: estimate_all_orders(new, ladder))
     assert repr(estimate_order(swapped, method="heff")) == repr(
         estimate_order(new, method="heff"))
     assert repr(cascade(swapped)) == repr(cascade(new))
