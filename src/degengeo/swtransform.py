@@ -439,17 +439,18 @@ class Anchor:
     def gauge(self):
         return self.spectrum.vectors
 
-    def local(self, h):
-        """h, or each matrix of a stack (..., n, n), in the anchor's
-        eigenbasis."""
-        return conjugate(h, self.gauge.conj().T)
-
     def window_block(self, h):
-        """The traceless window block of h in the anchor's eigenbasis, with
-        no rotation: the first-order effective Hamiltonian. For a stack
+        """The traceless part of U_w^dagger h U_w, U_w the anchor's window
+        vectors, with no rotation: the first-order effective Hamiltonian,
+        the window block of h in the anchor's eigenbasis. h is read in its
+        own frame, n^2 k + n k^2 flops rather than the two n x n x n
+        products of a conjugation into the eigenbasis. For a stack
         (..., n, n) the blocks come back as (..., k, k)."""
-        w = slice(self.offset, self.offset + self.k)
-        return _traceless(self.local(h)[..., w, w])
+        h, u = np.asarray(h), self.gauge
+        if h.shape[-2:] != u.shape:
+            raise ValueError(f"dimension mismatch: {h.shape} vs {u.shape}")
+        u_w = u[:, self.offset : self.offset + self.k]
+        return _traceless(_hermitian_part(u_w.conj().T @ h @ u_w))
 
     def decompose(self, h):
         """The decomposition of h, in h's frame and with the anchor's gauge
@@ -488,10 +489,11 @@ class Anchor:
         `decompose`'s checks: the eigensolver residual, DegenerateBoundary
         for an unseparated window, and SubspacesTooFar. When the window
         covers the whole space there is nothing to rotate away and this is
-        the traceless part of h."""
-        w = slice(self.offset, self.offset + self.k)
+        `window_block(h)`, the traceless part of h in the anchor's
+        eigenbasis."""
         if self.k == self.spectrum.n:
-            return _traceless(self.local(h)[..., w, w])
+            return self.window_block(h)
+        w = slice(self.offset, self.offset + self.k)
         h, u = np.asarray(h), self.gauge
         if h.shape[-2:] != u.shape:
             raise ValueError(f"dimension mismatch: {h.shape} vs {u.shape}")

@@ -280,7 +280,8 @@ def effective_map(fam, p0):
 
 def _window_map(anchor, fam):
     """p -> coordinates of the traceless window block of H(p) in the anchor's
-    eigenbasis."""
+    eigenbasis, U_w^dagger H(p) U_w with U_w the anchor's window vectors
+    (`Anchor.window_block`): H(p) stays in its own frame."""
     return lambda p: traceless_coordinates(anchor.window_block(fam(p)))
 
 
