@@ -101,15 +101,21 @@ def hermitian(entries):
 
 
 def _check_hermitian(a):
-    """`hermitian`'s refusals of a square array: ValueError for a non-finite
-    entry, or for an asymmetry max|A - A^dagger| above ASYMMETRY_RTOL times
-    the largest entry magnitude."""
+    """`hermitian`'s refusals of a square array, or of each matrix of a
+    stack (..., n, n): ValueError for a non-finite entry, or for an
+    asymmetry max|A - A^dagger| above ASYMMETRY_RTOL times the largest entry
+    magnitude of its matrix. The message gives the numbers of the first
+    such matrix, in C order."""
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     with np.errstate(over="ignore"):  # an overflow is an asymmetry of inf
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if asym > ASYMMETRY_RTOL * max(scale, 1e-300):
+        scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+        asym = np.max(np.abs(a - a.conj().swapaxes(-2, -1)), axis=(-2, -1),
+                      initial=0.0)
+    bad = asym > ASYMMETRY_RTOL * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        first = np.argmax(bad)
+        asym, scale = asym.flat[first], scale.flat[first]
         raise ValueError(
             f"input is not Hermitian: asymmetry {asym:.3e} exceeds "
             f"{ASYMMETRY_RTOL:.1e} * max|entry| = "
@@ -177,12 +183,15 @@ def _overflow_safe(f, x, axis):
 
 def _finite_eigvalsh(h):
     """np.linalg.eigvalsh of h, or of each matrix of a stack, after refusing
-    a NaN or infinite entry with LinAlgError. eigvalsh itself does not
-    always raise there: it returns [0, 0, -0] for diag(0, 1, nan), and NaNs
-    for diag(0, 1, inf)."""
+    a NaN or infinite entry with LinAlgError, and a matrix that is not
+    Hermitian with `hermitian`'s ValueError (`_check_hermitian`). eigvalsh
+    itself does not always raise there: it returns [0, 0, -0] for
+    diag(0, 1, nan), and NaNs for diag(0, 1, inf); it reads one triangle
+    only, so a Jordan block has the eigenvalues of a degenerate matrix."""
     h = np.asarray(h)
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("the matrix has a non-finite entry")
+    _check_hermitian(h)
     return np.linalg.eigvalsh(h)
 
 

@@ -34,7 +34,7 @@ from itertools import accumulate, combinations, product
 import numpy as np
 
 from .errors import DegenError, InconclusiveFit
-from .hermitian import _hermitian_part, frobenius_norm
+from .hermitian import _check_hermitian, _hermitian_part, frobenius_norm
 from .spectra import (
     _coincidence_parts,
     check_degenerate,
@@ -88,7 +88,10 @@ def family(evaluator, k, offset=0):
 
     The window must hold at least two levels, and the window eigenvalues of
     H(0) must coincide within the grouping tolerance and be strictly
-    separated from their neighbours.
+    separated from their neighbours. The matrices of a ladder are checked to
+    be finite but not to be Hermitian: eigvalsh reads one triangle of each,
+    and a check of the whole ladder would cost a large share of its
+    eigvalsh time. `linear_family` checks its two matrices once instead.
     """
     if k < 2:
         raise ValueError(f"a family needs a window of k >= 2 levels to "
@@ -104,9 +107,15 @@ def family(evaluator, k, offset=0):
 
 
 def linear_family(h0, h1, k, offset=0):
-    """The straight line t -> H0 + t H1."""
+    """The straight line t -> H0 + t H1; ValueError, naming H0 or H1,
+    unless `hermitian._check_hermitian` accepts both."""
     h0 = np.asarray(h0)
     h1 = np.asarray(h1)
+    for name, h in (("H0", h0), ("H1", h1)):
+        try:
+            _check_hermitian(h)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
     return family(lambda t: h0 + t * h1, k, offset=offset)
 
 

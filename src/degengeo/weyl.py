@@ -582,6 +582,8 @@ def _local_minima(values):
 def scan_grid(fam, box, resolution):
     """Locate and classify degeneracy points of a 3-parameter family.
 
+    box is three finite (lo, hi) pairs with lo <= hi (lo = hi is a flat
+    side), and resolution at least 2 grid points per axis, or ValueError.
     The distance of H(p) from the twofold-degeneracy manifold is evaluated
     on a box grid by the distance theorem, as sqrt(k) times the standard
     deviation of the window eigenvalues, with one stacked eigenvalue solve
@@ -600,11 +602,15 @@ def scan_grid(fam, box, resolution):
     differencing.
     Converged roots inside the box are deduplicated and classified; diverged
     seeds are skipped and counted. Reports come back sorted
-    lexicographically by position.
+    lexicographically by position rounded to multiples of DEDUP_TOL.
     """
     if fam.m != 3:
         raise ValueError("grid scanning expects a 3-parameter family")
     box = [(float(lo), float(hi)) for lo, hi in box]
+    if len(box) != 3 or not all(-np.inf < lo <= hi < np.inf
+                                for lo, hi in box):
+        raise ValueError(f"the box must be 3 finite (lo, hi) pairs with "
+                         f"lo <= hi, got {box}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     axes = _grid_axes(box, resolution)
@@ -628,7 +634,10 @@ def scan_grid(fam, box, resolution):
         roots.append((root, anchors))
 
     reports = []
-    for root, anchors in sorted(roots, key=lambda ra: tuple(ra[0])):
+    # Sorted at the dedup resolution: a root at x = 0 carries an x of
+    # rounding noise, whose sign must not decide the order.
+    for root, anchors in sorted(
+            roots, key=lambda ra: tuple(np.round(ra[0] / DEDUP_TOL))):
         report = classify_point(fam, root)
         report.diagnostics["newton_anchors"] = anchors
         if skipped:

@@ -377,3 +377,15 @@ def test_conjugate_identity_and_invariances():
         np.linalg.eigvalsh(g), np.linalg.eigvalsh(h), atol=1e-10
     )
     assert frobenius_norm(g) == pytest.approx(frobenius_norm(h), abs=1e-12)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: canonical_basis(0), "n must be >= 1"),
+    (lambda: from_coordinates(np.zeros(8), 3), "expected 9 coordinates"),
+    (lambda: from_coordinates(np.zeros((3, 3)), 3), "expected 9 coordinates"),
+    (lambda: traceless_from_coordinates(np.zeros(4), 2),
+     "expected 3 coordinates"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

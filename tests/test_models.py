@@ -380,3 +380,17 @@ def test_ssh_chains_match_the_bond_loops_bytewise(v, w):
         h = ssh_hopping_disorder(cells, amps)
         ref = _loop_chain(cells, lambda i: amps[i], np.conj)
         assert h.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ssh_hopping_disorder(2, np.zeros(2)), "need 3 bond amplitudes"),
+    (lambda: ssh_hopping_disorder(2, np.zeros(4)), "need 3 bond amplitudes"),
+    (lambda: transverse_perturbation(3, np.zeros(2), np.zeros(3)),
+     "need 3 x and y field values"),
+    (lambda: transverse_perturbation(3, np.zeros(3), np.zeros(4)),
+     "need 3 x and y field values"),
+    (lambda: one_local(2, np.zeros(5)), "need 6 coefficients"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

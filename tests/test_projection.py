@@ -9,6 +9,7 @@ from degengeo.hermitian import (
     conjugate,
     frobenius_norm,
     hermitian,
+    operator_2_norm,
     random_hermitian,
     random_unitary,
 )
@@ -121,6 +122,26 @@ def test_distance_refuses_non_finite_entries(bad):
     stack = np.stack([np.diag([0.0, 1.0, 2.0]), h])
     with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
         distance_to_sigma(stack, 2)
+    assert distance_to_sigma(stack[:1], 2).tolist() == [np.sqrt(0.5)]
+
+
+def test_distance_refuses_a_matrix_that_is_not_hermitian():
+    # eigvalsh reads one triangle: a Jordan block has the eigenvalues
+    # (0, 0, 3) there, and the distance would read 0.0. It is refused as
+    # `hermitian` and `collapse_projection` refuse it, in a stack too; the
+    # norm of the whole stack is refused with it.
+    jordan = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 3]], dtype=float)
+    with pytest.raises(ValueError) as want:
+        hermitian(jordan)
+    stack = np.stack([np.diag([0.0, 1.0, 2.0]), jordan, jordan.T])
+    for h in (jordan, stack):
+        with pytest.raises(ValueError, match="not Hermitian") as got:
+            distance_to_sigma(h, 2)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            operator_2_norm(h)
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        collapse_projection(jordan, 2)
     assert distance_to_sigma(stack[:1], 2).tolist() == [np.sqrt(0.5)]
 
 
@@ -282,3 +303,14 @@ def test_constructors_rebuild_bit_for_bit_and_read_only():
         u, np.concatenate([np.full(2, deg), rest])).tobytes()
     for m in (pr.h_sigma, g, sampled):
         assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("indices, match", [
+    ([0, 1], r"within 1\.\.3"),
+    ([1, 4], r"within 1\.\.3"),
+    ([1, 2, 3], "omit at least one eigenvalue"),
+])
+def test_index_set_refusals(indices, match):
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    with pytest.raises(ValueError, match=match):
+        project_with_index_set(h, indices)

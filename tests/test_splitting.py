@@ -108,6 +108,35 @@ def test_family_rejects_a_single_level_window():
         linear_family(h0, np.eye(3, dtype=complex), 1)
 
 
+@pytest.mark.parametrize("which", ["H0", "H1"])
+def test_linear_family_refuses_a_matrix_that_is_not_hermitian(which):
+    # eigvalsh reads the lower triangle only: with V[0, 5] += 0.7 the orders
+    # would be fitted to a matrix that heff and cascade refuse.
+    rng = np.random.default_rng(0)
+    h0 = np.array(ising(3))
+    v = np.array(transverse_perturbation(3, rng.standard_normal(3),
+                                         rng.standard_normal(3)))
+    bad = h0 if which == "H0" else v
+    bad[0, 5] += 0.7
+    with pytest.raises(ValueError,
+                       match=f"^{which}: input is not Hermitian: asymmetry"):
+        linear_family(h0, v, 2)
+
+
+@pytest.mark.parametrize("method, ladder, error, match", [
+    ("bogus", None, ValueError, "unknown method 'bogus'"),
+    ("stddev", [], InconclusiveFit, "^stddev: no usable samples$"),
+    # Past t = 1 the window vectors of H(t) are e1 and e3, orthogonal to
+    # the anchor's e2: every decomposition of the ladder fails.
+    ("heff", [2.0, 3.0, 4.0, 5.0], InconclusiveFit,
+     "^heff: no usable samples$"),
+])
+def test_estimate_refusals(method, ladder, error, match):
+    fam = family(lambda t: np.diag([0.0, t, 1.0]).astype(complex), 2)
+    with pytest.raises(error, match=match):
+        estimate_order(fam, method, ladder)
+
+
 def test_samples_linear_family_explicit():
     fam = sz_block_family()
     ts, stds = ladder_series(fam, [0.01, 0.1, 0.25], "stddev")

@@ -896,3 +896,20 @@ def test_diagonal_base_rule_is_the_strict_path_test():
                 with pytest.raises(BasePointNotCanonical,
                                    match="base point must be diagonal"):
                     sw_decompose(scale * h, noisy, 2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # Projectors of rank 1 and 2 have no rotation between them.
+    (lambda: direct_rotation(np.diag([1.0, 0.0, 0.0]),
+                             np.diag([1.0, 1.0, 0.0])),
+     SubspacesTooFar, "no direct rotation exists"),
+    (lambda: sw_decompose(np.diag([0.0, 0.1, 0.2]), np.zeros((3, 3)), 3),
+     BasePointNotCanonical, "window covers the whole spectrum"),
+    # An anchor made from a spectrum alone serves window blocks only.
+    (lambda: Anchor.from_spectrum(eigh(np.diag([0.0, 0.0, 1.0])), 2)
+     .decompose(np.diag([0.0, 0.1, 1.0])),
+     ValueError, "made without its matrix"),
+])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -977,6 +977,54 @@ def test_scan_empty_region():
     assert reports == []
 
 
+@pytest.mark.parametrize("box", [
+    [(0.5, -0.5)] * 3,
+    [(-0.5, 0.5), (-0.5, 0.5), (0.5, 0.4)],
+    [(-0.5, np.inf)] * 3,
+    [(-np.inf, 0.5)] * 3,
+    [(np.nan, 0.5)] * 3,
+    [(-0.5, 0.5)] * 2,
+    [(-0.5, 0.5)] * 4,
+])
+def test_scan_refuses_a_box_that_is_not_three_ordered_finite_pairs(box):
+    # A reversed side used to scan nothing and return [], and an infinite
+    # side warned twice before failing at p = [nan, nan, nan].
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="3 finite"):
+            scan_grid(weyl_family(), box, 11)
+
+
+def test_scan_accepts_a_flat_box():
+    # lo = hi on an axis scans the plane through the point.
+    reports = scan_grid(weyl_family(), [(-0.5, 0.5), (-0.5, 0.5), (0.0, 0.0)],
+                        11)
+    assert [r.charge for r in reports] == [1]
+    assert np.linalg.norm(reports[0].p) <= 1e-6
+
+
+def test_scan_sorts_points_by_position_at_dedup_resolution():
+    # Two Weyl points at (-tilt, 0, m) and (tilt, 0, -m): their x differ
+    # by far less than DEDUP_TOL, as the rounding noise of a root at x = 0
+    # does, so the points come back ordered by z, not by the sign of x.
+    m, tilt = 0.25, 1e-9
+    sx = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+    sy = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
+    sz = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    fam = polynomial_family({
+        (0, 0, 0): -m * m * sz + np.diag([0.0, 0.0, 5.0]),
+        (1, 0, 0): sx,
+        (0, 1, 0): sy,
+        (0, 0, 1): (tilt / m) * sx,
+        (0, 0, 2): sz,
+    })
+    reports = scan_grid(fam, [(-0.5, 0.5)] * 3, 11)
+    assert [round(float(r.p[2]), 9) for r in reports] == [-m, m]
+    assert [float(r.p[0]) for r in reports] == pytest.approx(
+        [tilt, -tilt], rel=1e-6)
+    assert [r.charge for r in reports] == [-1, 1]
+
+
 def test_transversality_equivalence_full_rank_families():
     # full-rank linear families are Weyl points and every probed line
     # splits at first order
@@ -1261,3 +1309,19 @@ def test_stack_of_no_points_is_empty():
     for m in (1, 3):
         fam = weyl.ParamFamily(unused, m=m, n=4)
         assert fam.stack(np.empty((0, m))).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: weyl_family().stack(np.zeros((4, 2))),
+     r"expected parameter points of shape \(\.\.\., 3\)"),
+    (lambda: weyl_family().stack(np.zeros(2)),
+     r"expected parameter points of shape \(\.\.\., 3\)"),
+    (lambda: scan_grid(param_family(lambda p: weyl_example(p[0], p[1], 0.0),
+                                    2), [(-0.5, 0.5)] * 2, 5),
+     "expects a 3-parameter family"),
+    (lambda: scan_grid(weyl_family(), [(-0.5, 0.5)] * 3, 1),
+     "resolution must be at least 2"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
