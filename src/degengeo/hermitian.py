@@ -106,7 +106,8 @@ def _check_hermitian(a):
     asymmetry max|A - A^dagger| above ASYMMETRY_RTOL times the largest entry
     magnitude of its matrix. The message gives the numbers of the first
     such matrix, in C order."""
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    # A complex entry is finite when both of its parts are.
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     with np.errstate(over="ignore"):  # an overflow is an asymmetry of inf
         scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
