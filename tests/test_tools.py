@@ -35,7 +35,7 @@ def test_cli_digests_runs_every_call_and_repeats():
     assert not moved, f"CLI digest lines differ:\n{moved}"
     assert len(lines) > 100
     line = re.compile(r"[0-9a-f]{64} (\d) (decompose|distance|project|order"
-                      r"|weyl-scan|model|demo) .* \| .*")
+                      r"|weyl-scan|model|cascade|demo) .* \| .*")
     codes = [int(line.fullmatch(text).group(1)) for text in lines]
     assert sorted(set(codes)) == [0, 2, 3, 4, 5]
     # The last lines digest the stdout of every demo script, which ran to

@@ -10,9 +10,14 @@ the Python version (argparse's --help layout changes between versions), the
 numpy version, and the BLAS and LAPACK libraries numpy was built against.
 Then one line per call: the SHA-256 of stdout, the exit code (or "raised
 Type: message" for an exception that escapes `main`), the argv, and the
-first stderr line that is not the wall time. Last, one line per script of
-CHECKOUT/demos in the same form, with the argv "demo NAME": each script is
-run in-process as `__main__`, as the demo test runs it, so its exit code
+first stderr line that is not the wall time. Then one line per API cascade
+in the same form, with the argv "cascade MODEL(SIZE) seed S": the SHA-256
+of repr((pair_levels, negative_permutation, capped, notes)) of
+`degengeo.cascade` on the family t -> H0 + t V that `degengeo order` builds
+for the model and --seed S ("ssh-ground" is the ground window of the chain,
+of cells - 1 levels), since `cascade` has no CLI. Last, one line per script
+of CHECKOUT/demos in the same form, with the argv "demo NAME": each script
+is run in-process as `__main__`, as the demo test runs it, so its exit code
 is 0 unless it raises.
 Two checkouts give the same CLI and demo bytes on these calls when
 
@@ -39,6 +44,7 @@ import platform
 import runpy
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 # One BLAS thread before numpy loads, so that results do not depend on how
@@ -401,6 +407,49 @@ def _calls(cases):
     return calls
 
 
+#: (model, size) of the cascade lines: the pair families of `bench/`'s
+#: families workload, then the ssh ground windows, whose sub-blocks behind
+#: an anchor include pairs.
+CASCADES = (("ising", 3), ("ising", 4), ("ising", 5), ("ssh", 3), ("ssh", 4),
+            ("ssh", 5), ("five-qubit", 5), ("ssh-ground", 3),
+            ("ssh-ground", 4), ("ssh-ground", 5))
+
+
+def _cascade_family(model, size, seed):
+    """The family t -> H0 + t V of `degengeo order` for the model and
+    --seed, on its pair window or, for "ssh-ground", its ground window."""
+    import degengeo
+    from degengeo import models
+
+    rng = np.random.default_rng(seed)
+    k, offset = 2, 0
+    if model == "ising":
+        h0 = models.ising(size)
+        v = models.transverse_perturbation(size, rng.standard_normal(size),
+                                           rng.standard_normal(size))
+    elif model in ("ssh", "ssh-ground"):
+        h0 = models.ssh(size, 0.0, 1.0)
+        bonds = 2 * size - 1
+        v = models.ssh_hopping_disorder(
+            size, rng.standard_normal(bonds) + 1j * rng.standard_normal(bonds))
+        k, offset = (size - 1, 0) if model == "ssh-ground" else (2, size - 1)
+    else:
+        h0 = models.five_qubit_code()
+        v = models.one_local(5, rng.standard_normal(15))
+    return degengeo.family(lambda t: h0 + t * v, k, offset=offset)
+
+
+def _cascade(argv):
+    """A `main` for `_run` that writes the repr of one cascade's results."""
+    import degengeo
+
+    model, size = argv[1].removesuffix(")").split("(")
+    res = degengeo.cascade(_cascade_family(model, int(size), int(argv[3])))
+    sys.stdout.write(repr((res.pair_levels, res.negative_permutation,
+                           res.capped, res.notes)))
+    return 0
+
+
 def _run(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -451,6 +500,9 @@ def main():
             print(environment())
             for argv in calls:
                 print(_run(cli.main, argv))
+            for (model, size), seed in product(CASCADES, range(3)):
+                print(_run(_cascade, ["cascade", f"{model}({size})", "seed",
+                                      str(seed)]))
             for demo in sorted((checkout / "demos").glob("*.py")):
                 print(_run(_demo(demo), ["demo", demo.stem]))
         finally:
