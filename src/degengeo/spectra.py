@@ -7,6 +7,7 @@ module reads the coincidence tolerance."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,8 @@ def checked_eigvals(h):
     nothing else: the same `np.linalg.eigh` call and the same residual
     check, which refuses the same matrices with the same message (NaN and
     infinite entries included). It skips the phase fix of the vectors and
-    the read-only Spectrum, so it costs less. Its callers are the Weyl
-    scan's distance field and the cascade's start value of a block of two
-    levels, whose clusters never need eigenvectors."""
+    the read-only Spectrum, so it costs less. Its caller is the Weyl scan's
+    distance field, whose values never need eigenvectors."""
     h = np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
     if vals.shape[-1]:
@@ -324,6 +324,21 @@ def _coincidence_parts(vals, rel_tol):
     bounds = np.concatenate(([0], cuts, [max(len(vals), 1)]))
     parts = bounds[1:] - bounds[:-1]
     return tuple(parts.tolist()), tol
+
+
+def _pair_parts(block, rel_tol):
+    """The parts that `_coincidence_parts` gives for the two eigenvalues of
+    a 2 x 2 Hermitian block [[a, b], [conj(b), d]], (2,) or (1, 1), without
+    an eigensolver. By the distance theorem they are m - r and m + r, with
+    m = a/2 + d/2 and r = ||block - m I||_F / sqrt(2) = hypot(a/2 - d/2, |b|),
+    and they coincide when 2r <= rel_tol * max(1, |m - r|, |m + r|), the
+    rule of `coincidence_tolerance`."""
+    (a, b), (_, d) = block.tolist()
+    # Each entry is halved before adding, and so is the test, since
+    # max(|m - r|, |m + r|) = |m| + r: no sum overflows for finite entries.
+    a, d = a.real / 2.0, d.real / 2.0
+    m, r = a + d, math.hypot(a - d, abs(b))
+    return (2,) if r <= rel_tol * max(0.5, abs(m) / 2.0 + r / 2.0) else (1, 1)
 
 
 def stratum_codimension(partition):

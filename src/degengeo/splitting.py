@@ -17,7 +17,10 @@ makes the eigenvalue branches analytic through t = 0. A family is a
 four probe points. A cascade level whose cluster fills its block needs no
 anchor: the Schrieffer-Wolff chart of a whole block is the identity, so its
 effective block is the traceless part in any basis, and only a cluster that
-is a proper sub-block is rotated away through an `Anchor`.
+is a proper sub-block is rotated away through an `Anchor`. A level of two
+branches needs no eigensolver either: by the distance theorem, its start
+value's eigenvalues are its mean diagonal entry -/+ its distance from the
+degeneracy manifold over sqrt(2).
 `estimate_order(fam, "heff")` fits the effective-block norms alone: the
 ladder, as sampled, goes through one stacked `Anchor.heff_block` against the
 family's start anchor, one eigh and one k x k SVD. The spectrum of H(0) that
@@ -37,9 +40,9 @@ from .errors import DegenError, InconclusiveFit
 from .hermitian import _check_hermitian, _hermitian_part, frobenius_norm
 from .spectra import (
     _coincidence_parts,
+    _pair_parts,
     check_degenerate,
     check_separated,
-    checked_eigvals,
     eigh,
     window_spread,
 )
@@ -447,9 +450,11 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     above, divided by t. That is exact, because the traceless part commutes
     with unitary conjugation, so the eigenvalues, the clusters and every
     deeper level match those in the anchor's gauge. A block of two levels
-    thus needs only the eigenvalues of its start value
-    (`spectra.checked_eigvals`, with the residual check of `eigh`), and a
-    block of three or more takes one `eigh`.
+    thus needs only whether its start value's two eigenvalues coincide,
+    which the distance theorem gives without an eigensolver: they are
+    m -/+ r, m its mean diagonal entry and r its distance from m I over
+    sqrt(2) (`spectra._pair_parts`). A block of three or more takes one
+    `eigh`.
 
     t_probe must be positive and finite and depth_cap at least 1, or
     ValueError is raised. t_probe must also be small enough that the
@@ -483,13 +488,13 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
             g = anchor.heff_block(above) / scale
         g0 = _hermitian_part(_extrapolate_zero(g))
         # Only a block of three or more levels can leave a cluster that is a
-        # proper sub-block, the one case that needs the eigenvectors.
+        # proper sub-block, the one case that needs the eigenvectors; a pair
+        # splits by the distance theorem.
         if len(idx) == 2:
-            vals0 = checked_eigvals(g0)
+            parts = _pair_parts(g0, CLUSTER_RTOL)
         else:
             spec0 = eigh(g0)
-            vals0 = spec0.eigenvalues
-        parts = _coincidence_parts(vals0, CLUSTER_RTOL)[0]
+            parts = _coincidence_parts(spec0.eigenvalues, CLUSTER_RTOL)[0]
         clusters = [(stop - size, stop)
                     for size, stop in zip(parts, accumulate(parts))]
         for ci, (lo, hi) in enumerate(clusters):

@@ -412,16 +412,16 @@ def test_cascade_ising_ground_pair():
 
 def test_cascade_factorization_plan(linalg_calls):
     # A k = 2 cascade of ising(4) reaches level 4. The first level takes
-    # its four probes through one (4, 16, 16) eigh and one (4, 2, 2) SVD;
-    # every level takes the eigenvalues of its extrapolated 2 x 2 start
-    # once. Deeper levels are whole blocks, whose effective blocks need no
-    # factorization. Any new factorization on this path shows here.
+    # its four probes through one (4, 16, 16) eigh and one (4, 2, 2) SVD.
+    # Every level reads the split of its extrapolated 2 x 2 start off the
+    # distance theorem, and deeper levels are whole blocks, whose effective
+    # blocks need no factorization. Any new factorization on this path
+    # shows here.
     fam = model_family("ising", 4, 0)
     linalg_calls.clear()
     res = cascade(fam)
     assert res.pair_levels == {(1, 2): 4}
-    assert linalg_calls == [("eigh", (4, 16, 16)), ("svd", (4, 2, 2))] + [
-        ("eigh", (2, 2))] * 4
+    assert linalg_calls == [("eigh", (4, 16, 16)), ("svd", (4, 2, 2))]
 
 
 @pytest.mark.parametrize("model, size", [("ising", 3), ("ising", 5),
@@ -695,11 +695,11 @@ def test_cascade_anchors_a_proper_sub_block(linalg_calls, monkeypatch):
     assert res.negative_permutation == (3, 1, 2)
     # Level 1 against the start anchor, level 2 against an anchor on the
     # pair, a 2-level window of the 3 x 3 level. The 3-level start value
-    # takes one eigh, the 2-level one an eigh through checked_eigvals.
+    # takes one eigh, the 2-level one none.
     assert calls == [(3, (4, 5, 5)), (2, (4, 3, 3))]
     assert linalg_calls == [("eigh", (4, 5, 5)), ("svd", (4, 3, 3)),
                             ("eigh", (3, 3)), ("eigh", (4, 3, 3)),
-                            ("svd", (4, 2, 2)), ("eigh", (2, 2))]
+                            ("svd", (4, 2, 2))]
     assert_same_cascade(res, closure_tower_cascade(fam))
 
 
@@ -734,15 +734,14 @@ def test_cascade_factorization_count(linalg_calls):
     # ising(4): one stacked eigh of the four level-1 probes and one stacked
     # k x k SVD of their window rows; no eigvalsh, and no eigh of H(0), whose
     # spectrum `family` kept.
-    # Each of the four levels takes the eigenvalues of its 2 x 2 start
-    # value, and the deeper levels, whole 2 x 2 blocks, need no anchor.
+    # None of the four levels factors its 2 x 2 start value, and the deeper
+    # levels, whole 2 x 2 blocks, need no anchor.
     fam = model_family("ising", 4, 0)
     n = fam.n
     linalg_calls.clear()
     res = cascade(fam)
     assert res.pair_levels == {(1, 2): 4}
-    assert linalg_calls == [("eigh", (4, n, n)),
-                            ("svd", (4, 2, 2))] + [("eigh", (2, 2))] * 4
+    assert linalg_calls == [("eigh", (4, n, n)), ("svd", (4, 2, 2))]
 
 
 @pytest.mark.parametrize("heff", [False, True])
