@@ -18,7 +18,11 @@ that bundles a window (k, offset; JSON integers), the sample parameters
 Run reports are written in exactly the layout of
 `json.dumps(plain, indent=2)`, where `plain` is the report with every
 array turned into nested lists ([re, im] for complex entries), by one walk
-over the report that hands each scalar leaf to `json.dumps`. Finite float
+over the report. It writes each scalar leaf as the encoder does, without
+its per-call set-up: a finite float by `float.__repr__`, an int of exact
+type by `int.__repr__`, a str (and each key) by the encoder's
+`encode_basestring_ascii`; bools, None, NaN and infinities go to
+`json.dumps`. Finite float
 and complex arrays are rendered straight to that text in one vectorized
 pass per array, since the standard encoder formats every float through
 Python generators when an indent is set; every other array is walked as
@@ -37,6 +41,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -204,8 +209,9 @@ def _write(value, pad, out):
     """Append to `out` the pieces of `json.dumps(plain, indent=2)` (module
     docstring) with every line after the first indented by `pad`. Dicts,
     lists, tuples, complex numbers and numpy scalars are walked here, arrays
-    go to `_array_json` and every other leaf to `json.dumps`; the caller
-    joins `out` once, so no nesting level copies the text below it."""
+    go to `_array_json`, and each other leaf takes the encoder's text (module
+    docstring); the caller joins `out` once, so no nesting level copies the
+    text below it."""
     if isinstance(value, np.ndarray):
         _array_json(value, pad, out)
         return
@@ -215,12 +221,12 @@ def _write(value, pad, out):
         value = [value.real, value.imag]
     if isinstance(value, dict):
         value = {str(k): v for k, v in value.items()}
-        keys = [json.dumps(k) + ": " for k in value]
+        keys = [encode_basestring_ascii(k) + ": " for k in value]
         value, brackets = value.values(), "{}"
     elif isinstance(value, (list, tuple)):
         keys, brackets = [""] * len(value), "[]"
     else:
-        out.append(json.dumps(value))
+        out.append(_leaf_json(value))
         return
     if not keys:
         out.append(brackets)
@@ -234,6 +240,18 @@ def _write(value, pad, out):
     out.append("\n" + pad + brackets[1])
 
 
+def _leaf_json(x):
+    """The text `json.dumps(x)` gives a scalar leaf x, by the encoder's own
+    formatter where x is a finite float, an int of exact type or a str."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    return json.dumps(x)
+
+
 def _array_json(a, pad, out):
     """Append one array in the indent=2 layout: its leaves interleaved with
     the separator for the number of axes that wrap after each leaf (closing
@@ -244,7 +262,7 @@ def _array_json(a, pad, out):
     A leaf's sign (signbit, so -0.0 reads "-0.0") ends the text before it:
     the separator table holds each separator and its "-"-suffixed twin,
     and the opening brackets take the first leaf's "-". Every other array
-    goes to `_write` as nested lists, whose leaves `json.dumps` writes:
+    goes to `_write` as nested lists, which writes their leaves:
     0-d and empty arrays, integer, bool and object arrays, and float or
     complex arrays holding NaN or inf."""
     if np.iscomplexobj(a):

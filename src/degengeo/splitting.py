@@ -456,14 +456,17 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     sqrt(2) (`spectra._pair_parts`). A block of three or more takes one
     `eigh`.
 
-    t_probe must be positive and finite and depth_cap at least 1, or
-    ValueError is raised. t_probe must also be small enough that the
-    decompositions along the cascade stay valid; errors from invalid probes
-    propagate.
+    t_probe must be positive and finite, with a nonzero half, and depth_cap
+    at least 1, or ValueError is raised. t_probe must also be small enough
+    that the decompositions along the cascade stay valid, and large enough
+    that no level overflows when it is divided by t: LinAlgError names a
+    level whose start value is not finite, and errors from other invalid
+    probes propagate.
     """
-    if not (0.0 < t_probe < math.inf):
-        raise ValueError(f"t_probe must be positive and finite, got "
-                         f"{t_probe!r}")
+    # A t_probe whose half underflows to 0 would put two probes at 0.
+    if not (0.0 < t_probe / 2.0 and t_probe < math.inf):
+        raise ValueError(f"t_probe must be positive and finite, with a "
+                         f"nonzero half, got {t_probe!r}")
     if depth_cap < 1:
         raise ValueError(f"depth_cap must be at least 1, got {depth_cap!r}")
     k = fam.k
@@ -480,13 +483,15 @@ def cascade(fam, t_probe=2.0 ** -6, depth_cap=8):
     capped = []
     while queue:
         idx, above, anchor, level = queue.pop()
-        if anchor is None:
-            g = _traceless(above) / scale
-        elif level == 1:
-            g = anchor.heff_block(above) / (scale * unit)
-        else:
-            g = anchor.heff_block(above) / scale
-        g0 = _hermitian_part(_extrapolate_zero(g))
+        g = _traceless(above) if anchor is None else anchor.heff_block(above)
+        # Dividing by t can overflow; a level that does is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = g / (scale * unit) if level == 1 else g / scale
+            g0 = _hermitian_part(_extrapolate_zero(g))
+        if not np.isfinite(g0).all():
+            raise np.linalg.LinAlgError(
+                f"cascade level {level} overflows at t_probe={t_probe!r}: "
+                f"its start value is not finite")
         # Only a block of three or more levels can leave a cluster that is a
         # proper sub-block, the one case that needs the eigenvectors; a pair
         # splits by the distance theorem.

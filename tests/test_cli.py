@@ -1,5 +1,6 @@
 """Interchange format round-trips, report serialization, and the CLI."""
 
+import enum
 import inspect
 import json
 import re
@@ -1173,14 +1174,17 @@ _SECTIONS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=4)
          outputs={"l": [np.zeros((2, 0), dtype=complex)],
                   "t": (np.zeros((0, 3)), np.zeros((2, 0), dtype=complex))},
          diagnostics={})
-# Scalar leaves: an int or a finite float is written by repr, every other
-# leaf by json.dumps.
+# Scalar leaves: a finite float, an int of exact type or a str is written by
+# the encoder's own formatter, every other leaf by json.dumps.
 @example(inputs={"nan": float("nan"), "inf": float("inf"),
                  "-inf": float("-inf"), "-0": -0.0},
          outputs={"true": True, "none": None,
                   "int": 123456789012345678901234567890},
          diagnostics={"l": [-123456789012345678901234567890, 0.1, -0.0,
                             float("nan"), False, None, 7]})
+@example(inputs={"s": ['"', "\\", "\n", "\u00e9", "\x00", "\ud83d", ""]},
+         outputs={"\u00e9\n": "\U0001f600", "enum": enum.IntEnum("E", "A").A},
+         diagnostics={})
 def test_report_json_matches_standard_encoder(inputs, outputs, diagnostics):
     _assert_same_report(RunReport("decompose", inputs, outputs, diagnostics))
 

@@ -14,7 +14,9 @@ from degengeo.hermitian import (_overflow_safe, conjugate, frobenius_norm,
 from degengeo.spectra import (
     DEGENERACY_RTOL,
     _checked_residual,
+    _coincidence_parts,
     _frobenius,
+    _pair_parts,
     check_degenerate,
     checked_eigvals,
     check_separated,
@@ -420,6 +422,57 @@ def test_classify_refuses_a_tolerance_not_positive_and_finite(rel_tol):
     with pytest.raises(ValueError,
                        match="rel_tol must be positive and finite"):
         classify_stratum(_spec_of([0, 0, 1]), rel_tol=rel_tol)
+
+
+def _pair_blocks(kind, rng, rel_tol):
+    """Forty 2 x 2 Hermitian blocks of one kind: random ones at unit scale
+    or scaled by 2^600 or 2^-600, blocks c I, blocks with only the
+    off-diagonal pair, blocks of signed zeros, and blocks in a random frame
+    whose eigenvalue gap is (1 -/+ 1e-6) times the coincidence tolerance."""
+    blocks = []
+    for _ in range(40):
+        if kind in ("random", "2^600", "2^-600"):
+            h = random_hermitian(2, rng) * 10.0 ** rng.uniform(-6, 1)
+            blocks.append(h * {"random": 1.0, "2^600": 2.0 ** 600,
+                               "2^-600": 2.0 ** -600}[kind])
+        elif kind == "c I":
+            blocks.append(rng.standard_normal() * 10.0 ** rng.uniform(-9, 9)
+                          * np.eye(2, dtype=complex))
+        elif kind == "off-diagonal":
+            b = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-2, 3)
+            blocks.append(np.array([[0.0, b], [b.conjugate(), 0.0]]))
+        elif kind == "signed zeros":
+            parts = rng.choice([0.0, -0.0], size=6)
+            blocks.append(np.array(
+                [[complex(parts[0]), complex(*parts[2:4])],
+                 [complex(parts[2], -parts[3]), complex(parts[1])]]))
+        else:
+            # 2r = f * rel_tol * max(1, |m| + r), solved for r.
+            f = 1.0 - 1e-6 if kind == "just within" else 1.0 + 1e-6
+            m = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            r = f * rel_tol * abs(m) / (2.0 - f * rel_tol)
+            if abs(m) + r < 1.0:
+                r = f * rel_tol / 2.0
+            blocks.append(conjugate(np.diag([m - r, m + r]),
+                                    random_unitary(2, rng)))
+    return blocks
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-8])
+@pytest.mark.parametrize("kind", ["random", "2^600", "2^-600", "c I",
+                                  "off-diagonal", "signed zeros",
+                                  "just within", "just beyond"])
+def test_pair_parts_group_as_the_eigenvalues(kind, rel_tol):
+    # The distance theorem's eigenvalues m -/+ r of a 2 x 2 block group as
+    # the eigensolver's do.
+    rng = np.random.default_rng([7, len(kind), int(-np.log10(rel_tol))])
+    for h in _pair_blocks(kind, rng, rel_tol):
+        want = _coincidence_parts(np.linalg.eigvalsh(h), rel_tol)[0]
+        assert _pair_parts(h, rel_tol) == want, h
+        if kind in ("c I", "signed zeros", "just within"):
+            assert want == (2,)
+        elif kind in ("off-diagonal", "just beyond"):
+            assert want == (1, 1)
 
 
 def test_classify_chained_grouping():

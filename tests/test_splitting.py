@@ -485,16 +485,35 @@ def test_cascade_depth_cap():
 
 @pytest.mark.parametrize("kwargs", [
     {"t_probe": 0.0}, {"t_probe": -2.0 ** -6}, {"t_probe": np.inf},
-    {"t_probe": np.nan}, {"depth_cap": 0}, {"depth_cap": -1},
+    {"t_probe": np.nan}, {"t_probe": 5e-324}, {"depth_cap": 0},
+    {"depth_cap": -1},
 ])
 def test_cascade_refuses_bad_arguments(kwargs):
     # The pair of ising(3) splits at order 3; t_probe = 0 used to divide by
-    # zero and report level 1.
+    # zero and report level 1. Half of 5e-324 is 0, which put two probes at
+    # +-0.
     fam = model_family("ising", 3, 0)
     name = next(iter(kwargs))
     with pytest.raises(ValueError, match=name):
         cascade(fam, **kwargs)
     assert cascade(fam).pair_levels == {(1, 2): 3}
+
+
+@pytest.mark.parametrize("model, size, k, t_probe, level", [
+    ("ising", 3, 2, 1e-200, 2), ("ssh", 4, 3, 1e-310, 1)])
+def test_cascade_names_a_level_that_overflows(model, size, k, t_probe,
+                                              level):
+    # Each level is divided by t. These probes overflow a level, which was
+    # refused by the solver that met its NaN ("eigendecomposition residual
+    # nan exceeds nan", "Eigenvalues did not converge"), after overflow
+    # warnings; the ssh window is the ground window of the chain.
+    h = model_family(model, size, 1)
+    fam = family(h, k, offset=h.offset if k == 2 else 0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"^cascade level {level} overflows at "
+                             rf"t_probe={t_probe!r}: its start value is not "
+                             r"finite$"):
+        cascade(fam, t_probe=t_probe)
 
 
 def test_cascade_names_a_probe_that_is_not_finite():
