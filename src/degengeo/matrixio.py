@@ -22,11 +22,10 @@ over the report. It writes each scalar leaf as the encoder does, without
 its per-call set-up: a finite float by `float.__repr__`, an int of exact
 type by `int.__repr__`, a str (and each key) by the encoder's
 `encode_basestring_ascii`; bools, None, NaN and infinities go to
-`json.dumps`. Finite float
-and complex arrays are rendered straight to that text in one vectorized
-pass per array, since the standard encoder formats every float through
-Python generators when an indent is set; every other array is walked as
-nested lists. A finite float array is formatted once per distinct
+`json.dumps`. Finite float and complex arrays are rendered straight to
+that text in one vectorized pass per array, since the standard encoder
+formats every float through Python generators when an indent is set;
+every other array is walked as nested lists. A finite float array is formatted once per distinct
 magnitude, each text reused for the leaves of either sign (the parts of a
 decomposition are Hermitian, so about half of their leaves are the sign
 flip of another): a negative leaf's "-" ends the separator before it. The

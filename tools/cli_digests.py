@@ -408,8 +408,8 @@ def _calls(cases):
 
 
 #: (model, size) of the cascade lines: the pair families of `bench/`'s
-#: families workload, then the ssh ground windows, whose sub-blocks behind
-#: an anchor include pairs.
+#: families workload, then the ssh ground windows, blocks of up to four
+#: levels.
 CASCADES = (("ising", 3), ("ising", 4), ("ising", 5), ("ssh", 3), ("ssh", 4),
             ("ssh", 5), ("five-qubit", 5), ("ssh-ground", 3),
             ("ssh-ground", 4), ("ssh-ground", 5))
